@@ -14,7 +14,10 @@ the outside:
 4.  edit the source and ``POST /transform/delta`` against the step-2
     request: the incremental response must be byte-identical to a full
     transform of the edited document;
-5.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
+5.  send 20 sequential Figure 3 transforms on one keep-alive
+    connection: together they must finish in under 0.4 s (a response
+    that waits on the client's delayed ACK costs ~40 ms on its own);
+6.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
     must show the plan-cache hit from step 1, the latency histogram
     buckets, and the incremental hit/fallback counters) — through real
     ``curl`` when it's on PATH, urllib otherwise, so the CI leg
@@ -34,7 +37,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,6 +52,11 @@ from repro.scenarios import deptstore  # noqa: E402
 from repro.xml.serialize import to_xml  # noqa: E402
 
 FIGURES = {"fig3": deptstore.mapping_fig3, "fig6": deptstore.mapping_fig6}
+
+#: Sequential keep-alive transforms of the small Figure 3 output, and
+#: the ceiling on their total wall time.
+KEEPALIVE_REQUESTS = 20
+KEEPALIVE_BUDGET_S = 0.4
 
 _failures = 0
 
@@ -94,6 +104,24 @@ def curl_get(url: str) -> tuple[int, bytes]:
         return 0, result.stderr
     body, status = result.stdout[:-3], int(result.stdout[-3:])
     return status, body
+
+
+def keepalive_transforms(host: str, port: int, path: str,
+                         body: bytes) -> tuple[float, set]:
+    """Send :data:`KEEPALIVE_REQUESTS` transforms on one HTTP/1.1
+    connection; returns the total wall time and the set of statuses."""
+    connection = HTTPConnection(host, port, timeout=60)
+    statuses = set()
+    try:
+        started = time.perf_counter()
+        for _ in range(KEEPALIVE_REQUESTS):
+            connection.request("POST", path, body=body)
+            response = connection.getresponse()
+            response.read()
+            statuses.add(response.status)
+        return time.perf_counter() - started, statuses
+    finally:
+        connection.close()
 
 
 def cli_run(tmp: Path, figure: str, *flags: str) -> bytes:
@@ -210,6 +238,15 @@ def main() -> int:
               in ("unchanged", "scoped", "fallback"),
               f"{status}, {len(body)} vs {len(expected)} bytes, "
               f"mode={headers.get('X-Clip-Incremental')!r}")
+
+        elapsed, statuses = keepalive_transforms(
+            match.group(1), int(match.group(2)),
+            f"/transform?mapping={fingerprints['fig3']}", source,
+        )
+        check(f"{KEEPALIVE_REQUESTS} keep-alive fig3 transforms in "
+              f"< {KEEPALIVE_BUDGET_S} s",
+              statuses == {200} and elapsed < KEEPALIVE_BUDGET_S,
+              f"{elapsed:.3f} s, statuses {sorted(statuses)}")
 
         status, body = curl_get(f"{base}/health")
         check("GET /health", status == 200

@@ -720,7 +720,11 @@ class ClipService:
         metrics_doc: Optional[dict],
         result: Optional[XmlElement] = None,
         source_text: Optional[str] = None,
+        result_xml: Optional[str] = None,
     ) -> None:
+        """Record a request in the bounded history.  ``result_xml`` is
+        the response body the caller already rendered, kept with
+        ``source_text`` for ``POST /transform/delta``."""
         explain = None
         plan = (metrics_doc or {}).get("plan")
         if plan is not None and result is not None:
@@ -747,11 +751,7 @@ class ClipService:
             # Internal (stripped from GET /requests/{id}): the
             # source/target pair a later POST /transform/delta keys on.
             "source_xml": source_text,
-            "result_xml": (
-                to_xml(result)
-                if result is not None and source_text is not None
-                else None
-            ),
+            "result_xml": result_xml,
         }
         with self._lock:
             self._requests[request_id] = record
@@ -836,13 +836,15 @@ class ClipService:
                 )
                 return self._failure_response(failure, request_id, paths)
             result = batch.results[0]
+            rendered = to_xml(result)
             self._store_request(
                 request_id, endpoint="transform", entry=entry, status=200,
                 metrics_doc=metrics_doc, result=result, source_text=text,
+                result_xml=rendered,
             )
             return ServiceResponse(
                 200, "application/xml; charset=utf-8",
-                to_xml(result).encode("utf-8"),
+                rendered.encode("utf-8"),
                 (("X-Clip-Request", request_id),
                  ("X-Clip-Mapping", entry.fingerprint)),
             )
@@ -999,14 +1001,15 @@ class ClipService:
                 target_elements=result.size(),
                 incremental=report.to_dict(),
             ).to_dict()
+            rendered = to_xml(result)
             self._store_request(
                 request_id, endpoint="transform_delta", entry=entry,
                 status=200, metrics_doc=metrics_doc, result=result,
-                source_text=text,
+                source_text=text, result_xml=rendered,
             )
             return ServiceResponse(
                 200, "application/xml; charset=utf-8",
-                to_xml(result).encode("utf-8"),
+                rendered.encode("utf-8"),
                 (("X-Clip-Request", request_id),
                  ("X-Clip-Mapping", entry.fingerprint),
                  ("X-Clip-Incremental", report.mode)),

@@ -45,6 +45,9 @@ class ClipRequestHandler(BaseHTTPRequestHandler):
     server_version = "clip-service"
     # Omit the default Python/BaseHTTP banner from the Server header.
     sys_version = ""
+    # TCP_NODELAY: headers and body go out in separate writes, and a
+    # short body would otherwise wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ClipService:

@@ -1,6 +1,6 @@
 """XML instance substrate: ordered trees, paths, parsing and rendering."""
 
-from .index import DocumentIndex, IndexStats, clear_index_registry, index_for
+from .index import DocumentIndex, IndexStats, index_for
 from .model import AtomicValue, XmlElement, element
 from .parser import parse_xml
 from .paths import (
@@ -20,7 +20,6 @@ __all__ = [
     "DocumentIndex",
     "IndexStats",
     "XmlElement",
-    "clear_index_registry",
     "element",
     "index_for",
     "parse_xml",

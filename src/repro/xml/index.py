@@ -19,15 +19,16 @@ hash lookups:
 The index assumes the indexed document is **read-only** while indexed —
 exactly the contract of the engines, which only ever read the source
 instance and build the target as a separate tree.  Indexes are built
-lazily and shared: :func:`index_for` keeps a small bounded registry
-keyed on root-element identity, so the tgd engine and the XQuery
-interpreter applying many mappings to one document in a batch all hit
-the same tables (wired through :mod:`repro.runtime.plan`).
+lazily and shared: :func:`index_for` stores the index on the root
+element itself, so the tgd engine and the XQuery interpreter applying
+many mappings to one document in a batch all hit the same tables
+(wired through :mod:`repro.runtime.plan`), and the index is freed
+together with its document.  Nothing outside the document keeps it
+alive: neither :meth:`XmlElement.copy` nor pickling carries it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -64,7 +65,10 @@ class DocumentIndex:
     keys it uses internally stay valid for its whole lifetime.
     """
 
-    __slots__ = ("root", "stats", "_children", "_descendants", "_paths", "_pins")
+    __slots__ = (
+        "root", "stats", "_children", "_descendants", "_paths", "_pins",
+        "__weakref__",
+    )
 
     def __init__(self, root: XmlElement):
         if not isinstance(root, XmlElement):
@@ -198,33 +202,15 @@ class DocumentIndex:
 
 _EMPTY: list[XmlElement] = []
 
-#: Bounded registry: root identity → index.  Strong references keep
-#: the roots (and so the id keys) alive while registered.
-_REGISTRY: OrderedDict[int, DocumentIndex] = OrderedDict()
-_REGISTRY_CAPACITY = 8
-
 
 def index_for(root: XmlElement) -> DocumentIndex:
     """The shared :class:`DocumentIndex` for a document root.
 
-    One index per root, built lazily and reused across engines and
-    mappings — a batch applying N mappings to one document builds its
-    child tables once.  The registry is bounded (least-recently-used
-    documents are dropped); it holds strong references, so keep the
-    registry small rather than pointing it at an unbounded stream.
+    One index per root, built lazily on first call and kept on the root
+    (its ``_index`` slot) — a batch applying N mappings to one document
+    builds its child tables once, and the tables die with the document.
     """
-    found = _REGISTRY.get(id(root))
-    if found is not None and found.root is root:
-        _REGISTRY.move_to_end(id(root))
-        return found
-    index = DocumentIndex(root)
-    _REGISTRY[id(root)] = index
-    _REGISTRY.move_to_end(id(root))
-    while len(_REGISTRY) > _REGISTRY_CAPACITY:
-        _REGISTRY.popitem(last=False)
+    index = getattr(root, "_index", None)
+    if index is None:
+        index = root._index = DocumentIndex(root)
     return index
-
-
-def clear_index_registry() -> None:
-    """Drop all registered indexes (tests; releases document refs)."""
-    _REGISTRY.clear()

@@ -42,7 +42,8 @@ def _check_atomic(value: AtomicValue, what: str) -> AtomicValue:
 def _check_name(name: str, what: str) -> str:
     if not isinstance(name, str) or not name:
         raise XmlError(f"{what} must be a non-empty string")
-    if name[0].isdigit() or any(c.isspace() for c in name):
+    # ``split()`` breaks on exactly the characters ``str.isspace`` accepts.
+    if name[0].isdigit() or name.split() != [name]:
         raise XmlError(f"{what} {name!r} is not a legal XML name")
     return name
 
@@ -64,7 +65,10 @@ class XmlElement:
         have element children (the paper's model keeps values on leaves).
     """
 
-    __slots__ = ("tag", "_attributes", "_children", "_text", "parent")
+    # ``_index`` holds the lazily built :class:`~repro.xml.index.DocumentIndex`
+    # of the document rooted here (see :func:`repro.xml.index.index_for`);
+    # it is left unset until first use, so read it with ``getattr``.
+    __slots__ = ("tag", "_attributes", "_children", "_text", "parent", "_index")
 
     def __init__(
         self,
@@ -227,6 +231,17 @@ class XmlElement:
         return count
 
     # -- copies and comparison -----------------------------------------
+
+    def __getstate__(self):
+        """Pickle state without the document index: it is a cache over
+        this tree, rebuilt on demand wherever the tree is unpickled."""
+        return None, {
+            "tag": self.tag,
+            "_attributes": self._attributes,
+            "_children": self._children,
+            "_text": self._text,
+            "parent": self.parent,
+        }
 
     def copy(self) -> "XmlElement":
         """Deep copy of this subtree (the copy has no parent).

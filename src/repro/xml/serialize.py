@@ -32,28 +32,45 @@ def _value_to_text(value: AtomicValue) -> str:
 
 
 def to_xml(root: XmlElement, *, indent: Optional[str] = "  ") -> str:
-    """Serialize to XML text.  Pass ``indent=None`` for a compact string."""
+    """Serialize to XML text.  Pass ``indent=None`` for a compact string.
+
+    Walks the tree with an explicit stack (document depth is not bounded
+    by the recursion limit) and reads each element's attribute map and
+    child list in place rather than through the copying accessors.
+    """
+    step = indent or ""
     lines: list[str] = []
-    _write(root, lines, indent, 0)
-    joiner = "\n" if indent is not None else ""
-    return joiner.join(lines)
-
-
-def _write(node: XmlElement, lines: list[str], indent: Optional[str], depth: int) -> None:
-    pad = (indent or "") * depth if indent is not None else ""
-    attrs = "".join(
-        f' {name}="{_escape(_value_to_text(value))}"'
-        for name, value in node.attributes.items()
-    )
-    if node.text is not None:
-        lines.append(f"{pad}<{node.tag}{attrs}>{_escape(_value_to_text(node.text))}</{node.tag}>")
-    elif node.children:
-        lines.append(f"{pad}<{node.tag}{attrs}>")
-        for child in node.children:
-            _write(child, lines, indent, depth + 1)
-        lines.append(f"{pad}</{node.tag}>")
-    else:
-        lines.append(f"{pad}<{node.tag}{attrs}/>")
+    append = lines.append
+    # Items are elements to open, paired with their depth, or the
+    # closing-tag lines of elements whose children are still pending.
+    stack: list = [(root, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        if isinstance(item, str):
+            append(item)
+            continue
+        node, depth = item
+        pad = step * depth
+        tag = node.tag
+        attrs = "".join(
+            [
+                f' {name}="{_escape(_value_to_text(value))}"'
+                for name, value in node._attributes.items()
+            ]
+        )
+        if node._text is not None:
+            append(f"{pad}<{tag}{attrs}>{_escape(_value_to_text(node._text))}</{tag}>")
+        elif node._children:
+            append(f"{pad}<{tag}{attrs}>")
+            push(f"{pad}</{tag}>")
+            depth += 1
+            for child in reversed(node._children):
+                push((child, depth))
+        else:
+            append(f"{pad}<{tag}{attrs}/>")
+    return ("\n" if indent is not None else "").join(lines)
 
 
 def to_ascii(root: XmlElement) -> str:

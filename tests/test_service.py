@@ -424,6 +424,35 @@ class TestDeadlines:
         assert response.status == 400
 
 
+class TestHostileDepth:
+    DEPTH = 3000
+
+    def test_deep_document_transforms_like_the_naive_engine(self, mapping):
+        """A 3000-deep ``<dept>`` chain (three times the default
+        recursion limit) answers 200 with the naive engine's bytes."""
+        from repro.core.compile import compile_clip
+        from repro.executor import prepare
+        from repro.xml.parser import parse_xml
+
+        text = (
+            "<source>" + "<dept>" * self.DEPTH + "</dept>" * self.DEPTH
+            + "</source>"
+        )
+        naive = prepare(compile_clip(mapping), optimize=False).run(
+            parse_xml(text, schema=mapping.source)
+        )
+        expected = to_xml(naive).encode()
+        assert expected == b"<target>\n  <department/>\n</target>"
+        service = make_service()
+        for query in ("", "?optimize=0"):
+            fp = register(service, mapping, query)
+            response = service.dispatch(
+                "POST", f"/transform?mapping={fp}", {}, text.encode()
+            )
+            assert response.status == 200, response.body[:200]
+            assert response.body == expected
+
+
 class TestErrorEnvelopes:
     def test_malformed_document_is_400_and_dead_letters_the_raw_text(
         self, mapping, dead_letter_dir

@@ -2,19 +2,20 @@
 
 The index must be a transparent cache: every lookup returns exactly
 what the uncached :class:`XmlElement` navigation would, tables are
-built once per (element, tag), and the shared registry hands the same
-index to every engine touching the same document root.
+built once per (element, tag), and :func:`index_for` hands the same
+index to every engine touching the same document root — an index that
+lives on the root and dies with it.
 """
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
-from repro.xml import (
-    DocumentIndex,
-    clear_index_registry,
-    index_for,
-)
+from repro.xml import DocumentIndex, index_for
 from repro.xml.model import element
 from repro.xml.parser import parse_xml
 from repro.xml.paths import parse_path
@@ -38,13 +39,6 @@ def doc():
         </source>
         """
     )
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    clear_index_registry()
-    yield
-    clear_index_registry()
 
 
 class TestChildren:
@@ -127,23 +121,48 @@ class TestEvaluate:
             DocumentIndex("not an element")  # type: ignore[arg-type]
 
 
+class TestLifetime:
+    """The index lives on its root: it dies with the document and is
+    never carried into a copy or a pickle."""
+
+    def test_index_is_collected_with_its_document(self):
+        # Built here, not by the fixture: pytest keeps fixture values alive.
+        doc = parse_xml("<source><dept><dname>ICT</dname></dept></source>")
+        index = index_for(doc)
+        index.children(doc, "dept")
+        ref = weakref.ref(index)
+        del index, doc
+        gc.collect()
+        assert ref() is None
+
+    def test_copy_does_not_carry_the_index(self, doc):
+        index = index_for(doc)
+        index.children(doc, "dept")
+        clone = doc.copy()
+        assert getattr(clone, "_index", None) is None
+        assert index_for(clone) is not index
+        assert index_for(clone).root is clone
+        assert index_for(doc) is index
+
+    def test_pickle_does_not_carry_the_index(self, doc):
+        index = index_for(doc)
+        index.children(doc, "dept")
+        restored = pickle.loads(pickle.dumps(doc))
+        assert restored == doc
+        assert getattr(restored, "_index", None) is None
+        assert index_for(restored).root is restored
+        assert index_for(restored).stats.child_tables_built == 0
+
+
 class TestRegistry:
+    """One shared index per document root."""
+
     def test_same_root_same_index(self, doc):
         assert index_for(doc) is index_for(doc)
 
     def test_distinct_roots_distinct_indexes(self, doc):
         other = parse_xml("<source/>")
         assert index_for(doc) is not index_for(other)
-
-    def test_registry_is_bounded(self):
-        from repro.xml.index import _REGISTRY, _REGISTRY_CAPACITY
-
-        roots = [element("r", n=i) for i in range(_REGISTRY_CAPACITY + 3)]
-        for root in roots:
-            index_for(root)
-        assert len(_REGISTRY) == _REGISTRY_CAPACITY
-        # The most recent roots survive; the oldest were evicted.
-        assert index_for(roots[-1]).root is roots[-1]
 
     def test_engines_share_one_index(self, doc):
         """The tgd engine and the XQuery interpreter navigating the
