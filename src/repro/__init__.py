@@ -72,7 +72,7 @@ class Transformer:
 
     def __init__(self, mapping: ClipMapping, *, engine: str = "tgd",
                  require_valid: bool = True, optimize: bool | None = None,
-                 exec_mode: str | None = None, trace=None):
+                 trace=None):
         if engine not in ("tgd", "xquery", "xslt"):
             raise ValueError(
                 f"unknown engine {engine!r}; use 'tgd', 'xquery' or 'xslt'"
@@ -83,11 +83,6 @@ class Transformer:
         #: plans, ``False`` the naive reference path, ``None`` the
         #: ``CLIP_OPTIMIZE`` environment default (on).
         self.optimize = optimize
-        #: Tgd-engine execution mode: ``"interp"`` walks the compiled
-        #: plans through the interpreter, ``"codegen"`` runs the
-        #: specialized generated-Python program (optimized plans only),
-        #: ``None`` the ``CLIP_EXEC_MODE`` environment default (interp).
-        self.exec_mode = exec_mode
         #: Optional :class:`repro.runtime.trace.SpanTracer`: every call
         #: records compile → prepare → execute spans into it (see
         #: :mod:`repro.runtime.trace`); ``None`` records nothing and
@@ -127,9 +122,7 @@ class Transformer:
         if self._plan is None:
             from .executor import prepare
 
-            self._plan = prepare(
-                self.tgd, optimize=self.optimize, exec_mode=self.exec_mode
-            )
+            self._plan = prepare(self.tgd, optimize=self.optimize)
         return self._plan
 
     @property
@@ -240,8 +233,7 @@ class Transformer:
         from .executor import explain_plan as _explain_plan
 
         return _explain_plan(self.tgd, source_instance,
-                             optimize=self.optimize,
-                             exec_mode=self.exec_mode)
+                             optimize=self.optimize)
 
     def compose(self, other) -> "ComposedTransformer":
         """Fuse this ``A→B`` transformer with a ``B→C`` mapping (or
@@ -256,8 +248,7 @@ class Transformer:
         """
         if not isinstance(other, Transformer):
             other = Transformer(
-                other, engine=self.engine,
-                optimize=self.optimize, exec_mode=self.exec_mode,
+                other, engine=self.engine, optimize=self.optimize
             )
         return ComposedTransformer(self, other)
 
@@ -309,11 +300,9 @@ class ComposedTransformer:
 
         return compose_fingerprint(
             _fingerprint(self.first.mapping, self.engine,
-                         optimize=self.first.optimize,
-                         exec_mode=self.first.exec_mode),
+                         optimize=self.first.optimize),
             _fingerprint(self.second.mapping, self.engine,
-                         optimize=self.second.optimize,
-                         exec_mode=self.second.exec_mode),
+                         optimize=self.second.optimize),
         )
 
     @property
@@ -336,7 +325,6 @@ class ComposedTransformer:
                 plan = plan_from_tgd(
                     self.tgd, self.engine, fp=fp,
                     optimize=self.second.optimize,
-                    exec_mode=self.second.exec_mode,
                 )
                 cache.put(plan)
             self._plan = plan

@@ -9,7 +9,7 @@ saved by :mod:`repro.io`:
 * ``xquery MAPPING.json`` — print the generated XQuery;
 * ``xslt MAPPING.json`` — print the generated XSLT stylesheet;
 * ``run MAPPING.json SOURCE.xml [-o OUT.xml] [--engine tgd|xquery]
-  [--no-optimize] [--exec-mode interp|codegen] [--trace-json PATH]
+  [--no-optimize] [--trace-json PATH]
   [--incremental PREV_SOURCE PREV_TARGET] [--baseline]
   [--compose SECOND.json]`` —
   transform an instance, optionally recording a ``clip-trace``
@@ -26,15 +26,15 @@ saved by :mod:`repro.io`:
   sequential-fallback reason), optionally transform an instance
   through it, and with ``--verify`` check the result byte-for-byte
   against running the two stages in sequence;
-* ``explain MAPPING.json SOURCE.xml [--json] [--no-optimize]
-  [--exec-mode interp|codegen]`` — print the compiled tgd plan (hash
+* ``explain MAPPING.json SOURCE.xml [--json] [--no-optimize]`` —
+  print the compiled tgd plan (hash
   joins, pushed filters, generator order) and its runtime counters for
   one document, as text or as a ``clip-plan-explain`` JSON document;
 * ``batch MAPPING.json SOURCE.xml [SOURCE2.xml …] [--workers N]
   [--engine E] [--output-dir DIR] [--metrics-json PATH] [--validate]
   [--error-policy fail_fast|skip|collect] [--max-retries N]
   [--timeout SECONDS] [--dead-letter-dir DIR] [--no-optimize]
-  [--exec-mode interp|codegen] [--trace-json PATH]``
+  [--trace-json PATH]``
   — transform many instances through the compiled-plan cache, with an
   optional worker pool, per-document fault isolation (retry, timeout,
   dead-lettering) and a machine-readable metrics report;
@@ -178,8 +178,7 @@ def _cmd_run(args) -> int:
 
         tracer = SpanTracer()
     transformer = Transformer(
-        clip, engine=args.engine, optimize=optimize,
-        exec_mode=args.exec_mode, trace=tracer,
+        clip, engine=args.engine, optimize=optimize, trace=tracer,
     )
     if args.compose:
         if args.incremental:
@@ -319,7 +318,6 @@ def _cmd_batch(args) -> int:
         max_retries=args.max_retries,
         timeout=args.timeout,
         optimize=False if args.no_optimize else None,
-        exec_mode=args.exec_mode,
         trace=tracer,
         # One cache per invocation: the metrics report then describes
         # exactly this run, not whatever the process compiled before.
@@ -390,7 +388,7 @@ def _cmd_explain(args) -> int:
     clip = load_mapping(args.mapping)
     instance = parse_xml(_read(args.source), schema=clip.source)
     optimize = False if args.no_optimize else None
-    transformer = Transformer(clip, optimize=optimize, exec_mode=args.exec_mode)
+    transformer = Transformer(clip, optimize=optimize)
     report = transformer.explain_plan(instance)
     print(report.to_json() if args.json else report.render())
     return 0
@@ -497,10 +495,8 @@ def _cmd_fuzz(args) -> int:
             f"--workers expects comma-separated integers, got "
             f"{args.workers_csv!r}"
         ) from None
-    exec_modes = tuple(m.strip() for m in args.exec_modes_csv.split(","))
     farm = FuzzFarm(
         workers=workers,
-        exec_modes=exec_modes,
         budget_seconds=args.budget_seconds,
         dead_letter_dir=args.dead_letter_dir,
     )
@@ -508,8 +504,8 @@ def _cmd_fuzz(args) -> int:
         result = farm.replay(args.replay)
         combo = result.combo
         mode = "optimized" if combo.optimize else "naive"
-        if combo.exec_mode != "interp":
-            mode = combo.exec_mode
+        if combo.oracle != "engine":
+            mode = combo.oracle
         print(
             f"replay {result.case_id} on {combo.engine} ({mode}, "
             f"workers={combo.workers}):"
@@ -545,8 +541,8 @@ def _cmd_fuzz(args) -> int:
         print(f"DIVERGENT: {len(report.divergences)} divergence(s)")
         for d in report.divergences[:10]:
             mode = "optimized" if d.optimize else "naive"
-            if d.exec_mode != "interp":
-                mode = d.exec_mode
+            if d.oracle != "engine":
+                mode = d.oracle
             where = f" -> {d.dead_letter}" if d.dead_letter else ""
             print(f"  {d.case_id} {d.engine} ({mode}, w{d.workers}){where}")
         return 1
@@ -645,12 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
              "join-aware compiled plan (tgd engine only)",
     )
     run.add_argument(
-        "--exec-mode", choices=("interp", "codegen"), default=None,
-        help="execution mode for the optimized tgd plan: interpret the "
-             "compiled plan (interp) or run specialized generated Python "
-             "(codegen); default follows CLIP_EXEC_MODE (interp)",
-    )
-    run.add_argument(
         "--trace-json", default=None, metavar="PATH",
         help="record an execution trace (compile/prepare/execute spans) "
              "and write the clip-trace JSON document here",
@@ -714,11 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="describe the plan but execute the naive reference path "
              "(runtime counters stay zero)",
     )
-    explain_cmd.add_argument(
-        "--exec-mode", choices=("interp", "codegen"), default=None,
-        help="execution mode for the optimized tgd plan; codegen adds a "
-             "codegen section (source hash, line count, compile time)",
-    )
     explain_cmd.set_defaults(handler=_cmd_explain)
 
     batch = commands.add_parser(
@@ -763,12 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-optimize", action="store_true",
         help="evaluate through the naive reference path instead of the "
              "join-aware compiled plan (tgd engine only)",
-    )
-    batch.add_argument(
-        "--exec-mode", choices=("interp", "codegen"), default=None,
-        help="execution mode for the optimized tgd plan: interpret the "
-             "compiled plan (interp) or run specialized generated Python "
-             "(codegen); default follows CLIP_EXEC_MODE (interp)",
     )
     batch.add_argument(
         "--trace-json", default=None, metavar="PATH",
@@ -841,13 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="workers_csv",
         help="comma-separated worker counts; counts above 1 cross-check "
              "the process-pool path (slower)",
-    )
-    fuzz.add_argument(
-        "--exec-modes", default="interp,codegen", metavar="M,N",
-        dest="exec_modes_csv",
-        help="comma-separated execution modes to sweep; codegen "
-             "cross-checks the generated-Python backend against the "
-             "interpreted reference (default: interp,codegen)",
     )
     fuzz.add_argument(
         "--dead-letter-dir", default=None, metavar="DIR",

@@ -78,11 +78,6 @@ class ExecutionError(ReproError):
     """The tgd executor failed to evaluate a mapping over an instance."""
 
 
-class ExecModeError(ExecutionError, ValueError):
-    """An unrecognized execution mode (``exec_mode=`` / ``--exec-mode`` /
-    ``CLIP_EXEC_MODE``); also a ``ValueError`` for bad-argument callers."""
-
-
 class TransientError(ReproError):
     """An error expected to succeed on retry (I/O hiccup, resource
     pressure, injected transient fault).

@@ -1,5 +1,5 @@
-"""Direct tgd execution engine, with join-aware plan compilation and
-instrumented explain modes."""
+"""Direct tgd execution: the naive reference engine, and join-aware
+plan compilation into generated code; instrumented explain modes."""
 
 from .engine import GroupBinding, TgdPlan, execute, prepare
 from .planner import (
@@ -8,7 +8,6 @@ from .planner import (
     PlannedTgd,
     PlanStats,
     plan_tgd,
-    resolve_optimize,
 )
 from .stats import (
     ExecutionReport,
@@ -33,5 +32,4 @@ __all__ = [
     "PlannedTgd",
     "PlanStats",
     "plan_tgd",
-    "resolve_optimize",
 ]

@@ -1,25 +1,21 @@
-"""Compiled-plan codegen: emit specialized Python per :class:`PlannedTgd`.
+"""Compiled-plan codegen: the optimized tgd backend.
 
-The third execution mode (``exec_mode="codegen"``).  The interpreted
-optimized engine (:mod:`repro.executor.planner`) still walks the plan
-per tuple: every generator binding goes through ``_eval``'s
-isinstance dispatch, every condition through ``_condition_holds``,
-every join probe through ``_probe``'s generic loop.  This module
-removes that dispatch by *generating Python source* for each plan —
-one enumeration function per tgd level with the generator loops
-unrolled, path accessors pre-resolved against the per-document child
-index, condition checks and membership tests inlined, and hash-join
-build/probe emitted as plain dict code — then materializing the
-source with ``compile()``/``exec`` into closures an engine subclass
-dispatches to.
+The tgd executor has two paths: the naive engine
+(:mod:`repro.executor.engine`), the paper-faithful reference oracle,
+and this one.  Each :class:`PlannedTgd` (:mod:`repro.executor.planner`)
+is turned into *generated Python source* — one enumeration function
+per tgd level with the generator loops unrolled, path accessors
+pre-resolved against the per-document child index, condition checks
+and membership tests inlined, and hash-join build/probe emitted as
+plain dict code — materialized once with ``compile()``/``exec`` into
+closures that :class:`_OptimizedEngine` dispatches to.
 
 Contracts:
 
 * **Byte-identity** — the environments a generated level function
-  produces (content *and* order), the target instances, and the plan
-  counters are exactly the interpreted engine's.  The differential
-  suite and the fuzz farm enforce this against both reference oracles
-  (interpreted-optimized and naive).
+  produces (content *and* order) and the target instances are exactly
+  the naive engine's.  The differential suite and the fuzz farm
+  enforce this against the naive reference.
 * **Deterministic emission** — identical plans produce byte-identical
   source: symbol names and memo-key strings come from emission-order
   counters, never from ``id()`` or hashes of runtime objects.  The
@@ -27,17 +23,23 @@ Contracts:
   rebuild the closures from the cached source
   (:mod:`repro.runtime.batch`); :func:`build_program` re-emits and
   cross-checks when handed a cached source.
-* **Counter parity** — generated functions accumulate plain local
+* **Cheap counters** — generated functions accumulate plain local
   ints and flush them into :class:`~repro.executor.planner.PlanCounters`
   on exit, so ``plan``/``level[i]`` trace spans and ``explain``
-  counters match the interpreted mode exactly while the hot loops
-  never touch a counter object.
+  counters are exact while the hot loops never touch a counter object.
+* **Shared memo** — entries that depend only on the document (and on
+  element bindings of it) go through the engine's
+  :class:`~repro.executor.planner.PlanMemo`, tagged with label chains
+  emitted as module constants; an incremental session passes one memo
+  to every engine over its maintained document, so those entries
+  survive edits that do not touch their chains.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
+import re
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -56,50 +58,42 @@ from ..core.tgd import (
     expr_labels,
     expr_root,
 )
-from ..errors import ExecModeError, ExecutionError
-from .engine import Env, GroupBinding, TgdMapping
-from .planner import LevelPlan, PlannedTgd, _OptimizedEngine
-
-#: Environment toggle: ``CLIP_EXEC_MODE=codegen`` makes the generated
-#: backend the default for optimized tgd plans; ``interp`` (the
-#: default) keeps the interpreted planner path.
-EXEC_MODE_ENV = "CLIP_EXEC_MODE"
-
-#: The execution modes ``prepare``/``fingerprint``/CLI accept.
-EXEC_MODES = ("interp", "codegen")
+from ..errors import ExecutionError
+from ..xml.index import index_for
+from .engine import Env, GroupBinding, TgdMapping, _Engine
+from .planner import (
+    LevelPlan,
+    PlanCounters,
+    PlanMemo,
+    PlannedTgd,
+    PlanStats,
+    value_read_chains,
+)
 
 #: The pseudo-filename compiled sources carry in tracebacks.
 SOURCE_FILENAME = "<clip-codegen>"
-
-
-def resolve_exec_mode(exec_mode: Optional[str]) -> str:
-    """Resolve an ``exec_mode`` tri-state: explicit value wins,
-    ``None`` falls back to the :data:`EXEC_MODE_ENV` environment
-    default (``interp``)."""
-    if exec_mode is None:
-        exec_mode = os.environ.get(EXEC_MODE_ENV, "").strip().lower() or "interp"
-    if exec_mode not in EXEC_MODES:
-        raise ExecModeError(
-            f"unknown exec mode {exec_mode!r}; use one of {EXEC_MODES}"
-        )
-    return exec_mode
 
 
 # -- source emission ---------------------------------------------------------
 
 _OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Local aliases every generated level function opens with.
-_LEVEL_PROLOGUE = (
-    "_sr = E.source",
-    "_ch = E.index.children",
-    "_seqs = E._sequences",
-    "_tabs = E._tables",
-    "_amemo = E._atoms",
-    "_pins = E._pins",
-    "_isets = E._identity_sets",
-    "_ipins = E._identity_pins",
+#: Local aliases a generated function opens with — each emitted only
+#: when the function body uses it (see :func:`_close_function`).
+_ALIASES = (
+    ("_sr", "E.source"),
+    ("_ch", "E.index.children"),
+    ("_seqs", "E._sequences"),
+    ("_tabs", "E._tables"),
+    ("_amemo", "E._atoms"),
+    ("_pins", "E._pins"),
+    ("_isets", "E._identity_sets"),
+    ("_ipins", "E._identity_pins"),
+    ("_pm", "E.memo.values"),
+    ("_pput", "E.memo.put"),
 )
+
+_NAME = re.compile(r"\b_\w+")
 
 _COUNTER_LOCALS = (
     "_c_bind = _c_drop = _c_hit = _c_miss = 0",
@@ -131,6 +125,10 @@ class _Emitter:
         #: Namespace constants the source refers to (function objects,
         #: residual condition tuples), keyed by generated name.
         self.consts: dict[str, Any] = {}
+        #: Module-level constant lines (memo label chains), emitted
+        #: ahead of the functions.
+        self.header: list[str] = []
+        self._chain_names: dict[tuple, str] = {}
 
     def fresh(self, stem: str) -> str:
         self._n += 1
@@ -155,6 +153,36 @@ class _Emitter:
         self.consts[name] = value
         return name
 
+    def chains(self, chains) -> str:
+        """The module constant holding a memo entry's label chains —
+        a sorted literal, so the source stays deterministic."""
+        key = tuple(sorted(chains))
+        name = self._chain_names.get(key)
+        if name is None:
+            name = self.fresh("CH")
+            self._chain_names[key] = name
+            self.header.append(f"{name} = frozenset({key!r})")
+        return name
+
+
+def _open_function(em: _Emitter, signature: str) -> int:
+    em.line(f"def {signature}:")
+    em.push()
+    return len(em.lines)
+
+
+def _close_function(em: _Emitter, start: int) -> None:
+    """Finish a function opened at ``start``: prepend the aliases its
+    body actually uses, so hot per-call functions (assignments, keys)
+    pay for no attribute lookups they do not need."""
+    used = set(_NAME.findall("\n".join(em.lines[start:])))
+    pad = "    " * em.depth
+    em.lines[start:start] = [
+        f"{pad}{name} = {expr}" for name, expr in _ALIASES if name in used
+    ]
+    em.pop()
+    em.line("")
+
 
 def _emit_items(
     em: _Emitter,
@@ -165,12 +193,12 @@ def _emit_items(
     """Emit code evaluating ``expr`` to a list of items; returns
     ``(items var, kind)`` with ``kind`` in ``{"elements", "atoms"}`` —
     statically known from the projection labels, which is what lets
-    the callers skip the interpreter's per-item isinstance checks.
+    the callers skip per-item isinstance checks.
 
-    Mirrors :meth:`_OptimizedEngine._eval` exactly: child steps served
-    by the document index, ``@attr``/``value`` leaves, GroupBinding
-    roots iterating their members, and the interpreter's own error
-    messages for unbound variables and atomic-value projection.
+    Mirrors :meth:`_Engine._eval` exactly, with child steps served by
+    the document index: ``@attr``/``value`` leaves, GroupBinding roots
+    iterating their members, and the naive engine's own error messages
+    for unbound variables and atomic-value projection.
     ``bound`` maps variable names to local variables already holding
     their binding (join build loops, sequence filters)."""
     assert not isinstance(expr, Constant)
@@ -258,17 +286,21 @@ def _emit_atoms(
 ) -> str:
     """Emit code evaluating an operand to its atom list (mirrors
     :meth:`_Engine._eval_atoms`: element items contribute their text
-    when present, atomic items pass through).  ``memo=True`` adds the
-    loop-invariant per-root-binding memoization the interpreted engine
-    applies — used only where repeated evaluation against one binding
-    is the common case (grouping keys)."""
+    when present, atomic items pass through).  Operands rooted at the
+    schema root depend on the document alone: they are evaluated once
+    and kept in the engine's :class:`PlanMemo` under their value-read
+    chains.  ``memo=True`` adds loop-invariant memoization per root
+    binding for variable-rooted operands — used only where repeated
+    evaluation against one binding is the common case (grouping
+    keys)."""
     if isinstance(operand, Constant):
         v = em.fresh("k")
         em.line(f"{v} = ({_lit(operand.value)},)")
         return v
     root = expr_root(operand)
-    prefetched: Optional[str] = None
-    if memo and isinstance(root, Var) and (bound or {}).get(root.name) is None:
+    shared = isinstance(root, SchemaRoot)
+    memo = memo and not shared
+    if memo and (bound or {}).get(root.name) is None:
         prefetched = em.fresh("b")
         em.line("try:")
         em.line(f"    {prefetched} = {env_var}[{root.name!r}]")
@@ -278,16 +310,15 @@ def _emit_atoms(
         bound = dict(bound or {})
         bound[root.name] = prefetched
     out = em.fresh("at")
-    if memo:
+    if shared:
         tag = em.tag("A")
-        if isinstance(root, Var):
-            dep = (bound or {})[root.name]
-            mk = f"({tag!r}, id({dep}))"
-        else:
-            dep = None
-            mk = repr(tag)
+        em.line(f"{out} = _pm.get({tag!r})")
+        em.line(f"if {out} is None:")
+        em.push()
+    elif memo:
+        dep = (bound or {})[root.name]
         mkv = em.fresh("mk")
-        em.line(f"{mkv} = {mk}")
+        em.line(f"{mkv} = ({em.tag('A')!r}, id({dep}))")
         em.line(f"{out} = _amemo.get({mkv})")
         em.line(f"if {out} is None:")
         em.push()
@@ -301,10 +332,13 @@ def _emit_atoms(
         em.line(f"        {out}.append({v})")
     else:
         em.line(f"{out} = {items}")
-    if memo:
+    if shared:
+        chains = em.chains(value_read_chains(tuple(expr_labels(operand))))
+        em.line(f"_pput({tag!r}, {out}, {chains})")
+        em.pop()
+    elif memo:
         em.line(f"_amemo[{mkv}] = {out}")
-        if isinstance(root, Var):
-            em.line(f"_pins.append({(bound or {})[root.name]})")
+        em.line(f"_pins.append({dep})")
         em.pop()
     return out
 
@@ -318,7 +352,7 @@ def _emit_condition(
 ) -> None:
     """Emit an inlined condition check executing ``fail`` (one
     statement per line) when the condition does not hold.  Comparisons
-    keep the interpreter's existential any-over-product semantics;
+    keep the naive engine's existential any-over-product semantics;
     memberships keep its node-identity semantics with the identity set
     cached per collection root binding (`_collection_identities`)."""
     if isinstance(condition, TgdComparison):
@@ -435,14 +469,11 @@ def _emit_membership(
 
 def _emit_level(em: _Emitter, plan: LevelPlan, li: int) -> None:
     """Emit the enumeration function for one level: DFS-nested
-    generator loops (same environment order as the interpreter's
+    generator loops (same environment order as the naive engine's
     breadth-first expansion), sequence memoization, inlined joins and
     filters, ordinal tracking for reordered plans, and a single
     counter flush on exit."""
-    em.line(f"def _level_{li}(E, env, C):")
-    em.push()
-    for alias in _LEVEL_PROLOGUE:
-        em.line(alias)
+    start = _open_function(em, f"_level_{li}(E, env, C)")
     for counters in _COUNTER_LOCALS:
         em.line(counters)
     for condition in plan.pre_conditions:
@@ -489,8 +520,7 @@ def _emit_level(em: _Emitter, plan: LevelPlan, li: int) -> None:
     em.line("    C.seq_cache_hits += _c_hit")
     em.line("    C.seq_cache_misses += _c_miss")
     em.line("return _out")
-    em.pop()
-    em.line("")
+    _close_function(em, start)
 
 
 def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
@@ -510,9 +540,16 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
         sk = f"({em.tag('S')!r}, id({dep}))"
     else:
         sk = repr(em.tag("S"))
+    # A filter-free sequence over the document's own elements depends
+    # only on its label chain (and its root binding's identity): it
+    # lives in the plan memo, and so do the join tables over it.
+    # Pushed filters read values the chain would not cover, so
+    # filtered sequences stay engine-local.
+    chain = plan.gen_chains[slot.position] if plan.gen_chains else None
+    shared = chain is not None and not slot.seq_filters
     skv, seq = em.fresh("sk"), em.fresh("seq")
     em.line(f"{skv} = {sk}")
-    em.line(f"{seq} = _seqs.get({skv})")
+    em.line(f"{seq} = {'_pm' if shared else '_seqs'}.get({skv})")
     em.line(f"if {seq} is None:")
     em.push()
     em.line("_c_miss += 1")
@@ -539,9 +576,12 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
         em.pop()
     else:
         em.line(f"{seq} = {items}")
-    em.line(f"_seqs[{skv}] = {seq}")
-    if dep:
-        em.line(f"_pins.append({dep})")
+    if shared:
+        em.line(f"_pput({skv}, {seq}, {em.chains({chain})}, {dep})")
+    else:
+        em.line(f"_seqs[{skv}] = {seq}")
+        if dep:
+            em.line(f"_pins.append({dep})")
     em.pop()
     em.line("else:")
     em.line("    _c_hit += 1")
@@ -555,6 +595,13 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
                 emx, join.build_key, "_cur", {join.build_var: itv}
             ),
             membership=False,
+            chains=(
+                {chain} | value_read_chains(
+                    chain + tuple(expr_labels(join.build_key))
+                )
+                if shared else None
+            ),
+            dep=dep,
         )
         patoms = _emit_atoms(em, join.probe_key, "_cur")
         hits, a, bucket = em.fresh("h"), em.fresh("a"), em.fresh("bk")
@@ -576,6 +623,11 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
                 emx, join.collection, "_cur", {join.build_var: itv}
             )[0],
             membership=True,
+            chains=(
+                {chain, chain + tuple(expr_labels(join.collection))}
+                if shared else None
+            ),
+            dep=dep,
         )
         members, _ = _emit_items(em, join.member, "_cur")
         hits, m, bucket = em.fresh("h"), em.fresh("m"), em.fresh("bk")
@@ -627,14 +679,18 @@ def _emit_table(
     emit_row: Callable[[_Emitter, str], str],
     *,
     membership: bool,
+    chains: Optional[set[tuple[str, ...]]],
+    dep: Optional[str],
 ) -> str:
     """Emit the build side of a hash join, memoized per sequence key:
     ``atom → [ordinals]`` (equality) or ``id(element) → [ordinals]``
-    (membership), with the interpreter's NaN-skip and per-ordinal
-    dedup semantics."""
+    (membership), skipping NaN keys and deduplicating ordinals.  A
+    table over a shared sequence goes to the plan memo under
+    ``chains`` — its sequence's chain plus the build key's reads, so
+    the two invalidate together."""
     tk, tab = em.fresh("tk"), em.fresh("tb")
     em.line(f"{tk} = ({em.tag('T')!r}, {skv})")
-    em.line(f"{tab} = _tabs.get({tk})")
+    em.line(f"{tab} = {'_pm' if chains else '_tabs'}.get({tk})")
     em.line(f"if {tab} is None:")
     em.push()
     ordv, itv = em.fresh("o"), em.fresh("i")
@@ -658,7 +714,10 @@ def _emit_table(
         em.line("        continue")
         em.line(f"    {tab}.setdefault({a}, []).append({ordv})")
     em.pop()
-    em.line(f"_tabs[{tk}] = {tab}")
+    if chains:
+        em.line(f"_pput({tk}, {tab}, {em.chains(chains)}, {dep})")
+    else:
+        em.line(f"_tabs[{tk}] = {tab}")
     em.line("_c_jb += 1")
     em.line(f"_c_jbr += len({seq})")
     em.line(f"_c_jbk += len({tab})")
@@ -668,8 +727,8 @@ def _emit_table(
 
 def _emit_match(em: _Emitter, match: Optional[str], hits: str) -> str:
     """Combine one join's hit set into the running ordinal match set,
-    with the interpreter's early exit on an empty intersection (which
-    also skips the probe counters, exactly as ``_probe`` does)."""
+    with an early exit on an empty intersection (which also skips the
+    probe counters)."""
     if match is None:
         match = hits
     else:
@@ -682,31 +741,25 @@ def _emit_match(em: _Emitter, match: Optional[str], hits: str) -> str:
 def _emit_key_fn(em: _Emitter, plan: LevelPlan, li: int) -> None:
     """Emit the grouping-key function for a grouped level: one tuple
     of atom tuples per environment, with per-root-binding memoization
-    (the interpreted engine's `_eval_atoms` memo — many environments
-    under one parent binding share their key atoms)."""
+    (many environments under one parent binding share their key
+    atoms)."""
     assert plan.mapping.skolem is not None
     _, app = plan.mapping.skolem
-    em.line(f"def _key_{li}(E, env):")
-    em.push()
-    em.line("_sr = E.source")
-    em.line("_ch = E.index.children")
-    em.line("_amemo = E._atoms")
-    em.line("_pins = E._pins")
+    start = _open_function(em, f"_key_{li}(E, env)")
     parts = []
     for attr in app.attrs:
         atoms = _emit_atoms(em, attr, "env", memo=True)
         parts.append(f"tuple({atoms})")
     key = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
     em.line(f"return {key}")
-    em.pop()
-    em.line("")
+    _close_function(em, start)
 
 
 def _emit_scalar(
     em: _Emitter, expr: Union[TgdExpr, Constant], env_var: str
 ) -> str:
     """Emit `_eval_scalar`: distinct atoms, ``None`` for empty, the
-    interpreter's error for more than one.  Returns the value var."""
+    naive engine's error for more than one.  Returns the value var."""
     if isinstance(expr, Constant):
         v = em.fresh("v")
         em.line(f"{v} = {_lit(expr.value)}")
@@ -739,10 +792,7 @@ def _emit_assign_fn(
     all-args-first evaluation order) and the pre-resolved target path
     (wrapper singletons for intermediate labels, ``@attr``/``value``/
     wrapped-leaf application)."""
-    em.line(f"def _assign_{li}_{ai}(E, env, tenv):")
-    em.push()
-    em.line("_sr = E.source")
-    em.line("_ch = E.index.children")
+    start = _open_function(em, f"_assign_{li}_{ai}(E, env, tenv)")
     term = assignment.value
     if isinstance(term, Constant):
         v = em.fresh("v")
@@ -785,8 +835,7 @@ def _emit_assign_fn(
     if not isinstance(expr, Var) or not labels:
         msg = f"malformed assignment target {assignment.target}"
         em.line(f"raise ExecutionError({msg!r})")
-        em.pop()
-        em.line("")
+        _close_function(em, start)
         return
     h = em.fresh("h")
     em.line("try:")
@@ -803,8 +852,7 @@ def _emit_assign_fn(
         em.line(f"{h}.set_text({v})")
     else:
         em.line(f"E._wrapper({h}, {leaf!r}).set_text({v})")
-    em.pop()
-    em.line("")
+    _close_function(em, start)
 
 
 def generate(planned: PlannedTgd) -> tuple[str, dict[str, Any]]:
@@ -813,15 +861,16 @@ def generate(planned: PlannedTgd) -> tuple[str, dict[str, Any]]:
     condition tuples) its symbols refer to — both deterministic in the
     plan alone: same plan, byte-identical source."""
     em = _Emitter()
-    em.line("# clip-codegen v1")
-    em.line("")
     for li, plan in enumerate(planned.levels):
         _emit_level(em, plan, li)
         if plan.mapping.skolem is not None:
             _emit_key_fn(em, plan, li)
         for ai, assignment in enumerate(plan.mapping.assignments):
             _emit_assign_fn(em, assignment, li, ai)
-    return "\n".join(em.lines) + "\n", em.consts
+    lines = ["# clip-codegen v1", "", *em.header]
+    if em.header:
+        lines += ["", ""]
+    return "\n".join(lines + em.lines) + "\n", em.consts
 
 
 def generate_source(planned: PlannedTgd) -> str:
@@ -833,15 +882,16 @@ def generate_source(planned: PlannedTgd) -> str:
 class CodegenProgram:
     """A compiled generated module: the source (picklable, cacheable,
     shipped to pool workers), its identity, and the materialized
-    closures the engine dispatches to."""
+    closures the engine dispatches to, keyed by the ``id()`` of the
+    plan's own mapping and assignment objects."""
 
     source: str
     source_hash: str
     line_count: int
     compile_seconds: float
-    levels: tuple[Callable, ...]
+    levels: dict[int, Callable]
     keys: dict[int, Callable]
-    assigns: dict[tuple[int, int], Callable]
+    assigns: dict[int, Callable]
 
     def describe(self) -> dict:
         """The ``codegen`` section of ``clip-plan-explain`` / batch
@@ -851,6 +901,15 @@ class CodegenProgram:
             "line_count": self.line_count,
             "compile_seconds": self.compile_seconds,
         }
+
+
+@functools.lru_cache(maxsize=64)
+def _compile(source: str):
+    """``compile()`` once per distinct source per process.  Forked pool
+    workers inherit the parent's entries, so rebuilding a program from
+    the shipped source costs one re-emission (the cross-check), not a
+    second compile."""
+    return compile(source, SOURCE_FILENAME, "exec")
 
 
 def build_program(
@@ -871,26 +930,23 @@ def build_program(
             "codegen source mismatch: cached source does not match this "
             "plan's deterministic emission"
         )
-    code = compile(emitted, SOURCE_FILENAME, "exec")
+    code = _compile(emitted)
     namespace: dict[str, Any] = {
         "ExecutionError": ExecutionError,
         "GroupBinding": GroupBinding,
     }
     namespace.update(consts)
     exec(code, namespace)  # noqa: S102 - our own generated source
-    levels = tuple(
-        namespace[f"_level_{li}"] for li in range(len(planned.levels))
-    )
-    keys = {
-        li: namespace[f"_key_{li}"]
-        for li, plan in enumerate(planned.levels)
-        if plan.mapping.skolem is not None
-    }
-    assigns = {
-        (li, ai): namespace[f"_assign_{li}_{ai}"]
-        for li, plan in enumerate(planned.levels)
-        for ai in range(len(plan.mapping.assignments))
-    }
+    levels: dict[int, Callable] = {}
+    keys: dict[int, Callable] = {}
+    assigns: dict[int, Callable] = {}
+    for li, plan in enumerate(planned.levels):
+        mapping = plan.mapping
+        levels[id(mapping)] = namespace[f"_level_{li}"]
+        if mapping.skolem is not None:
+            keys[id(mapping)] = namespace[f"_key_{li}"]
+        for ai, assignment in enumerate(mapping.assignments):
+            assigns[id(assignment)] = namespace[f"_assign_{li}_{ai}"]
     return CodegenProgram(
         source=emitted,
         source_hash=hashlib.sha256(emitted.encode("utf-8")).hexdigest(),
@@ -902,15 +958,22 @@ def build_program(
     )
 
 
-# -- the dispatching engine --------------------------------------------------
+# -- the optimized engine ----------------------------------------------------
 
 
-class _CodegenEngine(_OptimizedEngine):
-    """The optimized engine with its hot interpretation points —
-    source-side enumeration, grouping keys, assignments — dispatched
-    to the plan's generated closures.  Target-side construction
-    (wrappers, groups, distribution) is inherited unchanged, which is
-    what keeps the three modes byte-identical by construction."""
+class _OptimizedEngine(_Engine):
+    """The tgd engine running a plan's generated program.
+
+    Source-side enumeration, grouping keys and assignments dispatch to
+    the program's closures; target-side construction (wrappers, groups,
+    distribution) is inherited from the naive engine unchanged, which
+    is what keeps the two paths byte-identical by construction.
+
+    ``memo`` is the :class:`PlanMemo` the generated code routes its
+    document-scoped entries through — a caller-owned one shared across
+    engines over one maintained document, or a fresh private one.
+    ``stats`` receives the per-level counters.
+    """
 
     def __init__(
         self,
@@ -920,30 +983,46 @@ class _CodegenEngine(_OptimizedEngine):
         program: CodegenProgram,
         *,
         ordered=None,
-        index=None,
-        stats=None,
+        stats: Optional[PlanStats] = None,
+        memo: Optional[PlanMemo] = None,
     ):
-        super().__init__(
-            tgd, source_instance, planned,
-            ordered=ordered, index=index, stats=stats,
-        )
+        super().__init__(tgd, source_instance, ordered=ordered)
+        self.planned = planned
         self.program = program
-        self._level_fns: dict[int, Callable] = {}
-        self._key_fns: dict[int, Callable] = {}
-        self._assign_fns: dict[int, Callable] = {}
-        for plan, fn in zip(planned.levels, program.levels):
-            self._level_fns[id(plan.mapping)] = fn
-        for li, fn in program.keys.items():
-            self._key_fns[id(planned.levels[li].mapping)] = fn
-        for (li, ai), fn in program.assigns.items():
-            assignment = planned.levels[li].mapping.assignments[ai]
-            self._assign_fns[id(assignment)] = fn
+        self.index = index_for(source_instance)
+        self.stats = stats
+        self.memo = memo if memo is not None else PlanMemo()
+        # Engine-local memo entries (filtered sequences, tables over
+        # them, per-binding grouping-key atoms), keyed by emission tags.
+        self._sequences: dict = {}
+        self._tables: dict = {}
+        self._atoms: dict = {}
+        # Strong refs to every binding a local key's id() points at:
+        # GroupBindings are engine-created and otherwise collectable
+        # mid-run, and a recycled id would alias a stale entry.
+        self._pins: list = []
+
+    def _counter(self, mapping: TgdMapping) -> Optional[PlanCounters]:
+        if self.stats is None:
+            return None
+        return self.stats.counter_for(mapping)
 
     def _enumerate(self, mapping: TgdMapping, env: Env) -> list[Env]:
-        return self._level_fns[id(mapping)](self, env, self._counter(mapping))
+        return self.program.levels[id(mapping)](
+            self, env, self._counter(mapping)
+        )
 
     def _group_key(self, mapping, skolem_app, env):
-        return self._key_fns[id(mapping)](self, env)
+        return self.program.keys[id(mapping)](self, env)
 
     def _apply_assignment(self, assignment, env, target_env) -> None:
-        self._assign_fns[id(assignment)](self, env, target_env)
+        self.program.assigns[id(assignment)](self, env, target_env)
+
+    def _run_grouped(self, mapping, envs, target_env):
+        counter = self._counter(mapping)
+        if counter is not None:
+            before = len(self._groups)
+            super()._run_grouped(mapping, envs, target_env)
+            counter.groups += len(self._groups) - before
+            return
+        super()._run_grouped(mapping, envs, target_env)

@@ -86,51 +86,73 @@ class TgdPlan:
 
     The plan holds everything that depends only on the *mapping* — the
     tgd, the evaluation order of its root mappings, and (by default)
-    the compiled level plans of :mod:`repro.executor.planner` — so
+    the compiled level plans of :mod:`repro.executor.planner` with
+    their generated program (:mod:`repro.executor.codegen`) — so
     applying it to N documents walks the mapping analysis once, not N
     times.  The batch runtime (:mod:`repro.runtime`) keys its
     compiled-plan cache on exactly this split.
 
     ``optimize`` selects the evaluation strategy: ``True`` compiles
-    hash joins, pushed filters and generator reordering; ``False``
-    keeps the naive product-then-filter reference path (what the
-    differential suite cross-checks against); ``None`` defers to the
-    ``CLIP_OPTIMIZE`` environment default (on).  Both paths produce
-    byte-identical targets.  When optimized, ``stats`` accumulates
-    per-level :class:`~repro.executor.planner.PlanCounters` across
-    every document the plan evaluates.
+    hash joins, pushed filters and generator reordering into generated
+    Python; ``False`` keeps the naive product-then-filter reference
+    path (what the differential suite cross-checks against); ``None``
+    defers to the ``CLIP_OPTIMIZE`` environment default (on).  Both
+    paths produce byte-identical targets.  When optimized, ``stats``
+    accumulates per-level
+    :class:`~repro.executor.planner.PlanCounters` across every
+    document the plan evaluates.  ``codegen_source`` rebuilds the
+    program from an already-emitted source string (pool workers),
+    cross-checked against this plan's own emission.
     """
 
-    __slots__ = (
-        "tgd", "ordered", "optimize", "exec_mode", "planned", "stats",
-        "program",
-    )
+    __slots__ = ("tgd", "ordered", "optimize", "planned", "stats", "program")
 
     def __init__(
         self,
         tgd: NestedTgd,
         *,
         optimize: Optional[bool] = None,
-        exec_mode: Optional[str] = None,
         codegen_source: Optional[str] = None,
     ):
-        from .codegen import build_program, resolve_exec_mode
-        from .planner import PlanStats, plan_tgd, resolve_optimize
+        from ..settings import boolean, resolve_setting
+        from .codegen import build_program
+        from .planner import OPTIMIZE_ENV, PlanStats, plan_tgd
 
         self.tgd = tgd
         self.ordered = order_mappings(tgd)
-        self.optimize = resolve_optimize(optimize)
+        self.optimize = resolve_setting(
+            optimize, OPTIMIZE_ENV, True, parse=boolean
+        )
         self.planned = plan_tgd(tgd) if self.optimize else None
-        # Codegen specializes the *optimized* plan; the naive reference
-        # path stays interpreted so optimize=False remains the oracle.
-        resolved_mode = resolve_exec_mode(exec_mode)
-        self.exec_mode = resolved_mode if self.planned is not None else "interp"
         self.program = (
             build_program(self.planned, source=codegen_source)
-            if self.exec_mode == "codegen" and self.planned is not None
+            if self.planned is not None
             else None
         )
         self.stats = PlanStats(self.planned) if self.planned else None
+
+    @property
+    def exec_mode(self) -> str:
+        """What runs, as the report formats name it: ``"codegen"``
+        (the generated program) or ``"interp"`` (the naive path)."""
+        return "interp" if self.program is None else "codegen"
+
+    def engine_for(self, source_instance: XmlElement, *, stats=None, memo=None):
+        """A fresh engine evaluating this plan over one document — the
+        one factory every caller goes through.  ``stats`` receives the
+        per-level counters (the plan's own accumulate only through
+        :meth:`run`); ``memo`` is a caller-owned
+        :class:`~repro.executor.planner.PlanMemo` to share
+        document-scoped entries across engines.  Both are ignored on
+        the naive path."""
+        if self.program is None:
+            return _Engine(self.tgd, source_instance, ordered=self.ordered)
+        from .codegen import _OptimizedEngine
+
+        return _OptimizedEngine(
+            self.tgd, source_instance, self.planned, self.program,
+            ordered=self.ordered, stats=stats, memo=memo,
+        )
 
     def run(self, source_instance: XmlElement,
             *, trace=None) -> XmlElement:
@@ -153,30 +175,7 @@ class TgdPlan:
         from ..errors import ReproError
 
         try:
-            if self.program is not None and self.planned is not None:
-                from .codegen import _CodegenEngine
-
-                return _CodegenEngine(
-                    self.tgd,
-                    source_instance,
-                    self.planned,
-                    self.program,
-                    ordered=self.ordered,
-                    stats=self.stats,
-                ).run()
-            if self.planned is not None:
-                from .planner import _OptimizedEngine
-
-                return _OptimizedEngine(
-                    self.tgd,
-                    source_instance,
-                    self.planned,
-                    ordered=self.ordered,
-                    stats=self.stats,
-                ).run()
-            return _Engine(
-                self.tgd, source_instance, ordered=self.ordered
-            ).run()
+            return self.engine_for(source_instance, stats=self.stats).run()
         except ReproError:
             raise
         except Exception as exc:
@@ -216,22 +215,11 @@ def prepare(
     tgd: NestedTgd,
     *,
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
     codegen_source: Optional[str] = None,
 ) -> TgdPlan:
     """Prepare a nested tgd for repeated evaluation (plan construction
-    split from per-document evaluation).
-
-    ``exec_mode`` selects the backend for the optimized path:
-    ``"interp"`` (default) walks the plan, ``"codegen"`` compiles it
-    to specialized Python (:mod:`repro.executor.codegen`); ``None``
-    defers to the ``CLIP_EXEC_MODE`` environment default.
-    ``codegen_source`` rebuilds the codegen closures from an
-    already-emitted source string (pool workers)."""
-    return TgdPlan(
-        tgd, optimize=optimize, exec_mode=exec_mode,
-        codegen_source=codegen_source,
-    )
+    split from per-document evaluation); see :class:`TgdPlan`."""
+    return TgdPlan(tgd, optimize=optimize, codegen_source=codegen_source)
 
 
 def execute(
@@ -547,8 +535,8 @@ class _Engine:
                         self._run_mapping(sub, iteration_env, iter_target_env)
 
     def _group_key(self, mapping: TgdMapping, skolem_app, env: Env) -> tuple:
-        """The grouping key of one environment — a hook so the codegen
-        backend can dispatch to its compiled key function."""
+        """The grouping key of one environment — a hook so the
+        optimized engine can dispatch to its generated key function."""
         return tuple(
             tuple(self._eval_atoms(attr, env)) for attr in skolem_app.attrs
         )

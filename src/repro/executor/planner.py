@@ -24,12 +24,15 @@ optimizer pass that turns the same tgd into a *plan*:
   dependency binding: an inner generator that does not depend on the
   outer loop is evaluated once, not once per outer iteration.
 
-The plan changes *evaluation cost only*: the environments a level
-produces — their contents and their order — are exactly the naive
-engine's, which the differential suite checks byte-for-byte against
-the naive engine and the XQuery interpreter.  Correctness reference is
-Koch's complex-value query semantics; the optimization playbook is the
-standard one from the data-exchange line (Fagin et al.).
+This module only *decides*; :mod:`repro.executor.codegen` executes:
+it emits one specialized Python program per plan, and that generated
+code is the one optimized backend.  The plan changes *evaluation cost
+only*: the environments a level produces — their contents and their
+order — are exactly the naive engine's, which the differential suite
+checks byte-for-byte against the naive engine and the XQuery
+interpreter.  Correctness reference is Koch's complex-value query
+semantics; the optimization playbook is the standard one from the
+data-exchange line (Fagin et al.).
 
 Per-level :class:`PlanCounters` (bindings enumerated, filter drops,
 hash build/probe sizes) feed :mod:`repro.executor.stats` and the
@@ -38,7 +41,6 @@ hash build/probe sizes) feed :mod:`repro.executor.stats` and the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
@@ -48,7 +50,6 @@ from ..core.tgd import (
     FunctionApp,
     Membership,
     NestedTgd,
-    Proj,
     SchemaRoot,
     SourceCondition,
     TgdComparison,
@@ -59,24 +60,12 @@ from ..core.tgd import (
     expr_root,
 )
 from ..errors import ExecutionError
-from ..xml.index import DocumentIndex, index_for
-from ..xml.model import XmlElement
-from .engine import Env, GroupBinding, _Engine
 
 #: Environment toggle: ``CLIP_OPTIMIZE=0`` (or ``false``/``no``/``off``)
 #: makes the naive evaluation path the default — the CI leg that keeps
 #: the naive engine honest runs the differential suite under it.
+#: Resolved through :func:`repro.settings.resolve_setting`.
 OPTIMIZE_ENV = "CLIP_OPTIMIZE"
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def resolve_optimize(optimize: Optional[bool]) -> bool:
-    """Resolve an ``optimize`` tri-state: explicit flag wins, ``None``
-    falls back to the :data:`OPTIMIZE_ENV` environment default (on)."""
-    if optimize is not None:
-        return bool(optimize)
-    return os.environ.get(OPTIMIZE_ENV, "1").strip().lower() not in _FALSY
 
 
 # -- condition analysis ------------------------------------------------------
@@ -184,6 +173,14 @@ class LevelPlan:
     #: chain — consumers must then treat the level as reading the
     #: whole document.
     reads_resolved: bool = True
+    #: Per source generator (by position): the absolute label chain its
+    #: items come from when it iterates elements reached from the
+    #: schema root or from an element binding — not from a group's
+    #: members — else ``None``.  The generated code memoizes such
+    #: sequences, and the join tables over them, in the engine's
+    #: :class:`PlanMemo` under this chain.  ``()`` for a bare
+    #: :func:`plan_level` call.
+    gen_chains: tuple[Optional[tuple[str, ...]], ...] = ()
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -352,6 +349,14 @@ def plan_level(mapping: TgdMapping, depth: int) -> LevelPlan:
 _VarChains = dict[str, Optional[frozenset[tuple[str, ...]]]]
 
 
+def value_read_chains(chain: tuple[str, ...]) -> set[tuple[str, ...]]:
+    """The chain plus its implicit ``value`` terminal (atoms of an
+    element read come from its text node)."""
+    if chain and (chain[-1] == "value" or chain[-1].startswith("@")):
+        return {chain}
+    return {chain, chain + ("value",)}
+
+
 def _term_exprs(term) -> list[TgdExpr]:
     """The source expressions a term reads (constants read nothing)."""
     if isinstance(term, FunctionApp):
@@ -397,14 +402,11 @@ def _collect_level_reads(
             return
         chains.update(found)
         if atomic:
-            # Atomic consumption (_eval_atoms) reads the *text* of
-            # element operands, so a chain ending at an element also
-            # reads one step deeper than the chain spells out.
+            # Atomic consumption reads the *text* of element operands,
+            # so a chain ending at an element also reads one step
+            # deeper than the chain spells out.
             for chain in found:
-                if not chain or not (
-                    chain[-1] == "value" or chain[-1].startswith("@")
-                ):
-                    chains.add(chain + ("value",))
+                chains.update(value_read_chains(chain))
 
     for gen in mapping.source_gens:
         gen_chains = expr_chains(gen.expr)
@@ -452,24 +454,41 @@ class PlannedTgd:
 
 def plan_tgd(tgd: NestedTgd) -> PlannedTgd:
     """Compile every level of a nested tgd into a :class:`PlannedTgd`,
-    annotating each with its source read-set (variable chains are
-    threaded down the mapping tree, so an inner level's reads resolve
-    through its outer generators)."""
+    annotating each with its source read-set and generator chains
+    (variable chains are threaded down the mapping tree, so an inner
+    level's reads resolve through its outer generators)."""
     levels: list[LevelPlan] = []
 
-    def walk(mapping: TgdMapping, depth: int, outer: _VarChains) -> None:
+    def gen_chain(gen, scope: _VarChains, grouped: frozenset):
+        root = expr_root(gen.expr)
+        if isinstance(root, Var) and root.name in grouped:
+            return None  # iterates a group's members
+        chains = scope.get(gen.var)
+        return next(iter(chains)) if chains and len(chains) == 1 else None
+
+    def walk(mapping: TgdMapping, depth: int, outer: _VarChains,
+             grouped: frozenset) -> None:
         scope: _VarChains = dict(outer)
         reads, resolved = _collect_level_reads(mapping, scope)
+        own = frozenset(gen.var for gen in mapping.source_gens)
+        grouped -= own
         levels.append(replace(
             plan_level(mapping, depth),
             read_paths=tuple(sorted(reads)),
             reads_resolved=resolved,
+            gen_chains=tuple(
+                gen_chain(gen, scope, grouped) for gen in mapping.source_gens
+            ),
         ))
+        # A grouped level rebinds its own variables to GroupBindings
+        # for everything nested below it.
+        if mapping.skolem is not None:
+            grouped |= own
         for sub in mapping.submappings:
-            walk(sub, depth + 1, scope)
+            walk(sub, depth + 1, scope, grouped)
 
     for root in tgd.roots:
-        walk(root, 0, {})
+        walk(root, 0, {}, frozenset())
     return PlannedTgd(tgd, tuple(levels))
 
 
@@ -543,34 +562,27 @@ class PlanStats:
         ]
 
 
-# -- optimized evaluation ----------------------------------------------------
-
-_NO_DEP = object()
-
-
-def _is_nan(value) -> bool:
-    return isinstance(value, float) and value != value
-
-
-def _value_chains(chain: tuple[str, ...]) -> set[tuple[str, ...]]:
-    """The chain plus its implicit ``value`` terminal (atoms of an
-    element read come from its text node)."""
-    if chain and (chain[-1] == "value" or chain[-1].startswith("@")):
-        return {chain}
-    return {chain, chain + ("value",)}
+# -- cross-engine memo ------------------------------------------------------
 
 
 class PlanMemo:
-    """Document-scoped memo entries shared across engines over one
-    (logically maintained) document.
+    """Memo entries of generated plan code that can outlive one engine.
 
-    A fresh :class:`_OptimizedEngine` memoizes generator sequences, join
-    hash tables and loop-invariant atom evaluations per run; entries
-    keyed off the schema root depend only on the document, not on any
-    binding, so an owner that keeps the document alive can carry them
-    across engines.  The incremental session
-    (:class:`repro.runtime.incremental.IncrementalSession`) does exactly
-    that: it maintains one source tree across deltas, and because
+    Every optimized engine owns a memo: a private one by default, or
+    one its caller shares across engines over one (logically
+    maintained) document.  The generated code (:mod:`repro.executor
+    .codegen`) routes three kinds of entries through it — filter-free
+    generator sequences over the source document's own elements, the
+    join tables keyed from their build variable over those sequences,
+    and atoms read from the schema root — each stored with the absolute
+    label chains it was computed from.  Keys are emission-order tags,
+    plus ``id()`` of the element binding the entry hangs off; that
+    binding is pinned with the entry so its id cannot be recycled while
+    the entry lives.
+
+    The incremental session
+    (:class:`repro.runtime.incremental.IncrementalSession`) shares one
+    memo across deltas: it maintains one source tree, and because
     in-place delta application preserves node identities, an entry
     stays valid until an edit lands on one of the label chains it was
     computed from.  :meth:`invalidate` takes the touched chains split
@@ -584,28 +596,23 @@ class PlanMemo:
     intact.
     """
 
-    __slots__ = ("_entries", "_pins")
+    __slots__ = ("values", "_meta")
 
     def __init__(self) -> None:
-        # key → (value, chains); keys are the engines' id()-based memo
-        # keys, valid while the pinned owners below stay alive.
-        self._entries: dict = {}
-        # Strong refs to the plan/tgd objects whose id()s appear in
-        # keys, and implicitly (via values) to the document's nodes.
-        self._pins: list = []
+        #: key → value; generated code reads this dict directly.
+        self.values: dict = {}
+        # key → (chains, pinned binding or None).
+        self._meta: dict = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def pin(self, owner: object) -> None:
-        self._pins.append(owner)
+        return len(self.values)
 
     def get(self, key):
-        found = self._entries.get(key)
-        return None if found is None else found[0]
+        return self.values.get(key)
 
-    def put(self, key, value, chains) -> None:
-        self._entries[key] = (value, frozenset(chains))
+    def put(self, key, value, chains, pin=None) -> None:
+        self.values[key] = value
+        self._meta[key] = (frozenset(chains), pin)
 
     def invalidate(self, value_chains, structural_chains) -> int:
         """Drop every entry the touched label chains could have
@@ -617,11 +624,11 @@ class PlanMemo:
         complete test.  ``structural_chains`` mark subtree
         replacements: prefix intersection in either direction.
         """
-        if not self._entries or not (value_chains or structural_chains):
+        if not self._meta or not (value_chains or structural_chains):
             return 0
         dead = [
             key
-            for key, (_, chains) in self._entries.items()
+            for key, (chains, _) in self._meta.items()
             if any(
                 c in value_chains
                 or any(
@@ -632,393 +639,10 @@ class PlanMemo:
             )
         ]
         for key in dead:
-            del self._entries[key]
+            del self.values[key]
+            del self._meta[key]
         return len(dead)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._pins.clear()
-
-
-class _OptimizedEngine(_Engine):
-    """The tgd engine evaluated through a :class:`PlannedTgd`.
-
-    Inherits every piece of the naive engine's target-side machinery —
-    element construction, wrappers, grouping Skolems, assignments — and
-    replaces source-side enumeration with the planned strategy.  The
-    environments produced per level are identical, in content and
-    order, to :meth:`_Engine._enumerate`.
-    """
-
-    def __init__(
-        self,
-        tgd: NestedTgd,
-        source_instance: XmlElement,
-        planned: PlannedTgd,
-        *,
-        ordered=None,
-        index: Optional[DocumentIndex] = None,
-        stats: Optional[PlanStats] = None,
-        shared_memo: Optional[PlanMemo] = None,
-    ):
-        super().__init__(tgd, source_instance, ordered=ordered)
-        self.planned = planned
-        self.index = index if index is not None else index_for(source_instance)
-        self.stats = stats
-        # (id(level mapping), position, dep key) → filtered item list.
-        self._sequences: dict[tuple, list[XmlElement]] = {}
-        # (id(join), dep key) → hash table.
-        self._tables: dict[tuple, dict] = {}
-        # (id(expr), dep key) → atoms (loop-invariant atom evaluation).
-        self._atoms: dict[tuple, list] = {}
-        # Strong refs to every binding a memo key's id() points at:
-        # GroupBindings are engine-created and otherwise collectable
-        # mid-run, and a recycled id would alias a stale memo entry.
-        self._pins: list = []
-        # Document-scoped entries (dep key ``_NO_DEP``) optionally live
-        # in a caller-owned PlanMemo so they outlive this engine; the
-        # label chains of shared sequences, needed to tag the tables
-        # built over them, are tracked per sequence key.
-        self.shared_memo = shared_memo
-        self._shared_seqs: dict[tuple, tuple[str, ...]] = {}
-        if shared_memo is not None:
-            shared_memo.pin(tgd)
-            shared_memo.pin(planned)
-
-    # -- indexed navigation ---------------------------------------------
-
-    def _eval(self, expr, env):
-        """The naive evaluator with child steps served by the document
-        index (same elements, same order — ``children(tag)`` is an
-        indexed ``findall``)."""
-        if isinstance(expr, SchemaRoot):
-            return [self.source]
-        if isinstance(expr, Var):
-            try:
-                binding = env[expr.name]
-            except KeyError:
-                raise ExecutionError(f"unbound variable {expr.name!r}") from None
-            if isinstance(binding, GroupBinding):
-                return list(binding.members)
-            return [binding]
-        assert isinstance(expr, Proj)
-        base_items = self._eval(expr.base, env)
-        label = expr.label
-        out: list = []
-        index = self.index
-        for item in base_items:
-            if not isinstance(item, XmlElement):
-                raise ExecutionError(
-                    f"projection .{label} applied to atomic value {item!r}"
-                )
-            if label.startswith("@"):
-                if item.has_attribute(label[1:]):
-                    out.append(item.attribute(label[1:]))
-            elif label == "value":
-                if item.text is not None:
-                    out.append(item.text)
-            else:
-                out.extend(index.children(item, label))
-        return out
-
-    def _dep_binding(self, expr: TgdExpr, env: Env):
-        """The binding the value of ``expr`` depends on in ``env`` — the
-        object at the root of the projection chain.  ``_NO_DEP`` for
-        schema-root-based expressions (which depend only on the source
-        document), ``None`` when the root variable is unbound (let
-        ``_eval`` raise the proper error)."""
-        root = expr_root(expr)
-        if isinstance(root, Var):
-            return env.get(root.name)
-        return _NO_DEP
-
-    @staticmethod
-    def _key_of(dep) -> object:
-        return _NO_DEP if dep is _NO_DEP else id(dep)
-
-    def _eval_atoms(self, operand, env):
-        """Atom evaluation with loop-invariant memoization: an operand's
-        atoms depend only on its root binding, so repeated evaluations
-        against the same binding (grouping keys, probe keys) are hits."""
-        if isinstance(operand, Constant):
-            return [operand.value]
-        dep = self._dep_binding(operand, env)
-        if dep is None:
-            return super()._eval_atoms(operand, env)
-        key = (id(operand), self._key_of(dep))
-        if dep is _NO_DEP and self.shared_memo is not None:
-            memo = self.shared_memo
-            found = memo.get(key)
-            if found is None:
-                found = super()._eval_atoms(operand, env)
-                memo.put(key, found, _value_chains(tuple(expr_labels(operand))))
-            return found
-        found = self._atoms.get(key)
-        if found is None:
-            found = super()._eval_atoms(operand, env)
-            self._atoms[key] = found
-            if dep is not _NO_DEP:
-                self._pins.append(dep)
-        return found
-
-    # -- planned enumeration ---------------------------------------------
-
-    def _table_chains(
-        self, seq_key: tuple, build_var: str, key_expr: TgdExpr, *,
-        atomic: bool,
-    ) -> Optional[set[tuple[str, ...]]]:
-        """The absolute label chains a join table over a *shared*
-        sequence depends on (sequence population plus per-item key
-        reads), or ``None`` when the table must stay engine-local —
-        the sequence itself is local, or the key is not rooted at the
-        build variable.  Sharing a table requires its chain set to
-        cover the sequence's, so both invalidate together."""
-        seq_chain = self._shared_seqs.get(seq_key)
-        if seq_chain is None:
-            return None
-        root = expr_root(key_expr)
-        if not (isinstance(root, Var) and root.name == build_var):
-            return None
-        key_chain = seq_chain + tuple(expr_labels(key_expr))
-        chains = {seq_chain}
-        chains.update(_value_chains(key_chain) if atomic else {key_chain})
-        return chains
-
-    def _counter(self, mapping: TgdMapping) -> Optional[PlanCounters]:
-        if self.stats is None:
-            return None
-        return self.stats.counter_for(mapping)
-
-    def _sequence(
-        self, plan: LevelPlan, slot: GeneratorPlan, env: Env,
-        counter: Optional[PlanCounters],
-    ) -> tuple[tuple, list[XmlElement]]:
-        """The generator's candidate items for this environment —
-        evaluated, element-checked, pushed-filtered, and memoized per
-        dependency binding.  Returns ``(memo key, items)``; the key also
-        scopes the join tables built over the sequence."""
-        gen = plan.mapping.source_gens[slot.position]
-        dep = self._dep_binding(gen.expr, env)
-        key = (id(plan.mapping), slot.position, self._key_of(dep))
-        # A document-scoped, filter-free sequence depends only on its
-        # label chain — shareable across engines via the plan memo.
-        # Pushed filters read values the chain tag would not cover, so
-        # filtered sequences stay engine-local.
-        shared = (
-            self.shared_memo is not None
-            and dep is _NO_DEP
-            and not slot.seq_filters
-        )
-        if shared:
-            seq_chain = tuple(expr_labels(gen.expr))
-            self._shared_seqs[key] = seq_chain
-            found = self.shared_memo.get(key)
-        else:
-            found = self._sequences.get(key)
-        if found is not None:
-            if counter is not None:
-                counter.seq_cache_hits += 1
-            return key, found
-        if counter is not None:
-            counter.seq_cache_misses += 1
-        items = self._eval(gen.expr, env)
-        out: list[XmlElement] = []
-        probe = {}
-        for item in items:
-            if not isinstance(item, XmlElement):
-                raise ExecutionError(
-                    f"generator {gen} iterates atomic value {item!r}"
-                )
-            if slot.seq_filters:
-                probe[gen.var] = item
-                if not all(
-                    self._condition_holds(c, probe) for c in slot.seq_filters
-                ):
-                    if counter is not None:
-                        counter.filter_drops += 1
-                    continue
-            out.append(item)
-        if shared:
-            self.shared_memo.put(key, out, {seq_chain})
-        else:
-            self._sequences[key] = out
-            if dep is not None and dep is not _NO_DEP:
-                self._pins.append(dep)
-        return key, out
-
-    def _eq_table(
-        self, join: EqualityJoin, sequence: list[XmlElement], seq_key: tuple,
-        counter: Optional[PlanCounters],
-    ) -> dict:
-        """``atom → [ordinals]`` over the generator's candidate
-        sequence, memoized per dependency context."""
-        key = (id(join), seq_key)
-        chains = self._table_chains(
-            seq_key, join.build_var, join.build_key, atomic=True
-        )
-        memo = self._tables if chains is None else self.shared_memo
-        table = memo.get(key)
-        if table is not None:
-            return table
-        table = {}
-        probe = {}
-        eval_atoms = super()._eval_atoms  # each item hit once: skip memo
-        for ordinal, item in enumerate(sequence):
-            probe[join.build_var] = item
-            atoms = eval_atoms(join.build_key, probe)
-            for atom in dict.fromkeys(atoms):
-                if _is_nan(atom):
-                    continue  # NaN never compares equal
-                table.setdefault(atom, []).append(ordinal)
-        if chains is None:
-            self._tables[key] = table
-        else:
-            self.shared_memo.put(key, table, chains)
-        if counter is not None:
-            counter.join_builds += 1
-            counter.join_build_rows += len(sequence)
-            counter.join_build_keys += len(table)
-        return table
-
-    def _mem_table(
-        self, join: MembershipJoin, sequence: list[XmlElement], seq_key: tuple,
-        counter: Optional[PlanCounters],
-    ) -> dict:
-        """``id(collection element) → [ordinals]`` over the candidates'
-        collections, memoized per dependency context.  Keyed on node
-        identity, so a cross-engine shared entry is only sound for a
-        document maintained in place (identities persist outside the
-        invalidated chains)."""
-        key = (id(join), seq_key)
-        chains = self._table_chains(
-            seq_key, join.build_var, join.collection, atomic=False
-        )
-        memo = self._tables if chains is None else self.shared_memo
-        table = memo.get(key)
-        if table is not None:
-            return table
-        table = {}
-        probe = {}
-        for ordinal, item in enumerate(sequence):
-            probe[join.build_var] = item
-            for member in self._eval(join.collection, probe):
-                bucket = table.setdefault(id(member), [])
-                if not bucket or bucket[-1] != ordinal:
-                    bucket.append(ordinal)
-        if chains is None:
-            self._tables[key] = table
-        else:
-            self.shared_memo.put(key, table, chains)
-        if counter is not None:
-            counter.join_builds += 1
-            counter.join_build_rows += len(sequence)
-            counter.join_build_keys += len(table)
-        return table
-
-    def _probe(
-        self, plan: LevelPlan, slot: GeneratorPlan, env: Env,
-        sequence: list[XmlElement], seq_key: tuple,
-        counter: Optional[PlanCounters],
-    ) -> list[int]:
-        """Ordinals (into ``sequence``) matching every join at this
-        slot for the current environment, in document order."""
-        matching: Optional[set[int]] = None
-        for join in slot.eq_joins:
-            table = self._eq_table(join, sequence, seq_key, counter)
-            atoms = self._eval_atoms(join.probe_key, env)
-            hits: set[int] = set()
-            for atom in dict.fromkeys(atoms):
-                if _is_nan(atom):
-                    continue
-                hits.update(table.get(atom, ()))
-            matching = hits if matching is None else (matching & hits)
-            if not matching:
-                return []
-        for join in slot.mem_joins:
-            table = self._mem_table(join, sequence, seq_key, counter)
-            hits = set()
-            for member in self._eval(join.member, env):
-                hits.update(table.get(id(member), ()))
-            matching = hits if matching is None else (matching & hits)
-            if not matching:
-                return []
-        if counter is not None:
-            counter.join_probes += 1
-            counter.join_probe_matches += len(matching or ())
-        return sorted(matching or ())
-
-    def _enumerate(self, mapping: TgdMapping, env: Env) -> list[Env]:
-        plan = self.planned.level_for(mapping)
-        counter = self._counter(mapping)
-        if counter is not None:
-            counter.invocations += 1
-        for condition in plan.pre_conditions:
-            if not self._condition_holds(condition, env):
-                if counter is not None:
-                    counter.filter_drops += 1
-                return []
-        track = plan.reordered
-        states: list[tuple[Env, tuple[int, ...]]] = [(dict(env), ())]
-        for slot in plan.slots:
-            gen = mapping.source_gens[slot.position]
-            joined = slot.eq_joins or slot.mem_joins
-            expanded: list[tuple[Env, tuple[int, ...]]] = []
-            for current, ordinals in states:
-                seq_key, sequence = self._sequence(plan, slot, current, counter)
-                if joined:
-                    picks = self._probe(
-                        plan, slot, current, sequence, seq_key, counter
-                    )
-                    candidates = [(o, sequence[o]) for o in picks]
-                else:
-                    candidates = list(enumerate(sequence))
-                for ordinal, item in candidates:
-                    child = dict(current)
-                    child[gen.var] = item
-                    if counter is not None:
-                        counter.bindings_enumerated += 1
-                    if slot.env_filters and not all(
-                        self._condition_holds(c, child)
-                        for c in slot.env_filters
-                    ):
-                        if counter is not None:
-                            counter.filter_drops += 1
-                        continue
-                    expanded.append(
-                        (child, ordinals + (ordinal,) if track else ())
-                    )
-            states = expanded
-        if track and len(states) > 1:
-            # Restore the naive nested-loop order: sort by ordinals in
-            # *original* generator position order (lexicographic over
-            # ordinals is exactly document order, see module docstring).
-            slot_of = {
-                slot.position: index for index, slot in enumerate(plan.slots)
-            }
-            positions = sorted(slot_of)
-            states.sort(
-                key=lambda state: tuple(
-                    state[1][slot_of[p]] for p in positions
-                )
-            )
-        envs = [state[0] for state in states]
-        if plan.residual:  # pragma: no cover - classifier safety net
-            kept = [
-                e for e in envs
-                if all(self._condition_holds(c, e) for c in plan.residual)
-            ]
-            if counter is not None:
-                counter.filter_drops += len(envs) - len(kept)
-            envs = kept
-        if counter is not None:
-            counter.envs_produced += len(envs)
-        return envs
-
-    def _run_grouped(self, mapping, envs, target_env):
-        counter = self._counter(mapping)
-        if counter is not None:
-            before = len(self._groups)
-            super()._run_grouped(mapping, envs, target_env)
-            counter.groups += len(self._groups) - before
-            return
-        super()._run_grouped(mapping, envs, target_env)
+        self.values.clear()
+        self._meta.clear()

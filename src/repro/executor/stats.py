@@ -189,10 +189,11 @@ class PlanExplain:
     #: Per-level runtime counter dicts (all-zero when ``optimize`` is
     #: off: the naive path has no planner instrumentation).
     counters: list[dict]
-    #: The effective execution mode ("interp" or "codegen").
+    #: What ran: ``"codegen"`` (the optimized plan's generated
+    #: program) or ``"interp"`` (the naive path).
     exec_mode: str = "interp"
     #: The generated program's description (source hash, line count,
-    #: compile seconds) when ``exec_mode`` is codegen, else ``None``.
+    #: compile seconds) on optimized plans, else ``None``.
     codegen: Optional[dict] = None
 
     def to_dict(self) -> dict:
@@ -222,10 +223,9 @@ class PlanExplain:
     def render(self) -> str:
         """Human-readable plan + counters (the CLI ``explain`` output)."""
         doc = self.to_dict()
-        mode = f", exec_mode={self.exec_mode}" if self.exec_mode != "interp" else ""
         lines = [
             f"{PLAN_EXPLAIN_FORMAT} v{PLAN_EXPLAIN_VERSION} "
-            f"(optimize={'on' if self.optimize else 'off'}{mode})"
+            f"(optimize={'on' if self.optimize else 'off'})"
         ]
         if self.codegen is not None:
             lines.append(
@@ -289,43 +289,27 @@ def explain_plan(
     source_instance: XmlElement,
     *,
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
 ) -> PlanExplain:
     """Compile the mapping, evaluate it once, and report the compiled
     plan together with its runtime counters.
 
-    With ``optimize`` off the plan is still compiled (its static shape
-    is shown) but evaluation takes the naive reference path, so all
-    counters stay zero.  With ``exec_mode="codegen"`` (optimized only)
-    the specialized generated program runs instead of the interpreter
-    — identical counters by construction — and the report gains a
-    ``codegen`` section (source hash, line count, compile seconds).
+    Optimized, the plan's generated program runs and the report
+    carries its ``codegen`` section (source hash, line count, compile
+    seconds).  With ``optimize`` off the plan is still compiled (its
+    static shape is shown) but evaluation takes the naive reference
+    path, so all counters stay zero.
     """
-    from .codegen import _CodegenEngine, build_program, resolve_exec_mode
-    from .planner import PlanStats, _OptimizedEngine, plan_tgd, resolve_optimize
+    from .engine import TgdPlan
+    from .planner import PlanStats, plan_tgd
 
-    resolved = resolve_optimize(optimize)
-    planned = plan_tgd(tgd)
-    stats = PlanStats(planned)
-    mode = resolve_exec_mode(exec_mode) if resolved else "interp"
-    codegen = None
-    if resolved and mode == "codegen":
-        program = build_program(planned)
-        codegen = program.describe()
-        result = _CodegenEngine(
-            tgd, source_instance, planned, program, stats=stats
-        ).run()
-    elif resolved:
-        result = _OptimizedEngine(
-            tgd, source_instance, planned, stats=stats
-        ).run()
-    else:
-        result = _Engine(tgd, source_instance).run()
+    plan = TgdPlan(tgd, optimize=optimize)
+    result = plan.run(source_instance)
+    stats = plan.stats or PlanStats(plan_tgd(tgd))
     return PlanExplain(
         result=result,
-        optimize=resolved,
-        levels=[plan.describe() for plan in planned.levels],
+        optimize=plan.optimize,
+        levels=[level.describe() for level in stats.planned.levels],
         counters=[counter.to_dict() for counter in stats.counters],
-        exec_mode=mode,
-        codegen=codegen,
+        exec_mode=plan.exec_mode,
+        codegen=plan.program.describe() if plan.program else None,
     )

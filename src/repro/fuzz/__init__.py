@@ -2,8 +2,9 @@
 
 * :mod:`repro.fuzz.farm` — :class:`FuzzFarm`, the differential runner:
   every corpus case through tgd (optimized and naive), XQuery, XSLT
-  (where eligible) and the process-pool path, dead-lettering any
-  divergence with its ``clip-trace`` for replay;
+  (where eligible) and the process-pool path, plus the per-axis
+  oracles of :data:`ORACLES`, dead-lettering any divergence with its
+  ``clip-trace`` for replay;
 * :mod:`repro.fuzz.report` — the byte-deterministic
   ``clip-fuzz-report`` v1 document (``docs/FORMATS.md`` §9).
 
@@ -17,7 +18,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from .farm import Combo, FuzzError, FuzzFarm, ReplayResult, run_fuzz
+from .farm import ORACLES, Combo, FuzzError, FuzzFarm, Oracle, ReplayResult, run_fuzz
 from .report import (
     FUZZ_REPORT_FORMAT,
     FUZZ_REPORT_VERSION,
@@ -37,6 +38,8 @@ __all__ = [
     "FuzzError",
     "FuzzFarm",
     "FuzzReport",
+    "ORACLES",
+    "Oracle",
     "PARSEABLE_FUZZ_VERSIONS",
     "ReplayResult",
     "parse_report",

@@ -8,11 +8,9 @@ process — and then cross-checks every other committed combo against
 it:
 
 * ``tgd`` with ``optimize=False`` (the naive reference path) must
-  serialize **byte-identically**;
-* ``tgd`` with ``exec_mode="codegen"`` (the specialized generated-
-  Python backend of :mod:`repro.executor.codegen`) must serialize
-  **byte-identically** — its dead-letter kit additionally captures the
-  generated source (``generated.py``) for the diverging plan;
+  serialize **byte-identically** — the reference itself runs the
+  plan's generated program (:mod:`repro.executor.codegen`), so every
+  dead-letter kit also captures that source (``generated.py``);
 * ``xquery`` must serialize **byte-identically** (both full-coverage
   engines follow the paper's iteration order);
 * ``xslt`` — probed per case via
@@ -43,6 +41,11 @@ it:
   **byte-identically** — two independently derived tgds, one required
   answer.
 
+Each check is an *oracle*, named in :data:`ORACLES`: ``engine`` runs
+the combos above on every case, and every other oracle is a per-axis
+leg enabled by one corpus parameter.  A :class:`Combo` records the
+oracle that judged it, and replay dispatches on that name alone.
+
 Any disagreement (or an engine error where the reference succeeded)
 becomes a :class:`~repro.fuzz.report.Divergence` in the
 ``clip-fuzz-report`` and — when a dead-letter root is given — a replay
@@ -58,7 +61,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ..algebra import (
     compose_fingerprint,
@@ -111,13 +114,14 @@ class Combo:
     engine: str
     optimize: bool
     workers: int
-    exec_mode: str = "interp"
+    #: The :data:`ORACLES` entry that judged this combo.
+    oracle: str = "engine"
 
     @property
     def slug(self) -> str:
         mode = "opt" if self.optimize else "naive"
-        if self.exec_mode != "interp":
-            mode = self.exec_mode
+        if self.oracle != "engine":
+            mode = self.oracle
         return f"{self.engine}-{mode}-w{self.workers}"
 
 
@@ -149,14 +153,11 @@ class FuzzFarm:
         *,
         engines: Optional[Sequence[str]] = None,
         optimize_modes: Sequence[bool] = (True, False),
-        exec_modes: Sequence[str] = ("interp", "codegen"),
         workers: Sequence[int] = (1,),
         dead_letter_dir: Union[str, Path, None] = None,
         budget_seconds: Optional[float] = None,
         cache: Optional[PlanCache] = None,
     ):
-        from ..executor.codegen import EXEC_MODES
-
         self.engines = tuple(engines) if engines is not None else ENGINES
         unknown = [e for e in self.engines if e not in ENGINES]
         if unknown:
@@ -166,15 +167,6 @@ class FuzzFarm:
         if "tgd" not in self.engines:
             raise FuzzError("the tgd reference engine cannot be disabled")
         self.optimize_modes = tuple(optimize_modes)
-        self.exec_modes = tuple(exec_modes)
-        bad_modes = [m for m in self.exec_modes if m not in EXEC_MODES]
-        if bad_modes:
-            raise FuzzError(
-                f"unknown exec modes {bad_modes}; choose from "
-                f"{', '.join(EXEC_MODES)}"
-            )
-        if "interp" not in self.exec_modes:
-            raise FuzzError("the interp reference mode cannot be disabled")
         self.workers = tuple(sorted(set(workers)))
         if any(w < 1 for w in self.workers):
             raise FuzzError(f"workers must be >= 1, got {list(workers)}")
@@ -192,15 +184,11 @@ class FuzzFarm:
         The optimizer toggle only exists on the tgd engine (xquery and
         xslt have no join-aware planner), so ``optimize=False`` is
         enumerated for tgd alone — anything else would re-run identical
-        work under a different label.  Likewise ``codegen`` specializes
-        the optimized tgd plan only, so it is enumerated as a fourth
-        tgd-side axis (optimized, in-process).
+        work under a different label.
         """
         combos: list[Combo] = []
         if False in self.optimize_modes:
             combos.append(Combo("tgd", False, 1))
-        if "codegen" in self.exec_modes:
-            combos.append(Combo("tgd", True, 1, "codegen"))
         for engine in ("xquery", "xslt"):
             if engine in self.engines and engine in eligible:
                 combos.append(Combo(engine, True, 1))
@@ -220,28 +208,35 @@ class FuzzFarm:
                 engine=combo.engine,
                 workers=combo.workers,
                 optimize=combo.optimize,
-                exec_mode=combo.exec_mode,
                 cache=self.cache,
             )
             return runner.run([case.instance]).results[0]
         plan = self.cache.get_or_compile(
-            case.mapping, combo.engine, optimize=combo.optimize,
-            exec_mode=combo.exec_mode,
+            case.mapping, combo.engine, optimize=combo.optimize
         )
         return plan.run(case.instance, trace=trace)
 
-    def _check_case(
-        self, case: CorpusCase, report: FuzzReport, coverage: AxisCoverage
-    ) -> None:
+    def _check_case(self, case: CorpusCase, report: FuzzReport) -> None:
+        """Run every oracle the case enables against the reference."""
         reference = self.cache.get_or_compile(
             case.mapping, "tgd", optimize=True
         )
+        expected = reference(case.instance)
+        report.executions += 1
+        for oracle in ORACLES.values():
+            if oracle.param is None or case.params.get(oracle.param):
+                oracle.check(self, case, reference, expected, report)
+
+    def _check_engines(
+        self, case: CorpusCase, reference, expected: XmlElement,
+        report: FuzzReport,
+    ) -> None:
+        """The ``engine`` oracle: every cross-check combo against the
+        reference output."""
         eligible = eligible_engines(reference.tgd)
         if "xslt" in eligible:
-            coverage.xslt_eligible += 1
-        expected = reference(case.instance)
+            report.axis_coverage[case.axis].xslt_eligible += 1
         expected_xml = to_xml(expected)
-        report.executions += 1
         for combo in self._combos(eligible):
             report.executions += 1
             report.comparisons += 1
@@ -277,12 +272,6 @@ class FuzzFarm:
                     expected=expected,
                     actual=actual,
                 )
-        if case.params.get("edits"):
-            self._check_incremental(case, reference, expected, report)
-        if case.params.get("compose_with"):
-            self._check_composition(case, reference, expected, report)
-        if case.params.get("round_trip"):
-            self._check_roundtrip(case, expected, report)
 
     def _check_composition(
         self, case: CorpusCase, reference, expected: XmlElement,
@@ -364,7 +353,8 @@ class FuzzFarm:
             )
 
     def _check_roundtrip(
-        self, case: CorpusCase, expected: XmlElement, report: FuzzReport
+        self, case: CorpusCase, reference, expected: XmlElement,
+        report: FuzzReport,
     ) -> None:
         """The ``round-trip``-axis leg: run the quasi-inverse over the
         case's target and cross-check the recovered source against the
@@ -476,7 +466,7 @@ class FuzzFarm:
                 kind=kind,
                 detail=detail,
                 dead_letter=letter_name,
-                exec_mode=combo.exec_mode,
+                oracle=combo.oracle,
             )
         )
 
@@ -512,12 +502,9 @@ class FuzzFarm:
             (directory / "trace.json").write_text(
                 json.dumps(trace, indent=2, sort_keys=True), encoding="utf-8"
             )
-        if combo.exec_mode == "codegen":
-            source = self._generated_source(case)
-            if source is not None:
-                (directory / "generated.py").write_text(
-                    source, encoding="utf-8"
-                )
+        source = self._generated_source(case)
+        if source is not None:
+            (directory / "generated.py").write_text(source, encoding="utf-8")
         manifest = {
             "format": FUZZ_CASE_FORMAT,
             "version": FUZZ_CASE_VERSION,
@@ -531,7 +518,7 @@ class FuzzFarm:
                 "engine": combo.engine,
                 "optimize": combo.optimize,
                 "workers": combo.workers,
-                "exec_mode": combo.exec_mode,
+                "oracle": combo.oracle,
             },
             "kind": kind,
             "detail": list(detail),
@@ -551,8 +538,7 @@ class FuzzFarm:
         tracer = SpanTracer()
         try:
             plan = self.cache.get_or_compile(
-                case.mapping, combo.engine, optimize=combo.optimize,
-                exec_mode=combo.exec_mode,
+                case.mapping, combo.engine, optimize=combo.optimize
             )
             plan.run(case.instance, trace=tracer)
         except ReproError:
@@ -561,16 +547,12 @@ class FuzzFarm:
         return trace.to_dict() if trace.spans else None
 
     def _generated_source(self, case: CorpusCase) -> Optional[str]:
-        """The codegen backend's generated Python for this case's plan,
-        best effort — the replay kit's most useful artifact when the
-        specialized program disagrees with the interpreter."""
+        """The generated Python of this case's reference plan, best
+        effort — the replay kit's most useful artifact when the
+        optimized program disagrees with another engine."""
         try:
-            plan = self.cache.get_or_compile(
-                case.mapping, "tgd", optimize=True, exec_mode="codegen"
-            )
+            plan = self.cache.get_or_compile(case.mapping, "tgd", optimize=True)
         except ReproError:
-            return None
-        if plan.tgd_plan is None or plan.tgd_plan.program is None:
             return None
         return plan.tgd_plan.program.source
 
@@ -595,9 +577,8 @@ class FuzzFarm:
                 report.exhausted_budget = True
                 report.skipped = len(pending) - position
                 break
-            coverage = report.axis_coverage[case.axis]
-            self._check_case(case, report, coverage)
-            coverage.executed += 1
+            self._check_case(case, report)
+            report.axis_coverage[case.axis].executed += 1
         return report
 
     def run_corpus(
@@ -616,7 +597,6 @@ class FuzzFarm:
             engines=self.engines,
             optimize_modes=self.optimize_modes,
             workers=self.workers,
-            exec_modes=self.exec_modes,
             budget_seconds=self.budget_seconds,
         )
         return self.run(generate_corpus(seed, count, axes=selected), report)
@@ -645,12 +625,21 @@ class FuzzFarm:
             (directory / "source.xml").read_text(encoding="utf-8"),
             mapping.source,
         )
+        recorded = manifest["combo"]
+        # Kits written before the oracle field carry ``exec_mode``:
+        # ``interp`` and ``codegen`` both meant the engine cross-check
+        # (now always the optimized generated program), and the leg
+        # names were already oracle names.
+        oracle = recorded.get("oracle", recorded.get("exec_mode", "engine"))
+        if oracle in ("interp", "codegen"):
+            oracle = "engine"
+        if oracle not in ORACLES:
+            raise FuzzError(f"{manifest_path} names unknown oracle {oracle!r}")
         combo = Combo(
-            engine=manifest["combo"]["engine"],
-            optimize=bool(manifest["combo"]["optimize"]),
-            workers=int(manifest["combo"]["workers"]),
-            # Pre-codegen kits carry no exec_mode; default to interp.
-            exec_mode=manifest["combo"].get("exec_mode", "interp"),
+            engine=recorded["engine"],
+            optimize=bool(recorded["optimize"]),
+            workers=int(recorded["workers"]),
+            oracle=oracle,
         )
         case = CorpusCase(
             case_id=manifest["case_id"],
@@ -662,13 +651,14 @@ class FuzzFarm:
             params=manifest.get("params", {}),
         )
         reference = self.cache.get_or_compile(mapping, "tgd", optimize=True)
-        if combo.exec_mode == "incremental":
-            return self._replay_incremental(case, combo, reference)
-        if combo.exec_mode == "compose":
-            return self._replay_composition(case, combo, reference)
-        if combo.exec_mode == "round-trip":
-            return self._replay_roundtrip(case, combo, reference)
-        expected = reference(instance)
+        return ORACLES[oracle].replay(self, case, combo, reference)
+
+    def _replay_engine(
+        self, case: CorpusCase, combo: Combo, reference
+    ) -> ReplayResult:
+        """Replay an ``engine``-oracle kit: re-run the recorded combo
+        and compare it with the reference."""
+        expected = reference(case.instance)
         expected_xml = to_xml(expected)
         tracer = SpanTracer()
         try:
@@ -832,13 +822,39 @@ class FuzzFarm:
         )
 
 
+class Oracle(NamedTuple):
+    """One differential oracle: the corpus parameter that enables it
+    (``None``: every case), and the :class:`FuzzFarm` methods that
+    check a case and replay a dead-lettered kit."""
+
+    param: Optional[str]
+    check: Callable
+    replay: Callable
+
+
+#: Every oracle, by the name a :class:`Combo` records — adding one
+#: means adding its two methods and an entry here.
+ORACLES: dict[str, Oracle] = {
+    "engine": Oracle(None, FuzzFarm._check_engines, FuzzFarm._replay_engine),
+    "incremental": Oracle(
+        "edits", FuzzFarm._check_incremental, FuzzFarm._replay_incremental
+    ),
+    "compose": Oracle(
+        "compose_with", FuzzFarm._check_composition,
+        FuzzFarm._replay_composition,
+    ),
+    "round-trip": Oracle(
+        "round_trip", FuzzFarm._check_roundtrip, FuzzFarm._replay_roundtrip
+    ),
+}
+
+
 def run_fuzz(
     seed: int = 7,
     count: int = 100,
     *,
     axes: Optional[Sequence[str]] = None,
     workers: Sequence[int] = (1,),
-    exec_modes: Sequence[str] = ("interp", "codegen"),
     budget_seconds: Optional[float] = None,
     dead_letter_dir: Union[str, Path, None] = None,
     cache: Optional[PlanCache] = None,
@@ -846,7 +862,6 @@ def run_fuzz(
     """One-call farm run over the ``(seed, count, axes)`` corpus."""
     farm = FuzzFarm(
         workers=workers,
-        exec_modes=exec_modes,
         budget_seconds=budget_seconds,
         dead_letter_dir=dead_letter_dir,
         cache=cache,
@@ -859,6 +874,8 @@ __all__ = [
     "Combo",
     "FuzzError",
     "FuzzFarm",
+    "ORACLES",
+    "Oracle",
     "ReplayResult",
     "run_fuzz",
 ]

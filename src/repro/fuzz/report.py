@@ -45,9 +45,10 @@ class Divergence:
     #: Dead-letter case directory name (not an absolute path), when the
     #: farm was given a dead-letter root.
     dead_letter: Optional[str] = None
-    #: The combo's execution mode: ``"interp"`` or ``"codegen"``
-    #: (additive in format v1; absent readers default to interp).
-    exec_mode: str = "interp"
+    #: The oracle that judged the combo: ``"engine"`` (the engine
+    #: cross-check) or a per-axis leg (``"incremental"``,
+    #: ``"compose"``, ``"round-trip"``); additive in format v1.
+    oracle: str = "engine"
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -55,7 +56,7 @@ class Divergence:
             "axis": self.axis,
             "engine": self.engine,
             "optimize": self.optimize,
-            "exec_mode": self.exec_mode,
+            "oracle": self.oracle,
             "workers": self.workers,
             "kind": self.kind,
             "detail": list(self.detail),
@@ -91,13 +92,12 @@ class FuzzReport:
     engines: Sequence[str]
     optimize_modes: Sequence[bool]
     workers: Sequence[int]
-    exec_modes: Sequence[str] = ("interp",)
     cases: int = 0
     executions: int = 0
     comparisons: int = 0
     #: Incremental (``delta``-axis) legs: transform_delta cross-checked
     #: against a full recompute of the edited document.  Additive in
-    #: format v1, like ``exec_mode``.
+    #: format v1.
     incremental_checks: int = 0
     incremental_hits: int = 0
     incremental_fallbacks: int = 0
@@ -132,7 +132,6 @@ class FuzzReport:
             "axes": list(self.axes),
             "engines": list(self.engines),
             "optimize_modes": list(self.optimize_modes),
-            "exec_modes": list(self.exec_modes),
             "workers": list(self.workers),
             "cases": self.cases,
             "executions": self.executions,

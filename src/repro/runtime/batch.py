@@ -51,6 +51,8 @@ from ..errors import (
     WorkerCrashError,
     WorkerSetupError,
 )
+from ..executor.planner import OPTIMIZE_ENV
+from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
 from ..xsd.validate import validate as validate_instance
 from .cache import PlanCache, default_cache
@@ -155,13 +157,12 @@ def _init_worker(
     timeout: Optional[float],
     optimize: bool = True,
     trace: bool = False,
-    exec_mode: str = "interp",
     codegen_source: Optional[str] = None,
 ) -> None:
     """Pool initializer: rebuild the engine plan once per worker.
 
-    For codegen plans the parent ships the generated *source* (a plain
-    string, which pickles; code objects don't) and each worker
+    For optimized tgd plans the parent ships the generated *source* (a
+    plain string, which pickles; code objects don't) and each worker
     re-materializes its closures with one ``compile()``/``exec`` —
     the deterministic-emission contract lets the worker verify the
     cached source against its own plan.
@@ -169,7 +170,7 @@ def _init_worker(
     global _WORKER_PLAN, _WORKER_INJECTOR, _WORKER_TIMEOUT, _WORKER_TRACE
     _WORKER_PLAN = plan_from_tgd(
         pickle.loads(tgd_bytes), engine, optimize=optimize,
-        exec_mode=exec_mode, codegen_source=codegen_source,
+        codegen_source=codegen_source,
     )
     _WORKER_INJECTOR = pickle.loads(injector_bytes) if injector_bytes else None
     _WORKER_TIMEOUT = timeout
@@ -358,21 +359,14 @@ class BatchRunner:
         attempt)`` — the deterministic fault-injection harness used by
         the test suite.
     optimize:
-        Evaluation strategy for the tgd engine: ``True`` uses the
-        join-aware compiled plans of :mod:`repro.executor.planner`,
-        ``False`` the naive reference path, ``None`` (default) the
-        ``CLIP_OPTIMIZE`` environment default (on).  Both produce
-        byte-identical results; the flag participates in the plan
-        fingerprint, so both variants coexist in a shared cache.
-    exec_mode:
-        Execution mode for the optimized tgd plan: ``"interp"`` walks
-        the compiled level plans through the interpreter,
-        ``"codegen"`` runs the specialized generated-Python program of
-        :mod:`repro.executor.codegen`, ``None`` (default) the
-        ``CLIP_EXEC_MODE`` environment default (interp).  Byte-identical
-        results; the effective mode participates in the plan
-        fingerprint.  Pool workers rebuild codegen closures from the
-        cached generated source (shipped once in the initializer).
+        Evaluation strategy for the tgd engine: ``True`` runs the
+        join-aware compiled plans of :mod:`repro.executor.planner` as
+        generated code, ``False`` the naive reference path, ``None``
+        (default) the ``CLIP_OPTIMIZE`` environment default (on).
+        Both produce byte-identical results; the flag participates in
+        the plan fingerprint, so both variants coexist in a shared
+        cache.  Pool workers rebuild the generated closures from the
+        cached source (shipped once in the initializer).
     trace:
         A :class:`repro.runtime.trace.SpanTracer` to record the run
         into: a ``batch`` span containing one ``doc[i]`` span per
@@ -385,7 +379,7 @@ class BatchRunner:
         costs nothing.
     fingerprint:
         The precomputed plan fingerprint of ``(mapping, engine,
-        optimize, exec_mode)``, for callers (the HTTP service) that
+        optimize)``, for callers (the HTTP service) that
         construct a runner per request against an already-registered
         mapping; ``None`` (default) computes it, as before.  Passing a
         fingerprint that does not match the other arguments corrupts
@@ -409,7 +403,6 @@ class BatchRunner:
         retry: Optional[RetryPolicy] = None,
         injector: Optional[FaultInjector] = None,
         optimize: Optional[bool] = None,
-        exec_mode: Optional[str] = None,
         trace=None,
         fingerprint: Optional[str] = None,
     ):
@@ -433,12 +426,8 @@ class BatchRunner:
         )
         self.injector = injector
         self.trace = trace
-        from ..executor.planner import resolve_optimize
-        from .plan import resolve_effective_exec_mode
-
-        self.optimize = resolve_optimize(optimize)
-        self.exec_mode = resolve_effective_exec_mode(
-            engine, self.optimize, exec_mode
+        self.optimize = resolve_setting(
+            optimize, OPTIMIZE_ENV, True, parse=boolean
         )
         # One fingerprint per runner: per-document retrievals are then
         # pure dictionary hits.  A long-lived caller (the HTTP service)
@@ -448,10 +437,7 @@ class BatchRunner:
         self.fingerprint = (
             fingerprint
             if fingerprint is not None
-            else compute_fingerprint(
-                mapping, engine, optimize=self.optimize,
-                exec_mode=self.exec_mode,
-            )
+            else compute_fingerprint(mapping, engine, optimize=self.optimize)
         )
 
     # -- execution ---------------------------------------------------------
@@ -533,7 +519,7 @@ class BatchRunner:
     def _retrieve_plan(self):
         return self.cache.get_or_compile(
             self.mapping, self.engine, fp=self.fingerprint,
-            optimize=self.optimize, exec_mode=self.exec_mode,
+            optimize=self.optimize,
         )
 
     def _account(
@@ -683,7 +669,7 @@ class BatchRunner:
         injector_bytes = (
             pickle.dumps(self.injector) if self.injector is not None else b""
         )
-        # Codegen closures don't pickle (code objects); ship the
+        # Generated closures don't pickle (code objects); ship the
         # generated source string and let each worker re-exec it.
         codegen_source = None
         if plan.tgd_plan is not None and plan.tgd_plan.program is not None:
@@ -698,8 +684,7 @@ class BatchRunner:
                 initializer=_init_worker,
                 initargs=(payload, self.engine, injector_bytes,
                           self.retry.timeout, self.optimize,
-                          span_log is not None, self.exec_mode,
-                          codegen_source),
+                          span_log is not None, codegen_source),
             )
 
         # Retrieval accounting matches the inline path: one cache

@@ -23,43 +23,19 @@ evictions, and the seconds spent compiling on misses.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.mapping import ClipMapping
+from ..settings import boolean, resolve_setting
 from .plan import CompiledPlan, canonical_fingerprint, compile_plan, fingerprint
 
-#: Environment flag turning canonical cache keys on by default.
+#: Environment flag turning canonical cache keys on by default (off
+#: when unset, preserving the structural-fingerprint behaviour
+#: existing deployments key on).
 CANONICALIZE_ENV = "CLIP_CACHE_CANONICALIZE"
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
-
-def resolve_canonicalize(value: Optional[bool] = None) -> bool:
-    """Resolve a canonicalization request against the environment.
-
-    ``True``/``False`` win outright; ``None`` defers to
-    ``CLIP_CACHE_CANONICALIZE`` (default: off, preserving the
-    structural-fingerprint behaviour existing deployments key on).
-    """
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get(CANONICALIZE_ENV)
-    if raw is None:
-        return False
-    lowered = raw.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY or lowered == "":
-        return False
-    raise ValueError(
-        f"unrecognized {CANONICALIZE_ENV}={raw!r}; use one of "
-        f"{_TRUTHY + _FALSY}"
-    )
 
 
 @dataclass
@@ -106,7 +82,9 @@ class PlanCache:
         self.maxsize = maxsize
         #: Whether :meth:`get_or_compile` keys plans by canonical
         #: (semantic) fingerprints instead of structural ones.
-        self.canonicalize = resolve_canonicalize(canonicalize)
+        self.canonicalize = resolve_setting(
+            canonicalize, CANONICALIZE_ENV, False, parse=boolean
+        )
         self._plans: OrderedDict[str, CompiledPlan] = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
@@ -135,15 +113,12 @@ class PlanCache:
         engine: str = "tgd",
         *,
         optimize: Optional[bool] = None,
-        exec_mode: Optional[str] = None,
     ) -> str:
         """The key this cache would use for a mapping: canonical when
         the cache canonicalizes, structural otherwise."""
         if self.canonicalize:
-            return canonical_fingerprint(
-                mapping, engine, optimize=optimize, exec_mode=exec_mode
-            )
-        return fingerprint(mapping, engine, optimize=optimize, exec_mode=exec_mode)
+            return canonical_fingerprint(mapping, engine, optimize=optimize)
+        return fingerprint(mapping, engine, optimize=optimize)
 
     def put(self, plan: CompiledPlan) -> None:
         """Seed the cache with an externally compiled plan (e.g. a
@@ -194,18 +169,16 @@ class PlanCache:
         require_valid: bool = True,
         fp: Optional[str] = None,
         optimize: Optional[bool] = None,
-        exec_mode: Optional[str] = None,
         count_canonical: Optional[bool] = None,
     ) -> CompiledPlan:
-        """The plan for ``(mapping, engine, optimize, exec_mode)``,
-        compiling on first use.
+        """The plan for ``(mapping, engine, optimize)``, compiling on
+        first use.
 
         Callers applying one mapping to many documents should compute
         the key once via :meth:`fingerprint_for` and pass it in: the
         per-document retrieval is then a pure dictionary hit.  The
-        fingerprint covers the ``optimize`` flag and the execution
-        mode, so optimized, naive, and codegen plans for the same
-        mapping coexist without collisions.
+        fingerprint covers the ``optimize`` flag, so optimized and
+        naive plans for the same mapping coexist without collisions.
 
         When the cache canonicalizes and no ``fp`` is supplied, the key
         is the canonical fingerprint: an alpha-renamed variant of an
@@ -222,9 +195,7 @@ class PlanCache:
         else:
             canonical_key = count_canonical and self.canonicalize
         if fp is None:
-            fp = self.fingerprint_for(
-                mapping, engine, optimize=optimize, exec_mode=exec_mode
-            )
+            fp = self.fingerprint_for(mapping, engine, optimize=optimize)
         plan = self.lookup(fp)
         if canonical_key:
             self._count_canonical(plan is not None)
@@ -234,7 +205,7 @@ class PlanCache:
         # duplicate compile is wasted work but not an error.
         plan = compile_plan(
             mapping, engine, require_valid=require_valid, fp=fp,
-            optimize=optimize, exec_mode=exec_mode,
+            optimize=optimize,
         )
         with self._lock:
             self._stats.compile_seconds += plan.compile_seconds

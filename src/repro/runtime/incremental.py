@@ -43,6 +43,7 @@ cause a fallback when the delta reaches the paths they read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Union
 
 from ..errors import ReproError, XmlError
@@ -60,7 +61,7 @@ from ..core.tgd import (
     expr_root,
 )
 from ..executor.engine import GroupBinding, TgdPlan, _Engine
-from ..executor.planner import PlanMemo, _OptimizedEngine, _term_exprs
+from ..executor.planner import PlanMemo, _term_exprs
 from ..xml.diff import (
     Delta,
     DeltaRecord,
@@ -512,10 +513,12 @@ class _DirtyIndex:
     recompute every group touching that department.
 
     Without resolved reads it degrades to the conservative ancestor
-    rule of :func:`_dirty_ids`.
+    rule of :func:`_dirty_ids`.  ``hot`` holds every binding identity
+    either rule can flag, so an environment none of whose bindings is
+    hot is clean without running the test.
     """
 
-    __slots__ = ("ids", "records", "var_reads")
+    __slots__ = ("ids", "records", "var_reads", "hot")
 
     def __init__(
         self,
@@ -525,10 +528,11 @@ class _DirtyIndex:
     ):
         self.var_reads = var_reads
         if var_reads is None:
-            self.ids = _dirty_ids(prev_source, delta)
+            self.ids = self.hot = _dirty_ids(prev_source, delta)
             self.records: Optional[list] = None
             return
         self.ids = set()
+        self.hot = set()
         self.records = []
         for record in delta.records:
             target = resolve_steps(prev_source, record.steps)
@@ -547,6 +551,8 @@ class _DirtyIndex:
                 node = node.parent
                 depth -= 1
             self.records.append((mutate, chain, strip))
+            self.hot.update(strip)
+        self.hot.update(self.ids)
 
     def env_dirty(self, env, gens) -> bool:
         if self.records is None:
@@ -605,25 +611,20 @@ class _Signer:
         return tuple(self.signature(env[gen.var]) for gen in gens)
 
 
-def _make_engine(
-    tgd_plan: TgdPlan,
-    source: XmlElement,
-    shared_memo: Optional[PlanMemo] = None,
-) -> _Engine:
-    """An engine over ``source`` with the plan's strategy (optimized
-    when the plan compiled level plans, naive otherwise) — but without
-    the plan's cumulative counters, which a partial run would skew.
-    ``shared_memo`` lets a session carry document-scoped sequences and
-    join tables across engines."""
-    if tgd_plan.planned is not None:
-        return _OptimizedEngine(
-            tgd_plan.tgd,
-            source,
-            tgd_plan.planned,
-            ordered=tgd_plan.ordered,
-            shared_memo=shared_memo,
-        )
-    return _Engine(tgd_plan.tgd, source, ordered=tgd_plan.ordered)
+def _binding_ids(gens, envs: list[dict]) -> list[tuple]:
+    """Each root environment's bindings, as a tuple of identities
+    (built column-wise: one flat pass per variable)."""
+    if not gens:
+        return [()] * len(envs)
+    return list(zip(*[[id(env[gen.var]) for env in envs] for gen in gens]))
+
+
+def _group_positions(keys: list[tuple]) -> dict[tuple, list[int]]:
+    """Grouping key → the positions carrying it, in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return groups
 
 
 def _group_members(gens, members: list[dict]) -> dict:
@@ -744,8 +745,8 @@ def _scoped(
     except XmlError as exc:
         raise ReproError(f"delta does not resolve: {exc}") from exc
 
-    old_engine = _make_engine(tgd_plan, prev_source)
-    new_engine = _make_engine(tgd_plan, new_source)
+    old_engine = tgd_plan.engine_for(prev_source)
+    new_engine = tgd_plan.engine_for(new_source)
     old_envs = old_engine._enumerate(root, {})
     new_envs = new_engine._enumerate(root, {})
 
@@ -911,6 +912,10 @@ class IncrementalSession:
         self._target: Optional[XmlElement] = None
         self._envs: list[dict] = []
         self._sigs: list[tuple] = []
+        self._ids: list[tuple] = []
+        # Grouped shapes: key → positions in ``_envs``, in first-seen
+        # key order (the order of the target's group fragments).
+        self._groups: Optional[dict[tuple, list[int]]] = None
         self._keys: Optional[list[tuple]] = None
         self._applied = False
 
@@ -1053,8 +1058,9 @@ class IncrementalSession:
         assert self._source is not None
         root = self._shape.root
         gens = root.source_gens
-        engine = _make_engine(self._tgd_plan, self._source, self._memo)
+        engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
         self._envs = engine._enumerate(root, {})
+        self._ids = _binding_ids(gens, self._envs)
         signer = _Signer()
         self._sigs = [signer.env_signature(gens, env) for env in self._envs]
         if self._shape.grouped:
@@ -1062,8 +1068,9 @@ class IncrementalSession:
             self._keys = [
                 engine._group_key(root, skolem_app, env) for env in self._envs
             ]
+            self._groups = _group_positions(self._keys)
         else:
-            self._keys = None
+            self._keys = self._groups = None
 
     def _apply(self, delta: Delta) -> None:
         """Apply a delta to the maintained tree, dropping exactly the
@@ -1098,7 +1105,11 @@ class IncrementalSession:
         except XmlError as exc:
             raise ReproError(f"delta does not resolve: {exc}") from exc
         old_envs, old_sigs = self._envs, self._sigs
-        old_dirty = [dirty.env_dirty(env, gens) for env in old_envs]
+        hot = dirty.hot
+        old_dirty = [
+            not hot.isdisjoint(ids) and dirty.env_dirty(env, gens)
+            for env, ids in zip(old_envs, self._ids)
+        ]
 
         prev_target = self._target
         if prev_target.tag != self._tgd_plan.tgd.target_root:
@@ -1111,18 +1122,13 @@ class IncrementalSession:
             prev_parent = found
         fragments = prev_parent.children
 
-        old_groups: dict[tuple, list[int]] = {}
+        old_groups = self._groups
         old_fragment_of: dict[tuple, XmlElement] = {}
         if shape.grouped:
-            assert self._keys is not None
-            for index, key in enumerate(self._keys):
-                old_groups.setdefault(key, []).append(index)
+            assert old_groups is not None and self._keys is not None
             if [c.tag for c in fragments] != [fragment_tag] * len(old_groups):
                 raise ReproError("previous target does not align with plan output")
-            old_fragment_of = {
-                key: fragments[position]
-                for position, key in enumerate(old_groups)
-            }
+            old_fragment_of = dict(zip(old_groups, fragments))
         elif [c.tag for c in fragments] != [fragment_tag] * len(old_envs):
             raise ReproError("previous target does not align with plan output")
 
@@ -1131,36 +1137,37 @@ class IncrementalSession:
             record.op not in ("mutate-attribute", "mutate-text")
             for record in delta.records
         )
-        old_by_ids = {
-            tuple(id(env[gen.var]) for gen in gens): index
-            for index, env in enumerate(old_envs)
-        }
+        old_by_ids = dict(zip(self._ids, range(len(self._ids))))
         self._apply(delta)
-        new_engine = _make_engine(self._tgd_plan, self._source, self._memo)
+        new_engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
         new_envs = new_engine._enumerate(root, {})
+        new_ids = _binding_ids(gens, new_envs)
+        # The previous index of each environment's binding combination.
+        matches = [old_by_ids.get(ids) for ids in new_ids]
         # In-place application preserves binding identities, so per-unit
         # derivations carry over from the previous call: a mutate-only
         # delta moves no node, keeping structural signatures valid; and
         # a clean unit's grouping key reads only chains the delta never
         # touched (``old_dirty`` covers every read of the unit).
         signer = _Signer()
-        old_keys = self._keys
-        new_sigs: list[tuple] = []
-        new_keys: Optional[list[tuple]] = [] if shape.grouped else None
+        new_sigs = [
+            old_sigs[index]
+            if index is not None and not structural
+            else signer.env_signature(gens, env)
+            for index, env in zip(matches, new_envs)
+        ]
+        new_keys: Optional[list[tuple]] = None
+        new_groups: Optional[dict[tuple, list[int]]] = None
         if shape.grouped:
             _, skolem_app = root.skolem
-        for env in new_envs:
-            index = old_by_ids.get(tuple(id(env[gen.var]) for gen in gens))
-            if index is not None and not structural:
-                new_sigs.append(old_sigs[index])
-            else:
-                new_sigs.append(signer.env_signature(gens, env))
-            if new_keys is None:
-                continue
-            if index is not None and old_keys is not None and not old_dirty[index]:
-                new_keys.append(old_keys[index])
-            else:
-                new_keys.append(new_engine._group_key(root, skolem_app, env))
+            old_keys = self._keys
+            new_keys = [
+                old_keys[index]
+                if index is not None and not old_dirty[index]
+                else new_engine._group_key(root, skolem_app, env)
+                for index, env in zip(matches, new_envs)
+            ]
+            new_groups = _group_positions(new_keys)
 
         if shape.prefix and new_envs:
             (base_env,) = new_engine._materialize_targets(shape.prefix, {})
@@ -1198,26 +1205,25 @@ class IncrementalSession:
                 for sub in root.submappings:
                     new_engine._run_mapping(sub, env, iter_env)
         else:
-            assert new_keys is not None
-            new_groups: dict[tuple, list[dict]] = {}
-            new_group_sigs: dict[tuple, list[tuple]] = {}
-            for env, sig, key in zip(new_envs, new_sigs, new_keys):
-                new_groups.setdefault(key, []).append(env)
-                new_group_sigs.setdefault(key, []).append(sig)
+            assert new_groups is not None and old_groups is not None
+            dirty_keys = set(compress(old_keys, old_dirty))
             report.total_units = len(new_groups)
-            for key, members in new_groups.items():
+            for key, positions in new_groups.items():
                 old_members = old_groups.get(key)
                 untouched = (
                     old_members is not None
-                    and not any(old_dirty[i] for i in old_members)
-                    and [old_sigs[i] for i in old_members] == new_group_sigs[key]
+                    and key not in dirty_keys
+                    and [old_sigs[i] for i in old_members]
+                    == [new_sigs[p] for p in positions]
                 )
                 if untouched:
                     take(old_fragment_of[key])
                     report.reused_units += 1
                     continue
                 report.recomputed_units += 1
-                group_env = _group_members(gens, members)
+                group_env = _group_members(
+                    gens, [new_envs[p] for p in positions]
+                )
                 (iter_env,) = new_engine._materialize_targets(
                     suffix, base_env, group_key=key
                 )
@@ -1228,8 +1234,10 @@ class IncrementalSession:
 
         self._target = out
         self._envs = new_envs
+        self._ids = new_ids
         self._sigs = new_sigs
         self._keys = new_keys
+        self._groups = new_groups
         report.mode = "scoped"
         report.reason = (
             "per-group fragments spliced"

@@ -26,28 +26,22 @@ from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
 from ..core.tgd import NestedTgd
 from ..core.validity import ValidityReport, check
-from ..executor.codegen import resolve_exec_mode
 from ..executor.engine import TgdPlan, prepare
-from ..executor.planner import resolve_optimize
+from ..executor.planner import OPTIMIZE_ENV
 from ..io import dumps as _dump_mapping
+from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
 
 #: The engines a plan can target, in cross-check order.
 ENGINES = ("tgd", "xquery", "xslt")
 
 
-def resolve_effective_exec_mode(
-    engine: str,
-    optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
-) -> str:
-    """The exec mode that will actually run: codegen specializes the
-    optimized tgd plan only, so the naive reference path and the
-    plannerless engines (xquery/xslt) always resolve to ``interp``."""
-    resolved = resolve_exec_mode(exec_mode)
-    if engine != "tgd" or not resolve_optimize(optimize):
-        return "interp"
-    return resolved
+def _marker(engine: str, optimize: Optional[bool]) -> str:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
+    if resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean):
+        return ""
+    return ":no-optimize"
 
 
 def fingerprint(
@@ -55,30 +49,21 @@ def fingerprint(
     engine: str = "tgd",
     *,
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
 ) -> str:
-    """A stable content fingerprint of ``(mapping, engine, optimize,
-    exec_mode)``.
+    """A stable content fingerprint of ``(mapping, engine, optimize)``.
 
     Structural: computed from the mapping's persistent JSON document,
     so distinct in-memory objects describing the same drawing share a
     fingerprint, and any edit (a new value mapping, a changed
     condition, a different schema) produces a new one.
 
-    The (resolved) ``optimize`` flag and execution mode participate so
-    that a shared plan cache never serves an optimized plan to a
-    caller that asked for the naive reference path, or a codegen plan
-    to an interpreted caller, or vice versa.  The default
-    (optimized, interpreted) case keeps the historical payload, so
-    fingerprints recorded before the planner or the codegen backend
-    existed still match.
+    The (resolved) ``optimize`` flag participates so that a shared
+    plan cache never serves an optimized plan to a caller that asked
+    for the naive reference path, or vice versa.  The default
+    (optimized) case keeps the historical payload, so fingerprints
+    recorded before the planner existed still match.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
-    marker = "" if resolve_optimize(optimize) else ":no-optimize"
-    if resolve_effective_exec_mode(engine, optimize, exec_mode) == "codegen":
-        marker += ":codegen"
-    payload = f"{engine}{marker}\n{_dump_mapping(mapping)}"
+    payload = f"{engine}{_marker(engine, optimize)}\n{_dump_mapping(mapping)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -87,7 +72,6 @@ def canonical_fingerprint(
     engine: str = "tgd",
     *,
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
 ) -> str:
     """A *semantic* plan fingerprint: alpha-renamed-equivalent mappings
     share it.
@@ -96,7 +80,7 @@ def canonical_fingerprint(
     (:func:`repro.algebra.canonical_render`) instead of the persistent
     JSON document, so two drawings that differ only in bound variable
     names or ``where``-conjunct order key the same cache slot.  The
-    engine / optimize / exec-mode markers participate exactly as in
+    engine / optimize markers participate exactly as in
     :func:`fingerprint`, plus a ``|canonical`` tag so canonical and
     structural keys can never collide.
 
@@ -105,11 +89,7 @@ def canonical_fingerprint(
     """
     from ..algebra.normalize import canonical_render
 
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
-    marker = "" if resolve_optimize(optimize) else ":no-optimize"
-    if resolve_effective_exec_mode(engine, optimize, exec_mode) == "codegen":
-        marker += ":codegen"
+    marker = _marker(engine, optimize)
     tgd = mapping if isinstance(mapping, NestedTgd) else compile_clip(mapping)
     payload = f"{engine}{marker}|canonical\n{canonical_render(tgd)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -138,15 +118,14 @@ def eligible_engines(tgd: NestedTgd) -> tuple[str, ...]:
 def trace_seed(mapping: ClipMapping, engine: str = "tgd") -> str:
     """The trace-id namespace for ``(mapping, engine)``.
 
-    Deliberately the *base* fingerprint (the optimized interpreted
-    payload, optimize- and exec-mode-independent): span ids must agree
-    between ``optimize=True``/``optimize=False`` and
-    ``interp``/``codegen`` runs of the same mapping, so their traces
-    differ only in the ``plan`` subtree's content — the determinism
-    contract ``docs/FORMATS.md`` §7 specifies and the property suite
-    enforces.
+    Deliberately the *base* fingerprint (the optimized payload,
+    optimize-independent): span ids must agree between
+    ``optimize=True``/``optimize=False`` runs of the same mapping, so
+    their traces differ only in the ``plan`` subtree's content — the
+    determinism contract ``docs/FORMATS.md`` §7 specifies and the
+    property suite enforces.
     """
-    return fingerprint(mapping, engine, optimize=True, exec_mode="interp")
+    return fingerprint(mapping, engine, optimize=True)
 
 
 class CompiledPlan:
@@ -164,7 +143,6 @@ class CompiledPlan:
         "report",
         "tgd",
         "optimize",
-        "exec_mode",
         "tgd_plan",
         "compile_seconds",
         "_runner",
@@ -180,7 +158,6 @@ class CompiledPlan:
         report: Optional[ValidityReport] = None,
         compile_seconds: float = 0.0,
         optimize: bool = True,
-        exec_mode: str = "interp",
         tgd_plan: Optional[TgdPlan] = None,
     ):
         self.engine = engine
@@ -189,8 +166,6 @@ class CompiledPlan:
         self.tgd = tgd
         self.compile_seconds = compile_seconds
         self.optimize = optimize
-        #: The effective execution mode ("interp" or "codegen").
-        self.exec_mode = exec_mode
         #: The underlying :class:`TgdPlan` (tgd engine only): carries
         #: the compiled level plans and the accumulated plan counters
         #: that batch metrics report.
@@ -205,15 +180,13 @@ class CompiledPlan:
                 return {"optimize": False, "exec_mode": "interp"}
             return None
         stats = self.tgd_plan.stats
-        payload = {
+        return {
             "optimize": True,
             "exec_mode": self.tgd_plan.exec_mode,
             "levels": [p.describe() for p in self.tgd_plan.planned.levels],
             "counters": [c.to_dict() for c in stats.counters] if stats else [],
+            "codegen": self.tgd_plan.program.describe(),
         }
-        if self.tgd_plan.program is not None:
-            payload["codegen"] = self.tgd_plan.program.describe()
-        return payload
 
     def __call__(self, source_instance: XmlElement) -> XmlElement:
         return self._runner(source_instance)
@@ -240,7 +213,6 @@ def _engine_runner(
     tgd: NestedTgd,
     engine: str,
     optimize: bool,
-    exec_mode: str = "interp",
     codegen_source: Optional[str] = None,
 ) -> tuple[Callable[[XmlElement], XmlElement], Optional[TgdPlan]]:
     """Build the per-document evaluation closure for one engine.
@@ -259,8 +231,7 @@ def _engine_runner(
     """
     if engine == "tgd":
         tgd_plan = prepare(
-            tgd, optimize=optimize, exec_mode=exec_mode,
-            codegen_source=codegen_source,
+            tgd, optimize=optimize, codegen_source=codegen_source
         )
         return tgd_plan.run, tgd_plan
     if engine == "xquery":
@@ -283,28 +254,23 @@ def plan_from_tgd(
     *,
     fp: str = "",
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
     codegen_source: Optional[str] = None,
 ) -> CompiledPlan:
     """Rebuild a plan from an already-compiled tgd.
 
     Worker processes use this: the parent ships them the (picklable)
-    tgd — plus, for codegen plans, the cached generated source string
-    (source pickles; code objects don't) — and each worker re-emits
-    only its engine artifact.  The Clip compilation and validity check
-    never run twice anywhere.
+    tgd — plus, for optimized tgd plans, the cached generated source
+    string (source pickles; code objects don't) — and each worker
+    re-emits only its engine artifact.  The Clip compilation and
+    validity check never run twice anywhere.
     """
-    resolved = resolve_optimize(optimize)
-    mode = resolve_effective_exec_mode(engine, resolved, exec_mode)
+    resolved = resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean)
     started = time.perf_counter()
-    runner, tgd_plan = _engine_runner(
-        tgd, engine, resolved, mode, codegen_source
-    )
+    runner, tgd_plan = _engine_runner(tgd, engine, resolved, codegen_source)
     return CompiledPlan(
         engine, fp, tgd, runner,
         compile_seconds=time.perf_counter() - started,
         optimize=resolved,
-        exec_mode=mode,
         tgd_plan=tgd_plan,
     )
 
@@ -316,31 +282,27 @@ def compile_plan(
     require_valid: bool = True,
     fp: Optional[str] = None,
     optimize: Optional[bool] = None,
-    exec_mode: Optional[str] = None,
 ) -> CompiledPlan:
     """Compile a mapping into a reusable plan for one engine.
 
     Performs the full once-per-mapping work: Section III validity
     check, tgd compilation, engine-artifact emission, and (for the tgd
     engine, unless ``optimize`` resolves off) the join-aware level
-    plans of :mod:`repro.executor.planner` — plus, when ``exec_mode``
-    resolves to ``codegen``, the specialized generated-Python program.
-    ``fp`` lets callers that already computed the fingerprint (the
-    cache) skip recomputing it.
+    plans of :mod:`repro.executor.planner` with their generated
+    program.  ``fp`` lets callers that already computed the
+    fingerprint (the cache) skip recomputing it.
     """
-    resolved = resolve_optimize(optimize)
-    mode = resolve_effective_exec_mode(engine, resolved, exec_mode)
+    resolved = resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean)
     if fp is None:
-        fp = fingerprint(mapping, engine, optimize=resolved, exec_mode=exec_mode)
+        fp = fingerprint(mapping, engine, optimize=resolved)
     started = time.perf_counter()
     report = check(mapping)
     tgd = compile_clip(mapping, require_valid=require_valid, report=report)
-    runner, tgd_plan = _engine_runner(tgd, engine, resolved, mode)
+    runner, tgd_plan = _engine_runner(tgd, engine, resolved)
     return CompiledPlan(
         engine, fp, tgd, runner,
         report=report,
         compile_seconds=time.perf_counter() - started,
         optimize=resolved,
-        exec_mode=mode,
         tgd_plan=tgd_plan,
     )

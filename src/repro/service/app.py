@@ -10,7 +10,7 @@ Endpoints
 ---------
 
 * ``POST /mappings`` — register a ``clip-mapping`` JSON document
-  (optionally ``?engine=``/``?optimize=``/``?exec_mode=``); compiles it
+  (optionally ``?engine=``/``?optimize=``); compiles it
   once into the shared :class:`~repro.runtime.cache.PlanCache` and
   returns the fingerprint that transform requests address it by.
   Re-registering is idempotent and a visible plan-cache hit.  With a
@@ -81,7 +81,6 @@ from ..errors import (
     AuthError,
     DocumentFailureError,
     DocumentTimeout,
-    ExecModeError,
     ExecutionError,
     GenerationError,
     InvalidMappingError,
@@ -96,7 +95,7 @@ from ..errors import (
     XmlError,
     XQueryError,
 )
-from ..executor.planner import resolve_optimize
+from ..executor.planner import OPTIMIZE_ENV
 from ..executor.stats import PlanExplain
 from ..io import loads as load_mapping_text
 from ..runtime import (
@@ -115,7 +114,8 @@ from ..runtime import (
     write_dead_letters,
 )
 from ..xml.diff import compute_delta
-from ..runtime.plan import ENGINES, resolve_effective_exec_mode
+from ..runtime.plan import ENGINES
+from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
 from ..xml.parser import parse_xml
 from ..xml.serialize import to_xml
@@ -142,7 +142,6 @@ _STATUS_BY_TYPE: Tuple[Tuple[type, int], ...] = (
     (TransientError, 503),
     (AlgebraError, 422),
     (InvalidMappingError, 422),
-    (ExecModeError, 400),
     (XmlError, 400),
     (SchemaError, 400),
     (MappingError, 400),
@@ -189,6 +188,12 @@ class ServiceResponse(NamedTuple):
     headers: Tuple[Tuple[str, str], ...] = ()
 
 
+def _exec_mode(engine: str, optimize: bool) -> str:
+    """The ``exec_mode`` a registry entry reports: ``"codegen"`` when
+    optimized tgd plans run as generated code, ``"interp"`` otherwise."""
+    return "codegen" if engine == "tgd" and optimize else "interp"
+
+
 @dataclass(frozen=True)
 class RegisteredMapping:
     """One registry entry: a mapping pinned to its execution strategy."""
@@ -197,14 +202,13 @@ class RegisteredMapping:
     mapping: ClipMapping
     engine: str
     optimize: bool
-    exec_mode: str
 
     def describe(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
             "engine": self.engine,
             "optimize": self.optimize,
-            "exec_mode": self.exec_mode,
+            "exec_mode": _exec_mode(self.engine, self.optimize),
         }
 
 
@@ -225,7 +229,6 @@ class RegisteredComposition:
     target: object  # the second operand's target XSD schema
     engine: str
     optimize: bool
-    exec_mode: str
     first: str
     second: str
 
@@ -234,7 +237,7 @@ class RegisteredComposition:
             "fingerprint": self.fingerprint,
             "engine": self.engine,
             "optimize": self.optimize,
-            "exec_mode": self.exec_mode,
+            "exec_mode": _exec_mode(self.engine, self.optimize),
             "composed": [self.first, self.second],
         }
 
@@ -253,16 +256,15 @@ def _flag(value: Optional[str]) -> bool:
     )
 
 
-def _tristate(value: Optional[str], name: str) -> Optional[bool]:
-    """A tri-state boolean query parameter: absent → ``None``."""
-    if value is None:
-        return None
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{name} must be a boolean, got {value!r}")
+def _optimize_param(params: dict) -> bool:
+    """The ``?optimize=`` query parameter, resolved like the
+    ``optimize`` keyword everywhere else (absent → ``CLIP_OPTIMIZE``)."""
+    value = params.get("optimize")
+    try:
+        flag = None if value is None else boolean(value)
+    except ValueError:
+        raise ValueError(f"optimize must be a boolean, got {value!r}") from None
+    return resolve_setting(flag, OPTIMIZE_ENV, True, parse=boolean)
 
 
 class ClipService:
@@ -495,26 +497,20 @@ class ClipService:
             raise ValueError(
                 f"unknown engine {engine!r}; use one of {ENGINES}"
             )
-        optimize = resolve_optimize(_tristate(params.get("optimize"), "optimize"))
-        exec_mode = resolve_effective_exec_mode(
-            engine, optimize, params.get("exec_mode")
-        )
+        optimize = _optimize_param(params)
         # The cache's own key function: the canonical fingerprint when
         # the cache canonicalizes (alpha-renamed variants share a plan),
         # the structural one otherwise.
-        fp = self.cache.fingerprint_for(
-            clip, engine, optimize=optimize, exec_mode=exec_mode
-        )
+        fp = self.cache.fingerprint_for(clip, engine, optimize=optimize)
         was_cached = self.cache.peek(fp) is not None
         # The one compile (on a miss): the lookup inside get_or_compile
         # counts the hit or miss that GET /metrics then reports, and —
         # since the key above is the cache's own (possibly canonical)
         # one — the canonical hit/miss as well.
         plan = self.cache.get_or_compile(
-            clip, engine, fp=fp, optimize=optimize, exec_mode=exec_mode,
-            count_canonical=True,
+            clip, engine, fp=fp, optimize=optimize, count_canonical=True,
         )
-        entry = RegisteredMapping(fp, clip, engine, optimize, exec_mode)
+        entry = RegisteredMapping(fp, clip, engine, optimize)
         with self._lock:
             known = fp in self._registry
             self._registry[fp] = entry
@@ -569,10 +565,7 @@ class ClipService:
             raise ValueError(
                 f"unknown engine {engine!r}; use one of {ENGINES}"
             )
-        optimize = resolve_optimize(_tristate(params.get("optimize"), "optimize"))
-        exec_mode = resolve_effective_exec_mode(
-            engine, optimize, params.get("exec_mode")
-        )
+        optimize = _optimize_param(params)
         # Raises ComposeError (422) outside the composable fragment.
         composed = compose_tgds(
             compile_clip(first.mapping), compile_clip(second.mapping)
@@ -586,19 +579,15 @@ class ClipService:
         was_cached = (
             self.cache.peek(fp) is not None
             and existing is not None
-            and (existing.engine, existing.optimize, existing.exec_mode)
-            == (engine, optimize, exec_mode)
+            and (existing.engine, existing.optimize) == (engine, optimize)
         )
         if not was_cached:
-            plan = plan_from_tgd(
-                composed, engine, fp=fp, optimize=optimize,
-                exec_mode=exec_mode,
-            )
+            plan = plan_from_tgd(composed, engine, fp=fp, optimize=optimize)
             self.cache.put(plan)
         entry = RegisteredComposition(
             fp, composed,
             first.mapping.source, second.mapping.target,
-            engine, optimize, exec_mode,
+            engine, optimize,
             first.fingerprint, second.fingerprint,
         )
         with self._lock:
@@ -620,7 +609,7 @@ class ClipService:
         if plan is None:
             plan = plan_from_tgd(
                 entry.tgd, entry.engine, fp=entry.fingerprint,
-                optimize=entry.optimize, exec_mode=entry.exec_mode,
+                optimize=entry.optimize,
             )
             self.cache.put(plan)
         return plan
@@ -691,7 +680,6 @@ class ClipService:
             max_retries=max_retries,
             timeout=timeout,
             optimize=entry.optimize,
-            exec_mode=entry.exec_mode,
             trace=tracer,
             fingerprint=entry.fingerprint,
             injector=self.injector,
@@ -978,7 +966,7 @@ class ClipService:
                 return self._failure_response(failure, request_id, paths)
             plan = self.cache.get_or_compile(
                 entry.mapping, entry.engine, fp=entry.fingerprint,
-                optimize=entry.optimize, exec_mode=entry.exec_mode,
+                optimize=entry.optimize,
             )
             delta = compute_delta(prev_source, new_source)
             kwargs = {} if threshold is None else {"threshold": threshold}

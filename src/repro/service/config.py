@@ -1,10 +1,9 @@
 """Service configuration: one resolution rule for every knob.
 
-Every setting resolves **flag > environment > default** — the same
-tri-state rule :func:`repro.executor.codegen.resolve_exec_mode`
-established for ``CLIP_EXEC_MODE`` — through one generic helper,
-:func:`resolve_setting`, instead of ad-hoc ``os.environ`` reads
-scattered across the CLI and the server.  The CLI ``serve`` subcommand
+Every setting resolves **flag > environment > default** through the
+package's one generic helper, :func:`repro.settings.resolve_setting`
+(re-exported here), instead of ad-hoc ``os.environ`` reads scattered
+across the CLI and the server.  The CLI ``serve`` subcommand
 passes its parsed flags straight into :meth:`ServiceConfig.resolve`;
 anything the user did not flag falls back to the ``CLIP_SERVICE_*``
 environment and then to the documented default.
@@ -39,11 +38,10 @@ Environment variables (all optional):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TypeVar, Union
+from typing import Mapping, Optional, Union
 
-T = TypeVar("T")
+from ..settings import resolve_setting
 
 #: Default TCP port ("clip" on a phone keypad, truncated to a free range).
 DEFAULT_PORT = 8317
@@ -59,41 +57,6 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 
 #: Default request-history depth.
 DEFAULT_HISTORY = 256
-
-
-def resolve_setting(
-    flag: Optional[T],
-    env_var: str,
-    default: T,
-    *,
-    parse: Optional[Callable[[str], T]] = None,
-    environ: Optional[Mapping[str, str]] = None,
-) -> T:
-    """Resolve one configuration value: **flag > env > default**.
-
-    ``flag`` is the explicit caller-supplied value (CLI flag, keyword
-    argument); ``None`` means "not given" and falls through to the
-    environment variable ``env_var``; an unset or blank variable falls
-    through to ``default``.  ``parse`` converts the environment's
-    string form (``int``, ``float``, …); a parse failure raises
-    ``ValueError`` naming the variable, so a typo'd environment never
-    silently becomes a default.
-    """
-    if flag is not None:
-        return flag
-    raw = (environ if environ is not None else os.environ).get(env_var, "")
-    raw = raw.strip()
-    if not raw:
-        return default
-    if parse is None:
-        return raw  # type: ignore[return-value]
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ValueError(
-            f"{env_var}={raw!r} could not be parsed as "
-            f"{getattr(parse, '__name__', 'the expected type')}"
-        ) from None
 
 
 def _parse_deadline(value: Union[str, float, None]) -> Optional[float]:

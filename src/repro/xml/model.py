@@ -192,10 +192,14 @@ class XmlElement:
         return [child for child in self._children if child.tag == tag]
 
     def iter(self) -> Iterator["XmlElement"]:
-        """Depth-first pre-order traversal over this element and descendants."""
-        yield self
-        for child in self._children:
-            yield from child.iter()
+        """Depth-first pre-order traversal over this element and
+        descendants (an explicit stack: depth is bounded by memory, not
+        by the recursion limit)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node._children))
 
     def descendants(self, tag: str) -> list["XmlElement"]:
         """All descendants (not self) with the given tag, in document order."""
@@ -251,25 +255,45 @@ class XmlElement:
         dominates the cost of reusing clean target fragments in the
         incremental runtime.
         """
-        clone = XmlElement.__new__(XmlElement)
-        clone.tag = self.tag
-        clone._attributes = dict(self._attributes)
-        clone._text = self._text
+        return self._clone({})
+
+    def _clone(self, orders: dict) -> "XmlElement":
+        """Deep copy with an explicit stack (depth is bounded by memory,
+        not by the recursion limit); ``orders`` maps ``id()`` of an
+        element to the order its children are copied in."""
+        new = XmlElement.__new__
+        clone = new(XmlElement)
         clone.parent = None
-        children = []
-        for child in self._children:
-            child_clone = child.copy()
-            child_clone.parent = clone
-            children.append(child_clone)
-        clone._children = children
+        stack = [(self, clone)]
+        while stack:
+            source, target = stack.pop()
+            target.tag = source.tag
+            target._attributes = dict(source._attributes)
+            target._text = source._text
+            children = []
+            sources = source._children
+            if orders:
+                sources = orders.get(id(source), sources)
+            for child in sources:
+                child_clone = new(XmlElement)
+                child_clone.parent = target
+                children.append(child_clone)
+                stack.append((child, child_clone))
+            target._children = children
         return clone
 
     def _key(self):
-        return (
-            self.tag,
-            tuple(sorted(self._attributes.items())),
-            self._text,
-            tuple(child._key() for child in self._children),
+        """A flat hashable key — every node's tag, sorted attributes,
+        text and child count, in pre-order — equal exactly when the
+        trees are, with no nesting for deep trees to recurse on."""
+        return tuple(
+            (
+                node.tag,
+                tuple(sorted(node._attributes.items())),
+                node._text,
+                len(node._children),
+            )
+            for node in self.iter()
         )
 
     def _canonical_key(self):
@@ -286,15 +310,47 @@ class XmlElement:
             ),
         )
 
+    def _canonical_orders(self) -> dict[int, list["XmlElement"]]:
+        """For every element with two or more children, those children
+        in canonical order — sorted by ``repr(child._canonical_key())``,
+        the reprs built bottom-up as strings (and dropped once the
+        parent has used them), so neither the keys nor their reprs
+        recurse on deep trees."""
+        ranked: set[int] = set()  # nodes whose repr some sort needs
+        stack = [(self, False)]
+        while stack:
+            node, needed = stack.pop()
+            needed = needed or len(node._children) > 1
+            for child in node._children:
+                if needed:
+                    ranked.add(id(child))
+                stack.append((child, needed))
+        reprs: dict[int, str] = {}
+        orders: dict[int, list[XmlElement]] = {}
+        for node in reversed(list(self.iter())):  # children first
+            children = node._children
+            if len(children) > 1:
+                orders[id(node)] = sorted(children, key=lambda c: reprs[id(c)])
+            elif id(node) not in ranked:
+                continue  # its children carry no reprs
+            inner = sorted(reprs.pop(id(child)) for child in children)
+            if id(node) not in ranked:
+                continue
+            attributes = tuple(sorted(
+                node._attributes.items(), key=lambda kv: (kv[0], repr(kv[1]))
+            ))
+            inner_repr = (
+                f"({inner[0]},)" if len(inner) == 1 else f"({', '.join(inner)})"
+            )
+            reprs[id(node)] = (
+                f"({node.tag!r}, {attributes!r}, {node._text!r}, {inner_repr})"
+            )
+        return orders
+
     def canonical(self) -> "XmlElement":
         """Return a copy with children recursively sorted into a canonical
         order, for order-insensitive comparison of data-exchange results."""
-        clone = XmlElement(self.tag, attributes=dict(self._attributes))
-        if self._text is not None:
-            clone.set_text(self._text)
-        for child in sorted(self._children, key=lambda c: repr(c._canonical_key())):
-            clone.append(child.canonical())
-        return clone
+        return self._clone(self._canonical_orders())
 
     def equals_canonically(self, other: "XmlElement") -> bool:
         """Order-insensitive deep equality."""

@@ -9,7 +9,9 @@ compare numerically in predicates, as the paper's examples require).
 After ElementTree has parsed the text, one iterative walk over its
 nodes builds the instance tree: namespace prefixes are stripped, names
 validated (once per distinct name), values coerced by the schema and
-checked, all in the same pass.  The walk keeps an explicit stack, so
+checked, all in the same pass.  Two attributes of one element that
+strip to the same local name (``a:x`` and ``b:x``) are an
+:class:`~repro.errors.XmlParseError`, not a silent overwrite.  The walk keeps an explicit stack, so
 document depth is bounded by memory, not by the interpreter's
 recursion limit.
 """
@@ -83,6 +85,8 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
                     raw_name.split("}")[-1], "attribute name"
                 )
             attributes[name] = value
+        if len(attributes) != len(node.attrib):
+            _raise_attribute_collision(node, names, tag)
         if decl is not None and attributes:
             plan = attribute_plans.get(id(decl))
             if plan is None:
@@ -120,3 +124,15 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
                         value = decl.text_type.parse(value)
                     out._text = _check_atomic(value, text_label)
     return root
+
+
+def _raise_attribute_collision(node, names: dict, tag: str) -> None:
+    seen: dict[str, str] = {}
+    for raw_name in node.attrib:
+        name = names[raw_name]
+        if name in seen:
+            raise XmlParseError(
+                f"attributes {seen[name]!r} and {raw_name!r} of <{tag}> "
+                f"both strip to the local name {name!r}"
+            )
+        seen[name] = raw_name

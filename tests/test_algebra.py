@@ -193,8 +193,7 @@ def test_corpus_compose_predictions_hold():
 
 
 @pytest.mark.parametrize("optimize", [True, False])
-@pytest.mark.parametrize("exec_mode", ["interp", "codegen"])
-def test_corpus_compose_byte_identity_tgd_modes(optimize, exec_mode):
+def test_corpus_compose_byte_identity_tgd_modes(optimize):
     """The fused one-pass plan serializes byte-identically to the
     sequential two-stage pipeline under every tgd evaluation strategy."""
     checked = 0
@@ -203,12 +202,10 @@ def test_corpus_compose_byte_identity_tgd_modes(optimize, exec_mode):
             continue
         second = loads(case.params["compose_with"])
         fused = compose(case.mapping, second)
-        plan = plan_from_tgd(
-            fused, "tgd", optimize=optimize, exec_mode=exec_mode,
-        )
+        plan = plan_from_tgd(fused, "tgd", optimize=optimize)
         assert to_xml(plan.run(case.instance)) == to_xml(
             _sequential(case, second)
-        ), f"{case.case_id}: fused {exec_mode}/opt={optimize} diverges"
+        ), f"{case.case_id}: fused opt={optimize} diverges"
         checked += 1
     assert checked
 
@@ -384,12 +381,10 @@ def test_transformer_compose_inlined_byte_identity():
         structural_fingerprint(
             composed.first.mapping, composed.engine,
             optimize=composed.first.optimize,
-            exec_mode=composed.first.exec_mode,
         ),
         structural_fingerprint(
             composed.second.mapping, composed.engine,
             optimize=composed.second.optimize,
-            exec_mode=composed.second.exec_mode,
         ),
     )
 

@@ -291,7 +291,7 @@ class TestNoOptimizeFlag:
         ) == 0
         doc = json.loads(metrics_path.read_text(encoding="utf-8"))
         assert doc["plan"]["optimize"] is True
-        assert doc["plan"]["exec_mode"] == "interp"
+        assert doc["plan"]["exec_mode"] == "codegen"
         assert doc["plan"]["levels"]
         assert doc["plan"]["counters"]
         # The document still parses through the v2 metrics reader.

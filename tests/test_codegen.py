@@ -1,19 +1,18 @@
-"""The codegen execution backend: byte-identity, determinism, rebuild.
+"""The generated-code tgd backend: byte-identity, determinism, rebuild.
 
 The contracts of :mod:`repro.executor.codegen`, as tests:
 
 * **byte-identity** — the specialized generated-Python program
-  serializes byte-identically to the interpreted optimized engine (and
-  hence, transitively, to the naive reference path) over the seeded
-  corpus, all six axes included;
-* **counter parity** — the generated code's flushed counters equal the
-  interpreter's, so explain reports and trace plan subtrees agree;
+  serializes byte-identically to the naive reference engine over the
+  seeded corpus, all axes included;
+* **counter agreement** — the counters ``explain`` reports equal the
+  per-level counters a traced run records in its ``plan`` subtree;
 * **deterministic emission** — identical plans emit byte-identical
   source, which is what lets pool workers rebuild closures from a
   cached source string and lets the plan fingerprint stay structural;
-* **wiring** — exec mode resolution (flag > env > default), fingerprint
-  separation, worker-pool rebuild-from-source, and the explain
-  ``codegen`` section.
+* **wiring** — the derived ``exec_mode`` values, fingerprints that
+  equal the historical ones, worker-pool rebuild-from-source, and the
+  explain ``codegen`` section.
 """
 
 from __future__ import annotations
@@ -26,18 +25,12 @@ from repro import Transformer
 from repro.core.compile import compile_clip
 from repro.errors import ExecutionError
 from repro.executor import explain_plan, prepare
-from repro.executor.codegen import (
-    EXEC_MODE_ENV,
-    EXEC_MODES,
-    build_program,
-    generate_source,
-    resolve_exec_mode,
-)
-from repro.executor.planner import plan_tgd
+from repro.executor.codegen import build_program, generate_source
+from repro.executor.planner import OPTIMIZE_ENV, plan_tgd
 from repro.generation import AXES
 from repro.generation.corpus import generate_corpus
-from repro.runtime import BatchRunner, PlanCache
-from repro.runtime.plan import fingerprint, resolve_effective_exec_mode, trace_seed
+from repro.runtime import BatchRunner, PlanCache, SpanTracer, compile_plan
+from repro.runtime.plan import canonical_fingerprint, fingerprint, trace_seed
 from repro.scenarios import deptstore
 from repro.xml.serialize import to_xml
 
@@ -58,15 +51,15 @@ def test_corpus_slice_covers_every_axis():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(index=st.integers(min_value=0, max_value=len(_CASES) - 1))
-def test_codegen_matches_interp_byte_for_byte(index):
+def test_codegen_matches_naive_byte_for_byte(index):
     """Over corpus cases from every axis, the generated program and the
-    interpreted optimized engine serialize identical target bytes."""
+    naive reference engine serialize identical target bytes."""
     case = _CASES[index]
     tgd = compile_clip(case.mapping)
-    interp = prepare(tgd, optimize=True, exec_mode="interp")
-    codegen = prepare(tgd, optimize=True, exec_mode="codegen")
+    naive = prepare(tgd, optimize=False)
+    codegen = prepare(tgd, optimize=True)
     assert codegen.program is not None
-    assert to_xml(codegen.run(case.instance)) == to_xml(interp.run(case.instance))
+    assert to_xml(codegen.run(case.instance)) == to_xml(naive.run(case.instance))
 
 
 @pytest.mark.parametrize(
@@ -74,9 +67,8 @@ def test_codegen_matches_interp_byte_for_byte(index):
     ["fig3", "fig4", "fig6", "fig7"],
 )
 def test_codegen_counter_parity_on_figures(figure):
-    """The generated code flushes exactly the interpreter's counters —
-    the invariant that keeps explain output and trace plan subtrees
-    mode-independent."""
+    """The counters ``explain`` reports are exactly the per-level
+    events a traced run records in its ``plan`` subtree."""
     factory = {
         "fig3": deptstore.mapping_fig3,
         "fig4": deptstore.mapping_fig4,
@@ -85,10 +77,24 @@ def test_codegen_counter_parity_on_figures(figure):
     }[figure]
     tgd = compile_clip(factory())
     instance = deptstore.source_instance()
-    interp = explain_plan(tgd, instance, optimize=True, exec_mode="interp")
-    codegen = explain_plan(tgd, instance, optimize=True, exec_mode="codegen")
-    assert codegen.counters == interp.counters
-    assert to_xml(codegen.result) == to_xml(interp.result)
+    report = explain_plan(tgd, instance, optimize=True)
+    tracer = SpanTracer()
+    result = prepare(tgd, optimize=True).run(instance, trace=tracer)
+
+    def level_events(span):
+        if span["name"].startswith("level["):
+            yield span["attrs"]
+        for child in span["children"]:
+            yield from level_events(child)
+
+    events = [
+        attrs
+        for root in tracer.to_trace().spans
+        for attrs in level_events(root)
+    ]
+    assert len(events) == len(report.counters)
+    assert events == report.counters
+    assert to_xml(result) == to_xml(report.result)
 
 
 # -- deterministic emission --------------------------------------------------
@@ -134,9 +140,9 @@ def test_build_program_accepts_matching_cached_source():
     assert rebuilt.source_hash == original.source_hash
     tgd = compile_clip(deptstore.mapping_fig6())
     instance = deptstore.source_instance()
-    via_rebuilt = prepare(tgd, optimize=True, exec_mode="codegen")
+    via_rebuilt = prepare(tgd, codegen_source=original.source)
     assert to_xml(via_rebuilt.run(instance)) == to_xml(
-        prepare(tgd, optimize=True, exec_mode="interp").run(instance)
+        prepare(tgd, optimize=False).run(instance)
     )
 
 
@@ -150,99 +156,98 @@ def test_build_program_rejects_foreign_source():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pool_workers_rebuild_from_shipped_source(workers):
     """`workers>1` ships the generated source (strings pickle, code
-    objects don't); the pool's outputs match the inline interpreter's
-    document-for-document."""
+    objects don't); the pool's outputs match the inline naive
+    reference document-for-document."""
     mapping = deptstore.mapping_fig7()
     docs = [deptstore.source_instance() for _ in range(4)]
     codegen = BatchRunner(
-        mapping, workers=workers, exec_mode="codegen", cache=PlanCache()
+        mapping, workers=workers, optimize=True, cache=PlanCache()
     ).run(docs)
-    interp = BatchRunner(
-        mapping, workers=1, exec_mode="interp", cache=PlanCache()
+    naive = BatchRunner(
+        mapping, workers=1, optimize=False, cache=PlanCache()
     ).run(docs)
-    assert [to_xml(r) for r in codegen] == [to_xml(r) for r in interp]
+    assert [to_xml(r) for r in codegen] == [to_xml(r) for r in naive]
     assert codegen.metrics.plan["exec_mode"] == "codegen"
     assert set(codegen.metrics.plan["codegen"]) == {
         "source_hash", "line_count", "compile_seconds"
     }
-    assert interp.metrics.plan["exec_mode"] == "interp"
-    assert "codegen" not in interp.metrics.plan
+    assert naive.metrics.plan == {"optimize": False, "exec_mode": "interp"}
 
 
-# -- mode resolution and fingerprints ----------------------------------------
+# -- derived exec mode and fingerprints --------------------------------------
 
 
-def test_resolve_exec_mode_flag_env_default(monkeypatch):
-    monkeypatch.delenv(EXEC_MODE_ENV, raising=False)
-    assert resolve_exec_mode(None) == "interp"
-    assert resolve_exec_mode("codegen") == "codegen"
-    monkeypatch.setenv(EXEC_MODE_ENV, "codegen")
-    assert resolve_exec_mode(None) == "codegen"
-    assert resolve_exec_mode("interp") == "interp"  # explicit wins
-    with pytest.raises(ValueError, match="unknown exec mode"):
-        resolve_exec_mode("jit")
-    assert EXEC_MODES == ("interp", "codegen")
+def test_exec_mode_is_derived_from_what_runs():
+    tgd = compile_clip(deptstore.mapping_fig6())
+    assert prepare(tgd, optimize=True).exec_mode == "codegen"
+    assert prepare(tgd, optimize=False).exec_mode == "interp"
+    assert prepare(tgd, optimize=False).program is None
+    # Plannerless engines report no plan at all.
+    assert compile_plan(deptstore.mapping_fig6(), "xquery").plan_report() is None
 
 
-def test_effective_mode_requires_optimized_tgd():
-    assert resolve_effective_exec_mode("tgd", True, "codegen") == "codegen"
-    assert resolve_effective_exec_mode("tgd", False, "codegen") == "interp"
-    assert resolve_effective_exec_mode("xquery", True, "codegen") == "interp"
-    assert resolve_effective_exec_mode("xslt", True, "codegen") == "interp"
-
-
-def test_fingerprint_separates_exec_modes():
+def test_default_fingerprints_are_unchanged():
+    """Fingerprints key plan caches and service registrations: the
+    values recorded before the execution backends were consolidated
+    must still come out."""
     mapping = deptstore.mapping_fig6()
-    interp = fingerprint(mapping, "tgd", exec_mode="interp")
-    codegen = fingerprint(mapping, "tgd", exec_mode="codegen")
-    assert interp != codegen
-    # Codegen only exists on the optimized tgd path: elsewhere the
-    # request resolves to interp and the fingerprint is unchanged.
-    assert fingerprint(
-        mapping, "tgd", optimize=False, exec_mode="codegen"
-    ) == fingerprint(mapping, "tgd", optimize=False)
-    assert fingerprint(
-        mapping, "xquery", exec_mode="codegen"
-    ) == fingerprint(mapping, "xquery")
+    assert fingerprint(mapping, "tgd") == (
+        "f78e821809163aac5e78d72307327df6d35992bafacadb1953f2f0ef53eb3adc"
+    )
+    assert fingerprint(mapping, "tgd", optimize=False) == (
+        "34cbcad60121f9a3a802057e99d4347d4692bb8a0e4d2d43cbf336fcd9f018d9"
+    )
+    assert fingerprint(mapping, "xquery") == (
+        "614bcfaa86fa97118d29e1f8f63e92827644c967b72542a1abf91bfa4658b65a"
+    )
+    assert canonical_fingerprint(mapping, "tgd") == (
+        "97c494e4b93adc0699072580ad035943e339bf6b8ecf7ec811fed8b3099b9257"
+    )
 
 
-def test_trace_seed_is_exec_mode_independent(monkeypatch):
+def test_trace_seed_is_the_default_fingerprint(monkeypatch):
     mapping = deptstore.mapping_fig6()
     seed = trace_seed(mapping, "tgd")
-    monkeypatch.setenv(EXEC_MODE_ENV, "codegen")
+    assert seed == fingerprint(mapping, "tgd", optimize=True)
+    monkeypatch.setenv(OPTIMIZE_ENV, "0")
     assert trace_seed(mapping, "tgd") == seed
-    assert seed == fingerprint(mapping, "tgd", optimize=True, exec_mode="interp")
 
 
-def test_cache_keeps_modes_apart():
+def test_cache_keeps_optimized_and_naive_apart():
     cache = PlanCache()
     mapping = deptstore.mapping_fig6()
-    interp = cache.get_or_compile(mapping, "tgd", exec_mode="interp")
-    codegen = cache.get_or_compile(mapping, "tgd", exec_mode="codegen")
-    assert interp is not codegen
-    assert interp.fingerprint != codegen.fingerprint
-    assert codegen.exec_mode == "codegen" and interp.exec_mode == "interp"
-    assert cache.get_or_compile(mapping, "tgd", exec_mode="codegen") is codegen
+    optimized = cache.get_or_compile(mapping, "tgd", optimize=True)
+    naive = cache.get_or_compile(mapping, "tgd", optimize=False)
+    assert optimized is not naive
+    assert optimized.fingerprint != naive.fingerprint
+    assert optimized.tgd_plan.program is not None
+    assert naive.tgd_plan.program is None
+    assert cache.get_or_compile(mapping, "tgd", optimize=True) is optimized
 
 
 # -- explain -----------------------------------------------------------------
 
 
 def test_explain_plan_gains_codegen_section():
-    transformer = Transformer(deptstore.mapping_fig6(), exec_mode="codegen")
+    transformer = Transformer(deptstore.mapping_fig6())
     report = transformer.explain_plan(deptstore.source_instance())
     doc = report.to_dict()
     assert doc["exec_mode"] == "codegen"
     assert set(doc["codegen"]) == {"source_hash", "line_count", "compile_seconds"}
     rendered = report.render()
-    assert "exec_mode=codegen" in rendered
+    assert "(optimize=on)" in rendered
     assert "codegen:" in rendered
-    interp_doc = Transformer(deptstore.mapping_fig6(), exec_mode="interp").explain_plan(
+    naive_doc = Transformer(deptstore.mapping_fig6(), optimize=False).explain_plan(
         deptstore.source_instance()
     ).to_dict()
-    assert interp_doc["exec_mode"] == "interp"
-    assert "codegen" not in interp_doc
-    # Counters agree between the modes, section aside.
-    assert [lvl["counters"] for lvl in doc["levels"]] == [
-        lvl["counters"] for lvl in interp_doc["levels"]
+    assert naive_doc["exec_mode"] == "interp"
+    assert "codegen" not in naive_doc
+    # The naive path shows the same plan, without counters.
+    assert [lvl["label"] for lvl in doc["levels"]] == [
+        lvl["label"] for lvl in naive_doc["levels"]
     ]
+    assert all(
+        value == 0
+        for lvl in naive_doc["levels"]
+        for value in lvl["counters"].values()
+    )

@@ -350,6 +350,79 @@ class TestAlgebraLegs:
         report = run_fuzz(seed=11, count=18, axes=["composition"])
         assert report.status == "divergent"
         assert any(
-            d.exec_mode == "compose" and d.kind == "bytes"
+            d.oracle == "compose" and d.kind == "bytes"
             for d in report.divergences
         )
+
+
+class TestOracleRegistry:
+    """``Combo.oracle`` names an entry of ``ORACLES``; kits written
+    before the field existed still replay."""
+
+    def test_registry_names_every_leg(self):
+        from repro.fuzz import ORACLES
+
+        assert list(ORACLES) == ["engine", "incremental", "compose", "round-trip"]
+        assert ORACLES["engine"].param is None
+        assert ORACLES["incremental"].param == "edits"
+
+    @pytest.mark.parametrize(
+        "legacy, oracle",
+        [("interp", "engine"), ("codegen", "engine"), (None, "engine"),
+         ("incremental", "incremental")],
+    )
+    def test_legacy_exec_mode_kits_replay(self, tmp_path, legacy, oracle):
+        from repro.fuzz.farm import Combo
+        from repro.fuzz.report import FuzzReport
+        from repro.generation.corpus import generate_corpus
+
+        farm = FuzzFarm(dead_letter_dir=tmp_path)
+        axis = "delta" if oracle == "incremental" else "deep-cpt"
+        case = next(iter(generate_corpus(11, 1, axes=(axis,))))
+        report = FuzzReport(
+            seed=11, count=1, axes=(axis,), engines=("tgd",),
+            optimize_modes=(True, False), workers=(1,),
+        )
+        combo = (
+            Combo("tgd", True, 1, "incremental")
+            if oracle == "incremental" else Combo("tgd", False, 1)
+        )
+        reference = farm.cache.get_or_compile(case.mapping, "tgd")
+        farm._record(
+            case, combo, report, kind="bytes", detail=("fabricated",),
+            expected=reference(case.instance),
+        )
+        kit = tmp_path / report.divergences[0].dead_letter
+        manifest = json.loads((kit / "case.json").read_text(encoding="utf-8"))
+        assert manifest["combo"]["oracle"] == oracle
+        del manifest["combo"]["oracle"]
+        if legacy is not None:
+            manifest["combo"]["exec_mode"] = legacy
+        (kit / "case.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert (kit / "generated.py").read_text().startswith("# clip-codegen")
+        result = farm.replay(kit)
+        assert result.combo.oracle == oracle
+        assert result.error is None
+        assert result.diverged is False
+
+    def test_unknown_oracle_is_refused(self, tmp_path):
+        from repro.fuzz.farm import Combo
+        from repro.fuzz.report import FuzzReport
+        from repro.generation.corpus import generate_corpus
+
+        farm = FuzzFarm(dead_letter_dir=tmp_path)
+        case = next(iter(generate_corpus(11, 1)))
+        report = FuzzReport(
+            seed=11, count=1, axes=(case.axis,), engines=("tgd",),
+            optimize_modes=(True,), workers=(1,),
+        )
+        farm._record(
+            case, Combo("tgd", False, 1), report, kind="bytes",
+            detail=("fabricated",), expected=case.instance,
+        )
+        kit = tmp_path / report.divergences[0].dead_letter
+        manifest = json.loads((kit / "case.json").read_text(encoding="utf-8"))
+        manifest["combo"]["oracle"] = "telepathy"
+        (kit / "case.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(FuzzError, match="unknown oracle"):
+            farm.replay(kit)

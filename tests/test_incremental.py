@@ -350,7 +350,82 @@ class TestPlanMemo:
         assert len(memo) == 3
 
     def test_clear_empties_entries_and_pins(self):
+        import weakref
+
+        class Binding:
+            pass
+
         memo = self._memo()
-        memo.pin(object())
+        binding = Binding()
+        memo.put(("seq", id(binding)), [], {self.CHAINS["seq"]}, binding)
+        pinned = weakref.ref(binding)
+        del binding
+        assert pinned() is not None  # the entry keeps its binding alive
         memo.clear()
         assert len(memo) == 0
+        assert pinned() is None
+
+    def test_invalidation_releases_the_pinned_binding(self):
+        import weakref
+
+        class Binding:
+            pass
+
+        memo = PlanMemo()
+        binding = Binding()
+        memo.put(("seq", id(binding)), [], {self.CHAINS["seq"]}, binding)
+        pinned = weakref.ref(binding)
+        del binding
+        assert memo.invalidate(set(), {self.CHAINS["seq"]}) == 1
+        assert pinned() is None
+
+
+class TestSharedMemo:
+    """The session's :class:`PlanMemo` is what the generated code reads:
+    document-scoped entries outlive the engine that built them."""
+
+    def test_second_scoped_run_rebuilds_no_employee_join_table(
+        self, monkeypatch
+    ):
+        from repro.executor.engine import TgdPlan
+        from repro.executor.planner import PlanStats
+
+        plan = _plan("fig7")
+        session = IncrementalSession(plan)
+        # Count what the session's engines do (they carry no plan
+        # counters of their own).
+        session_stats = PlanStats(plan.planned)
+        engine_for = TgdPlan.engine_for
+
+        def counted(self, source, *, stats=None, memo=None):
+            if memo is not None:  # an engine over the session's document
+                stats = session_stats
+            return engine_for(self, source, stats=stats, memo=memo)
+
+        monkeypatch.setattr(TgdPlan, "engine_for", counted)
+        doc = _instance()
+        session.transform(doc)
+        first = doc.copy()
+        _edit_pname(first, "first rename")
+        _, report = session.transform(first)
+        assert report.mode == "scoped"
+        memo = session._memo
+        tables = {
+            key: value for key, value in memo.values.items()
+            if isinstance(value, dict)
+        }
+        # The membership table over source.dept and the employee
+        # equality table over d2.regEmp, both in the session memo.
+        assert len(tables) >= 2
+        second = first.copy()
+        _edit_pname(second, "second rename")
+        before = session_stats.snapshot()
+        got, report = session.transform(second)
+        assert report.mode == "scoped"
+        assert to_xml(got) == to_xml(plan.run(second))
+        employee_level = session_stats.diff(before)[1]
+        assert employee_level.invocations > 0
+        assert employee_level.join_builds == 0
+        assert employee_level.join_probes > 0
+        for key, table in tables.items():
+            assert memo.get(key) is table

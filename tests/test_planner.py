@@ -30,7 +30,6 @@ from repro.executor.planner import (
     PlanCounters,
     plan_level,
     plan_tgd,
-    resolve_optimize,
 )
 from repro.scenarios import deptstore
 from repro.scenarios.workload import DeptstoreSpec, make_deptstore_instance
@@ -45,7 +44,12 @@ def workload():
     )
 
 
-# -- resolve_optimize / environment toggle -----------------------------------
+# -- optimize resolution / environment toggle --------------------------------
+
+
+def resolve_optimize(flag):
+    """How ``prepare`` resolves its ``optimize`` keyword."""
+    return prepare(compile_clip(deptstore.mapping_fig3()), optimize=flag).optimize
 
 
 class TestResolveOptimize:
@@ -64,10 +68,16 @@ class TestResolveOptimize:
         monkeypatch.setenv(OPTIMIZE_ENV, value)
         assert resolve_optimize(None) is False
 
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "anything"])
+    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
     def test_other_environment_values_enable(self, monkeypatch, value):
         monkeypatch.setenv(OPTIMIZE_ENV, value)
         assert resolve_optimize(None) is True
+
+    @pytest.mark.parametrize("value", ["anything", "2", "enable"])
+    def test_unrecognized_environment_values_raise(self, monkeypatch, value):
+        monkeypatch.setenv(OPTIMIZE_ENV, value)
+        with pytest.raises(ValueError, match=OPTIMIZE_ENV):
+            resolve_optimize(None)
 
     def test_environment_default_reaches_prepare(self, monkeypatch):
         tgd = compile_clip(deptstore.mapping_fig6())

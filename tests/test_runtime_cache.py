@@ -346,7 +346,10 @@ class TestCanonicalizedKeys:
         assert canonical_fingerprint(one) == canonical_fingerprint(other)
 
     def test_environment_flag_resolution(self, monkeypatch):
-        from repro.runtime.cache import CANONICALIZE_ENV, resolve_canonicalize
+        from repro.runtime.cache import CANONICALIZE_ENV
+
+        def resolve_canonicalize(flag=None):
+            return PlanCache(canonicalize=flag).canonicalize
 
         monkeypatch.delenv(CANONICALIZE_ENV, raising=False)
         assert resolve_canonicalize() is False
@@ -358,5 +361,5 @@ class TestCanonicalizedKeys:
         monkeypatch.setenv(CANONICALIZE_ENV, "off")
         assert resolve_canonicalize() is False
         monkeypatch.setenv(CANONICALIZE_ENV, "sideways")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=CANONICALIZE_ENV):
             resolve_canonicalize()

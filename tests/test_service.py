@@ -134,16 +134,16 @@ class TestRegistration:
         assert "clip_service_plan_cache_hits_total 1" in text
         assert "clip_service_plan_cache_misses_total 1" in text
 
-    def test_distinct_exec_modes_register_distinct_fingerprints(
-        self, service, mapping
-    ):
-        interp = register(service, mapping)
-        codegen = register(service, mapping, "?exec_mode=codegen")
-        assert interp != codegen
+    def test_legacy_exec_mode_parameter_is_ignored(self, service, mapping):
+        """``?exec_mode=`` named a second optimized backend that no
+        longer exists: like any unknown parameter it changes nothing,
+        and the entry reports what runs."""
+        fp = register(service, mapping)
+        for value in ("interp", "codegen", "jit"):
+            assert register(service, mapping, f"?exec_mode={value}") == fp
         listing = json.loads(service.dispatch("GET", "/mappings").body)
-        assert {entry["fingerprint"] for entry in listing["mappings"]} == {
-            interp, codegen,
-        }
+        assert [entry["fingerprint"] for entry in listing["mappings"]] == [fp]
+        assert listing["mappings"][0]["exec_mode"] == "codegen"
 
     def test_invalid_mapping_is_refused_with_422(self, service):
         response = service.dispatch(
@@ -189,16 +189,17 @@ class TestTransformByteIdentity:
     }
 
     @pytest.mark.parametrize("figure", sorted(FIGURES))
-    @pytest.mark.parametrize("exec_mode", ["interp", "codegen"])
+    @pytest.mark.parametrize("legacy_exec_mode", ["interp", "codegen"])
     def test_transform_matches_cli_run_output(
-        self, tmp_path, source_xml, figure, exec_mode
+        self, tmp_path, source_xml, figure, legacy_exec_mode
     ):
+        """Clients that still send the retired ``?exec_mode=`` get the
+        CLI's bytes from the one optimized backend."""
         mapping = self.FIGURES[figure]()
-        expected = cli_run_output(
-            tmp_path, mapping, source_xml, "--exec-mode", exec_mode
-        )
+        expected = cli_run_output(tmp_path, mapping, source_xml)
         service = make_service()
-        fp = register(service, mapping, f"?exec_mode={exec_mode}")
+        fp = register(service, mapping, f"?exec_mode={legacy_exec_mode}")
+        assert fp == register(service, mapping)
         response = service.dispatch(
             "POST", f"/transform?mapping={fp}", {}, source_xml.encode()
         )

@@ -110,8 +110,9 @@ def _chain(depth: int) -> str:
 
 
 class TestHostileDepth:
-    """Parse and serialize walk the tree with explicit stacks, so a deep
-    document is bounded by memory, not by the recursion limit."""
+    """Parse, serialize, copy, canonical ordering, iteration and
+    equality walk the tree with explicit stacks, so a deep document is
+    bounded by memory, not by the recursion limit."""
 
     def test_deep_chain_round_trips(self):
         text = _chain(20000)
@@ -124,6 +125,48 @@ class TestHostileDepth:
         lines = to_xml(tree).split("\n")
         assert len(lines) == 2 * 3000 - 1
         assert lines[2999] == "  " * 2999 + "<a>v</a>"
+
+    def test_deep_chain_copy_iter_and_equality(self):
+        tree = parse_xml(_chain(20000))
+        assert sum(1 for _ in tree.iter()) == 20000
+        clone = tree.copy()
+        assert clone is not tree
+        assert clone == tree
+        assert hash(clone) == hash(tree)
+        leaf = list(clone.iter())[-1]
+        leaf.set_text("w")
+        assert clone != tree
+
+    def test_deep_chain_canonical(self):
+        tree = parse_xml(_chain(20000))
+        canonical = tree.canonical()
+        assert canonical == tree
+        assert to_xml(canonical, indent=None) == _chain(20000)
+
+    def test_deep_branching_tree_canonical_sorts_siblings(self):
+        deep = _chain(5000)
+        text = f"<r><z>1</z>{deep}<b>2</b></r>"
+        canonical = parse_xml(text).canonical()
+        assert [child.tag for child in canonical] == ["a", "b", "z"]
+        assert canonical.copy() == canonical
+
+
+class TestAttributeCollisions:
+    """Namespace stripping must not silently merge attributes."""
+
+    def test_prefixed_attributes_with_one_local_name_are_refused(self):
+        text = '<e xmlns:a="urn:a" xmlns:b="urn:b" a:x="1" b:x="2"/>'
+        with pytest.raises(XmlParseError, match="local name 'x'"):
+            parse_xml(text)
+
+    def test_prefixed_and_plain_attribute_collide(self):
+        text = '<e xmlns:a="urn:a"><f a:x="1" x="2"/></e>'
+        with pytest.raises(XmlParseError, match="<f>"):
+            parse_xml(text)
+
+    def test_distinct_local_names_still_parse(self):
+        text = '<e xmlns:a="urn:a" xmlns:b="urn:b" a:x="1" b:y="2"/>'
+        assert parse_xml(text).attributes == {"x": "1", "y": "2"}
 
 
 # -- round-trip property ----------------------------------------------------
