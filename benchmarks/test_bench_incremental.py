@@ -15,7 +15,9 @@ base — so the stateful arms replay the same chain every round:
   delta (the edit-script contract, matching the stateless
   :func:`transform_delta` signature where the delta is an input);
 * ``stateless``  — :func:`transform_delta` per step, carrying the
-  previous source and target explicitly instead of session state.
+  previous source and target explicitly instead of session state; each
+  call seeds a one-shot session with copies of both and applies the
+  delta, so it runs the session's scoped path plus two copies.
 
 ``incremental-fallback`` measures the policy escape hatch: a delta
 over the ratio threshold falls back to a full recompute, so its cost
@@ -215,7 +217,9 @@ def test_bench_incremental_fig5(benchmark, workloads, size, arm):
 @pytest.mark.benchmark(group="incremental-stateless")
 def test_bench_incremental_stateless_fig7_l(benchmark, workloads):
     """The stateless contract at fig7 L: previous source, previous
-    target and the delta are all inputs; no session state is carried."""
+    target and the delta are all inputs; no session state is carried
+    between calls (each call copies both trees into a one-shot
+    session)."""
     plan, base, docs, deltas = workloads[("fig7", "L")]
     chain = []
     prev = base

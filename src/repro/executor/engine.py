@@ -267,6 +267,12 @@ class _Engine:
         # Strong refs keeping the id()-keyed bindings above alive (a
         # recycled id would alias a stale cache entry).
         self._identity_pins: list = []
+        # Every level's target split, id(mapping) → (prefix, suffix).
+        self._splits = {
+            id(level): self._split_targets(level.target_gens)
+            for root in tgd.roots
+            for level in root.walk()
+        }
 
     def run(self) -> XmlElement:
         for mapping in self.ordered:
@@ -407,7 +413,6 @@ class _Engine:
         self,
         generators: tuple[TargetGenerator, ...],
         target_env: Env,
-        *,
         group_key: Optional[tuple] = None,
     ) -> list[Env]:
         """Bind the target generators, creating elements as needed.
@@ -524,15 +529,33 @@ class _Engine:
             return
         if not mapping.source_gens:
             envs = [dict(env)]  # one empty iteration (document scope)
-        prefix, suffix = self._split_targets(mapping.target_gens)
-        base_envs = self._materialize_targets(prefix, target_env)
+        base_envs = self._materialize_targets(
+            self._splits[id(mapping)][0], target_env
+        )
         for iteration_env in envs:
             for base_env in base_envs:
-                for iter_target_env in self._materialize_targets(suffix, base_env):
-                    for assignment in mapping.assignments:
-                        self._apply_assignment(assignment, iteration_env, iter_target_env)
-                    for sub in mapping.submappings:
-                        self._run_mapping(sub, iteration_env, iter_target_env)
+                self.unit(mapping, iteration_env, base_env)
+
+    def unit(
+        self,
+        mapping: TgdMapping,
+        env: Env,
+        base_env: Env,
+        group_key: Optional[tuple] = None,
+    ) -> None:
+        """Build one unit of construction: the level's quantified target
+        elements under ``base_env`` (the already-materialized wrapper
+        prefix), their assignments, and every nested level — the
+        ``return`` clause of one FLWOR iteration (Section VI).  ``env``
+        is one source environment, or a group's (:meth:`group_env`)
+        with its ``group_key``."""
+        for target_env in self._materialize_targets(
+            self._splits[id(mapping)][1], base_env, group_key
+        ):
+            for assignment in mapping.assignments:
+                self._apply_assignment(assignment, env, target_env)
+            for sub in mapping.submappings:
+                self._run_mapping(sub, env, target_env)
 
     def _group_key(self, mapping: TgdMapping, skolem_app, env: Env) -> tuple:
         """The grouping key of one environment — a hook so the
@@ -541,35 +564,37 @@ class _Engine:
             tuple(self._eval_atoms(attr, env)) for attr in skolem_app.attrs
         )
 
+    @staticmethod
+    def group_env(mapping: TgdMapping, members: list[Env]) -> Env:
+        """The environment of one group: its first member's, with each
+        variable the level introduces rebound to the identity-distinct
+        members' bindings, in document order."""
+        group: Env = dict(members[0])
+        for gen in mapping.source_gens:
+            distinct: list[XmlElement] = []
+            seen: set[int] = set()
+            for member in members:
+                binding = member[gen.var]
+                if isinstance(binding, XmlElement) and id(binding) not in seen:
+                    seen.add(id(binding))
+                    distinct.append(binding)
+            group[gen.var] = GroupBinding(distinct)
+        return group
+
     def _run_grouped(
         self, mapping: TgdMapping, envs: list[Env], target_env: Env
     ) -> None:
         _, skolem_app = mapping.skolem
-        introduced = [gen.var for gen in mapping.source_gens]
         grouped: dict[tuple, list[Env]] = {}
         for iteration_env in envs:
             key = self._group_key(mapping, skolem_app, iteration_env)
             grouped.setdefault(key, []).append(iteration_env)
-        prefix, suffix = self._split_targets(mapping.target_gens)
-        base_envs = self._materialize_targets(prefix, target_env)
+        base_envs = self._materialize_targets(
+            self._splits[id(mapping)][0], target_env
+        )
         for key, members in grouped.items():
-            group_env: Env = dict(members[0])
-            for var in introduced:
-                distinct: list[XmlElement] = []
-                seen: set[int] = set()
-                for member in members:
-                    binding = member[var]
-                    if isinstance(binding, XmlElement) and id(binding) not in seen:
-                        seen.add(id(binding))
-                        distinct.append(binding)
-                group_env[var] = GroupBinding(distinct)
+            group = self.group_env(mapping, members)
             # One group element per distinct key *per parent context* —
             # several parents only under distribution (Figure 4 variant).
             for base_env in base_envs:
-                (iter_target_env,) = self._materialize_targets(
-                    suffix, base_env, group_key=key
-                )
-                for assignment in mapping.assignments:
-                    self._apply_assignment(assignment, group_env, iter_target_env)
-                for sub in mapping.submappings:
-                    self._run_mapping(sub, group_env, iter_target_env)
+                self.unit(mapping, group, base_env, key)

@@ -368,6 +368,30 @@ def _term_exprs(term) -> list[TgdExpr]:
     return [term]
 
 
+def level_reads(mapping: TgdMapping):
+    """One level's non-generator source reads, in one enumeration:
+    ``(expr, atomic, member)`` for every condition operand, grouping
+    attribute and assignment value expression.  ``atomic`` marks reads
+    consumed as atoms, which also read the text below an element chain
+    (:func:`value_read_chains`); membership operands are identity /
+    node-set reads, and ``member`` is set on a membership condition's
+    collection (the read is then a per-member containment test)."""
+    for condition in mapping.where:
+        if isinstance(condition, Membership):
+            yield condition.member, False, None
+            yield condition.collection, False, condition.member
+        elif isinstance(condition, TgdComparison):
+            for operand in (condition.left, condition.right):
+                if not isinstance(operand, Constant):
+                    yield operand, True, None
+    if mapping.skolem is not None:
+        for attr in mapping.skolem[1].attrs:
+            yield attr, True, None
+    for assignment in mapping.assignments:
+        for expr in _term_exprs(assignment.value):
+            yield expr, True, None
+
+
 def _collect_level_reads(
     mapping: TgdMapping, var_chains: _VarChains
 ) -> tuple[frozenset[tuple[str, ...]], bool]:
@@ -396,10 +420,15 @@ def _collect_level_reads(
         resolved = False
         return None
 
-    def add(expr: TgdExpr, *, atomic: bool = False) -> None:
+    for gen in mapping.source_gens:
+        gen_chains = expr_chains(gen.expr)
+        if gen_chains is not None:
+            chains.update(gen_chains)
+        var_chains[gen.var] = gen_chains
+    for expr, atomic, _member in level_reads(mapping):
         found = expr_chains(expr)
         if found is None:
-            return
+            continue
         chains.update(found)
         if atomic:
             # Atomic consumption reads the *text* of element operands,
@@ -407,29 +436,6 @@ def _collect_level_reads(
             # deeper than the chain spells out.
             for chain in found:
                 chains.update(value_read_chains(chain))
-
-    for gen in mapping.source_gens:
-        gen_chains = expr_chains(gen.expr)
-        if gen_chains is not None:
-            chains.update(gen_chains)
-        var_chains[gen.var] = gen_chains
-    for condition in mapping.where:
-        if isinstance(condition, Membership):
-            # Identity/node-set reads: the member and collection chains
-            # themselves, no implicit text read.
-            for operand in (condition.member, condition.collection):
-                if not isinstance(operand, Constant):
-                    add(operand)
-        elif isinstance(condition, TgdComparison):
-            for operand in (condition.left, condition.right):
-                if not isinstance(operand, Constant):
-                    add(operand, atomic=True)
-    if mapping.skolem is not None:
-        for attr in mapping.skolem[1].attrs:
-            add(attr, atomic=True)
-    for assignment in mapping.assignments:
-        for expr in _term_exprs(assignment.value):
-            add(expr, atomic=True)
     return frozenset(chains), resolved
 
 

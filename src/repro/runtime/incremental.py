@@ -2,26 +2,31 @@
 
 Mapping services re-transform documents a user just edited; re-running
 the full plan discards everything the previous run already computed.
-:func:`transform_delta` is the view-maintenance entry point: given a
-compiled plan, the previous source/target pair, and a machine
-:class:`~repro.xml.diff.Delta`, it produces the new target by reusing
-the previous one wherever the delta provably cannot reach.
+:class:`IncrementalSession` maintains one source document and its
+target across a chain of edits and re-executes only what each delta
+can reach; :func:`transform_delta` is its one-shot form, seeding a
+session with copies of a previous source/target pair and applying one
+machine :class:`~repro.xml.diff.Delta`.  There is one scoped
+implementation and one decision ladder behind both.
 
 Three outcomes, reported in the returned :class:`IncrementalReport`:
 
 ``unchanged``
     No compiled level's source read-set intersects the delta — the
-    previous target is correct as-is and is returned as a copy.
+    previous target is correct as-is.
 
 ``scoped``
     The root mapping's iteration is partitioned into *units* — one per
     top-level environment, or one per grouping key when the root level
-    carries a grouping Skolem.  Units whose source bindings lie outside
-    every changed subtree keep their previous target fragment (a deep
-    copy); dirty units re-execute through the ordinary engine machinery
-    over the new document's index tables.  Fragments are emitted in the
-    new document's enumeration order, so the result is byte-identical
-    to a full recompute.
+    carries a grouping Skolem; a unit is what the engine's
+    :meth:`~repro.executor.engine._Engine.unit` builds, one FLWOR
+    ``return`` clause.  Units whose source bindings lie outside every
+    changed subtree keep their previous target fragment; dirty units
+    re-execute through that same engine method over the edited
+    document.  Fragments are emitted in the new document's enumeration
+    order under the root level's wrapper prefix, materialized exactly
+    as a full run materializes it, so the result is byte-identical to a
+    full recompute.
 
 ``fallback``
     Full recomputation — taken when the delta ratio exceeds the
@@ -37,31 +42,32 @@ every root-level read hangs off the root generators' own bindings, so
 a unit's output depends only on its bound subtrees; and nested
 document-scoped generators are either *membership-scoped* (tied to a
 group variable by a membership condition, like ``$p2`` in Figure 7) or
-cause a fallback when the delta reaches the paths they read.
+cause a fallback when the delta reaches the paths they read.  The
+reads themselves come from the planner's per-level enumeration
+(:func:`~repro.executor.planner.level_reads`), the same one behind the
+plan's read-sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ReproError, XmlError
 from ..core.tgd import (
-    Constant,
     Membership,
     NestedTgd,
     SchemaRoot,
     SourceGenerator,
     TargetGenerator,
-    TgdComparison,
     TgdMapping,
     Var,
     expr_labels,
     expr_root,
 )
-from ..executor.engine import GroupBinding, TgdPlan, _Engine
-from ..executor.planner import PlanMemo, _term_exprs
+from ..executor.engine import TgdPlan, _Engine
+from ..executor.planner import PlanMemo, level_reads, value_read_chains
 from ..xml.diff import (
     Delta,
     DeltaRecord,
@@ -82,7 +88,8 @@ _Chain = tuple[str, ...]
 
 @dataclass
 class IncrementalReport:
-    """How one :func:`transform_delta` call produced its target."""
+    """How one :func:`transform_delta` or session call produced its
+    target."""
 
     mode: str  # "unchanged" | "scoped" | "fallback"
     reason: str = ""
@@ -188,34 +195,6 @@ class _Shape:
     #: changed node.  ``None`` when some read could not be anchored;
     #: the dirty test then falls back to ancestor marking.
     var_reads: Optional[dict[str, frozenset[_Chain]]] = None
-
-
-def _atomic_variants(chains: set[_Chain]) -> set[_Chain]:
-    out = set(chains)
-    for chain in chains:
-        if not chain or not (chain[-1] == "value" or chain[-1].startswith("@")):
-            out.add(chain + ("value",))
-    return out
-
-
-def _level_value_reads(mapping: TgdMapping):
-    """``(expr, atomic, member)`` triples for the level's non-generator
-    reads; ``member`` is set on a membership condition's collection
-    expression (the read is then a per-member containment test)."""
-    for condition in mapping.where:
-        if isinstance(condition, Membership):
-            yield condition.member, False, None
-            yield condition.collection, False, condition.member
-        elif isinstance(condition, TgdComparison):
-            for operand in (condition.left, condition.right):
-                if not isinstance(operand, Constant):
-                    yield operand, True, None
-    if mapping.skolem is not None:
-        for attr in mapping.skolem[1].attrs:
-            yield attr, True, None
-    for assignment in mapping.assignments:
-        for expr in _term_exprs(assignment.value):
-            yield expr, True, None
 
 
 def _membership_collection(
@@ -336,7 +315,8 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
             global_resolved = False
             return
         global_reads.update(
-            _atomic_variants(set(chains)) if atomic else chains
+            {v for chain in chains for v in value_read_chains(chain)}
+            if atomic else chains
         )
 
     def classify(
@@ -359,10 +339,9 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
                 var_resolved = False
                 return
             root_var, rel = anchor
-            chains = {rel + labels}
-            if atomic:
-                chains = _atomic_variants(chains)
-            var_reads.setdefault(root_var, set()).update(chains)
+            var_reads.setdefault(root_var, set()).update(
+                value_read_chains(rel + labels) if atomic else {rel + labels}
+            )
 
         for gen in mapping.source_gens:
             gen_root = expr_root(gen.expr)
@@ -425,7 +404,7 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
             else:
                 unsupported = f"unsupported generator base {gen.expr!r}"
                 return
-        for expr, atomic, member in _level_value_reads(mapping):
+        for expr, atomic, member in level_reads(mapping):
             expr_base = expr_root(expr)
             if isinstance(expr_base, Var) and expr_base.name in local:
                 add_var_read(
@@ -480,25 +459,6 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
 # -- dirty-region and unit bookkeeping --------------------------------------
 
 
-def _dirty_ids(prev_source: XmlElement, delta: Delta) -> set[int]:
-    """Identities of previous-source elements a record can affect: the
-    addressed element and its ancestors always; its whole subtree for
-    structural removals/replacements (descendant bindings vanish)."""
-    dirty: set[int] = set()
-    for record in delta.records:
-        target = resolve_steps(prev_source, record.steps)
-        if record.op in ("remove", "replace"):
-            for node in target.iter():
-                dirty.add(id(node))
-        else:
-            dirty.add(id(target))
-        node = target.parent
-        while node is not None:
-            dirty.add(id(node))
-            node = node.parent
-    return dirty
-
-
 class _DirtyIndex:
     """Decides whether a root environment's unit can observe the delta.
 
@@ -512,10 +472,11 @@ class _DirtyIndex:
     group — leaves the unit clean, where plain ancestor marking would
     recompute every group touching that department.
 
-    Without resolved reads it degrades to the conservative ancestor
-    rule of :func:`_dirty_ids`.  ``hot`` holds every binding identity
-    either rule can flag, so an environment none of whose bindings is
-    hot is clean without running the test.
+    ``hot`` holds every binding identity either test can flag — the
+    removed/replaced subtrees plus each addressed node and its
+    ancestors — so an environment none of whose bindings is hot is
+    clean without running the test.  Without resolved reads the test
+    degrades to exactly that conservative ancestor rule.
     """
 
     __slots__ = ("ids", "records", "var_reads", "hot")
@@ -527,13 +488,9 @@ class _DirtyIndex:
         var_reads: Optional[dict[str, frozenset[_Chain]]],
     ):
         self.var_reads = var_reads
-        if var_reads is None:
-            self.ids = self.hot = _dirty_ids(prev_source, delta)
-            self.records: Optional[list] = None
-            return
-        self.ids = set()
-        self.hot = set()
-        self.records = []
+        self.ids: set[int] = set()
+        self.hot: set[int] = set()
+        self.records: list = []
         for record in delta.records:
             target = resolve_steps(prev_source, record.steps)
             if record.op in ("remove", "replace"):
@@ -555,8 +512,8 @@ class _DirtyIndex:
         self.hot.update(self.ids)
 
     def env_dirty(self, env, gens) -> bool:
-        if self.records is None:
-            return any(id(env[gen.var]) in self.ids for gen in gens)
+        if self.var_reads is None:
+            return any(id(env[gen.var]) in self.hot for gen in gens)
         for gen in gens:
             binding = env[gen.var]
             ident = id(binding)
@@ -627,24 +584,7 @@ def _group_positions(keys: list[tuple]) -> dict[tuple, list[int]]:
     return groups
 
 
-def _group_members(gens, members: list[dict]) -> dict:
-    """The grouped environment ``_run_grouped`` builds for one key:
-    the first member, with each introduced variable rebound to the
-    identity-distinct members in document order."""
-    group_env = dict(members[0])
-    for gen in gens:
-        distinct: list[XmlElement] = []
-        seen: set[int] = set()
-        for member in members:
-            binding = member[gen.var]
-            if isinstance(binding, XmlElement) and id(binding) not in seen:
-                seen.add(id(binding))
-                distinct.append(binding)
-        group_env[gen.var] = GroupBinding(distinct)
-    return group_env
-
-
-# -- entry point -------------------------------------------------------------
+# -- entry points ------------------------------------------------------------
 
 
 def transform_delta(
@@ -660,210 +600,39 @@ def transform_delta(
 
     ``plan`` is a :class:`~repro.executor.engine.TgdPlan` or a
     :class:`~repro.runtime.plan.CompiledPlan`; ``delta`` must be
-    ``compute_delta(prev_source, new_source)``.  When ``new_source`` is
-    omitted it is reconstructed with :func:`apply_delta`.  The result
-    is byte-identical to ``plan.run(new_source)`` in every mode.
+    ``compute_delta(prev_source, new_source)``.  The call is one
+    :meth:`IncrementalSession.apply` on a session seeded with copies of
+    ``prev_source`` and ``prev_target``, so neither input is mutated.
+    Only a truncated delta, which cannot be applied, runs the plan over
+    ``new_source`` directly (reconstructed with :func:`apply_delta`
+    when omitted, which raises for such a delta).  The result is
+    byte-identical to ``plan.run(new_source)`` in every mode.
     """
-    tgd_plan: Optional[TgdPlan] = (
-        plan if isinstance(plan, TgdPlan) else getattr(plan, "tgd_plan", None)
-    )
-    if new_source is None:
-        new_source = apply_delta(prev_source, delta)
-
-    report = IncrementalReport(
-        mode="fallback",
-        threshold=threshold,
-        delta_records=len(delta.records),
-        changed_nodes=delta.changed_nodes,
-        delta_ratio=delta.ratio(prev_source.size()),
-    )
-
-    def fallback(reason: str) -> tuple[XmlElement, IncrementalReport]:
-        report.mode = "fallback"
-        report.reason = reason
-        return plan.run(new_source), report
-
     if delta.truncated:
-        return fallback("truncated delta")
-    if tgd_plan is None:
-        return fallback("plan has no tgd execution plan")
-    if delta.is_empty:
-        report.mode = "unchanged"
-        report.reason = "empty delta"
-        return prev_target.copy(), report
-    if report.delta_ratio > threshold:
-        return fallback(
-            f"delta ratio {report.delta_ratio:.3f} exceeds "
-            f"threshold {threshold:.3f}"
+        report = IncrementalReport(
+            mode="fallback",
+            reason="truncated delta",
+            threshold=threshold,
+            delta_records=len(delta.records),
+            changed_nodes=delta.changed_nodes,
+            delta_ratio=delta.ratio(prev_source.size()),
         )
-
-    if tgd_plan.planned is not None:
-        report.dirty_levels = tuple(
-            index
-            for index, level in enumerate(tgd_plan.planned.levels)
-            if _delta_touches(delta, level.read_paths, level.reads_resolved)
-        )
-        if not report.dirty_levels:
-            report.mode = "unchanged"
-            report.reason = "no level read-set intersects the delta"
-            return prev_target.copy(), report
-
-    shape, reason = _analyze(tgd_plan.tgd)
-    if shape is None:
-        return fallback(f"unsupported mapping shape: {reason}")
-    report.grouped = shape.grouped
-    if _delta_touches(delta, shape.global_reads, shape.global_resolved):
-        return fallback("delta intersects document-scoped reads of nested levels")
-    if prev_target.tag != tgd_plan.tgd.target_root:
-        return fallback("previous target root does not match the plan")
-
-    try:
-        return _scoped(
-            plan, tgd_plan, shape, prev_source, prev_target, delta,
-            new_source, report,
-        )
-    except ReproError as exc:
-        return fallback(f"scoped re-execution unavailable: {exc}")
-
-
-def _scoped(
-    plan,
-    tgd_plan: TgdPlan,
-    shape: _Shape,
-    prev_source: XmlElement,
-    prev_target: XmlElement,
-    delta: Delta,
-    new_source: XmlElement,
-    report: IncrementalReport,
-) -> tuple[XmlElement, IncrementalReport]:
-    root = shape.root
-    suffix = shape.suffix
-    fragment_tag = suffix[0].expr.label
-
-    try:
-        dirty = _DirtyIndex(prev_source, delta, shape.var_reads)
-    except XmlError as exc:
-        raise ReproError(f"delta does not resolve: {exc}") from exc
-
-    old_engine = tgd_plan.engine_for(prev_source)
-    new_engine = tgd_plan.engine_for(new_source)
-    old_envs = old_engine._enumerate(root, {})
-    new_envs = new_engine._enumerate(root, {})
-
-    signer = _Signer()
-    gens = root.source_gens
-    old_sigs = [signer.env_signature(gens, env) for env in old_envs]
-    old_dirty = [dirty.env_dirty(env, gens) for env in old_envs]
-    new_sigs = [signer.env_signature(gens, env) for env in new_envs]
-
-    prev_parent = prev_target
-    for gen in shape.prefix:
-        found = prev_parent.find(gen.expr.label)
-        if found is None:
-            raise ReproError("previous target lacks the root wrapper chain")
-        prev_parent = found
-    fragments = prev_parent.children
-    # The engine materializes unquantified wrappers lazily, per binding:
-    # with no bindings a full run leaves the target root empty, so only
-    # materialize the chain when at least one unit will be emitted.
-    if shape.prefix and new_envs:
-        (base_env,) = new_engine._materialize_targets(shape.prefix, {})
-        out_parent = base_env[shape.prefix[-1].var]
-    else:
-        base_env = {}
-        out_parent = new_engine.target_root
-    out = new_engine.target_root
-
-    if not shape.grouped:
-        if [c.tag for c in fragments] != [fragment_tag] * len(old_envs):
-            raise ReproError("previous target does not align with plan output")
-        # Signature matching is sound because compute_delta's insert
-        # records always land at per-tag occurrences beyond the paired
-        # ones: an inserted element's address can never collide with a
-        # surviving old element's, and mid-sequence shifts surface as
-        # mutations that mark the shifted elements dirty.
-        clean: dict[tuple, int] = {
-            sig: index
-            for index, sig in enumerate(old_sigs)
-            if not old_dirty[index]
-        }
-        report.total_units = len(new_envs)
-        for env, sig in zip(new_envs, new_sigs):
-            match = clean.get(sig)
-            if match is not None:
-                out_parent.append(fragments[match].copy())
-                report.reused_units += 1
-                continue
-            report.recomputed_units += 1
-            (iter_env,) = new_engine._materialize_targets(suffix, base_env)
-            for assignment in root.assignments:
-                new_engine._apply_assignment(assignment, env, iter_env)
-            for sub in root.submappings:
-                new_engine._run_mapping(sub, env, iter_env)
-        report.mode = "scoped"
-        report.reason = "per-binding fragments spliced"
-        return out, report
-
-    # Grouped root level: the unit is one grouping key.
-    _, skolem_app = root.skolem
-    old_groups: dict[tuple, list[int]] = {}
-    for index, env in enumerate(old_envs):
-        key = old_engine._group_key(root, skolem_app, env)
-        old_groups.setdefault(key, []).append(index)
-    if [c.tag for c in fragments] != [fragment_tag] * len(old_groups):
-        raise ReproError("previous target does not align with plan output")
-    old_fragment_of = {
-        key: fragments[position]
-        for position, key in enumerate(old_groups)
-    }
-    new_groups: dict[tuple, list[dict]] = {}
-    new_group_sigs: dict[tuple, list[tuple]] = {}
-    for env, sig in zip(new_envs, new_sigs):
-        key = new_engine._group_key(root, skolem_app, env)
-        new_groups.setdefault(key, []).append(env)
-        new_group_sigs.setdefault(key, []).append(sig)
-
-    # A group is reusable when its member set is structurally identical
-    # (same signatures, in order) and no old member's unit observes the
-    # delta: every difference between the documents is a delta record,
-    # so equal-signature clean members are bytewise-equivalent inputs.
-    report.total_units = len(new_groups)
-    for key, members in new_groups.items():
-        old_members = old_groups.get(key)
-        untouched = (
-            old_members is not None
-            and not any(old_dirty[i] for i in old_members)
-            and [old_sigs[i] for i in old_members] == new_group_sigs[key]
-        )
-        if untouched:
-            out_parent.append(old_fragment_of[key].copy())
-            report.reused_units += 1
-            continue
-        report.recomputed_units += 1
-        group_env = _group_members(gens, members)
-        (iter_env,) = new_engine._materialize_targets(
-            suffix, base_env, group_key=key
-        )
-        for assignment in root.assignments:
-            new_engine._apply_assignment(assignment, group_env, iter_env)
-        for sub in root.submappings:
-            new_engine._run_mapping(sub, group_env, iter_env)
-    report.mode = "scoped"
-    report.reason = "per-group fragments spliced"
-    return out, report
-
-
-# -- chained incremental sessions --------------------------------------------
+        if new_source is None:
+            new_source = apply_delta(prev_source, delta)
+        return plan.run(new_source), report
+    session = IncrementalSession(plan, threshold=threshold)
+    session._adopt(prev_source.copy(), prev_target.copy())
+    return session.apply(delta)
 
 
 class IncrementalSession:
     """Stateful delta-scoped execution over a maintained document.
 
-    :func:`transform_delta` is stateless: every call re-enumerates the
-    previous document, rebuilds the plan's document-scoped join tables
-    from scratch, and deep-copies every reused fragment.  A session
-    amortizes all three across a *chain* of edits — the steady state of
-    a mapping service re-transforming a document its user keeps
+    A one-shot :func:`transform_delta` call copies the previous source
+    and target, enumerates the previous document and builds the plan's
+    document-scoped join tables from scratch.  A long-lived session
+    amortizes all of that across a *chain* of edits — the steady state
+    of a mapping service re-transforming a document its user keeps
     editing:
 
     * the source tree is **maintained in place**: each delta is applied
@@ -884,8 +653,7 @@ class IncrementalSession:
     The returned target is owned by the session: it is recycled as the
     fragment source of the next :meth:`transform` call, so callers must
     serialize (or copy) it before calling :meth:`transform` again.
-    Every mode is byte-identical to ``plan.run(new_source)``, as for
-    the stateless entry point.
+    Every mode is byte-identical to ``plan.run(new_source)``.
     """
 
     def __init__(self, plan, *, threshold: float = DEFAULT_THRESHOLD):
@@ -910,7 +678,9 @@ class IncrementalSession:
         self._source: Optional[XmlElement] = None
         self._size = 0
         self._target: Optional[XmlElement] = None
-        self._envs: list[dict] = []
+        # The old side, derived from the maintained source on demand
+        # (``None`` until the next scoped call needs it).
+        self._envs: Optional[list[dict]] = None
         self._sigs: list[tuple] = []
         self._ids: list[tuple] = []
         # Grouped shapes: key → positions in ``_envs``, in first-seen
@@ -928,7 +698,7 @@ class IncrementalSession:
         ``new_source`` is never mutated and never retained; the session
         keeps its own maintained copy."""
         report = IncrementalReport(mode="fallback", threshold=self.threshold)
-        if self._tgd_plan is None or self._shape is None:
+        if self._shape is None:
             # Unsupported shape: a permanent stateless full run.
             report.reason = f"unsupported mapping shape: {self._shape_reason}"
             return self.plan.run(new_source), report
@@ -949,51 +719,51 @@ class IncrementalSession:
         """The plan's target after applying ``delta`` to the maintained
         document.
 
-        The delta-driven twin of :meth:`transform`, matching the
-        stateless :func:`transform_delta` contract where the edit
-        script is an input: callers that know their edits (editors,
-        changelog consumers) skip the :func:`~repro.xml.diff.compute_delta`
-        tree walk entirely, which is the dominant per-call cost once
-        the delta itself is small.  Requires an established session
-        (a prior :meth:`transform` call) and a non-truncated delta;
-        raises :class:`ReproError` otherwise.  Ownership of the
-        returned target is the same as for :meth:`transform`.
+        The delta-driven twin of :meth:`transform`, and the one decision
+        ladder behind :func:`transform_delta`: callers that know their
+        edits (editors, changelog consumers) skip the
+        :func:`~repro.xml.diff.compute_delta` tree walk entirely, which
+        is the dominant per-call cost once the delta itself is small.
+        Requires an established session (a prior :meth:`transform`
+        call) and a non-truncated delta; raises :class:`ReproError`
+        otherwise.  Ownership of the returned target is the same as for
+        :meth:`transform`.
         """
-        if self._tgd_plan is None or self._shape is None:
-            raise ReproError(
-                f"unsupported mapping shape: {self._shape_reason}"
-            )
         if self._source is None or self._target is None:
             raise ReproError(
-                "session has no base document; call transform() first"
+                f"unsupported mapping shape: {self._shape_reason}"
+                if self._shape is None
+                else "session has no base document; call transform() first"
             )
         if delta.truncated:
             raise ReproError("cannot apply a truncated delta")
-        report = IncrementalReport(mode="fallback", threshold=self.threshold)
-        report.grouped = self._shape.grouped
-        report.delta_records = len(delta.records)
-        report.changed_nodes = delta.changed_nodes
-        report.delta_ratio = delta.ratio(self._size)
+        shape, tgd_plan = self._shape, self._tgd_plan
+        report = IncrementalReport(
+            mode="fallback",
+            threshold=self.threshold,
+            grouped=shape is not None and shape.grouped,
+            delta_records=len(delta.records),
+            changed_nodes=delta.changed_nodes,
+            delta_ratio=delta.ratio(self._size),
+        )
+        self._applied = False
+        if tgd_plan is None:
+            return self._fallback(delta, report, "plan has no tgd execution plan")
         if delta.is_empty:
             report.mode = "unchanged"
             report.reason = "empty delta"
             return self._target, report
         if report.delta_ratio > self.threshold:
-            self._apply(delta)
-            return self._full(
-                self._source,
+            return self._fallback(
+                delta,
                 report,
-                reason=(
-                    f"delta ratio {report.delta_ratio:.3f} exceeds "
-                    f"threshold {self.threshold:.3f}"
-                ),
-                own=True,
+                f"delta ratio {report.delta_ratio:.3f} exceeds "
+                f"threshold {self.threshold:.3f}",
             )
-        planned = self._tgd_plan.planned
-        if planned is not None:
+        if tgd_plan.planned is not None:
             report.dirty_levels = tuple(
                 index
-                for index, level in enumerate(planned.levels)
+                for index, level in enumerate(tgd_plan.planned.levels)
                 if _delta_touches(delta, level.read_paths, level.reads_resolved)
             )
             if not report.dirty_levels:
@@ -1004,29 +774,46 @@ class IncrementalSession:
                 report.mode = "unchanged"
                 report.reason = "no level read-set intersects the delta"
                 return self._target, report
-        if _delta_touches(
-            delta, self._shape.global_reads, self._shape.global_resolved
-        ):
-            self._apply(delta)
-            return self._full(
-                self._source,
-                report,
-                reason="delta intersects document-scoped reads of nested levels",
-                own=True,
+        if shape is None:
+            return self._fallback(
+                delta, report, f"unsupported mapping shape: {self._shape_reason}"
             )
-        touched = delta.tag_paths()
-        self._applied = False
+        if _delta_touches(delta, shape.global_reads, shape.global_resolved):
+            return self._fallback(
+                delta,
+                report,
+                "delta intersects document-scoped reads of nested levels",
+            )
+        if self._target.tag != tgd_plan.tgd.target_root:
+            return self._fallback(
+                delta, report, "previous target root does not match the plan"
+            )
         try:
-            return self._scoped(delta, touched, report)
+            return self._scoped(delta, report)
         except ReproError as exc:
-            reason = f"scoped re-execution unavailable: {exc}"
-            if not self._applied:
-                self._apply(delta)
-            # The maintained tree already matches the edited document
-            # bytewise; recompute over it so state stays aligned.
-            return self._full(self._source, report, reason=reason, own=True)
+            return self._fallback(
+                delta, report, f"scoped re-execution unavailable: {exc}"
+            )
 
     # -- internals ------------------------------------------------------
+
+    def _adopt(self, source: XmlElement, target: XmlElement) -> None:
+        """Take ``source``/``target`` as the maintained pair; the old
+        side is re-derived from them when next needed."""
+        self._source = source
+        self._size = source.size()
+        self._target = target
+        self._envs = None
+
+    def _fallback(
+        self, delta: Delta, report: IncrementalReport, reason: str
+    ) -> tuple[XmlElement, IncrementalReport]:
+        """Bring the maintained tree up to ``delta`` (unless the scoped
+        path already did) and recompute over it: it matches the edited
+        document bytewise, so state stays aligned."""
+        if not self._applied:
+            self._apply(delta)
+        return self._full(self._source, report, reason=reason, own=True)
 
     def _full(
         self,
@@ -1045,15 +832,12 @@ class IncrementalSession:
             # stale.  (``own`` re-runs over the maintained tree, whose
             # entries were already invalidated per delta.)
             self._memo.clear()
-        self._source = base
-        self._size = base.size()
-        self._target = target
-        self._refresh()
+        self._adopt(base, target)
         return target, report
 
     def _refresh(self) -> None:
-        """Re-derive the cached old side (environments, signatures,
-        grouping keys) from the maintained source."""
+        """Derive the old side (environments, signatures, grouping keys)
+        from the maintained source."""
         assert self._shape is not None and self._tgd_plan is not None
         assert self._source is not None
         root = self._shape.root
@@ -1076,12 +860,21 @@ class IncrementalSession:
         """Apply a delta to the maintained tree, dropping exactly the
         caches it could have invalidated."""
         assert self._source is not None
-        touched_nodes = apply_delta_in_place(self._source, delta)
-        index = index_for(self._source)
-        for node in touched_nodes:
-            index.invalidate(node)
-        if self._memo is not None:
-            self._memo.invalidate(*delta.tag_paths_by_kind())
+        first = delta.records[0] if delta.records else None
+        if first is not None and first.op == "replace" and not first.steps:
+            # A whole-document replacement cannot be applied in place:
+            # adopt the new tree, which shares no identity with the old.
+            self._source = apply_delta(self._source, delta)
+            self._envs = None
+            if self._memo is not None:
+                self._memo.clear()
+        else:
+            touched_nodes = apply_delta_in_place(self._source, delta)
+            index = index_for(self._source)
+            for node in touched_nodes:
+                index.invalidate(node)
+            if self._memo is not None:
+                self._memo.invalidate(*delta.tag_paths_by_kind())
         if any(
             record.op not in ("mutate-attribute", "mutate-text")
             for record in delta.records
@@ -1090,15 +883,16 @@ class IncrementalSession:
         self._applied = True
 
     def _scoped(
-        self, delta: Delta, touched: set, report: IncrementalReport
+        self, delta: Delta, report: IncrementalReport
     ) -> tuple[XmlElement, IncrementalReport]:
         assert self._shape is not None and self._tgd_plan is not None
         assert self._source is not None and self._target is not None
         shape = self._shape
         root = shape.root
-        suffix = shape.suffix
-        fragment_tag = suffix[0].expr.label
+        fragment_tag = shape.suffix[0].expr.label
         gens = root.source_gens
+        if self._envs is None:
+            self._refresh()
 
         try:
             dirty = _DirtyIndex(self._source, delta, shape.var_reads)
@@ -1111,10 +905,7 @@ class IncrementalSession:
             for env, ids in zip(old_envs, self._ids)
         ]
 
-        prev_target = self._target
-        if prev_target.tag != self._tgd_plan.tgd.target_root:
-            raise ReproError("previous target root does not match the plan")
-        prev_parent = prev_target
+        prev_parent = self._target
         for gen in shape.prefix:
             found = prev_parent.find(gen.expr.label)
             if found is None:
@@ -1169,13 +960,14 @@ class IncrementalSession:
             ]
             new_groups = _group_positions(new_keys)
 
-        if shape.prefix and new_envs:
-            (base_env,) = new_engine._materialize_targets(shape.prefix, {})
-            out_parent = base_env[shape.prefix[-1].var]
-        else:
-            base_env = {}
-            out_parent = new_engine.target_root
-        out = new_engine.target_root
+        # The wrapper prefix exists once per run even when no unit is
+        # emitted, exactly as the engine's own mapping runs build it.
+        (base_env,) = new_engine._materialize_targets(shape.prefix, {})
+        out_parent = (
+            base_env[shape.prefix[-1].var]
+            if shape.prefix
+            else new_engine.target_root
+        )
 
         def take(fragment: XmlElement) -> None:
             # Move, not copy: the previous target belongs to the session
@@ -1186,6 +978,12 @@ class IncrementalSession:
             out_parent.append(fragment)
 
         if not shape.grouped:
+            # Signature matching is sound because compute_delta's insert
+            # records always land at per-tag occurrences beyond the
+            # paired ones: an inserted element's address can never
+            # collide with a surviving old element's, and mid-sequence
+            # shifts surface as mutations that mark the shifted
+            # elements dirty.
             clean: dict[tuple, int] = {
                 sig: index
                 for index, sig in enumerate(old_sigs)
@@ -1199,13 +997,14 @@ class IncrementalSession:
                     report.reused_units += 1
                     continue
                 report.recomputed_units += 1
-                (iter_env,) = new_engine._materialize_targets(suffix, base_env)
-                for assignment in root.assignments:
-                    new_engine._apply_assignment(assignment, env, iter_env)
-                for sub in root.submappings:
-                    new_engine._run_mapping(sub, env, iter_env)
+                new_engine.unit(root, env, base_env)
         else:
             assert new_groups is not None and old_groups is not None
+            # A group is reusable when its member set is structurally
+            # identical (same signatures, in order) and no old member's
+            # unit observes the delta: every difference between the
+            # documents is a delta record, so equal-signature clean
+            # members are bytewise-equivalent inputs.
             dirty_keys = set(compress(old_keys, old_dirty))
             report.total_units = len(new_groups)
             for key, positions in new_groups.items():
@@ -1221,18 +1020,12 @@ class IncrementalSession:
                     report.reused_units += 1
                     continue
                 report.recomputed_units += 1
-                group_env = _group_members(
-                    gens, [new_envs[p] for p in positions]
+                members = [new_envs[p] for p in positions]
+                new_engine.unit(
+                    root, new_engine.group_env(root, members), base_env, key
                 )
-                (iter_env,) = new_engine._materialize_targets(
-                    suffix, base_env, group_key=key
-                )
-                for assignment in root.assignments:
-                    new_engine._apply_assignment(assignment, group_env, iter_env)
-                for sub in root.submappings:
-                    new_engine._run_mapping(sub, group_env, iter_env)
 
-        self._target = out
+        self._target = new_engine.target_root
         self._envs = new_envs
         self._ids = new_ids
         self._sigs = new_sigs
@@ -1244,4 +1037,4 @@ class IncrementalSession:
             if shape.grouped
             else "per-binding fragments spliced"
         )
-        return out, report
+        return self._target, report

@@ -68,57 +68,53 @@ def diff(
     clipped one.
     """
     out = DiffResult()
-    _diff_elements(left, right, f"/{left.tag}", out, max_differences)
+    # Depth-first over an explicit stack (deep documents must not hit
+    # the recursion limit): an entry is either a pair to compare or a
+    # child-level record, pushed in reverse so records come out in
+    # document order.
+    stack: list = [(left, right, f"/{left.tag}")]
+    while stack and not out.truncated:
+        item = stack.pop()
+        if isinstance(item, Difference):
+            _push(out, max_differences, item)
+            continue
+        left, right, location = item
+        if left.tag != right.tag:
+            _push(out, max_differences,
+                  Difference("tag", location, left.tag, right.tag))
+            continue
+        for name in dict.fromkeys([*left.attributes, *right.attributes]):
+            lv, rv = left.attribute(name), right.attribute(name)
+            if lv != rv:
+                _push(out, max_differences,
+                      Difference("attribute", f"{location}/@{name}", lv, rv))
+        if left.text != right.text:
+            _push(out, max_differences, Difference(
+                "text", f"{location}/text()", left.text, right.text))
+        # Positional alignment per tag.
+        pending: list = []
+        tags = dict.fromkeys(
+            [c.tag for c in left.children] + [c.tag for c in right.children]
+        )
+        for tag in tags:
+            pairs = zip_longest(left.findall(tag), right.findall(tag))
+            for index, (lc, rc) in enumerate(pairs, start=1):
+                child_location = f"{location}/{tag}[{index}]"
+                if lc is None:
+                    pending.append(Difference("extra", child_location))
+                elif rc is None:
+                    pending.append(Difference("missing", child_location))
+                else:
+                    pending.append((lc, rc, child_location))
+        stack.extend(reversed(pending))
     return out
 
 
-def _push(out: DiffResult, limit: int, difference: Difference) -> bool:
+def _push(out: DiffResult, limit: int, difference: Difference) -> None:
     if len(out) >= limit:
         out.truncated = True
-        return False
-    out.append(difference)
-    return True
-
-
-def _diff_elements(
-    left: XmlElement,
-    right: XmlElement,
-    location: str,
-    out: DiffResult,
-    limit: int,
-) -> None:
-    if out.truncated:
-        return
-    if left.tag != right.tag:
-        _push(out, limit, Difference("tag", location, left.tag, right.tag))
-        return
-    for name in dict.fromkeys([*left.attributes, *right.attributes]):
-        lv, rv = left.attribute(name), right.attribute(name)
-        if lv != rv:
-            if not _push(out, limit, Difference("attribute", f"{location}/@{name}", lv, rv)):
-                return
-    if left.text != right.text:
-        if not _push(out, limit, Difference("text", f"{location}/text()", left.text, right.text)):
-            return
-    # Positional alignment per tag.
-    tags = list(dict.fromkeys(
-        [c.tag for c in left.children] + [c.tag for c in right.children]
-    ))
-    for tag in tags:
-        lefts = left.findall(tag)
-        rights = right.findall(tag)
-        for index, (lc, rc) in enumerate(zip_longest(lefts, rights), start=1):
-            child_location = f"{location}/{tag}[{index}]"
-            if lc is None:
-                if not _push(out, limit, Difference("extra", child_location)):
-                    return
-            elif rc is None:
-                if not _push(out, limit, Difference("missing", child_location)):
-                    return
-            else:
-                _diff_elements(lc, rc, child_location, out, limit)
-                if out.truncated:
-                    return
+    else:
+        out.append(difference)
 
 
 def render_diff(differences: list[Difference]) -> str:
@@ -275,18 +271,25 @@ def compute_delta(
     fine-grained one.
     """
     builder = _DeltaBuilder(max_records, left.tag)
-    _delta_elements(left, right, (), builder)
+    # Depth-first over an explicit stack, children pushed in reverse:
+    # records come out in left-document order, and deep documents
+    # never reach the recursion limit.
+    stack = [(left, right, ())]
+    while stack and not builder.truncated:
+        left, right, steps = stack.pop()
+        _delta_node(left, right, steps, builder, stack)
     return Delta(tuple(builder.records), truncated=builder.truncated)
 
 
-def _delta_elements(
+def _delta_node(
     left: XmlElement,
     right: XmlElement,
     steps: tuple[tuple[str, int], ...],
     builder: _DeltaBuilder,
+    stack: list,
 ) -> None:
-    if builder.truncated:
-        return
+    """Push the records of one aligned element pair, and its child
+    pairs still to compare onto ``stack`` (last child first)."""
     if left.tag != right.tag:
         builder.push_subtree(left, right, steps)
         return
@@ -313,27 +316,9 @@ def _delta_elements(
             value=right._text,
         )):
             return
-    _delta_children(left, right, steps, builder)
-
-
-def _annotate(children) -> list[tuple[XmlElement, int, int]]:
-    """Each child with its per-tag occurrence index and absolute index."""
-    occurrence: dict[str, int] = {}
-    out = []
-    for absolute, child in enumerate(children):
-        k = occurrence.get(child.tag, 0)
-        occurrence[child.tag] = k + 1
-        out.append((child, k, absolute))
-    return out
-
-
-def _delta_children(
-    left: XmlElement,
-    right: XmlElement,
-    steps: tuple[tuple[str, int], ...],
-    builder: _DeltaBuilder,
-) -> None:
     lseq, rseq = left._children, right._children
+    if not lseq and not rseq:
+        return
     same_skeleton = len(lseq) == len(rseq)
     if same_skeleton:
         for lc, rc in zip(lseq, rseq):
@@ -341,13 +326,14 @@ def _delta_children(
                 same_skeleton = False
                 break
     if same_skeleton:
+        pairs = []
         occurrence: dict[str, int] = {}
         for lc, rc in zip(lseq, rseq):
             k = occurrence.get(lc.tag, 0)
             occurrence[lc.tag] = k + 1
-            _delta_elements(lc, rc, steps + ((lc.tag, k),), builder)
-            if builder.truncated:
-                return
+            pairs.append((lc, rc, steps + ((lc.tag, k),)))
+        pairs.reverse()
+        stack.extend(pairs)
         return
     # Structural change: pair the first min(L, R) occurrences per tag
     # (the diff's alignment); left extras are removals, right extras
@@ -383,10 +369,21 @@ def _delta_children(
                 position=absolute, nodes=child.size(),
             )):
                 return
-    for (lc, lk, _), (rc, _, _) in zip(lpaired, rpaired):
-        _delta_elements(lc, rc, steps + ((lc.tag, lk),), builder)
-        if builder.truncated:
-            return
+    stack.extend(reversed([
+        (lc, rc, steps + ((lc.tag, lk),))
+        for (lc, lk, _), (rc, _, _) in zip(lpaired, rpaired)
+    ]))
+
+
+def _annotate(children) -> list[tuple[XmlElement, int, int]]:
+    """Each child with its per-tag occurrence index and absolute index."""
+    occurrence: dict[str, int] = {}
+    out = []
+    for absolute, child in enumerate(children):
+        k = occurrence.get(child.tag, 0)
+        occurrence[child.tag] = k + 1
+        out.append((child, k, absolute))
+    return out
 
 
 def resolve_steps(

@@ -296,25 +296,12 @@ class XmlElement:
             for node in self.iter()
         )
 
-    def _canonical_key(self):
-        # Children are ordered by the repr of their keys: a total order
-        # even when sibling values mix types (str vs int).
-        return (
-            self.tag,
-            tuple(sorted(self._attributes.items(), key=lambda kv: (kv[0], repr(kv[1])))),
-            self._text,
-            tuple(
-                sorted(
-                    (child._canonical_key() for child in self._children), key=repr
-                )
-            ),
-        )
-
     def _canonical_orders(self) -> dict[int, list["XmlElement"]]:
         """For every element with two or more children, those children
-        in canonical order — sorted by ``repr(child._canonical_key())``,
-        the reprs built bottom-up as strings (and dropped once the
-        parent has used them), so neither the keys nor their reprs
+        in canonical order — sorted by the repr of each child's
+        canonical key ``(tag, sorted attributes, text, sorted child
+        keys)``, the reprs built bottom-up as strings (and dropped once
+        the parent has used them), so neither the keys nor their reprs
         recurse on deep trees."""
         ranked: set[int] = set()  # nodes whose repr some sort needs
         stack = [(self, False)]
@@ -353,10 +340,28 @@ class XmlElement:
         return self._clone(self._canonical_orders())
 
     def equals_canonically(self, other: "XmlElement") -> bool:
-        """Order-insensitive deep equality."""
+        """Order-insensitive deep equality: the trees match pairwise
+        once every child list is in canonical order (see
+        :meth:`_canonical_orders`), compared over an explicit stack."""
         if not isinstance(other, XmlElement):
             return False
-        return self._canonical_key() == other._canonical_key()
+        left_orders = self._canonical_orders()
+        right_orders = other._canonical_orders()
+        stack = [(self, other)]
+        while stack:
+            left, right = stack.pop()
+            if (
+                left.tag != right.tag
+                or left._text != right._text
+                or left._attributes != right._attributes
+                or len(left._children) != len(right._children)
+            ):
+                return False
+            stack.extend(zip(
+                left_orders.get(id(left), left._children),
+                right_orders.get(id(right), right._children),
+            ))
+        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XmlElement):

@@ -177,6 +177,101 @@ class TestStatelessTransformDelta:
         assert to_xml(got) == to_xml(plan.run(new))
 
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_last_qualifying_unit_edited_away_keeps_the_wrapper(
+        self, optimize
+    ):
+        """Figure 3 builds its employees inside a ``department`` wrapper
+        that a full run emits even when no employee qualifies; both
+        incremental paths must emit it as well."""
+        plan = _plan("fig3", optimize=optimize)
+        old = deptstore.source_instance()
+        salaries = [
+            employee.find("sal")
+            for dept in old.findall("dept")
+            for employee in dept.findall("regEmp")
+        ]
+        rich = [sal for sal in salaries if sal.text > 11000]
+        for sal in rich[1:]:
+            sal.clear_text()
+            sal.set_text(5000)
+        old_target = plan.run(old)
+        new = old.copy()
+        edited = [
+            sal
+            for sal in new.iter()
+            if sal.tag == "sal" and sal.text > 11000
+        ]
+        assert len(edited) == 1
+        edited[0].clear_text()
+        edited[0].set_text(100)
+        expected = to_xml(plan.run(new))
+        assert "<department/>" in expected
+
+        got, report = transform_delta(
+            plan, old, old_target, compute_delta(old, new)
+        )
+        assert report.mode == "scoped"
+        assert to_xml(got) == expected
+
+        session = IncrementalSession(plan)
+        session.transform(old)
+        got, report = session.transform(new)
+        assert report.mode == "scoped"
+        assert to_xml(got) == expected
+
+    @pytest.mark.parametrize(
+        "figure, edit, mode",
+        [
+            ("fig3", "pname", "unchanged"),
+            ("fig7", "pname", "scoped"),
+            ("fig7", "bulk", "fallback"),
+        ],
+    )
+    def test_previous_documents_are_never_mutated(self, figure, edit, mode):
+        plan = _plan(figure)
+        old = _instance()
+        old_target = plan.run(old)
+        new = old.copy()
+        if edit == "bulk":
+            for index in range(60):
+                _edit_ename(new, f"bulk {index}", index)
+                _edit_pname(new, f"bulk {index}", index)
+        else:
+            _edit_pname(new, "renamed project")
+        source_before, target_before = to_xml(old), to_xml(old_target)
+        got, report = transform_delta(
+            plan, old, old_target, compute_delta(old, new)
+        )
+        assert report.mode == mode
+        assert to_xml(got) == to_xml(plan.run(new))
+        assert to_xml(old) == source_before
+        assert to_xml(old_target) == target_before
+
+    def test_whole_document_replacement_falls_back(self):
+        """A delta replacing the root wholesale cannot be applied in
+        place; both paths recompute over the replacement."""
+        plan = _plan("fig5")
+        old = _instance()
+        for child in list(old.children):
+            old.remove(child)
+        old.set_text("no departments")
+        old_target = plan.run(old)
+        new = _instance()
+        delta = compute_delta(old, new)
+        assert delta.records[0].op == "replace"
+        assert not delta.records[0].steps
+        got, report = transform_delta(plan, old, old_target, delta)
+        assert report.mode == "fallback"
+        assert to_xml(got) == to_xml(plan.run(new))
+
+        session = IncrementalSession(plan)
+        session.transform(old)
+        got, report = session.transform(new)
+        assert report.mode == "fallback"
+        assert to_xml(got) == to_xml(plan.run(new))
+
+
 class TestIncrementalSession:
     def test_first_call_is_a_full_run(self):
         plan = _plan("fig7")

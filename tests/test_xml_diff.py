@@ -290,3 +290,37 @@ class TestApplyDeltaInPlace:
         delta = compute_delta(left, right)
         with pytest.raises(XmlError, match="whole-document replace"):
             apply_delta_in_place(left, delta)
+
+
+class TestDeepDocuments:
+    """Every walk on the delta path runs over an explicit stack: a
+    document nested far beyond the interpreter's recursion limit
+    diffs, applies and compares like any other."""
+
+    DEPTH = 5000
+
+    def _chain(self, leaf_text):
+        from repro.xml.model import XmlElement
+
+        root = XmlElement("a")
+        node = root
+        for _ in range(self.DEPTH - 1):
+            node = node.append(XmlElement("a"))
+        node.set_text(leaf_text)
+        return root
+
+    def test_chains_differing_at_the_leaf(self):
+        from repro.xml.diff import apply_delta_in_place, compute_delta
+        from repro.xml.serialize import to_xml
+
+        left, right = self._chain("old"), self._chain("new")
+        delta = compute_delta(left, right)
+        assert [record.op for record in delta.records] == ["mutate-text"]
+        assert len(delta.records[0].steps) == self.DEPTH - 1
+        apply_delta_in_place(left, delta)
+        assert to_xml(left) == to_xml(right)
+
+        differences = diff(self._chain("old"), right)
+        assert [d.kind for d in differences] == ["text"]
+        assert not left.equals_canonically(self._chain("old"))
+        assert left.equals_canonically(right)

@@ -90,6 +90,28 @@ class TestEquality:
         assert left != right
         assert left.equals_canonically(right)
 
+    def test_canonical_equality_reorders_every_level_but_not_content(self):
+        left = element(
+            "r",
+            element("p", element("x", text=2), element("x", text=1)),
+            element("q", k="v"),
+        )
+        right = element(
+            "r",
+            element("q", k="v"),
+            element("p", element("x", text=1), element("x", text=2)),
+        )
+        assert left.equals_canonically(right)
+        base = element("r", element("p", element("x", text=1)), k="v")
+        for other in (
+            element("r", element("p", element("x", text=2)), k="v"),
+            element("r", element("p", element("x", text=1)), k="w"),
+            element("r", element("p", element("x", text=1), element("x")),
+                    k="v"),
+        ):
+            assert not base.equals_canonically(other)
+        assert not base.equals_canonically("r")
+
     def test_equality_covers_attributes_and_text(self):
         assert element("e", text="x", a=1) == element("e", text="x", a=1)
         assert element("e", text="x", a=1) != element("e", text="x", a=2)
