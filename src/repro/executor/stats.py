@@ -123,9 +123,10 @@ def explain(tgd: NestedTgd, source_instance: XmlElement) -> ExecutionReport:
 
 
 class _InstrumentedEngine(_Engine):
-    """The executor with per-level counters.  Re-implements the mapping
-    loop of :class:`_Engine` with counting; the expression/condition/
-    materialization machinery is inherited unchanged."""
+    """The executor with per-level counters, taken at the engine's own
+    hooks: binding enumeration (iterations, filter drops), each unit of
+    construction (elements built, assignments applied) and each group
+    formed.  Every level counts only its own work, however levels nest."""
 
     def __init__(self, tgd: NestedTgd, source_instance: XmlElement):
         super().__init__(tgd, source_instance)
@@ -140,7 +141,7 @@ class _InstrumentedEngine(_Engine):
             self._stats[id(mapping)] = stats
             self._walk(mapping.submappings, depth + 1)
 
-    def _run_mapping(self, mapping, env, target_env):
+    def _enumerate(self, mapping, env):
         stats = self._stats[id(mapping)]
         raw = self._enumerate_raw(mapping, env)
         envs = [
@@ -148,30 +149,21 @@ class _InstrumentedEngine(_Engine):
             if all(self._condition_holds(c, e) for c in mapping.where)
         ]
         stats.filtered_out += len(raw) - len(envs)
-        if mapping.skolem is not None:
-            before_groups = len(self._groups)
-            stats.iterations += len(envs)
-            super()._run_grouped(mapping, envs, target_env)
-            new_groups = len(self._groups) - before_groups
-            stats.groups += new_groups
-            stats.elements_built += new_groups
-            stats.assignments_applied += len(mapping.assignments) * new_groups
-            return
-        if not mapping.source_gens:
-            envs = [dict(env)]
-        stats.iterations += len(envs)
-        prefix, suffix = self._split_targets(mapping.target_gens)
-        base_envs = self._materialize_targets(prefix, target_env)
-        built_per_iteration = sum(1 for g in suffix if g.quantified)
-        for iteration_env in envs:
-            for base_env in base_envs:
-                for iter_target_env in self._materialize_targets(suffix, base_env):
-                    stats.elements_built += built_per_iteration
-                    for assignment in mapping.assignments:
-                        self._apply_assignment(assignment, iteration_env, iter_target_env)
-                        stats.assignments_applied += 1
-                    for sub in mapping.submappings:
-                        self._run_mapping(sub, iteration_env, iter_target_env)
+        # A level without generators runs once (document scope).
+        stats.iterations += len(envs) if mapping.source_gens else 1
+        return envs
+
+    def unit(self, mapping, env, base_env, group_key=None):
+        stats = self._stats[id(mapping)]
+        stats.elements_built += sum(
+            1 for gen in self._splits[id(mapping)][1] if gen.quantified
+        )
+        stats.assignments_applied += len(mapping.assignments)
+        super().unit(mapping, env, base_env, group_key)
+
+    def group_env(self, mapping, members):
+        self._stats[id(mapping)].groups += 1
+        return super().group_env(mapping, members)
 
 
 # -- plan explain ------------------------------------------------------------

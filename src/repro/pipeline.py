@@ -389,19 +389,17 @@ class Pipeline:
             try:
                 batch = runner.run(current)
             except DocumentFailureError as error:
+                # Under fail_fast no earlier stage dropped a document,
+                # so the stage-local index is already the input index.
                 error.failure.stage = index
-                if error.failure.index < len(alive):
-                    error.failure.index = alive[error.failure.index]
                 raise
             if stage_span is not None:
                 trace.end(stage_span)
-            # Rewrite stage-local indices to original input indices.
+            batch.reindex(alive)
             for failure in batch.failures:
                 failure.stage = index
-                failure.index = alive[failure.index]
-                failures.append(failure)
-            for letter in batch.dead_letters:
-                dead_letters.append(letter)
+            failures.extend(batch.failures)
+            dead_letters.extend(batch.dead_letters)
             mapping = transformer.mapping
             metrics.stages.append(
                 StageMetrics(
@@ -428,7 +426,7 @@ class Pipeline:
             metrics.timeouts += batch.metrics.timeouts
             metrics.dead_letter += batch.metrics.dead_letter
             metrics.pool_rebuilds += batch.metrics.pool_rebuilds
-            alive = [alive[local] for local in batch.success_indices]
+            alive = batch.success_indices
             current = batch.results
         metrics.documents = len(current)
         metrics.target_elements = sum(doc.size() for doc in current)

@@ -53,7 +53,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from .batch import BatchResult, BatchRunner
+from .batch import BatchResult, BatchRunner, ParsedDocuments, parse_documents
 from .cache import CacheStats, PlanCache, default_cache, get_plan
 from .faults import (
     DeadLetter,
@@ -121,6 +121,7 @@ __all__ = [
     "NullTracer",
     "PARSEABLE_TRACE_VERSIONS",
     "PARSEABLE_VERSIONS",
+    "ParsedDocuments",
     "PlanCache",
     "RetryPolicy",
     "Span",
@@ -138,6 +139,7 @@ __all__ = [
     "fingerprint",
     "get_plan",
     "is_transient",
+    "parse_documents",
     "plan_from_tgd",
     "render_tree",
     "span_id",

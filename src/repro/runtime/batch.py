@@ -43,11 +43,13 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.mapping import ClipMapping
 from ..errors import (
     DocumentFailureError,
+    DocumentTimeout,
+    ReproError,
     WorkerCrashError,
     WorkerSetupError,
 )
@@ -58,9 +60,9 @@ from ..xsd.validate import validate as validate_instance
 from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
-from .plan import ENGINES, plan_from_tgd
+from .plan import ENGINES, CompiledPlan, plan_from_tgd
 from .plan import fingerprint as compute_fingerprint
-from .retry import RetryPolicy, call_with_timeout
+from .retry import Deadline, RetryPolicy, call_with_timeout
 from .trace import event_payload, shift_payload
 
 #: A worker task: (document index, attempt number, document).
@@ -73,78 +75,72 @@ Task = tuple
 Record = tuple
 
 
-def _apply_plan(
-    plan: Callable[[XmlElement], XmlElement],
+def _attempt(
+    plan: CompiledPlan,
     doc: XmlElement,
     index: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
-    trace=None,
-) -> XmlElement:
-    """One attempt at one document: injected faults, timeout, plan."""
+    traced: bool,
+) -> tuple[Record, Optional[BaseException]]:
+    """One attempt at one document, in-process or in a pool worker.
+
+    Returns the attempt's :data:`Record` (failures become
+    :class:`DocumentFailure` records, so the parent settles both paths
+    uniformly) and, on failure, the raised exception — which only the
+    in-process caller can use, to chain it under ``fail_fast``.
+
+    ``traced`` builds an ``attempt[k]`` span around the evaluation (an
+    ``error`` span on failure, carrying the failure triage) and appends
+    its serialized payload to the record; the parent grafts it under
+    the right ``doc[i]`` span, so worker counts never change the
+    canonical tree.  When a per-document ``timeout`` is set the
+    engine-internal spans are skipped: an abandoned timeout thread
+    keeps running and could race the scratch tracer; the attempt span
+    itself (status, timing, timed-out triage) is still recorded.
+    """
+    scratch = span = None
+    if traced:
+        from .trace import SpanTracer
+
+        scratch = SpanTracer()
+        span = scratch.begin(f"attempt[{attempt}]")
+    engine_trace = scratch if timeout is None else None
 
     def call() -> XmlElement:
         if injector is not None:
             injector.fire(index, attempt)
-        if trace is None:
-            return plan(doc)
-        return plan.run(doc, trace=trace)
+        return plan.run(doc, trace=engine_trace)
 
-    return call_with_timeout(call, timeout)
-
-
-def _traced_attempt(
-    plan,
-    doc: XmlElement,
-    index: int,
-    attempt: int,
-    injector: Optional[FaultInjector],
-    timeout: Optional[float],
-) -> Record:
-    """One traced attempt, in-process or in a worker.
-
-    Builds an ``attempt[k]`` span around the evaluation (an ``error``
-    span on failure, carrying the :class:`DocumentFailure` triage) and
-    returns the usual record shape with the serialized span payload
-    appended — the parent grafts it under the right ``doc[i]`` span,
-    so worker counts never change the canonical tree.
-
-    When a per-document ``timeout`` is set the engine-internal spans
-    are skipped: an abandoned timeout thread keeps running and could
-    race the scratch tracer; the attempt span itself (status, timing,
-    timed-out triage) is still recorded.
-    """
-    from .trace import SpanTracer
-
-    scratch = SpanTracer()
-    span = scratch.begin(f"attempt[{attempt}]")
     started = time.perf_counter()
     try:
-        result = _apply_plan(
-            plan, doc, index, attempt, injector, timeout,
-            trace=scratch if timeout is None else None,
-        )
+        result = call_with_timeout(call, timeout)
     except Exception as exc:
         failure = DocumentFailure.from_exception(
             index, exc, attempts=attempt + 1
         )
-        span.kind = "error"
-        scratch.end(
-            span, status="error", error=failure.error,
-            message=failure.message, transient=failure.transient,
-            timed_out=failure.timed_out,
-        )
-        return ("err", index, attempt, failure,
-                time.perf_counter() - started, span.to_payload())
-    scratch.end(span, status="ok")
-    return ("ok", index, attempt, result,
-            time.perf_counter() - started, span.to_payload())
+        record: Record = ("err", index, attempt, failure,
+                          time.perf_counter() - started)
+        if span is not None:
+            span.kind = "error"
+            scratch.end(
+                span, status="error", error=failure.error,
+                message=failure.message, transient=failure.transient,
+                timed_out=failure.timed_out,
+            )
+            record += (span.to_payload(),)
+        return record, exc
+    record = ("ok", index, attempt, result, time.perf_counter() - started)
+    if span is not None:
+        scratch.end(span, status="ok")
+        record += (span.to_payload(),)
+    return record, None
 
 
 # -- worker-process side ----------------------------------------------------
 
-_WORKER_PLAN: Optional[Callable[[XmlElement], XmlElement]] = None
+_WORKER_PLAN: Optional[CompiledPlan] = None
 _WORKER_INJECTOR: Optional[FaultInjector] = None
 _WORKER_TIMEOUT: Optional[float] = None
 _WORKER_TRACE: bool = False
@@ -180,28 +176,15 @@ def _init_worker(
 def _run_task(task: Task) -> Record:
     """Apply the worker's plan to one task; never raises.
 
-    Failures come back as picklable :class:`DocumentFailure` records so
-    the parent applies retry and error-policy decisions uniformly for
-    the in-process and pool paths.  (A scripted ``exit`` fault bypasses
-    this via ``os._exit``, which is the point: it simulates a crash.)
+    (A scripted ``exit`` fault bypasses this via ``os._exit``, which is
+    the point: it simulates a crash.)
     """
     index, attempt, doc = task
     assert _WORKER_PLAN is not None, "worker initializer did not run"
-    if _WORKER_TRACE:
-        return _traced_attempt(
-            _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT
-        )
-    started = time.perf_counter()
-    try:
-        result = _apply_plan(
-            _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR, _WORKER_TIMEOUT
-        )
-    except Exception as exc:
-        failure = DocumentFailure.from_exception(
-            index, exc, attempts=attempt + 1
-        )
-        return ("err", index, attempt, failure, time.perf_counter() - started)
-    return ("ok", index, attempt, result, time.perf_counter() - started)
+    return _attempt(
+        _WORKER_PLAN, doc, index, attempt, _WORKER_INJECTOR,
+        _WORKER_TIMEOUT, _WORKER_TRACE,
+    )[0]
 
 
 # -- parent side ------------------------------------------------------------
@@ -241,6 +224,35 @@ class BatchResult:
             else list(range(len(results)))
         )
 
+    def reindex(
+        self,
+        positions: Sequence[int],
+        failures: Sequence[DocumentFailure] = (),
+        dead_letters: Sequence[DeadLetter] = (),
+    ) -> "BatchResult":
+        """Re-express the runner's document indices as input positions.
+
+        ``positions[i]`` is the input position of the runner's document
+        ``i``.  ``failures`` and ``dead_letters`` — already at input
+        positions, such as :func:`parse_documents`' — are folded into
+        the result's and counted into its metrics.  Returns ``self``.
+        """
+        for failure in self.failures:
+            failure.index = positions[failure.index]
+        self.success_indices = [positions[i] for i in self.success_indices]
+        if failures:
+            self.failures = sorted(
+                [*self.failures, *failures], key=lambda f: f.index
+            )
+            self.metrics.failures += len(failures)
+        if dead_letters:
+            self.dead_letters = sorted(
+                [*self.dead_letters, *dead_letters],
+                key=lambda letter: letter.failure.index,
+            )
+            self.metrics.dead_letter += len(dead_letters)
+        return self
+
     def __iter__(self) -> Iterator[XmlElement]:
         return iter(self.results)
 
@@ -256,6 +268,68 @@ class BatchResult:
             f"BatchResult({len(self.results)} documents{failed}, "
             f"engine={self.metrics.engine!r}, workers={self.metrics.workers})"
         )
+
+
+class ParsedDocuments:
+    """The outcome of :func:`parse_documents`: the documents that parsed,
+    the input position of each, and the parse failures (plus, under
+    ``collect``, their dead letters) at their input positions."""
+
+    __slots__ = ("documents", "positions", "failures", "dead_letters")
+
+    def __init__(self) -> None:
+        self.documents: list[XmlElement] = []
+        self.positions: list[int] = []
+        self.failures: list[DocumentFailure] = []
+        self.dead_letters: list[DeadLetter] = []
+
+
+def parse_documents(
+    sources: Iterable[Any],
+    parse: Callable[[str], XmlElement],
+    error_policy: Union[ErrorPolicy, str],
+    *,
+    read: Optional[Callable[[Any], str]] = None,
+    deadline: Optional[Deadline] = None,
+) -> ParsedDocuments:
+    """Parse every input with per-document isolation.
+
+    Each source is XML text, or whatever ``read`` turns into text (the
+    CLI passes file paths).  Under ``skip``/``collect`` an input that
+    cannot be read or parsed becomes a permanent
+    :class:`DocumentFailure` at its input position instead of aborting
+    the batch, and ``collect`` dead-letters its raw text (empty when
+    it could not be read); under ``fail_fast`` the error propagates.
+    A parse run under ``deadline`` that overruns it raises
+    :class:`~repro.errors.DocumentTimeout` under every policy: the
+    request is out of time, not the document at fault.
+
+    Feed :attr:`ParsedDocuments.documents` to a :class:`BatchRunner`
+    and hand the rest to :meth:`BatchResult.reindex`.
+    """
+    policy = ErrorPolicy.coerce(error_policy)
+    parsed = ParsedDocuments()
+    for position, source in enumerate(sources):
+        text = ""
+        try:
+            text = source if read is None else read(source)
+            document = (
+                parse(text) if deadline is None
+                else deadline.run(lambda: parse(text))
+            )
+        except (OSError, ReproError) as exc:
+            if policy is ErrorPolicy.FAIL_FAST or isinstance(
+                exc, DocumentTimeout
+            ):
+                raise
+            failure = DocumentFailure.from_exception(position, exc)
+            parsed.failures.append(failure)
+            if policy is ErrorPolicy.COLLECT:
+                parsed.dead_letters.append(DeadLetter(failure, text))
+        else:
+            parsed.documents.append(document)
+            parsed.positions.append(position)
+    return parsed
 
 
 def _pool_context():
@@ -306,7 +380,7 @@ def _attach_doc_spans(tracer, span_log: dict) -> None:
 
     Documents are emitted in input order and attempts in attempt order,
     whatever order the pool completed them in — this, plus the
-    payloads being built by the same :func:`_traced_attempt` on both
+    payloads being built by the same :func:`_attempt` on both
     paths, is what makes the canonical trace worker-count-independent.
     Each doc span is widened to cover its (re-based) attempts so the
     Chrome rendering nests sensibly.
@@ -338,10 +412,6 @@ class BatchRunner:
     validate:
         Validate every result against the mapping's target schema and
         count violations into the metrics.
-    chunksize:
-        Retained for compatibility; the fault-tolerant pool dispatches
-        per document (retry and replay need per-document futures), so
-        the value is accepted and ignored.
     error_policy:
         ``"fail_fast"`` (default — first terminal failure raises
         :class:`DocumentFailureError`), ``"skip"`` (drop failed
@@ -395,7 +465,6 @@ class BatchRunner:
         workers: int = 1,
         cache: Optional[PlanCache] = None,
         validate: bool = False,
-        chunksize: Optional[int] = None,
         error_policy: Union[ErrorPolicy, str] = ErrorPolicy.FAIL_FAST,
         max_retries: int = 0,
         backoff: float = 0.05,
@@ -412,14 +481,11 @@ class BatchRunner:
             raise ValueError(
                 f"workers must be a positive integer, got {workers!r}"
             )
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be positive, got {chunksize!r}")
         self.mapping = mapping
         self.engine = engine
         self.workers = workers
         self.cache = cache if cache is not None else default_cache()
         self.validate = validate
-        self.chunksize = chunksize
         self.error_policy = ErrorPolicy.coerce(error_policy)
         self.retry = retry if retry is not None else RetryPolicy(
             max_retries=max_retries, backoff=backoff, timeout=timeout
@@ -538,27 +604,6 @@ class BatchRunner:
                 validate_instance(result, self.mapping.target)
             )
 
-    def _settle_failure(
-        self,
-        failure: DocumentFailure,
-        doc: XmlElement,
-        metrics: BatchMetrics,
-        failures: dict[int, DocumentFailure],
-        dead_letters: list[DeadLetter],
-        cause: Optional[BaseException] = None,
-    ) -> None:
-        """A document is out of attempts: apply the error policy."""
-        metrics.failures += 1
-        failures[failure.index] = failure
-        if self.error_policy is ErrorPolicy.FAIL_FAST:
-            error = DocumentFailureError(failure)
-            if cause is not None:
-                raise error from cause
-            raise error
-        if self.error_policy is ErrorPolicy.COLLECT:
-            dead_letters.append(DeadLetter(failure, doc))
-            metrics.dead_letter += 1
-
     def _run_inline(
         self,
         documents: Iterable[XmlElement],
@@ -568,7 +613,6 @@ class BatchRunner:
         dead_letters: list[DeadLetter],
         span_log: Optional[dict] = None,
     ) -> None:
-        timeout = self.retry.timeout
         first_plan = None
         counters_before = None
         for index, doc in enumerate(documents):
@@ -581,59 +625,22 @@ class BatchRunner:
                 counters_before = stats.snapshot() if stats else None
             attempt = 0
             while True:
-                payload = None
-                cause: Optional[BaseException] = None
-                if span_log is not None:
-                    record = _traced_attempt(
-                        plan, doc, index, attempt, self.injector, timeout
-                    )
-                    kind, value, seconds, payload = (
-                        record[0], record[3], record[4], record[5]
-                    )
-                    span_log.setdefault(index, {})[attempt] = payload
-                else:
-                    started = time.perf_counter()
-                    try:
-                        value = _apply_plan(
-                            plan, doc, index, attempt, self.injector, timeout
-                        )
-                        kind = "ok"
-                    except Exception as exc:
-                        kind = "err"
-                        cause = exc
-                        value = DocumentFailure.from_exception(
-                            index, exc, attempts=attempt + 1
-                        )
-                    seconds = time.perf_counter() - started
-                if kind == "ok":
-                    self._account(metrics, doc, value, seconds)
-                    results[index] = value
-                    break
-                failure = value
-                if failure.timed_out:
-                    metrics.timeouts += 1
-                if self.retry.should_retry(attempt + 1, failure.transient):
-                    metrics.retries += 1
-                    if payload is not None:
-                        payload["attrs"]["retried"] = True
-                    delay = self.retry.delay(attempt + 1)
-                    if delay:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                if payload is not None:
-                    payload["attrs"]["terminal"] = True
-                    if self.error_policy is ErrorPolicy.COLLECT:
-                        payload["children"].append(
-                            event_payload(
-                                "dead-letter", at=payload["t1"],
-                                error=failure.error,
-                            )
-                        )
-                self._settle_failure(
-                    failure, doc, metrics, failures, dead_letters, cause=cause
+                record, cause = _attempt(
+                    plan, doc, index, attempt, self.injector,
+                    self.retry.timeout, span_log is not None,
                 )
-                break
+                try:
+                    retry = self._settle(
+                        record, doc, metrics, results, failures,
+                        dead_letters, span_log,
+                    )
+                except DocumentFailureError as error:
+                    # In-process, the engine's own exception survives:
+                    # chain it so fail_fast callers see the cause.
+                    raise error from cause
+                if not retry:
+                    break
+                attempt += 1
         if first_plan is not None:
             report = first_plan.plan_report()
             if report is not None:
@@ -723,10 +730,11 @@ class BatchRunner:
                             continue
                         if error is not None:
                             raise error
-                        self._handle_record(
-                            future.result(), docs, metrics, results,
-                            failures, dead_letters, to_submit, span_log,
-                        )
+                        if self._settle(
+                            future.result(), docs[index], metrics, results,
+                            failures, dead_letters, span_log,
+                        ):
+                            to_submit.append((index, attempt + 1))
                 if crashed:
                     metrics.pool_rebuilds += 1
                     if metrics.pool_rebuilds > 1:
@@ -746,25 +754,29 @@ class BatchRunner:
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _handle_record(
+    def _settle(
         self,
         record: Record,
-        docs: list[XmlElement],
+        doc: XmlElement,
         metrics: BatchMetrics,
         results: dict[int, XmlElement],
         failures: dict[int, DocumentFailure],
         dead_letters: list[DeadLetter],
-        to_submit: deque,
         span_log: Optional[dict] = None,
-    ) -> None:
+    ) -> bool:
+        """Decide one attempt's outcome, for the inline and pool paths
+        alike: account a success, or count a failure's timeout and
+        either schedule a retry (after its backoff) or apply the error
+        policy.  Returns whether the document gets another attempt."""
         kind, index, attempt, value, seconds = record[:5]
         payload = record[5] if len(record) > 5 else None
         if payload is not None and span_log is not None:
-            # Re-base the worker's clock so the subtree ends when the
-            # record arrived (durations preserved; canonical output
-            # ignores timestamps either way), then keep the *first*
-            # payload per (document, attempt) — crash replays can
-            # duplicate one, and first-wins matches the result dedup.
+            # Re-base the attempt's clock (a worker's differs) so the
+            # subtree ends when the record arrived (durations
+            # preserved; canonical output ignores timestamps either
+            # way), then keep the *first* payload per (document,
+            # attempt) — crash replays can duplicate one, and
+            # first-wins matches the result dedup.
             shift_payload(payload, time.perf_counter() - payload["t1"])
             attempts = span_log.setdefault(index, {})
             if attempt in attempts:
@@ -777,10 +789,9 @@ class BatchRunner:
             # first result.
             if index not in results:
                 results[index] = value
-                self._account(metrics, docs[index], value, seconds)
-            return
+                self._account(metrics, doc, value, seconds)
+            return False
         failure = value
-        failure.attempts = attempt + 1
         if failure.timed_out:
             metrics.timeouts += 1
         if self.retry.should_retry(attempt + 1, failure.transient):
@@ -790,8 +801,7 @@ class BatchRunner:
             delay = self.retry.delay(attempt + 1)
             if delay:
                 time.sleep(delay)
-            to_submit.append((index, attempt + 1))
-            return
+            return True
         if payload is not None:
             payload["attrs"]["terminal"] = True
             if self.error_policy is ErrorPolicy.COLLECT:
@@ -801,6 +811,11 @@ class BatchRunner:
                         error=failure.error,
                     )
                 )
-        self._settle_failure(
-            failure, docs[index], metrics, failures, dead_letters
-        )
+        metrics.failures += 1
+        failures[index] = failure
+        if self.error_policy is ErrorPolicy.FAIL_FAST:
+            raise DocumentFailureError(failure)
+        if self.error_policy is ErrorPolicy.COLLECT:
+            dead_letters.append(DeadLetter(failure, doc))
+            metrics.dead_letter += 1
+        return False

@@ -109,6 +109,7 @@ from ..runtime import (
     PlanCache,
     SpanTracer,
     is_transient,
+    parse_documents,
     plan_from_tgd,
     transform_delta,
     write_dead_letters,
@@ -405,11 +406,15 @@ class ClipService:
         if method == "GET" and route.startswith("/mappings/"):
             return self._mapping_detail(route)
         if method == "POST" and route == "/transform":
-            return self._transform(params, headers, body)
+            return self._with_request_id(self._transform, params, headers, body)
         if method == "POST" and route == "/transform/batch":
-            return self._transform_batch(params, body)
+            return self._with_request_id(
+                self._transform_batch, params, headers, body
+            )
         if method == "POST" and route == "/transform/delta":
-            return self._transform_delta(params, body)
+            return self._with_request_id(
+                self._transform_delta, params, headers, body
+            )
         if method == "GET" and route.startswith("/requests/"):
             return self._request_artifact(route)
         return self._error_response(
@@ -782,88 +787,94 @@ class ClipService:
             )
         return self._lookup_mapping(fp), text
 
-    def _transform(
-        self, params: dict, headers: Mapping[str, str], body: bytes
+    def _with_request_id(
+        self, handler, params: dict, headers: Mapping[str, str], body: bytes
     ) -> ServiceResponse:
+        """Run a transform handler under a fresh request id: its
+        :mod:`repro.errors` and bad-input failures become error
+        envelopes that carry the id."""
         request_id = self._next_request_id()
         try:
-            deadline = self._deadline(params)
-            entry, text = self._transform_payload(params, headers, body)
-            if isinstance(entry, RegisteredComposition):
-                return self._transform_composed(
-                    entry, text, params, deadline, request_id
-                )
-            try:
-                document = deadline.run(
-                    lambda: parse_xml(text, schema=entry.mapping.source)
-                )
-            except ReproError as exc:
-                # Malformed input: shed into the dead-letter machinery
-                # (raw text, like the CLI's parse isolation) and report.
-                failure = DocumentFailure.from_exception(0, exc)
-                paths = self._dead_letter([DeadLetter(failure, text)],
-                                          request_id)
-                self.metrics.count_documents(0, 1)
-                return self._failure_response(failure, request_id, paths)
-            tracer = SpanTracer() if _flag(params.get("trace")) else None
-            runner = self._runner(
-                entry, timeout=deadline.remaining(), tracer=tracer
+            return handler(params, headers, body, request_id)
+        except (ReproError, ValueError) as exc:
+            return self._error_response(exc, error_status(exc), request_id)
+
+    def _parse_document(
+        self, text: str, schema, deadline: Deadline, request_id: str
+    ) -> Tuple[Optional[XmlElement], Optional[ServiceResponse]]:
+        """Parse a single-document request's body with the batch
+        runtime's isolation: ``(document, None)``, or — for malformed
+        input, shed into the dead-letter machinery as raw text —
+        ``(None, failure response)``."""
+        parsed = parse_documents(
+            [text], lambda text: parse_xml(text, schema=schema),
+            ErrorPolicy.COLLECT, deadline=deadline,
+        )
+        if parsed.documents:
+            return parsed.documents[0], None
+        paths = self._dead_letter(parsed.dead_letters, request_id)
+        self.metrics.count_documents(0, 1)
+        return None, self._failure_response(
+            parsed.failures[0], request_id, paths
+        )
+
+    def _transform(
+        self, params: dict, headers: Mapping[str, str], body: bytes,
+        request_id: str,
+    ) -> ServiceResponse:
+        deadline = self._deadline(params)
+        entry, text = self._transform_payload(params, headers, body)
+        composed = isinstance(entry, RegisteredComposition)
+        document, rejected = self._parse_document(
+            text, entry.source if composed else entry.mapping.source,
+            deadline, request_id,
+        )
+        if rejected is not None:
+            return rejected
+        if composed:
+            return self._transform_composed(
+                entry, document, params, deadline, request_id
             )
-            batch = runner.run([document])
-            metrics_doc = batch.metrics.to_dict()
-            self.metrics.count_documents(
-                len(batch.results), len(batch.failures)
-            )
-            if batch.failures:
-                paths = self._dead_letter(batch.dead_letters, request_id)
-                failure = batch.failures[0]
-                self._store_request(
-                    request_id, endpoint="transform", entry=entry,
-                    status=status_for_failure(failure),
-                    metrics_doc=metrics_doc,
-                )
-                return self._failure_response(failure, request_id, paths)
-            result = batch.results[0]
-            rendered = to_xml(result)
+        tracer = SpanTracer() if _flag(params.get("trace")) else None
+        runner = self._runner(
+            entry, timeout=deadline.remaining(), tracer=tracer
+        )
+        batch = runner.run([document])
+        metrics_doc = batch.metrics.to_dict()
+        self.metrics.count_documents(len(batch.results), len(batch.failures))
+        if batch.failures:
+            paths = self._dead_letter(batch.dead_letters, request_id)
+            failure = batch.failures[0]
             self._store_request(
-                request_id, endpoint="transform", entry=entry, status=200,
-                metrics_doc=metrics_doc, result=result, source_text=text,
-                result_xml=rendered,
+                request_id, endpoint="transform", entry=entry,
+                status=status_for_failure(failure), metrics_doc=metrics_doc,
             )
-            return ServiceResponse(
-                200, "application/xml; charset=utf-8",
-                rendered.encode("utf-8"),
-                (("X-Clip-Request", request_id),
-                 ("X-Clip-Mapping", entry.fingerprint)),
-            )
-        except Exception as exc:  # noqa: BLE001 — envelope with the request id
-            if isinstance(exc, (ReproError, ValueError)):
-                return self._error_response(
-                    exc, error_status(exc), request_id
-                )
-            raise
+            return self._failure_response(failure, request_id, paths)
+        result = batch.results[0]
+        rendered = to_xml(result)
+        self._store_request(
+            request_id, endpoint="transform", entry=entry, status=200,
+            metrics_doc=metrics_doc, result=result, source_text=text,
+            result_xml=rendered,
+        )
+        return ServiceResponse(
+            200, "application/xml; charset=utf-8",
+            rendered.encode("utf-8"),
+            (("X-Clip-Request", request_id),
+             ("X-Clip-Mapping", entry.fingerprint)),
+        )
 
     def _transform_composed(
         self,
         entry: RegisteredComposition,
-        text: str,
+        document: XmlElement,
         params: dict,
         deadline: Deadline,
         request_id: str,
     ) -> ServiceResponse:
-        """One transform through a composed plan: parse against the
-        first operand's source schema, run the fused one-pass plan —
-        byte-identical to chaining the two originals."""
-        try:
-            document = deadline.run(
-                lambda: parse_xml(text, schema=entry.source)
-            )
-        except ReproError as exc:
-            failure = DocumentFailure.from_exception(0, exc)
-            paths = self._dead_letter([DeadLetter(failure, text)],
-                                      request_id)
-            self.metrics.count_documents(0, 1)
-            return self._failure_response(failure, request_id, paths)
+        """One transform through a composed plan (the document parsed
+        against the first operand's source schema): run the fused
+        one-pass plan — byte-identical to chaining the two originals."""
         tracer = SpanTracer() if _flag(params.get("trace")) else None
         if tracer is not None:
             # The composed entry has no Clip mapping to derive the usual
@@ -897,131 +908,107 @@ class ClipService:
              ("X-Clip-Mapping", entry.fingerprint)),
         )
 
-    def _transform_delta(self, params: dict, body: bytes) -> ServiceResponse:
+    def _transform_delta(
+        self, params: dict, headers: Mapping[str, str], body: bytes,
+        request_id: str,
+    ) -> ServiceResponse:
         """``POST /transform/delta``: incremental re-transform of an
         edited document, keyed on a past request's source/target pair."""
-        request_id = self._next_request_id()
-        try:
-            deadline = self._deadline(params)
-            envelope = json.loads(body.decode("utf-8"))
-            if not isinstance(envelope, dict):
+        deadline = self._deadline(params)
+        envelope = json.loads(body.decode("utf-8"))
+        if not isinstance(envelope, dict):
+            raise ValueError(
+                "delta envelope must be a JSON object with 'request' "
+                "and 'document' keys"
+            )
+        base_id = envelope.get("request")
+        text = envelope.get("document")
+        if not isinstance(base_id, str) or not base_id:
+            raise ValueError("delta envelope is missing 'request'")
+        if not isinstance(text, str):
+            raise ValueError("delta envelope is missing 'document'")
+        with self._lock:
+            base = self._requests.get(base_id)
+        if base is None:
+            return self._error_response(
+                ServiceError(
+                    f"no such request {base_id!r} (history keeps the "
+                    f"last {self.config.history})"
+                ),
+                404,
+                request_id,
+            )
+        if not base.get("source_xml") or not base.get("result_xml"):
+            raise ServiceError(
+                f"request {base_id} stored no source/target pair; "
+                "delta transforms chain off successful single "
+                "transforms"
+            )
+        threshold = envelope.get("threshold")
+        if threshold is not None:
+            threshold = float(threshold)
+            if not 0.0 <= threshold <= 1.0:
                 raise ValueError(
-                    "delta envelope must be a JSON object with 'request' "
-                    "and 'document' keys"
+                    f"threshold must be within [0, 1], got {threshold!r}"
                 )
-            base_id = envelope.get("request")
-            text = envelope.get("document")
-            if not isinstance(base_id, str) or not base_id:
-                raise ValueError("delta envelope is missing 'request'")
-            if not isinstance(text, str):
-                raise ValueError("delta envelope is missing 'document'")
-            with self._lock:
-                base = self._requests.get(base_id)
-            if base is None:
-                return self._error_response(
-                    ServiceError(
-                        f"no such request {base_id!r} (history keeps the "
-                        f"last {self.config.history})"
-                    ),
-                    404,
-                    request_id,
-                )
-            if not base.get("source_xml") or not base.get("result_xml"):
-                raise ServiceError(
-                    f"request {base_id} stored no source/target pair; "
-                    "delta transforms chain off successful single "
-                    "transforms"
-                )
-            threshold = envelope.get("threshold")
-            if threshold is not None:
-                threshold = float(threshold)
-                if not 0.0 <= threshold <= 1.0:
-                    raise ValueError(
-                        f"threshold must be within [0, 1], got {threshold!r}"
-                    )
-            entry = self._lookup_mapping(base["mapping"])
-            if isinstance(entry, RegisteredComposition):
-                raise ServiceError(
-                    "delta transforms are not supported for composed "
-                    "mappings; re-transform with POST /transform"
-                )
-            started = time.perf_counter()
-            prev_source = deadline.run(
-                lambda: parse_xml(
-                    base["source_xml"], schema=entry.mapping.source
-                )
+        entry = self._lookup_mapping(base["mapping"])
+        if isinstance(entry, RegisteredComposition):
+            raise ServiceError(
+                "delta transforms are not supported for composed "
+                "mappings; re-transform with POST /transform"
             )
-            prev_target = parse_xml(
-                base["result_xml"], schema=entry.mapping.target
+        started = time.perf_counter()
+        prev_source = deadline.run(
+            lambda: parse_xml(base["source_xml"], schema=entry.mapping.source)
+        )
+        prev_target = parse_xml(base["result_xml"], schema=entry.mapping.target)
+        new_source, rejected = self._parse_document(
+            text, entry.mapping.source, deadline, request_id
+        )
+        if rejected is not None:
+            return rejected
+        plan = self.cache.get_or_compile(
+            entry.mapping, entry.engine, fp=entry.fingerprint,
+            optimize=entry.optimize,
+        )
+        delta = compute_delta(prev_source, new_source)
+        kwargs = {} if threshold is None else {"threshold": threshold}
+        result, report = deadline.run(
+            lambda: transform_delta(
+                plan, prev_source, prev_target, delta,
+                new_source=new_source, **kwargs,
             )
-            try:
-                new_source = deadline.run(
-                    lambda: parse_xml(text, schema=entry.mapping.source)
-                )
-            except ReproError as exc:
-                failure = DocumentFailure.from_exception(0, exc)
-                paths = self._dead_letter([DeadLetter(failure, text)],
-                                          request_id)
-                self.metrics.count_documents(0, 1)
-                return self._failure_response(failure, request_id, paths)
-            plan = self.cache.get_or_compile(
-                entry.mapping, entry.engine, fp=entry.fingerprint,
-                optimize=entry.optimize,
-            )
-            delta = compute_delta(prev_source, new_source)
-            kwargs = {} if threshold is None else {"threshold": threshold}
-            result, report = deadline.run(
-                lambda: transform_delta(
-                    plan, prev_source, prev_target, delta,
-                    new_source=new_source, **kwargs,
-                )
-            )
-            elapsed = time.perf_counter() - started
-            self.metrics.count_incremental(fallback=not report.incremental)
-            self.metrics.count_documents(1, 0)
-            metrics_doc = BatchMetrics(
-                engine=entry.engine,
-                workers=1,
-                documents=1,
-                execute_seconds=elapsed,
-                wall_seconds=elapsed,
-                source_elements=new_source.size(),
-                target_elements=result.size(),
-                incremental=report.to_dict(),
-            ).to_dict()
-            rendered = to_xml(result)
-            self._store_request(
-                request_id, endpoint="transform_delta", entry=entry,
-                status=200, metrics_doc=metrics_doc, result=result,
-                source_text=text, result_xml=rendered,
-            )
-            return ServiceResponse(
-                200, "application/xml; charset=utf-8",
-                rendered.encode("utf-8"),
-                (("X-Clip-Request", request_id),
-                 ("X-Clip-Mapping", entry.fingerprint),
-                 ("X-Clip-Incremental", report.mode)),
-            )
-        except Exception as exc:  # noqa: BLE001 — envelope with the request id
-            if isinstance(exc, (ReproError, ValueError)):
-                return self._error_response(
-                    exc, error_status(exc), request_id
-                )
-            raise
+        )
+        elapsed = time.perf_counter() - started
+        self.metrics.count_incremental(fallback=not report.incremental)
+        self.metrics.count_documents(1, 0)
+        metrics_doc = BatchMetrics(
+            engine=entry.engine,
+            workers=1,
+            documents=1,
+            execute_seconds=elapsed,
+            wall_seconds=elapsed,
+            source_elements=new_source.size(),
+            target_elements=result.size(),
+            incremental=report.to_dict(),
+        ).to_dict()
+        rendered = to_xml(result)
+        self._store_request(
+            request_id, endpoint="transform_delta", entry=entry,
+            status=200, metrics_doc=metrics_doc, result=result,
+            source_text=text, result_xml=rendered,
+        )
+        return ServiceResponse(
+            200, "application/xml; charset=utf-8",
+            rendered.encode("utf-8"),
+            (("X-Clip-Request", request_id),
+             ("X-Clip-Mapping", entry.fingerprint),
+             ("X-Clip-Incremental", report.mode)),
+        )
 
-    def _transform_batch(self, params: dict, body: bytes) -> ServiceResponse:
-        request_id = self._next_request_id()
-        try:
-            return self._transform_batch_inner(params, body, request_id)
-        except Exception as exc:  # noqa: BLE001 — envelope with the request id
-            if isinstance(exc, (ReproError, ValueError)):
-                return self._error_response(
-                    exc, error_status(exc), request_id
-                )
-            raise
-
-    def _transform_batch_inner(
-        self, params: dict, body: bytes, request_id: str
+    def _transform_batch(
+        self, params: dict, headers: Mapping[str, str], body: bytes,
+        request_id: str,
     ) -> ServiceResponse:
         deadline = self._deadline(params)
         envelope = json.loads(body.decode("utf-8"))
@@ -1076,33 +1063,10 @@ class ClipService:
                 remaining if per_document is None
                 else min(per_document, remaining)
             )
-        # Parse with per-document isolation, like the CLI: under
-        # skip/collect a malformed input is one failure, not a dead
-        # batch; its raw text is what gets dead-lettered.
-        documents = []
-        source_index = []
-        parse_failures = []
-        parse_letters = []
-        for position, text in enumerate(sources):
-            try:
-                documents.append(
-                    deadline.run(
-                        lambda text=text: parse_xml(
-                            text, schema=entry.mapping.source
-                        )
-                    )
-                )
-            except ReproError as exc:
-                if policy is ErrorPolicy.FAIL_FAST or isinstance(
-                    exc, DocumentTimeout
-                ):
-                    raise
-                failure = DocumentFailure.from_exception(position, exc)
-                parse_failures.append(failure)
-                if policy is ErrorPolicy.COLLECT:
-                    parse_letters.append(DeadLetter(failure, text))
-            else:
-                source_index.append(position)
+        parsed = parse_documents(
+            sources, lambda text: parse_xml(text, schema=entry.mapping.source),
+            policy, deadline=deadline,
+        )
         tracer = SpanTracer() if _flag(params.get("trace")) else None
         runner = self._runner(
             entry,
@@ -1114,35 +1078,19 @@ class ClipService:
             tracer=tracer,
         )
         try:
-            batch = deadline.run(lambda: runner.run(documents))
+            batch = deadline.run(lambda: runner.run(parsed.documents))
         except DocumentFailureError as exc:
-            # fail_fast: the first terminal failure aborts the request.
-            failure = exc.failure
-            failure.index = source_index[failure.index]
+            # fail_fast: the first terminal failure aborts the request
+            # (every document parsed, so runner indices are positions).
             self.metrics.count_documents(0, 1)
-            return self._failure_response(failure, request_id, [])
-        for failure in batch.failures:
-            failure.index = source_index[failure.index]
-        failures = sorted(
-            list(batch.failures) + parse_failures,
-            key=lambda failure: failure.index,
-        )
-        letters = sorted(
-            list(batch.dead_letters) + parse_letters,
-            key=lambda letter: letter.failure.index,
-        )
-        paths = self._dead_letter(letters, request_id)
-        metrics = batch.metrics
-        metrics.failures += len(parse_failures)
-        metrics.dead_letter += len(parse_letters)
-        metrics_doc = metrics.to_dict()
-        self.metrics.count_documents(len(batch.results), len(failures))
+            return self._failure_response(exc.failure, request_id, [])
+        batch.reindex(parsed.positions, parsed.failures, parsed.dead_letters)
+        paths = self._dead_letter(batch.dead_letters, request_id)
+        metrics_doc = batch.metrics.to_dict()
+        self.metrics.count_documents(len(batch.results), len(batch.failures))
         results = [
-            {
-                "index": source_index[batch.success_indices[position]],
-                "xml": to_xml(result),
-            }
-            for position, result in enumerate(batch.results)
+            {"index": index, "xml": to_xml(result)}
+            for index, result in zip(batch.success_indices, batch.results)
         ]
         self._store_request(
             request_id, endpoint="transform_batch", entry=entry, status=200,
@@ -1157,7 +1105,7 @@ class ClipService:
             "documents": len(sources),
             "succeeded": len(results),
             "results": results,
-            "failures": [failure.to_dict() for failure in failures],
+            "failures": [failure.to_dict() for failure in batch.failures],
             "metrics": metrics_doc,
         }
         if paths:

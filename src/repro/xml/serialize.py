@@ -79,10 +79,29 @@ def to_ascii(root: XmlElement) -> str:
     Each element is printed as its tag; attributes appear as
     ``@name = value`` lines, text as ``= value`` appended to the tag.
     Branch drawing follows the paper's figures: ``|---`` for middle
-    children and ``'---`` for the last child.
+    children and ``'---`` for the last child.  Like :func:`to_xml`, it
+    walks the tree with an explicit stack.
     """
     lines: list[str] = []
-    _draw(root, lines, prefix="", is_root=True, is_last=True)
+    # (element, text before its label, prefix of the rows under it).
+    stack: list[tuple[XmlElement, str, str]] = [(root, "", "")]
+    while stack:
+        node, head, prefix = stack.pop()
+        lines.append(head + _label(node))
+        attributes = node.attributes
+        children = node.children
+        rows = len(attributes) + len(children)
+        # Attribute rows come first and are leaves: emit them now.
+        for index, (name, value) in enumerate(attributes.items()):
+            connector = "'---" if index == rows - 1 else "|---"
+            lines.append(f"{prefix}{connector}@{name} = {_value_to_text(value)}")
+        # Pushed last-first, so children pop in document order.
+        last = len(children) - 1
+        for index in range(last, -1, -1):
+            if index == last:
+                stack.append((children[index], prefix + "'---", prefix + "    "))
+            else:
+                stack.append((children[index], prefix + "|---", prefix + "|   "))
     return "\n".join(lines)
 
 
@@ -90,31 +109,3 @@ def _label(node: XmlElement) -> str:
     if node.text is not None:
         return f"{node.tag} = {_value_to_text(node.text)}"
     return node.tag
-
-
-def _entries(node: XmlElement) -> list[tuple[str, Optional[XmlElement]]]:
-    """The printable rows under a node: attributes first, then children."""
-    rows: list[tuple[str, Optional[XmlElement]]] = [
-        (f"@{name} = {_value_to_text(value)}", None)
-        for name, value in node.attributes.items()
-    ]
-    rows.extend((_label(child), child) for child in node.children)
-    return rows
-
-
-def _draw(node: XmlElement, lines: list[str], prefix: str, is_root: bool, is_last: bool) -> None:
-    if is_root:
-        lines.append(_label(node))
-        child_prefix = ""
-    else:
-        connector = "'---" if is_last else "|---"
-        lines.append(f"{prefix}{connector}{_label(node)}")
-        child_prefix = prefix + ("    " if is_last else "|   ")
-    rows = _entries(node)
-    for index, (text, child) in enumerate(rows):
-        last = index == len(rows) - 1
-        if child is None:
-            connector = "'---" if last else "|---"
-            lines.append(f"{child_prefix}{connector}{text}")
-        else:
-            _draw(child, lines, child_prefix, is_root=False, is_last=last)

@@ -58,6 +58,39 @@ class TestCounters:
         (level,) = report.levels
         assert level.assignments_applied == 2 * 4  # 4 assignments × 2 depts
 
+    def test_nested_groups_count_only_their_own_level(self):
+        """A grouped level nested under a grouped level: each level
+        reports the groups and elements it formed itself."""
+        from repro.core.mapping import ClipMapping
+        from repro.xsd.dsl import attr, elem, schema
+        from repro.xsd.types import STRING
+
+        target = schema(
+            elem(
+                "t",
+                elem(
+                    "department",
+                    "[1..*]",
+                    attr("name", STRING, required=False),
+                    elem("project", "[0..*]", attr("name", STRING, required=False)),
+                ),
+            )
+        )
+        clip = ClipMapping(deptstore.source_schema(), target)
+        dept = clip.group("dept", "department", var="d", by=["$d.dname.value"])
+        clip.group("dept/Proj", "department/project", var="p",
+                   by=["$p.pname.value"], parent=dept)
+        clip.value("dept/dname/value", "department/@name")
+        clip.value("dept/Proj/pname/value", "department/project/@name")
+        report = explain(compile_clip(clip), deptstore.source_instance())
+        outer, inner = report.levels
+        assert (outer.groups, outer.elements_built,
+                outer.assignments_applied) == (2, 2, 2)
+        assert (inner.groups, inner.elements_built,
+                inner.assignments_applied) == (4, 4, 4)
+        assert report.total_elements_built == 6
+        assert report.result.size() == 7
+
     def test_totals(self):
         report = _report("fig5")
         assert report.total_iterations == 2 + 4 + 7

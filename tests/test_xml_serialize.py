@@ -69,3 +69,23 @@ class TestToAscii:
         lines = to_ascii(tree).splitlines()
         assert lines[1] == "|---@pid = 1"
         assert lines[2] == "'---pname = X"
+
+    def test_deep_chain_renders_without_recursion(self):
+        depth = 2000
+        root = node = element("n0")
+        for level in range(1, depth):
+            node = node.append(element(f"n{level}"))
+        node.set_attribute("leaf", 1)
+        try:
+            text = to_ascii(root)
+        except RecursionError:
+            # Fail outside the handler: rendering a thousand-frame
+            # recursion traceback takes pytest minutes.
+            text = None
+        assert text is not None, "to_ascii recursed once per level"
+        lines = text.splitlines()
+        assert len(lines) == depth + 1
+        assert lines[0] == "n0"
+        assert lines[1] == "'---n1"
+        assert lines[-2] == "    " * (depth - 2) + f"'---n{depth - 1}"
+        assert lines[-1] == "    " * (depth - 1) + "'---@leaf = 1"
