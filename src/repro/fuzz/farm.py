@@ -31,9 +31,9 @@ it:
   composed with the case's own tgd
   (:func:`~repro.algebra.compose_tgds`), and the fused one-pass plan
   must reproduce the sequential two-stage execution
-  **byte-identically**; when ``compose_tgds`` declines (sequential
-  fallback) the leg verifies the corpus's ``expect_inlined``
-  prediction instead;
+  **byte-identically**; whether ``compose_tgds`` inlines or declines
+  (sequential fallback) is held to the corpus's ``expect_inlined``
+  prediction;
 * ``round-trip``-axis cases additionally run an *inversion* leg:
   :func:`~repro.algebra.quasi_inverse` is applied to the case's
   target, and the recovered source must match the
@@ -41,25 +41,29 @@ it:
   **byte-identically** — two independently derived tgds, one required
   answer.
 
-Each check is an *oracle*, named in :data:`ORACLES`: ``engine`` runs
-the combos above on every case, and every other oracle is a per-axis
-leg enabled by one corpus parameter.  A :class:`Combo` records the
-oracle that judged it, and replay dispatches on that name alone.
+Each check is an *oracle*, named in :data:`ORACLES` and written once
+as a *leg*: a :class:`FuzzFarm` method that runs one case under one
+combo and returns an :class:`Outcome`, which :func:`compare` judges.
+``engine`` runs the combos above on every case, and every other
+oracle is a per-axis leg enabled by one corpus parameter.  A
+:class:`Combo` records the oracle that judged it; the check and the
+replay run the same leg, so a replayed kit reaches its check's verdict.
 
 Any disagreement (or an engine error where the reference succeeded)
 becomes a :class:`~repro.fuzz.report.Divergence` in the
 ``clip-fuzz-report`` and — when a dead-letter root is given — a replay
 directory holding the mapping, the source instance, both outputs, the
-rendered diff, and the diverging combo's ``clip-trace``.
+rendered diff, and a ``clip-trace`` of the leg's own plan.
 :func:`FuzzFarm.replay` re-runs a dead-lettered case from exactly
 those artifacts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -135,8 +139,65 @@ class ReplayResult:
     differences: list[str] = field(default_factory=list)
     expected_xml: str = ""
     actual_xml: str = ""
+    #: The verdict or typed error — set only when ``diverged``.
     error: Optional[str] = None
     trace: Optional[dict] = None
+
+
+@dataclass
+class Outcome:
+    """What one oracle leg ran for one case and combo.
+
+    ``expected`` is the answer the leg demands and ``actual`` what the
+    run under test produced — or ``error``, the typed exception it
+    raised instead.  ``kind`` says how the two compare (``"bytes"`` or
+    ``"canonical"``); ``verdict`` holds a failed expectation that is no
+    comparison (compose inlining where the corpus predicted a fallback,
+    or the reverse).  ``tally`` is the :class:`FuzzReport` counters the
+    leg bumps, and ``rerun(trace=...)`` re-runs the leg's own plan
+    under a tracer for the kit's ``trace.json``.
+    """
+
+    expected: XmlElement
+    actual: Optional[XmlElement] = None
+    error: Optional[ReproError] = None
+    kind: str = "bytes"
+    verdict: tuple[str, ...] = ()
+    tally: dict[str, int] = field(default_factory=dict)
+    rerun: Optional[Callable[..., object]] = None
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def compare(outcome: Outcome) -> tuple[bool, str, tuple[str, ...]]:
+    """Judge one leg's outcome: ``(diverged, kind, detail)``.
+
+    The one divergence predicate the check and the replay share.  A
+    verdict or an error diverges as kind ``"error"``; otherwise
+    ``detail`` is the full rendered diff.  An outcome with nothing to
+    compare (a predicted compose fallback) agrees.
+    """
+    if outcome.verdict:
+        return True, "error", outcome.verdict
+    if outcome.error is not None:
+        return True, "error", (_describe(outcome.error),)
+    expected, actual = outcome.expected, outcome.actual
+    if actual is None:
+        return False, outcome.kind, ()
+    if outcome.kind == "canonical":
+        agree = expected.equals_canonically(actual)
+    else:
+        agree = to_xml(expected) == to_xml(actual)
+    if agree:
+        return False, outcome.kind, ()
+    differences = diff(expected.canonical(), actual.canonical())
+    if not differences:
+        # Canonically equal, byte-different: show the document-order
+        # diff instead.
+        differences = diff(expected, actual)
+    return True, outcome.kind, tuple(render_diff(differences).splitlines())
 
 
 class FuzzFarm:
@@ -217,227 +278,151 @@ class FuzzFarm:
         return plan.run(case.instance, trace=trace)
 
     def _check_case(self, case: CorpusCase, report: FuzzReport) -> None:
-        """Run every oracle the case enables against the reference."""
+        """Run every oracle the case enables against the reference: each
+        leg once per combo, its counters tallied, its outcome judged by
+        :func:`compare`."""
         reference = self.cache.get_or_compile(
             case.mapping, "tgd", optimize=True
         )
-        expected = reference(case.instance)
+        target = reference(case.instance)
         report.executions += 1
-        for oracle in ORACLES.values():
-            if oracle.param is None or case.params.get(oracle.param):
-                oracle.check(self, case, reference, expected, report)
-
-    def _check_engines(
-        self, case: CorpusCase, reference, expected: XmlElement,
-        report: FuzzReport,
-    ) -> None:
-        """The ``engine`` oracle: every cross-check combo against the
-        reference output."""
         eligible = eligible_engines(reference.tgd)
         if "xslt" in eligible:
             report.axis_coverage[case.axis].xslt_eligible += 1
-        expected_xml = to_xml(expected)
-        for combo in self._combos(eligible):
-            report.executions += 1
-            report.comparisons += 1
-            try:
-                actual = self._execute(case, combo)
-            except ReproError as exc:
-                self._record(
-                    case, combo, report,
-                    kind="error",
-                    detail=(f"{type(exc).__name__}: {exc}",),
-                    expected=expected,
-                )
+        for name, oracle in ORACLES.items():
+            if oracle.param is not None and not case.params.get(oracle.param):
                 continue
-            if combo.engine == "xslt":
-                agree = expected.equals_canonically(actual)
-                kind = "canonical"
-            else:
-                agree = expected_xml == to_xml(actual)
-                kind = "bytes"
-            if not agree:
-                differences = diff(expected.canonical(), actual.canonical())
-                if not differences:
-                    # Canonically equal, byte-different: show the
-                    # document-order diff instead.
-                    differences = diff(expected, actual)
-                detail = tuple(
-                    render_diff(differences).splitlines()[:_DETAIL_LINES]
-                )
-                self._record(
-                    case, combo, report,
-                    kind=kind,
-                    detail=detail,
-                    expected=expected,
-                    actual=actual,
-                )
+            combos = (
+                self._combos(eligible) if name == "engine"
+                else [Combo("tgd", True, 1, name)]
+            )
+            for combo in combos:
+                outcome = oracle.leg(self, case, combo, reference, target)
+                for counter, n in outcome.tally.items():
+                    setattr(report, counter, getattr(report, counter) + n)
+                diverged, kind, detail = compare(outcome)
+                if diverged:
+                    self._record(
+                        case, combo, report,
+                        kind=kind,
+                        detail=detail[:_DETAIL_LINES],
+                        expected=outcome.expected,
+                        actual=None if kind == "error" else outcome.actual,
+                        rerun=outcome.rerun,
+                    )
 
-    def _check_composition(
-        self, case: CorpusCase, reference, expected: XmlElement,
-        report: FuzzReport,
-    ) -> None:
+    # -- oracle legs: one case, one combo, one Outcome ---------------------
+
+    def _engine_leg(
+        self, case: CorpusCase, combo: Combo, reference, target: XmlElement
+    ) -> Outcome:
+        """The ``engine`` oracle: one cross-check combo against the
+        reference output — bytes, or canonically for XSLT."""
+        outcome = Outcome(
+            target,
+            kind="canonical" if combo.engine == "xslt" else "bytes",
+            tally={"executions": 1, "comparisons": 1},
+            # Pool combos trace an in-process run: a deterministic
+            # single-process trace is the more useful kit artifact.
+            rerun=functools.partial(
+                self._execute, case, replace(combo, workers=1)
+            ),
+        )
+        try:
+            outcome.actual = self._execute(case, combo)
+        except ReproError as exc:
+            outcome.error = exc
+        return outcome
+
+    def _incremental_leg(
+        self, case: CorpusCase, combo: Combo, reference, target: XmlElement
+    ) -> Outcome:
+        """The ``delta``-axis leg: apply the case's edit script and
+        cross-check :func:`transform_delta` (from the base document's
+        target) against a full recompute of the edited one."""
+        edited = apply_edits(case.instance, case.params["edits"])
+        outcome = Outcome(
+            reference(edited),
+            tally={"executions": 2, "comparisons": 1, "incremental_checks": 1},
+            rerun=functools.partial(reference.run, case.instance),
+        )
+        try:
+            delta = compute_delta(case.instance, edited)
+            outcome.actual, inc_report = transform_delta(
+                reference, case.instance, target, delta, new_source=edited,
+            )
+        except ReproError as exc:
+            outcome.error = exc
+            return outcome
+        path = "hits" if inc_report.incremental else "fallbacks"
+        outcome.tally[f"incremental_{path}"] = 1
+        return outcome
+
+    def _compose_leg(
+        self, case: CorpusCase, combo: Combo, reference, target: XmlElement
+    ) -> Outcome:
         """The ``composition``-axis leg: compose the case's ``A→B`` tgd
         with the ``B→C`` stage in ``params["compose_with"]`` and
         cross-check the fused one-pass plan against sequential
-        two-stage execution, byte for byte."""
-        combo = Combo("tgd", True, 1, "compose")
-        report.compose_checks += 1
+        two-stage execution, byte for byte; whether compose inlines at
+        all is held to the corpus's ``expect_inlined`` prediction."""
         second = loads_mapping(case.params["compose_with"])
-        second_plan = self.cache.get_or_compile(
-            second, "tgd", optimize=True
+        second_plan = self.cache.get_or_compile(second, "tgd", optimize=True)
+        outcome = Outcome(
+            second_plan(target), tally={"compose_checks": 1, "executions": 1}
         )
-        report.executions += 1
-        sequential = second_plan(expected)
         expect_inlined = bool(case.params.get("expect_inlined"))
         try:
             fused_tgd = compose_tgds(reference.tgd, second_plan.tgd)
         except ComposeError as exc:
-            report.compose_fallbacks += 1
+            outcome.tally["compose_fallbacks"] = 1
             if expect_inlined:
-                self._record(
-                    case, combo, report,
-                    kind="error",
-                    detail=(
-                        "compose declined where the corpus predicted"
-                        " inlining",
-                        f"{type(exc).__name__}: {exc}",
-                    ),
-                    expected=sequential,
+                outcome.verdict = (
+                    "compose declined where the corpus predicted inlining",
+                    _describe(exc),
                 )
-            return
-        report.compose_inlined += 1
-        report.executions += 1
-        report.comparisons += 1
+            return outcome
+        outcome.tally.update(compose_inlined=1, executions=2, comparisons=1)
         if not expect_inlined:
-            self._record(
-                case, combo, report,
-                kind="error",
-                detail=(
-                    "compose inlined where the corpus predicted a"
-                    " sequential fallback",
-                ),
-                expected=sequential,
+            outcome.verdict = (
+                "compose inlined where the corpus predicted a sequential"
+                " fallback",
             )
-            return
         fp = compose_fingerprint(
             self.cache.fingerprint_for(case.mapping, "tgd", optimize=True),
             self.cache.fingerprint_for(second, "tgd", optimize=True),
         )
         try:
-            fused_plan = plan_from_tgd(
-                fused_tgd, "tgd", fp=fp, optimize=True
-            )
-            actual = fused_plan.run(case.instance)
+            fused_plan = plan_from_tgd(fused_tgd, "tgd", fp=fp, optimize=True)
+            outcome.rerun = functools.partial(fused_plan.run, case.instance)
+            outcome.actual = fused_plan.run(case.instance)
         except ReproError as exc:
-            self._record(
-                case, combo, report,
-                kind="error",
-                detail=(f"{type(exc).__name__}: {exc}",),
-                expected=sequential,
-            )
-            return
-        if to_xml(sequential) != to_xml(actual):
-            differences = diff(sequential.canonical(), actual.canonical())
-            if not differences:
-                differences = diff(sequential, actual)
-            detail = tuple(
-                render_diff(differences).splitlines()[:_DETAIL_LINES]
-            )
-            self._record(
-                case, combo, report,
-                kind="bytes",
-                detail=detail,
-                expected=sequential,
-                actual=actual,
-            )
+            outcome.error = exc
+        return outcome
 
-    def _check_roundtrip(
-        self, case: CorpusCase, reference, expected: XmlElement,
-        report: FuzzReport,
-    ) -> None:
+    def _round_trip_leg(
+        self, case: CorpusCase, combo: Combo, reference, target: XmlElement
+    ) -> Outcome:
         """The ``round-trip``-axis leg: run the quasi-inverse over the
         case's target and cross-check the recovered source against the
         independently derived containment-predicted core."""
-        combo = Combo("tgd", True, 1, "round-trip")
-        report.round_trip_checks += 1
-        report.executions += 2
-        report.comparisons += 1
+        # Until both sides exist the target stands as ``expected``:
+        # that is what an error kit records.
+        outcome = Outcome(
+            target,
+            tally={"round_trip_checks": 1, "executions": 2, "comparisons": 1},
+        )
         try:
-            inverse = quasi_inverse(case.mapping)
             inverse_plan = self.cache.get_or_compile(
-                inverse, "tgd", optimize=True
+                quasi_inverse(case.mapping), "tgd", optimize=True
             )
-            actual = inverse_plan(expected)
-            predicted = predicted_core(case.mapping, case.instance)
+            outcome.rerun = functools.partial(inverse_plan.run, target)
+            actual = inverse_plan(target)
+            outcome.expected = predicted_core(case.mapping, case.instance)
+            outcome.actual = actual
         except ReproError as exc:
-            self._record(
-                case, combo, report,
-                kind="error",
-                detail=(f"{type(exc).__name__}: {exc}",),
-                expected=expected,
-            )
-            return
-        if to_xml(predicted) != to_xml(actual):
-            differences = diff(predicted.canonical(), actual.canonical())
-            if not differences:
-                differences = diff(predicted, actual)
-            detail = tuple(
-                render_diff(differences).splitlines()[:_DETAIL_LINES]
-            )
-            self._record(
-                case, combo, report,
-                kind="bytes",
-                detail=detail,
-                expected=predicted,
-                actual=actual,
-            )
-
-    def _check_incremental(
-        self, case: CorpusCase, reference, prev_target: XmlElement,
-        report: FuzzReport,
-    ) -> None:
-        """The ``delta``-axis leg: apply the case's edit script and
-        cross-check :func:`transform_delta` (from the base document's
-        previous target) against a full recompute of the edited one."""
-        combo = Combo("tgd", True, 1, "incremental")
-        report.executions += 2
-        report.comparisons += 1
-        report.incremental_checks += 1
-        edited = apply_edits(case.instance, case.params["edits"])
-        expected = reference(edited)
-        try:
-            delta = compute_delta(case.instance, edited)
-            actual, inc_report = transform_delta(
-                reference, case.instance, prev_target, delta,
-                new_source=edited,
-            )
-        except ReproError as exc:
-            self._record(
-                case, combo, report,
-                kind="error",
-                detail=(f"{type(exc).__name__}: {exc}",),
-                expected=expected,
-            )
-            return
-        if inc_report.incremental:
-            report.incremental_hits += 1
-        else:
-            report.incremental_fallbacks += 1
-        if to_xml(expected) != to_xml(actual):
-            differences = diff(expected.canonical(), actual.canonical())
-            if not differences:
-                differences = diff(expected, actual)
-            detail = tuple(
-                render_diff(differences).splitlines()[:_DETAIL_LINES]
-            )
-            self._record(
-                case, combo, report,
-                kind="bytes",
-                detail=detail,
-                expected=expected,
-                actual=actual,
-            )
+            outcome.error = exc
+        return outcome
 
     def _record(
         self,
@@ -449,12 +434,13 @@ class FuzzFarm:
         detail: tuple[str, ...],
         expected: XmlElement,
         actual: Optional[XmlElement] = None,
+        rerun: Optional[Callable[..., object]] = None,
     ) -> None:
         letter_name = None
         if self.dead_letter_dir is not None:
             letter_name = self._dead_letter(
                 case, combo, kind=kind, detail=detail,
-                expected=expected, actual=actual,
+                expected=expected, actual=actual, rerun=rerun,
             )
         report.divergences.append(
             Divergence(
@@ -481,6 +467,7 @@ class FuzzFarm:
         detail: tuple[str, ...],
         expected: XmlElement,
         actual: Optional[XmlElement],
+        rerun: Optional[Callable[..., object]],
     ) -> str:
         assert self.dead_letter_dir is not None
         name = f"{case.case_id}--{combo.slug}"
@@ -497,7 +484,7 @@ class FuzzFarm:
             (directory / "actual.xml").write_text(
                 to_xml(actual), encoding="utf-8"
             )
-        trace = self._capture_trace(case, combo)
+        trace = self._trace(rerun)
         if trace is not None:
             (directory / "trace.json").write_text(
                 json.dumps(trace, indent=2, sort_keys=True), encoding="utf-8"
@@ -528,19 +515,15 @@ class FuzzFarm:
         )
         return name
 
-    def _capture_trace(self, case: CorpusCase, combo: Combo) -> Optional[dict]:
-        """Re-run the diverging combo under a tracer, best effort.
-
-        Pool combos fall back to an in-process traced run — the pool
-        merges worker spans already, but a deterministic single-process
-        trace is the more useful replay artifact.
-        """
+    @staticmethod
+    def _trace(rerun: Optional[Callable[..., object]]) -> Optional[dict]:
+        """Re-run a leg's own plan under a tracer, best effort: the
+        kit's ``trace.json`` and a replay's ``trace``."""
+        if rerun is None:
+            return None
         tracer = SpanTracer()
         try:
-            plan = self.cache.get_or_compile(
-                case.mapping, combo.engine, optimize=combo.optimize
-            )
-            plan.run(case.instance, trace=tracer)
+            rerun(trace=tracer)
         except ReproError:
             pass  # the error itself is in the manifest
         trace = tracer.to_trace()
@@ -606,10 +589,11 @@ class FuzzFarm:
     def replay(self, case_dir: Union[str, Path]) -> ReplayResult:
         """Re-run one dead-lettered divergence from its artifacts.
 
-        Loads the persisted mapping and source instance, re-executes
-        the reference and the recorded combo, and reports whether the
-        divergence still reproduces — after an engine fix, a replay
-        comes back clean.
+        Loads the persisted mapping and source instance, runs the
+        recorded oracle's leg once and judges it with :func:`compare`
+        — the very step the check took — so the replay reports whether
+        the divergence still reproduces; after an engine fix it comes
+        back clean.
         """
         directory = Path(case_dir)
         manifest_path = directory / "case.json"
@@ -651,201 +635,42 @@ class FuzzFarm:
             params=manifest.get("params", {}),
         )
         reference = self.cache.get_or_compile(mapping, "tgd", optimize=True)
-        return ORACLES[oracle].replay(self, case, combo, reference)
-
-    def _replay_engine(
-        self, case: CorpusCase, combo: Combo, reference
-    ) -> ReplayResult:
-        """Replay an ``engine``-oracle kit: re-run the recorded combo
-        and compare it with the reference."""
-        expected = reference(case.instance)
-        expected_xml = to_xml(expected)
-        tracer = SpanTracer()
-        try:
-            actual = self._execute(case, combo, trace=tracer if combo.workers == 1 else None)
-        except ReproError as exc:
-            return ReplayResult(
-                case_id=case.case_id,
-                combo=combo,
-                diverged=True,
-                expected_xml=expected_xml,
-                error=f"{type(exc).__name__}: {exc}",
-                trace=None,
-            )
-        if combo.engine == "xslt":
-            diverged = not expected.equals_canonically(actual)
-        else:
-            diverged = expected_xml != to_xml(actual)
-        differences = []
-        if diverged:
-            rendered = render_diff(diff(expected.canonical(), actual.canonical()))
-            differences = rendered.splitlines()
-        trace = tracer.to_trace()
-        return ReplayResult(
-            case_id=case.case_id,
-            combo=combo,
-            diverged=diverged,
-            differences=differences,
-            expected_xml=expected_xml,
-            actual_xml=to_xml(actual),
-            trace=trace.to_dict() if trace.spans else None,
+        outcome = ORACLES[oracle].leg(
+            self, case, combo, reference, reference(case.instance)
         )
-
-    def _replay_composition(
-        self, case: CorpusCase, combo: Combo, reference
-    ) -> ReplayResult:
-        """Replay a ``composition``-axis kit: re-derive the fused plan
-        from the manifest's second-stage mapping and re-check it
-        against sequential two-stage execution."""
-        second = loads_mapping(case.params["compose_with"])
-        second_plan = self.cache.get_or_compile(second, "tgd", optimize=True)
-        expected = second_plan(reference(case.instance))
-        expected_xml = to_xml(expected)
-        try:
-            fused_tgd = compose_tgds(reference.tgd, second_plan.tgd)
-            fp = compose_fingerprint(
-                self.cache.fingerprint_for(
-                    case.mapping, "tgd", optimize=True
-                ),
-                self.cache.fingerprint_for(second, "tgd", optimize=True),
-            )
-            fused_plan = plan_from_tgd(fused_tgd, "tgd", fp=fp, optimize=True)
-            actual = fused_plan.run(case.instance)
-        except ReproError as exc:
-            return ReplayResult(
-                case_id=case.case_id,
-                combo=combo,
-                diverged=bool(case.params.get("expect_inlined")),
-                expected_xml=expected_xml,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        diverged = expected_xml != to_xml(actual)
-        differences = []
-        if diverged:
-            rendered = render_diff(
-                diff(expected.canonical(), actual.canonical())
-            )
-            differences = rendered.splitlines()
+        diverged, kind, detail = compare(outcome)
+        failed = kind == "error"
         return ReplayResult(
             case_id=case.case_id,
             combo=combo,
             diverged=diverged,
-            differences=differences,
-            expected_xml=expected_xml,
-            actual_xml=to_xml(actual),
-        )
-
-    def _replay_roundtrip(
-        self, case: CorpusCase, combo: Combo, reference
-    ) -> ReplayResult:
-        """Replay a ``round-trip``-axis kit: re-run the quasi-inverse
-        over the target and re-check against the predicted core."""
-        target = reference(case.instance)
-        try:
-            expected = predicted_core(case.mapping, case.instance)
-        except ReproError as exc:
-            return ReplayResult(
-                case_id=case.case_id,
-                combo=combo,
-                diverged=True,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        expected_xml = to_xml(expected)
-        try:
-            inverse = quasi_inverse(case.mapping)
-            inverse_plan = self.cache.get_or_compile(
-                inverse, "tgd", optimize=True
-            )
-            actual = inverse_plan(target)
-        except ReproError as exc:
-            return ReplayResult(
-                case_id=case.case_id,
-                combo=combo,
-                diverged=True,
-                expected_xml=expected_xml,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        diverged = expected_xml != to_xml(actual)
-        differences = []
-        if diverged:
-            rendered = render_diff(
-                diff(expected.canonical(), actual.canonical())
-            )
-            differences = rendered.splitlines()
-        return ReplayResult(
-            case_id=case.case_id,
-            combo=combo,
-            diverged=diverged,
-            differences=differences,
-            expected_xml=expected_xml,
-            actual_xml=to_xml(actual),
-        )
-
-    def _replay_incremental(
-        self, case: CorpusCase, combo: Combo, reference
-    ) -> ReplayResult:
-        """Replay a ``delta``-axis kit: re-derive the edited document
-        from the manifest's edit script and re-check the incremental
-        path against the full recompute."""
-        edited = apply_edits(case.instance, case.params.get("edits", []))
-        prev_target = reference(case.instance)
-        expected = reference(edited)
-        expected_xml = to_xml(expected)
-        try:
-            delta = compute_delta(case.instance, edited)
-            actual, _ = transform_delta(
-                reference, case.instance, prev_target, delta,
-                new_source=edited,
-            )
-        except ReproError as exc:
-            return ReplayResult(
-                case_id=case.case_id,
-                combo=combo,
-                diverged=True,
-                expected_xml=expected_xml,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        diverged = expected_xml != to_xml(actual)
-        differences = []
-        if diverged:
-            rendered = render_diff(
-                diff(expected.canonical(), actual.canonical())
-            )
-            differences = rendered.splitlines()
-        return ReplayResult(
-            case_id=case.case_id,
-            combo=combo,
-            diverged=diverged,
-            differences=differences,
-            expected_xml=expected_xml,
-            actual_xml=to_xml(actual),
+            differences=[] if failed else list(detail),
+            expected_xml=to_xml(outcome.expected),
+            actual_xml="" if outcome.actual is None else to_xml(outcome.actual),
+            error="; ".join(detail) if failed else None,
+            trace=self._trace(outcome.rerun),
         )
 
 
 class Oracle(NamedTuple):
     """One differential oracle: the corpus parameter that enables it
-    (``None``: every case), and the :class:`FuzzFarm` methods that
-    check a case and replay a dead-lettered kit."""
+    (``None``: every case) and its *leg* — the :class:`FuzzFarm`
+    method that runs one case under one combo and returns an
+    :class:`Outcome`.  The check and the replay both run the leg and
+    judge it with :func:`compare`, so a kit replays to the verdict its
+    check reached."""
 
     param: Optional[str]
-    check: Callable
-    replay: Callable
+    leg: Callable[..., Outcome]
 
 
 #: Every oracle, by the name a :class:`Combo` records — adding one
-#: means adding its two methods and an entry here.
+#: means adding its leg and an entry here.
 ORACLES: dict[str, Oracle] = {
-    "engine": Oracle(None, FuzzFarm._check_engines, FuzzFarm._replay_engine),
-    "incremental": Oracle(
-        "edits", FuzzFarm._check_incremental, FuzzFarm._replay_incremental
-    ),
-    "compose": Oracle(
-        "compose_with", FuzzFarm._check_composition,
-        FuzzFarm._replay_composition,
-    ),
-    "round-trip": Oracle(
-        "round_trip", FuzzFarm._check_roundtrip, FuzzFarm._replay_roundtrip
-    ),
+    "engine": Oracle(None, FuzzFarm._engine_leg),
+    "incremental": Oracle("edits", FuzzFarm._incremental_leg),
+    "compose": Oracle("compose_with", FuzzFarm._compose_leg),
+    "round-trip": Oracle("round_trip", FuzzFarm._round_trip_leg),
 }
 
 

@@ -110,6 +110,17 @@ def _breaking_plan_level(real):
     return broken
 
 
+def _span_shapes(trace: dict) -> list:
+    """``(path, kind, attrs)`` of every span and event, depth first —
+    the run's shape without ids or timestamps."""
+    shapes, stack = [], list(reversed(trace["spans"]))
+    while stack:
+        span = stack.pop()
+        shapes.append((span["path"], span["kind"], span["attrs"]))
+        stack.extend(reversed(span.get("children", [])))
+    return shapes
+
+
 class TestBrokenOptimizerIsCaught:
     def test_divergence_dead_lettered_and_replayable(
         self, dead_letter_dir, monkeypatch
@@ -324,11 +335,15 @@ class TestAlgebraLegs:
             assert result.diverged is False, divergence.dead_letter
             assert result.error is None
 
-    def test_broken_composer_is_caught(self, monkeypatch):
+    def test_broken_composer_is_caught(self, monkeypatch, dead_letter_dir):
         """Negative control for the compose leg: a composer that
-        mangles the fused tgd's filters must show up as divergences."""
+        mangles the fused tgd's filters must show up as divergences,
+        and the kit's trace records the fused plan's run."""
         from repro.algebra import compose_tgds as real_compose
         from repro.fuzz import farm as farm_module
+        from repro.io import load, loads
+        from repro.runtime import PlanCache, SpanTracer, plan_from_tgd
+        from repro.xml.parser import parse_xml
 
         def broken_compose(tgd_ab, tgd_bc):
             fused = real_compose(tgd_ab, tgd_bc)
@@ -347,12 +362,127 @@ class TestAlgebraLegs:
             )
 
         monkeypatch.setattr(farm_module, "compose_tgds", broken_compose)
-        report = run_fuzz(seed=11, count=18, axes=["composition"])
-        assert report.status == "divergent"
-        assert any(
-            d.oracle == "compose" and d.kind == "bytes"
-            for d in report.divergences
+        report = run_fuzz(
+            seed=11, count=18, axes=["composition"],
+            dead_letter_dir=dead_letter_dir,
         )
+        assert report.status == "divergent"
+        divergence = next(
+            d for d in report.divergences
+            if d.oracle == "compose" and d.kind == "bytes"
+        )
+
+        # trace.json is the fused plan's run, not the A→B reference's.
+        kit = dead_letter_dir / divergence.dead_letter
+        manifest = json.loads((kit / "case.json").read_text(encoding="utf-8"))
+        first = load(str(kit / "mapping.json"))
+        source = parse_xml(
+            (kit / "source.xml").read_text(encoding="utf-8"), first.source
+        )
+        cache = PlanCache()
+        fused = broken_compose(
+            cache.get_or_compile(first, "tgd").tgd,
+            cache.get_or_compile(
+                loads(manifest["params"]["compose_with"]), "tgd"
+            ).tgd,
+        )
+        tracer = SpanTracer()
+        plan_from_tgd(fused, "tgd", optimize=True).run(source, trace=tracer)
+        fused_run = _span_shapes(tracer.to_trace().to_dict())
+        assert any("/plan/level[" in path for path, _, _ in fused_run)
+        kit_trace = json.loads((kit / "trace.json").read_text(encoding="utf-8"))
+        assert _span_shapes(kit_trace) == fused_run
+
+
+class TestReplayReachesTheCheckVerdict:
+    """Check and replay run the same oracle leg and the same compare
+    step, so a kit replays to the verdict its check recorded."""
+
+    def test_compose_drift_kit_replays_diverged(self, dead_letter_dir):
+        """A case where compose inlines but the corpus predicted a
+        sequential fallback is flagged by the check — and by replay."""
+        from repro.fuzz.farm import Combo
+        from repro.fuzz.report import FuzzReport
+        from repro.generation.corpus import generate_corpus
+
+        cases = list(
+            generate_corpus(11, 24, axes=("composition", "round-trip"))
+        )
+        inlined = next(c for c in cases if c.params.get("expect_inlined"))
+        drifted = dataclasses.replace(
+            inlined, params={**inlined.params, "expect_inlined": False}
+        )
+        report = FuzzReport(
+            seed=11, count=1, axes=("composition",), engines=("tgd",),
+            optimize_modes=(True,), workers=(1,),
+        )
+        farm = FuzzFarm(
+            engines=("tgd",), optimize_modes=(True,),
+            dead_letter_dir=dead_letter_dir,
+        )
+        farm.run([drifted], report)
+        (divergence,) = report.divergences
+        assert (divergence.oracle, divergence.kind) == ("compose", "error")
+        assert "predicted a sequential fallback" in divergence.detail[0]
+        result = farm.replay(dead_letter_dir / divergence.dead_letter)
+        assert result.diverged
+        assert result.error == divergence.detail[0]
+
+        # A predicted fallback replays clean with no error: the CLI
+        # reads ``error`` as "still diverges", so it is set only then.
+        fallback = next(
+            c for c in cases
+            if "compose_with" in c.params
+            and not c.params.get("expect_inlined")
+        )
+        farm._record(
+            fallback, Combo("tgd", True, 1, "compose"), report,
+            kind="bytes", detail=("fabricated",),
+            expected=fallback.instance,
+        )
+        replayed = farm.replay(
+            dead_letter_dir / report.divergences[-1].dead_letter
+        )
+        assert (replayed.diverged, replayed.error) == (False, None)
+
+    def test_order_only_divergence_replays_its_document_order_diff(
+        self, dead_letter_dir, monkeypatch
+    ):
+        """An output that differs from the reference only in sibling
+        order is canonically equal: check and replay both fall back to
+        the document-order diff."""
+        from repro.fuzz.farm import Combo, _DETAIL_LINES
+        from repro.fuzz.report import FuzzReport
+        from repro.generation.corpus import generate_corpus
+
+        real = FuzzFarm._execute
+
+        def reversed_naive(self, case, combo, *, trace=None):
+            if combo.optimize:
+                return real(self, case, combo, trace=trace)
+            output = real(self, case, Combo("tgd", True, 1), trace=trace)
+            children = list(output.children)
+            for child in children:
+                output.remove(child)
+            output.extend(reversed(children))
+            return output
+
+        monkeypatch.setattr(FuzzFarm, "_execute", reversed_naive)
+        case = next(iter(generate_corpus(7, 1, axes=("fanout-join",))))
+        report = FuzzReport(
+            seed=7, count=1, axes=("fanout-join",), engines=("tgd",),
+            optimize_modes=(True, False), workers=(1,),
+        )
+        farm = FuzzFarm(engines=("tgd",), dead_letter_dir=dead_letter_dir)
+        farm.run([case], report)
+        (divergence,) = report.divergences
+        assert (divergence.engine, divergence.optimize) == ("tgd", False)
+        assert divergence.kind == "bytes"
+        assert divergence.detail != ("(instances are identical)",)
+        result = farm.replay(dead_letter_dir / divergence.dead_letter)
+        assert result.diverged
+        assert result.error is None
+        assert result.differences[:_DETAIL_LINES] == list(divergence.detail)
 
 
 class TestOracleRegistry:

@@ -1,7 +1,9 @@
 """One parse-isolation contract across the CLI, the service and the runtime.
 
-The same four inputs — two good documents, one malformed XML text and
-one document hit by an injected ``ExecutionError`` — go through
+The same five inputs — two good documents, one malformed XML text, one
+document hit by an injected ``ExecutionError`` and one whose root
+carries two attributes that collide once namespaces are stripped — go
+through
 ``clip-repro batch``, ``POST /transform/batch`` and
 :func:`repro.runtime.parse_documents` plus :class:`BatchRunner`.  Under
 ``skip`` and ``collect`` every surface must report the same failure
@@ -45,8 +47,13 @@ WORKERS = int(os.environ.get("CLIP_TEST_WORKERS", "1"))
 #: Input position 2 parses but fails evaluation: it is the runner's
 #: document 1, since the malformed text at position 1 never reaches it.
 MALFORMED = "<dept><dname>broken</dept>"
+#: ``a:x`` and ``x`` both strip to the local name ``x``.
+COLLIDING = ' xmlns:a="urn:a" a:x="1" x="2">'
 INJECTED = FaultInjector({1: Fault(kind="raise", error="ExecutionError")})
-EXPECTED = [(1, "XmlParseError", 1), (2, "ExecutionError", 1)]
+EXPECTED = [
+    (1, "XmlParseError", 1), (2, "ExecutionError", 1),
+    (4, "XmlParseError", 1),
+]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +70,8 @@ def texts():
         ))
         for seed in range(3)
     ]
-    return [good[0], MALFORMED, good[1], good[2]]
+    colliding = good[0].replace(">", COLLIDING, 1)
+    return [good[0], MALFORMED, good[1], good[2], colliding]
 
 
 def _records(failures) -> list:
@@ -169,12 +177,12 @@ def test_every_surface_isolates_the_same_failures(
     runtime = _runtime(mapping, texts, policy)
     service = _service(mapping, texts, policy, tmp_path)
     cli = _cli(mapping, texts, policy, tmp_path, monkeypatch, capsys)
-    letters = 2 if policy == "collect" else 0
+    letters = 3 if policy == "collect" else 0
     assert runtime == {
         "failures": EXPECTED,
         "succeeded": [0, 3],
         "dead_letters": letters,
-        "metrics": (2, letters),
+        "metrics": (3, letters),
     }
     assert service == runtime
     assert cli == runtime
