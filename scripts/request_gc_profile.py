@@ -1,0 +1,190 @@
+#!/usr/bin/env python
+"""Where a warm service request's collector time goes, in one process.
+
+Replays the ``serve-large`` benchmark's six documents (two each of the
+Figure 6 join at 16x32x160, the Figure 7 grouping at 40x6x25 and the
+composed copy->filter chain at 40x6x25, generated from seed 1 by
+``perfbench/inputs.py``) through :meth:`ClipService.dispatch` as
+``POST /transform`` requests, with no HTTP in between.  Like the
+``serve`` command, it collects and freezes the heap once before the
+first request.
+
+Every response is compared byte for byte with the naive
+(``optimize=False``) engine's output.  The collector is timed with
+``gc.callbacks``.  For each document kind it prints, as the median over
+the rounds of the per-request mean:
+
+* ``dispatch_ms`` — wall time of one ``dispatch`` call;
+* ``gc_ms`` — collector time (all generations) inside it;
+* ``gen2_ms`` — full-collection time inside it.
+
+Exit status: 0 when every response matched, 1 otherwise.  Run it from
+the repository root::
+
+    PYTHONPATH=src python scripts/request_gc_profile.py --rounds 10
+    PYTHONPATH=src python scripts/request_gc_profile.py --rounds 2 --json
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import inputs  # noqa: E402
+from repro.service import ClipService  # noqa: E402
+
+SEED = 1
+#: (kind, mapping documents, geometry) — serve-large's request mix.
+KINDS = (
+    ("fig6", ("fig6",), inputs.Geometry(16, 32, 160)),
+    ("fig7", ("fig7",), inputs.Geometry(40, 6, 25)),
+    ("chain", ("chain_ab", "chain_bc"), inputs.Geometry(40, 6, 25)),
+)
+DOCS = 2
+
+
+class CollectorClock:
+    """Accumulates collector pause time from ``gc.callbacks``."""
+
+    def __init__(self):
+        self.total = 0.0
+        self.gen2 = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        elapsed = time.perf_counter() - self._started
+        self.total += elapsed
+        if info["generation"] == 2:
+            self.gen2 += elapsed
+
+
+def _post(service: ClipService, path: str, body: bytes,
+          headers=None) -> dict:
+    response = service.dispatch("POST", path, headers or {}, body)
+    if response.status not in (200, 201):
+        raise SystemExit(f"POST {path} answered {response.status}: "
+                         f"{response.body[:200]!r}")
+    return json.loads(response.body)
+
+
+def build_requests() -> tuple[dict, list]:
+    """The mapping documents by name, and the six requests as
+    ``(kind, body, reference bytes)``."""
+    refs = inputs.References()
+    texts = {name: inputs.mapping_text(name)
+             for _, names, _ in KINDS for name in names}
+    requests = []
+    for i in range(DOCS):
+        for kind, names, geometry in KINDS:
+            text = inputs.document(geometry, SEED, f"{kind}-{i}")
+            if kind == "chain":
+                reference = refs.chained(texts[names[0]], texts[names[1]], text)
+            else:
+                reference = refs.output(texts[names[0]], text)
+            requests.append((kind, text.encode("utf-8"), reference))
+    return texts, requests
+
+
+def register(service: ClipService, texts: dict) -> dict:
+    """Register every mapping and compose the chain, as the benchmark's
+    set-up does; returns the fingerprint of each kind."""
+    fps = {name: _post(service, "/mappings", text.encode("utf-8"))["fingerprint"]
+           for name, text in texts.items()}
+    fps["chain"] = _post(
+        service, "/mappings/compose",
+        json.dumps({"first": fps["chain_ab"],
+                    "second": fps["chain_bc"]}).encode("utf-8"),
+        {"Content-Type": "application/json"},
+    )["fingerprint"]
+    return fps
+
+
+def replay(service: ClipService, fps: dict, requests: list, rounds: int):
+    """``rounds`` passes over ``requests`` after one untimed pass;
+    returns ``({kind: {metric: [per-round mean]}}, mismatches)``."""
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
+    samples = {kind: {"dispatch_ms": [], "gc_ms": [], "gen2_ms": []}
+               for kind, _, _ in KINDS}
+    mismatches = 0
+    try:
+        for round_no in range(rounds + 1):
+            sums = {kind: [0.0, 0.0, 0.0] for kind in samples}
+            for kind, body, reference in requests:
+                path = f"/transform?mapping={fps[kind]}"
+                gc_before, gen2_before = clock.total, clock.gen2
+                started = time.perf_counter()
+                response = service.dispatch("POST", path, {}, body)
+                elapsed = time.perf_counter() - started
+                if response.status != 200 or response.body != reference:
+                    mismatches += 1
+                    print(f"  [FAIL] {kind} {path}: status {response.status}, "
+                          f"{len(response.body)} vs {len(reference)} bytes",
+                          file=sys.stderr)
+                acc = sums[kind]
+                acc[0] += elapsed
+                acc[1] += clock.total - gc_before
+                acc[2] += clock.gen2 - gen2_before
+            if round_no == 0:
+                continue  # warm-up
+            for kind, (dispatch, total, gen2) in sums.items():
+                samples[kind]["dispatch_ms"].append(dispatch * 1e3 / DOCS)
+                samples[kind]["gc_ms"].append(total * 1e3 / DOCS)
+                samples[kind]["gen2_ms"].append(gen2 * 1e3 / DOCS)
+    finally:
+        gc.callbacks.remove(clock)
+    return samples, mismatches
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="timed passes over the six requests (default 5)")
+    parser.add_argument("--json", action="store_true",
+                        help="print one JSON document instead of a table")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    texts, requests = build_requests()
+    service = ClipService()
+    # What `serve` does before it answers its first request.
+    gc.collect()
+    gc.freeze()
+    fps = register(service, texts)
+    samples, mismatches = replay(service, fps, requests, args.rounds)
+    medians = {
+        kind: {metric: round(statistics.median(values), 3)
+               for metric, values in metrics.items()}
+        for kind, metrics in samples.items()
+    }
+    if args.json:
+        print(json.dumps({"rounds": args.rounds, "seed": SEED,
+                          "mismatches": mismatches, "kinds": medians},
+                         indent=2, sort_keys=True))
+    else:
+        print(f"{args.rounds} rounds, seed {SEED}; per-request medians "
+              f"of per-round means (ms)")
+        print(f"{'kind':8}{'dispatch_ms':>13}{'gc_ms':>10}{'gen2_ms':>10}")
+        for kind, row in medians.items():
+            print(f"{kind:8}{row['dispatch_ms']:>13.2f}{row['gc_ms']:>10.2f}"
+                  f"{row['gen2_ms']:>10.2f}")
+        print("bytes: all responses match the naive engine"
+              if not mismatches else f"bytes: {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

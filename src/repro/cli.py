@@ -542,6 +542,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import gc
+
     from .service import ClipService, ServiceConfig, make_server
 
     try:
@@ -566,6 +568,11 @@ def _cmd_serve(args) -> int:
     print(f"clip service listening on http://{host}:{port}", flush=True)
     if config.secret is not None:
         print("request signing: required (X-Clip-Signature)", flush=True)
+    # Move everything alive now — modules, code, the registry — out of
+    # the heap that full collections walk: requests then pay only for
+    # what they allocate (https://docs.python.org/3/library/gc.html#gc.freeze).
+    gc.collect()
+    gc.freeze()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

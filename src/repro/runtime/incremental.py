@@ -547,21 +547,33 @@ class _Signer:
         self._memo: dict[int, tuple] = {}
 
     def signature(self, element: XmlElement) -> tuple:
-        found = self._memo.get(id(element))
+        """The element's address, memoized along with every ancestor's:
+        walk up to the first memoized ancestor (or the root), then build
+        the addresses downward — no recursion, so depth is bounded by
+        memory, not by the recursion limit."""
+        memo = self._memo
+        found = memo.get(id(element))
         if found is not None:
             return found
-        parent = element.parent
-        if parent is None:
-            found = ()
-        else:
+        pending = []
+        node = element
+        while found is None:
+            parent = node.parent
+            if parent is None:
+                found = memo[id(node)] = ()
+                break
+            pending.append((node, parent))
+            node = parent
+            found = memo.get(id(node))
+        for node, parent in reversed(pending):
             occurrence = 0
-            for sibling in parent.children:
-                if sibling is element:
+            tag = node.tag
+            for sibling in parent._children:
+                if sibling is node:
                     break
-                if sibling.tag == element.tag:
+                if sibling.tag == tag:
                     occurrence += 1
-            found = self.signature(parent) + ((element.tag, occurrence),)
-        self._memo[id(element)] = found
+            found = memo[id(node)] = found + ((tag, occurrence),)
         return found
 
     def env_signature(self, gens, env) -> tuple:
@@ -621,8 +633,16 @@ def transform_delta(
             new_source = apply_delta(prev_source, delta)
         return plan.run(new_source), report
     session = IncrementalSession(plan, threshold=threshold)
-    session._adopt(prev_source.copy(), prev_target.copy())
-    return session.apply(delta)
+    source, target = prev_source.copy(), prev_target.copy()
+    session._adopt(source, target)
+    result, report = session.apply(delta)
+    # The copies are this call's own and die with the session: dismantle
+    # them now (all but the returned target) rather than leave cycles to
+    # the next full collection.
+    for tree in (source, session._source, target):
+        if tree is not result:
+            tree.release()
+    return result, report
 
 
 class IncrementalSession:

@@ -243,6 +243,14 @@ class RegisteredComposition:
         }
 
 
+def _release(trees) -> None:
+    """Release each tree a request parsed or built (see
+    :meth:`XmlElement.release`); ``None`` entries are skipped."""
+    for tree in trees:
+        if tree is not None:
+            tree.release()
+
+
 def _json_body(doc: dict, status: int = 200,
                headers: Tuple[Tuple[str, str], ...] = ()) -> ServiceResponse:
     payload = (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -831,10 +839,31 @@ class ClipService:
         )
         if rejected is not None:
             return rejected
-        if composed:
-            return self._transform_composed(
-                entry, document, params, deadline, request_id
+        # Nothing from a request outlives its response (Section VI: one
+        # source instance in, one target instance out), so every tree it
+        # parses or builds is released once the body is rendered — an
+        # intact tree is a cycle only a full collection would free.
+        try:
+            if composed:
+                return self._transform_composed(
+                    entry, document, params, deadline, request_id
+                )
+            return self._transform_mapping(
+                entry, document, text, params, deadline, request_id
             )
+        finally:
+            document.release()
+
+    def _transform_mapping(
+        self,
+        entry: RegisteredMapping,
+        document: XmlElement,
+        text: str,
+        params: dict,
+        deadline: Deadline,
+        request_id: str,
+    ) -> ServiceResponse:
+        """One transform through a registered mapping's plan."""
         tracer = SpanTracer() if _flag(params.get("trace")) else None
         runner = self._runner(
             entry, timeout=deadline.remaining(), tracer=tracer
@@ -857,6 +886,7 @@ class ClipService:
             metrics_doc=metrics_doc, result=result, source_text=text,
             result_xml=rendered,
         )
+        result.release()
         return ServiceResponse(
             200, "application/xml; charset=utf-8",
             rendered.encode("utf-8"),
@@ -901,9 +931,10 @@ class ClipService:
             request_id, endpoint="transform", entry=entry, status=200,
             metrics_doc=metrics_doc, result=result,
         )
+        rendered = to_xml(result).encode("utf-8")
+        result.release()
         return ServiceResponse(
-            200, "application/xml; charset=utf-8",
-            to_xml(result).encode("utf-8"),
+            200, "application/xml; charset=utf-8", rendered,
             (("X-Clip-Request", request_id),
              ("X-Clip-Mapping", entry.fingerprint)),
         )
@@ -966,6 +997,7 @@ class ClipService:
             text, entry.mapping.source, deadline, request_id
         )
         if rejected is not None:
+            _release((prev_source, prev_target))
             return rejected
         plan = self.cache.get_or_compile(
             entry.mapping, entry.engine, fp=entry.fingerprint,
@@ -998,6 +1030,8 @@ class ClipService:
             status=200, metrics_doc=metrics_doc, result=result,
             source_text=text, result_xml=rendered,
         )
+        _release((prev_source, prev_target, new_source, result))
+        _release(record.subtree for record in delta.records)
         return ServiceResponse(
             200, "application/xml; charset=utf-8",
             rendered.encode("utf-8"),
@@ -1083,6 +1117,7 @@ class ClipService:
             # fail_fast: the first terminal failure aborts the request
             # (every document parsed, so runner indices are positions).
             self.metrics.count_documents(0, 1)
+            _release(parsed.documents)
             return self._failure_response(exc.failure, request_id, [])
         batch.reindex(parsed.positions, parsed.failures, parsed.dead_letters)
         paths = self._dead_letter(batch.dead_letters, request_id)
@@ -1092,6 +1127,8 @@ class ClipService:
             {"index": index, "xml": to_xml(result)}
             for index, result in zip(batch.success_indices, batch.results)
         ]
+        _release(parsed.documents)
+        _release(batch.results)
         self._store_request(
             request_id, endpoint="transform_batch", entry=entry, status=200,
             metrics_doc=metrics_doc,

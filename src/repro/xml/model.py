@@ -32,6 +32,12 @@ AtomicValue = Union[str, int, float, bool]
 
 _ATOMIC_TYPES = (str, int, float, bool)
 
+#: The child container of every leaf until its first ``append`` or
+#: ``insert``: one immutable empty tuple shared by all leaves, which the
+#: collector does not track (an empty list per leaf is one more object
+#: for every full collection to walk).
+_NO_CHILDREN: tuple = ()
+
 
 def _check_atomic(value: AtomicValue, what: str) -> AtomicValue:
     if not isinstance(value, _ATOMIC_TYPES):
@@ -68,6 +74,8 @@ class XmlElement:
     # ``_index`` holds the lazily built :class:`~repro.xml.index.DocumentIndex`
     # of the document rooted here (see :func:`repro.xml.index.index_for`);
     # it is left unset until first use, so read it with ``getattr``.
+    # ``_children`` is a list once the element has had a child, and the
+    # shared ``_NO_CHILDREN`` tuple before that.
     __slots__ = ("tag", "_attributes", "_children", "_text", "parent", "_index")
 
     def __init__(
@@ -79,7 +87,7 @@ class XmlElement:
     ):
         self.tag = _check_name(tag, "element tag")
         self._attributes: dict[str, AtomicValue] = {}
-        self._children: list[XmlElement] = []
+        self._children: list[XmlElement] | tuple = _NO_CHILDREN
         self._text: Optional[AtomicValue] = None
         self.parent: Optional[XmlElement] = None
         if attributes:
@@ -106,7 +114,11 @@ class XmlElement:
                 f"element <{child.tag}> already has a parent <{child.parent.tag}>"
             )
         child.parent = self
-        self._children.append(child)
+        children = self._children
+        if children:
+            children.append(child)
+        else:
+            self._children = [child]
         return child
 
     def insert(self, index: int, child: "XmlElement") -> "XmlElement":
@@ -123,7 +135,11 @@ class XmlElement:
                 f"element <{child.tag}> already has a parent <{child.parent.tag}>"
             )
         child.parent = self
-        self._children.insert(index, child)
+        children = self._children
+        if children:
+            children.insert(index, child)
+        else:
+            self._children = [child]
         return child
 
     def extend(self, children: Iterable["XmlElement"]) -> None:
@@ -138,6 +154,30 @@ class XmlElement:
                 child.parent = None
                 return
         raise XmlError(f"<{child.tag}> is not a child of <{self.tag}>")
+
+    def release(self) -> None:
+        """Dismantle the tree rooted here, which the caller owns and
+        will not read again, so that reference counting alone frees it.
+
+        Every element keeps its parent alive and the root keeps its
+        document index, so an intact tree is a reference cycle that only
+        a full garbage collection reclaims.  This detaches the element
+        from its parent (if any), drops its index, and — over an
+        explicit stack — empties every element's child list and clears
+        its ``parent``.  Afterwards each former element is a bare,
+        parentless leaf that may be appended anywhere.
+        """
+        if self.parent is not None:
+            self.parent.remove(self)
+        self._index = None
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            children = node._children
+            if children:
+                stack.extend(children)
+                node._children = _NO_CHILDREN
+            node.parent = None
 
     def set_attribute(self, name: str, value: AtomicValue) -> None:
         name = _check_name(name.lstrip("@"), "attribute name")
@@ -270,10 +310,13 @@ class XmlElement:
             target.tag = source.tag
             target._attributes = dict(source._attributes)
             target._text = source._text
-            children = []
             sources = source._children
+            if not sources:
+                target._children = _NO_CHILDREN
+                continue
             if orders:
                 sources = orders.get(id(source), sources)
+            children = []
             for child in sources:
                 child_clone = new(XmlElement)
                 child_clone.parent = target

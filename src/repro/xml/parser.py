@@ -22,7 +22,7 @@ import xml.etree.ElementTree as _ET
 from typing import Optional
 
 from ..errors import XmlParseError
-from .model import XmlElement, _check_atomic, _check_name
+from .model import _NO_CHILDREN, XmlElement, _check_atomic, _check_name
 
 
 def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
@@ -102,7 +102,6 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
         out = new(XmlElement)
         out.tag = tag
         out._attributes = attributes
-        out._children = []
         out._text = None
         out.parent = parent
         if parent is None:
@@ -111,11 +110,13 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
             parent._children.append(out)
 
         if len(node):
+            out._children = []
             # Mixed-content text is dropped; reversed so children pop
             # (and are appended) in document order.
             for child in reversed(node):
                 stack.append((child, out, decl))
         else:
+            out._children = _NO_CHILDREN
             value = node.text
             if value:
                 value = value.strip()

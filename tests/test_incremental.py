@@ -21,11 +21,13 @@ from repro.executor.planner import PlanMemo
 from repro.runtime.incremental import (
     DEFAULT_THRESHOLD,
     IncrementalSession,
+    _Signer,
     transform_delta,
 )
 from repro.scenarios import deptstore
 from repro.scenarios.workload import DeptstoreSpec, make_deptstore_instance
 from repro.xml.diff import Delta, compute_delta
+from repro.xml.model import element
 from repro.xml.serialize import to_xml
 
 FIGURES = {
@@ -524,3 +526,65 @@ class TestSharedMemo:
         assert employee_level.join_probes > 0
         for key, table in tables.items():
             assert memo.get(key) is table
+
+
+def _reference_signature(node) -> tuple:
+    """An element's structural address, straight from its definition:
+    ``(tag, per-tag index among earlier siblings)`` per step below the
+    root."""
+    steps = []
+    for step in node.path_from_root()[1:]:
+        siblings = step.parent.children
+        before = siblings[:[id(s) for s in siblings].index(id(step))]
+        steps.append((step.tag, sum(s.tag == step.tag for s in before)))
+    return tuple(steps)
+
+
+class TestSigner:
+    """``_Signer`` addresses match their definition and survive depth."""
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_root_binding_signatures_match_the_definition(self, figure):
+        plan = _plan(figure)
+        session = IncrementalSession(plan)
+        doc = _instance()
+        session.transform(doc)
+        session._refresh()
+        root = session._shape.root
+        fresh = _Signer()
+        assert session._sigs == [
+            tuple(_reference_signature(env[gen.var])
+                  for gen in root.source_gens)
+            for env in session._envs
+        ]
+        assert session._sigs == [
+            fresh.env_signature(root.source_gens, env)
+            for env in session._envs
+        ]
+
+    def test_every_element_in_any_order(self):
+        doc = _instance()
+        nodes = list(doc.iter())
+        signer = _Signer()
+        for node in reversed(nodes):  # descendants first: nothing memoized
+            assert signer.signature(node) == _reference_signature(node)
+        again = _Signer()
+        for node in nodes:  # ancestors first: the parent is memoized
+            assert again.signature(node) == _reference_signature(node)
+
+    def test_a_5000_deep_chain_does_not_recurse(self):
+        root = node = element("n")
+        for _ in range(5000):
+            node = node.append(element("n"))
+        signer = _Signer()
+        try:
+            signature = signer.signature(node)
+        except RecursionError:
+            # Reported outside the handler: a chained 1000-frame
+            # traceback takes the reporter minutes to render.
+            signature = None
+        assert signature is not None, "signature() recursed per ancestor"
+        assert len(signature) == 5000
+        assert set(signature) == {("n", 0)}
+        assert signer.signature(node.parent) == signature[:-1]
+        assert signer.signature(root) == ()

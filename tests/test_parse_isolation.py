@@ -21,6 +21,7 @@ import json
 import os
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +218,54 @@ def test_unreadable_input_is_dead_lettered_as_empty_text(mapping, tmp_path):
     assert (failure.index, failure.error) == (0, "FileNotFoundError")
     (letter,) = parsed.dead_letters
     assert letter.document == ""
+
+
+def _single_document(mapping, base: str, text: str, endpoint: str,
+                     directory) -> dict:
+    """``text`` through a single-document endpoint of a fresh service;
+    ``/transform/delta`` chains off a successful transform of ``base``."""
+    service = ClipService(ServiceConfig.resolve(
+        environ={}, dead_letter_dir=str(directory),
+    ))
+    registered = service.dispatch("POST", "/mappings", {},
+                                  dumps(mapping).encode())
+    fp = json.loads(registered.body)["fingerprint"]
+    if endpoint == "/transform":
+        response = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, text.encode()
+        )
+    else:
+        first = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, base.encode()
+        )
+        assert first.status == 200, first.body
+        response = service.dispatch(
+            "POST", "/transform/delta", {},
+            json.dumps({"request": dict(first.headers)["X-Clip-Request"],
+                        "document": text}).encode(),
+        )
+    doc = json.loads(response.body)
+    letters = [p for p in doc.pop("dead_letters", []) if p.endswith(".xml")]
+    assert [Path(p).read_text(encoding="utf-8") for p in letters] == [text]
+    for volatile in ("message", "request"):
+        doc.pop(volatile)
+    return {
+        "status": response.status,
+        "envelope": doc,
+        "dead_letters": len(letters),
+        "counted": service.metrics.dead_letters,
+    }
+
+
+@pytest.mark.parametrize("endpoint", ["/transform", "/transform/delta"])
+def test_colliding_attributes_fail_like_malformed_xml(
+    mapping, texts, endpoint, tmp_path
+):
+    malformed = _single_document(mapping, texts[0], MALFORMED, endpoint,
+                                 tmp_path / "malformed")
+    colliding = _single_document(mapping, texts[0], texts[4], endpoint,
+                                 tmp_path / "colliding")
+    assert malformed["status"] == 400
+    assert malformed["envelope"]["error"] == "XmlParseError"
+    assert malformed["dead_letters"] == malformed["counted"] == 1
+    assert colliding == malformed

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
+
 import pytest
 
 from repro.errors import XmlError
+from repro.xml.index import index_for
 from repro.xml.model import XmlElement, element
+from repro.xml.parser import parse_xml
+from repro.xml.serialize import to_xml
 
 
 class TestConstruction:
@@ -148,3 +154,126 @@ class TestCopy:
         clone = tree.copy()
         clone.append(element("extra"))
         assert tree.find("extra") is None
+
+
+def _sample() -> XmlElement:
+    return element(
+        "root",
+        element("dept", element("dname", text="ICT"), element("Proj", pid="1"),
+                element("Proj", element("pname", text="Robotics"), pid="2")),
+        element("dept", element("dname", text="Sales")),
+        element("empty"),
+    )
+
+
+def _leaves(tree: XmlElement) -> list:
+    return [node for node in tree.iter() if not len(node)]
+
+
+class TestSharedEmptyChildren:
+    """Leaves share one untracked empty child container until their
+    first child, so a document adds one tracked object per leaf."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_xml(to_xml(_sample())),
+        lambda: _sample(),
+        lambda: _sample().copy(),
+        lambda: _sample().canonical(),
+    ], ids=["parse_xml", "constructor", "copy", "canonical"])
+    def test_leaves_start_with_an_untracked_container(self, make):
+        tree = make()
+        leaves = _leaves(tree)
+        assert len(leaves) == 5
+        for leaf in leaves:
+            assert not gc.is_tracked(leaf._children)
+        assert not gc.is_tracked(XmlElement("bare")._children)
+
+    def test_append_and_insert_on_a_leaf(self):
+        tree = parse_xml(to_xml(_sample()))
+        leaf = tree.find("empty")
+        first = leaf.append(element("a"))
+        second = leaf.insert(0, element("b"))
+        assert [child.tag for child in leaf] == ["b", "a"]
+        assert first.parent is leaf and second.parent is leaf
+        fresh = XmlElement("x")
+        fresh.insert(0, element("y"))
+        assert [child.tag for child in fresh] == ["y"]
+        with pytest.raises(XmlError):
+            tree.find("dept").find("dname").append(element("z"))
+        # Growing one leaf leaves every other leaf's container alone.
+        assert all(not len(node) for node in _leaves(tree))
+
+    def test_remove_back_to_a_leaf_then_grow_again(self):
+        leaf = element("p")
+        child = leaf.append(element("c"))
+        leaf.remove(child)
+        assert len(leaf) == 0 and child.parent is None
+        leaf.append(child)
+        assert leaf.children == (child,)
+
+    def test_pickle_copy_equality_and_canonical_are_unchanged(self):
+        tree = _sample()
+        parsed = parse_xml(to_xml(tree))
+        assert parsed == tree
+        restored = pickle.loads(pickle.dumps(tree))
+        assert restored == tree
+        assert to_xml(restored) == to_xml(tree)
+        assert restored.find("dept").parent is restored
+        assert restored.copy() == tree and tree.copy() == parsed
+        assert hash(restored) == hash(tree)
+        assert to_xml(tree.canonical()) == to_xml(parsed.canonical())
+        assert tree.canonical().equals_canonically(restored)
+        leaf = restored.find("empty")
+        leaf.append(element("grown"))
+        assert len(tree.find("empty")) == 0
+
+
+class TestRelease:
+    """``release()`` dismantles an owned tree so reference counting
+    alone frees it."""
+
+    def test_release_clears_every_parent_and_the_index(self):
+        tree = parse_xml(to_xml(_sample()))
+        index_for(tree)
+        nodes = list(tree.iter())
+        tree.release()
+        assert all(node.parent is None for node in nodes)
+        assert all(len(node) == 0 for node in nodes)
+        assert getattr(tree, "_index", None) is None
+
+    def test_released_elements_can_be_appended_anew(self):
+        tree = _sample()
+        nodes = list(tree.iter())
+        tree.release()
+        holder = element("holder")
+        for node in nodes:
+            holder.append(node)
+        assert [child.tag for child in holder] == [n.tag for n in nodes]
+        assert tree.parent is holder
+
+    def test_release_of_a_subtree_detaches_it(self):
+        tree = _sample()
+        dept = tree.find("dept")
+        dept.release()
+        assert dept.parent is None
+        assert [child.tag for child in tree] == ["dept", "empty"]
+        assert len(dept) == 0
+
+    def test_a_released_tree_is_freed_without_the_collector(self):
+        tree = parse_xml(to_xml(_sample()))
+        index_for(tree)
+        gc.collect()
+        gc.disable()
+        try:
+            tree.release()
+            del tree
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_release_handles_deep_chains(self):
+        root = node = element("n")
+        for _ in range(5000):
+            node = node.append(element("n"))
+        root.release()
+        assert node.parent is None and len(root) == 0
