@@ -1012,7 +1012,7 @@ class _OptimizedEngine(_Engine):
             self, env, self._counter(mapping)
         )
 
-    def _group_key(self, mapping, skolem_app, env):
+    def group_key(self, mapping, env):
         return self.program.keys[id(mapping)](self, env)
 
     def _apply_assignment(self, assignment, env, target_env) -> None:

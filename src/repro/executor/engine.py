@@ -557,9 +557,11 @@ class _Engine:
             for sub in mapping.submappings:
                 self._run_mapping(sub, env, target_env)
 
-    def _group_key(self, mapping: TgdMapping, skolem_app, env: Env) -> tuple:
-        """The grouping key of one environment — a hook so the
-        optimized engine can dispatch to its generated key function."""
+    def group_key(self, mapping: TgdMapping, env: Env) -> tuple:
+        """The grouping key of one environment of a grouped level: the
+        atoms of its Skolem's ``group-by`` attributes (the optimized
+        engine dispatches to its generated key function)."""
+        _, skolem_app = mapping.skolem
         return tuple(
             tuple(self._eval_atoms(attr, env)) for attr in skolem_app.attrs
         )
@@ -584,10 +586,9 @@ class _Engine:
     def _run_grouped(
         self, mapping: TgdMapping, envs: list[Env], target_env: Env
     ) -> None:
-        _, skolem_app = mapping.skolem
         grouped: dict[tuple, list[Env]] = {}
         for iteration_env in envs:
-            key = self._group_key(mapping, skolem_app, iteration_env)
+            key = self.group_key(mapping, iteration_env)
             grouped.setdefault(key, []).append(iteration_env)
         base_envs = self._materialize_targets(
             self._splits[id(mapping)][0], target_env

@@ -42,7 +42,7 @@ hash build/probe sizes) feed :mod:`repro.executor.stats` and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..core.tgd import (
     AggregateApp,
@@ -181,6 +181,18 @@ class LevelPlan:
     #: :class:`PlanMemo` under this chain.  ``()`` for a bare
     #: :func:`plan_level` call.
     gen_chains: tuple[Optional[tuple[str, ...]], ...] = ()
+    #: The same reads split by where they are anchored, for the
+    #: incremental session's dirty-unit test.  ``unit_reads`` are
+    #: ``(root_var, chain)`` pairs, the chain relative to a binding of
+    #: that root-level generator variable: nested generator
+    #: populations, value reads, and reads of variables a membership
+    #: pins inside the binding (Figure 7's ``p2 ∈ p``).  ``doc_reads``
+    #: are absolute chains read document-wide, outside every unit (the
+    #: Figure 7 employee re-scan).  Neither holds the root generators'
+    #: own populations — they define the units — nor a collection read
+    #: whose member is unit-scoped (a containment test of that member).
+    unit_reads: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    doc_reads: tuple[tuple[str, ...], ...] = ()
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -344,9 +356,20 @@ def plan_level(mapping: TgdMapping, depth: int) -> LevelPlan:
 
 # -- source read-sets --------------------------------------------------------
 
-#: Variable → the absolute label chains its bindings come from, or
-#: ``None`` when the chains could not be resolved.
-_VarChains = dict[str, Optional[frozenset[tuple[str, ...]]]]
+_Chain = tuple[str, ...]
+#: Where a unit-scoped variable's bindings live: the root-level
+#: generator variable whose binding holds them, and the label chain
+#: from that binding down to them.
+_Anchor = tuple[str, _Chain]
+
+
+class _Bound(NamedTuple):
+    """One bound variable: the absolute label chains its bindings come
+    from (``None`` when unresolved), and its anchor inside a unit
+    (``None`` for a document-scoped variable)."""
+
+    chains: Optional[frozenset[_Chain]]
+    anchor: Optional[_Anchor]
 
 
 def value_read_chains(chain: tuple[str, ...]) -> set[tuple[str, ...]]:
@@ -392,51 +415,101 @@ def level_reads(mapping: TgdMapping):
             yield expr, True, None
 
 
-def _collect_level_reads(
-    mapping: TgdMapping, var_chains: _VarChains
-) -> tuple[frozenset[tuple[str, ...]], bool]:
-    """One level's source read-set, as absolute label chains.
+def _anchor(expr: TgdExpr, scope: dict[str, _Bound]) -> Optional[_Anchor]:
+    """Where the nodes an expression reaches live inside a unit, or
+    ``None`` when it is rooted at the schema root or at a
+    document-scoped variable."""
+    root = expr_root(expr)
+    bound = scope.get(root.name) if isinstance(root, Var) else None
+    if bound is None or bound.anchor is None:
+        return None
+    root_var, chain = bound.anchor
+    return root_var, chain + tuple(expr_labels(expr))
 
-    ``var_chains`` maps outer variables to the chains their bindings
-    come from; this level's generator variables are added to it (so the
-    caller can thread it into submappings).  Returns the chains plus a
-    resolution flag — ``False`` means some read could not be anchored
-    to the source root, and the level must be treated as reading
-    everything.
+
+def _pinned_anchor(
+    mapping: TgdMapping, var: str, scope: dict[str, _Bound]
+) -> Optional[_Anchor]:
+    """The anchor a membership condition pins a document-ranging
+    generator to: ``var ∈ e`` with ``e`` unit-scoped keeps only
+    bindings that are, by identity, nodes of ``e``."""
+    for condition in mapping.where:
+        if isinstance(condition, Membership):
+            member = expr_root(condition.member)
+            if isinstance(member, Var) and member.name == var:
+                anchor = _anchor(condition.collection, scope)
+                if anchor is not None:
+                    return anchor
+    return None
+
+
+def _collect_level_reads(
+    mapping: TgdMapping, scope: dict[str, _Bound], is_root: bool
+) -> tuple[set[_Chain], bool, set[tuple[str, _Chain]], set[_Chain]]:
+    """One level's source reads, resolved along variable binding paths.
+
+    ``scope`` maps outer variables to what is known of their bindings;
+    this level's generator variables are added to it (so the caller
+    can thread it into submappings).  A root level's generators anchor
+    the units; a nested generator is unit-scoped when it ranges below
+    a unit-scoped variable or a membership pins it to one, and
+    document-scoped otherwise.  Returns ``(reads, resolved,
+    unit_reads, doc_reads)`` with the meanings of the
+    :class:`LevelPlan` fields; ``resolved`` is ``False`` when some read
+    could not be resolved to an absolute chain.
     """
-    chains: set[tuple[str, ...]] = set()
+    reads: set[_Chain] = set()
+    unit: set[tuple[str, _Chain]] = set()
+    doc: set[_Chain] = set()
     resolved = True
 
-    def expr_chains(expr: TgdExpr) -> Optional[frozenset[tuple[str, ...]]]:
+    def chains_of(expr: TgdExpr) -> Optional[frozenset[_Chain]]:
         nonlocal resolved
         root = expr_root(expr)
         labels = tuple(expr_labels(expr))
         if isinstance(root, SchemaRoot):
             return frozenset({labels})
-        if isinstance(root, Var):
-            bases = var_chains.get(root.name)
-            if bases is not None:
-                return frozenset(base + labels for base in bases)
-        resolved = False
-        return None
+        bound = scope.get(root.name)
+        if bound is None or bound.chains is None:
+            resolved = False
+            return None
+        return frozenset(base + labels for base in bound.chains)
+
+    def widen(chain: _Chain, atomic: bool) -> set[_Chain]:
+        # Atomic consumption reads the *text* of element operands, so
+        # a chain ending at an element also reads one step deeper than
+        # the chain spells out.
+        return value_read_chains(chain) if atomic else {chain}
 
     for gen in mapping.source_gens:
-        gen_chains = expr_chains(gen.expr)
-        if gen_chains is not None:
-            chains.update(gen_chains)
-        var_chains[gen.var] = gen_chains
-    for expr, atomic, _member in level_reads(mapping):
-        found = expr_chains(expr)
-        if found is None:
-            continue
-        chains.update(found)
-        if atomic:
-            # Atomic consumption reads the *text* of element operands,
-            # so a chain ending at an element also reads one step
-            # deeper than the chain spells out.
-            for chain in found:
-                chains.update(value_read_chains(chain))
-    return frozenset(chains), resolved
+        chains = chains_of(gen.expr)
+        reads.update(chains or ())
+        anchor = _anchor(gen.expr, scope)
+        if is_root:
+            # The unit's own binding: its enumeration is tracked by
+            # binding identity and structural signature, not by reads.
+            anchor = (gen.var, ())
+        elif anchor is not None:
+            unit.add(anchor)  # the population it enumerates
+        else:
+            anchor = _pinned_anchor(mapping, gen.var, scope)
+            if anchor is None:
+                doc.update(chains or ())
+        scope[gen.var] = _Bound(chains, anchor)
+    for expr, atomic, member in level_reads(mapping):
+        found = {
+            read for chain in chains_of(expr) or () for read in widen(chain, atomic)
+        }
+        reads.update(found)
+        anchor = _anchor(expr, scope)
+        if anchor is not None:
+            unit.update((anchor[0], read) for read in widen(anchor[1], atomic))
+        elif member is None or _anchor(member, scope) is None:
+            # (A collection whose member is unit-scoped is a
+            # containment test of that member: edits to the other
+            # collection elements cannot flip it.)
+            doc.update(found)
+    return reads, resolved, unit, doc
 
 
 @dataclass(frozen=True)
@@ -459,23 +532,29 @@ class PlannedTgd:
 
 
 def plan_tgd(tgd: NestedTgd) -> PlannedTgd:
-    """Compile every level of a nested tgd into a :class:`PlannedTgd`,
-    annotating each with its source read-set and generator chains
-    (variable chains are threaded down the mapping tree, so an inner
-    level's reads resolve through its outer generators)."""
+    """Compile every level of a nested tgd into a :class:`PlannedTgd`.
+
+    The one read-set analysis: a single walk threads each variable's
+    source chains and unit anchor down the mapping tree (as Koch's
+    complex-value semantics resolves reads along binding paths), so
+    an inner level's reads resolve through its outer generators, and
+    annotates every level with its read-set, its anchored reads and
+    its generator chains."""
     levels: list[LevelPlan] = []
 
-    def gen_chain(gen, scope: _VarChains, grouped: frozenset):
+    def gen_chain(gen, scope: dict[str, _Bound], grouped: frozenset):
         root = expr_root(gen.expr)
         if isinstance(root, Var) and root.name in grouped:
             return None  # iterates a group's members
-        chains = scope.get(gen.var)
+        chains = scope[gen.var].chains
         return next(iter(chains)) if chains and len(chains) == 1 else None
 
-    def walk(mapping: TgdMapping, depth: int, outer: _VarChains,
+    def walk(mapping: TgdMapping, depth: int, outer: dict[str, _Bound],
              grouped: frozenset) -> None:
-        scope: _VarChains = dict(outer)
-        reads, resolved = _collect_level_reads(mapping, scope)
+        scope = dict(outer)
+        reads, resolved, unit, doc = _collect_level_reads(
+            mapping, scope, depth == 0
+        )
         own = frozenset(gen.var for gen in mapping.source_gens)
         grouped -= own
         levels.append(replace(
@@ -485,6 +564,8 @@ def plan_tgd(tgd: NestedTgd) -> PlannedTgd:
             gen_chains=tuple(
                 gen_chain(gen, scope, grouped) for gen in mapping.source_gens
             ),
+            unit_reads=tuple(sorted(unit)),
+            doc_reads=tuple(sorted(doc)),
         ))
         # A grouped level rebinds its own variables to GroupBindings
         # for everything nested below it.

@@ -37,40 +37,28 @@ Three outcomes, reported in the returned :class:`IncrementalReport`:
     the whole document per group, as in the Figure 7 employee join,
     cannot be localized to units).
 
-Scoped re-execution leans on two structural facts checked up front:
-every root-level read hangs off the root generators' own bindings, so
-a unit's output depends only on its bound subtrees; and nested
-document-scoped generators are either *membership-scoped* (tied to a
-group variable by a membership condition, like ``$p2`` in Figure 7) or
-cause a fallback when the delta reaches the paths they read.  The
-reads themselves come from the planner's per-level enumeration
-(:func:`~repro.executor.planner.level_reads`), the same one behind the
-plan's read-sets.
+Scoped re-execution reads the planner's one read-set analysis
+(:func:`~repro.executor.planner.plan_tgd`), for naive and optimized
+plans alike: each level's reads are anchored either below a root
+generator's binding — the unit's own subtrees, including variables a
+membership pins there, like ``$p2`` in Figure 7 — or document-wide,
+and a delta reaching a document-wide read falls back.  This module
+checks only the target side: a single root, one wrapper chain, and
+writes that stay inside the unit's fragment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
 from ..errors import ReproError, XmlError
-from ..core.tgd import (
-    Membership,
-    NestedTgd,
-    SchemaRoot,
-    SourceGenerator,
-    TargetGenerator,
-    TgdMapping,
-    Var,
-    expr_labels,
-    expr_root,
-)
+from ..core.tgd import SchemaRoot, TargetGenerator, TgdMapping, Var
 from ..executor.engine import TgdPlan, _Engine
-from ..executor.planner import PlanMemo, level_reads, value_read_chains
+from ..executor.planner import PlanMemo, PlannedTgd, plan_tgd
 from ..xml.diff import (
     Delta,
-    DeltaRecord,
     apply_delta,
     apply_delta_in_place,
     compute_delta,
@@ -129,19 +117,8 @@ class IncrementalReport:
 # -- delta ↔ read-set intersection ------------------------------------------
 
 
-def _record_chain(record: DeltaRecord) -> _Chain:
-    base = tuple(tag for tag, _ in record.steps)
-    if record.op == "mutate-attribute":
-        return base + (f"@{record.name}",)
-    if record.op == "mutate-text":
-        return base + ("value",)
-    if record.op == "insert" and record.name:
-        return base + (record.name,)
-    return base
-
-
-def _intersects(record: DeltaRecord, read: _Chain) -> bool:
-    """Whether one delta record can influence one read chain.
+def _delta_touches(delta: Delta, reads, resolved: bool) -> bool:
+    """Whether any delta record can influence one of the read chains.
 
     Mutations change a single attribute/text slot, so only the exact
     chain observes them (a bare prefix of the chain is a node-set read
@@ -152,20 +129,16 @@ def _intersects(record: DeltaRecord, read: _Chain) -> bool:
     untouched (their dependence on the subtree's contents is recorded
     as separate, deeper chains).
     """
-    chain = _record_chain(record)
-    if record.op in ("mutate-attribute", "mutate-text"):
-        return chain == read
-    return read[: len(chain)] == chain
-
-
-def _delta_touches(delta: Delta, reads, resolved: bool) -> bool:
     if not resolved:
         return True
-    return any(
-        _intersects(record, read)
-        for record in delta.records
-        for read in reads
-    )
+    for record in delta.records:
+        chain = record.chain
+        if record.is_mutation:
+            if chain in reads:
+                return True
+        elif any(read[: len(chain)] == chain for read in reads):
+            return True
+    return False
 
 
 # -- supported-shape analysis -----------------------------------------------
@@ -184,58 +157,21 @@ class _Shape:
     grouped: bool
     #: Absolute chains read by nested levels *outside* their unit scope
     #: (document-wide re-scans); a delta touching these falls back.
-    global_reads: frozenset[_Chain] = field(default_factory=frozenset)
-    global_resolved: bool = True
+    global_reads: frozenset[_Chain]
+    global_resolved: bool
     #: Per root-generator variable: the label chains the unit reads
     #: *relative to that variable's binding* — its own value reads,
     #: nested generator populations, and reads of membership-pinned
-    #: variables re-anchored to the binding they are pinned to.  Lets
-    #: the dirty test ask "can this record reach a read of this unit?"
-    #: instead of marking every unit whose binding merely contains the
-    #: changed node.  ``None`` when some read could not be anchored;
-    #: the dirty test then falls back to ancestor marking.
-    var_reads: Optional[dict[str, frozenset[_Chain]]] = None
+    #: variables.  Lets the dirty test ask "can this record reach a
+    #: read of this unit?" instead of marking every unit whose binding
+    #: merely contains the changed node.
+    var_reads: dict[str, frozenset[_Chain]]
 
 
-def _membership_collection(
-    mapping: TgdMapping, gen: SourceGenerator, scoped: set[str]
-):
-    """The collection expression pinning a document-rooted generator to
-    unit scope via a membership condition, or ``None`` (Figure 7's
-    ``$p2`` ranges over all projects but ``$p2 in $p`` restricts it to
-    the group's members — the surviving bindings are, by identity,
-    elements of the collection)."""
-    for condition in mapping.where:
-        if not isinstance(condition, Membership):
-            continue
-        member_root = expr_root(condition.member)
-        collection_root = expr_root(condition.collection)
-        if (
-            isinstance(member_root, Var)
-            and member_root.name == gen.var
-            and isinstance(collection_root, Var)
-            and collection_root.name in scoped
-        ):
-            return condition.collection
-    return None
-
-
-def _anchor_of(expr, anchors: dict) -> Optional[tuple[str, _Chain]]:
-    """The anchor of a projection chain rooted at an anchored variable:
-    where the expression's nodes live relative to a root generator's
-    binding (``None`` when the root is unanchored)."""
-    base = expr_root(expr)
-    if not isinstance(base, Var):
-        return None
-    found = anchors.get(base.name)
-    if found is None:
-        return None
-    root_var, rel = found
-    return root_var, rel + tuple(expr_labels(expr))
-
-
-def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
-    """Check the tgd against the scoped path's supported shape."""
+def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
+    """Check the tgd against the scoped path's supported target shape;
+    the reads come from the planner's anchored read-sets."""
+    tgd = planned.tgd
     if len(tgd.roots) != 1:
         return None, "multiple root mappings"
     root = tgd.roots[0]
@@ -300,157 +236,24 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
         if reason:
             return None, reason
 
-    global_reads: set[_Chain] = set()
-    global_resolved = True
-    #: Relative read chains per root generator variable; each local
-    #: variable carries an *anchor* ``(root_var, relative_chain)``
-    #: identifying where its bindings live inside the unit's subtrees.
     var_reads: dict[str, set[_Chain]] = {}
-    var_resolved = True
-    unsupported = ""
-
-    def add_global(chains: Optional[frozenset], atomic: bool) -> None:
-        nonlocal global_resolved
-        if chains is None:
-            global_resolved = False
-            return
-        global_reads.update(
-            {v for chain in chains for v in value_read_chains(chain)}
-            if atomic else chains
-        )
-
-    def classify(
-        mapping: TgdMapping,
-        scoped: set[str],
-        var_chains: dict[str, Optional[frozenset]],
-        var_anchors: dict[str, Optional[tuple[str, _Chain]]],
-        is_root: bool,
-    ) -> None:
-        nonlocal unsupported, var_resolved
-        if unsupported:
-            return
-        local = set(scoped)
-        chains_scope = dict(var_chains)
-        anchors = dict(var_anchors)
-
-        def add_var_read(anchor, labels: tuple, atomic: bool) -> None:
-            nonlocal var_resolved
-            if anchor is None:
-                var_resolved = False
-                return
-            root_var, rel = anchor
-            var_reads.setdefault(root_var, set()).update(
-                value_read_chains(rel + labels) if atomic else {rel + labels}
-            )
-
-        for gen in mapping.source_gens:
-            gen_root = expr_root(gen.expr)
-            labels = tuple(expr_labels(gen.expr))
-            if is_root:
-                # Root generators are the unit's own bindings; their
-                # enumeration is tracked by structural signatures, not
-                # by read chains.
-                anchors[gen.var] = (gen.var, ())
-            if isinstance(gen_root, SchemaRoot):
-                chains_scope[gen.var] = frozenset({labels})
-                collection = (
-                    None if is_root
-                    else _membership_collection(mapping, gen, local)
-                )
-                if is_root:
-                    local.add(gen.var)
-                elif collection is not None:
-                    local.add(gen.var)
-                    anchors[gen.var] = _anchor_of(collection, anchors)
-                    if anchors[gen.var] is None:
-                        var_resolved = False
-                else:
-                    add_global(chains_scope[gen.var], False)
-            elif isinstance(gen_root, Var):
-                bases = chains_scope.get(gen_root.name)
-                chains_scope[gen.var] = (
-                    frozenset(base + labels for base in bases)
-                    if bases is not None
-                    else None
-                )
-                if is_root:
-                    local.add(gen.var)
-                elif gen_root.name in local:
-                    local.add(gen.var)
-                    # The generator both *reads* its population chain
-                    # (structural edits there change the enumeration)
-                    # and anchors its bindings under it.
-                    base_anchor = anchors.get(gen_root.name)
-                    add_var_read(base_anchor, labels, False)
-                    anchors[gen.var] = (
-                        None if base_anchor is None
-                        else (base_anchor[0], base_anchor[1] + labels)
-                    )
-                    if anchors[gen.var] is None:
-                        var_resolved = False
-                else:
-                    collection = _membership_collection(mapping, gen, local)
-                    if collection is not None:
-                        # Ranges over a document-wide chain but a
-                        # membership condition pins the surviving
-                        # bindings to the unit's own elements (Figure
-                        # 7's $p2 in $p).
-                        local.add(gen.var)
-                        anchors[gen.var] = _anchor_of(collection, anchors)
-                        if anchors[gen.var] is None:
-                            var_resolved = False
-                    else:
-                        add_global(chains_scope[gen.var], False)
-            else:
-                unsupported = f"unsupported generator base {gen.expr!r}"
-                return
-        for expr, atomic, member in level_reads(mapping):
-            expr_base = expr_root(expr)
-            if isinstance(expr_base, Var) and expr_base.name in local:
-                add_var_read(
-                    anchors.get(expr_base.name),
-                    tuple(expr_labels(expr)),
-                    atomic,
-                )
-                continue
-            if member is not None:
-                member_root = expr_root(member)
-                if isinstance(member_root, Var) and member_root.name in local:
-                    # A containment test of a unit-scoped element: the
-                    # outcome depends only on the member's own ancestry,
-                    # which any edit would have marked dirty — edits to
-                    # *other* collection elements cannot flip it.
-                    continue
-            labels = tuple(expr_labels(expr))
-            if isinstance(expr_base, SchemaRoot):
-                add_global(frozenset({labels}), atomic)
-            else:
-                bases = chains_scope.get(expr_base.name)
-                add_global(
-                    None
-                    if bases is None
-                    else frozenset(base + labels for base in bases),
-                    atomic,
-                )
-        for sub in mapping.submappings:
-            classify(sub, local, chains_scope, anchors, False)
-
-    classify(root, set(), {}, {}, True)
-    if unsupported:
-        return None, unsupported
+    for level in planned.levels:
+        for var, chain in level.unit_reads:
+            var_reads.setdefault(var, set()).add(chain)
     return (
         _Shape(
             root=root,
             prefix=tuple(prefix),
             suffix=suffix,
             grouped=root.skolem is not None,
-            global_reads=frozenset(global_reads),
-            global_resolved=global_resolved,
-            var_reads=(
-                {var: frozenset(chains) for var, chains in var_reads.items()}
-                if var_resolved
-                else None
+            global_reads=frozenset(
+                chain for level in planned.levels for chain in level.doc_reads
             ),
+            # A level with an unresolved read may read anywhere.
+            global_resolved=all(
+                level.reads_resolved for level in planned.levels
+            ),
+            var_reads={var: frozenset(c) for var, c in var_reads.items()},
         ),
         "",
     )
@@ -462,21 +265,20 @@ def _analyze(tgd: NestedTgd) -> tuple[Optional[_Shape], str]:
 class _DirtyIndex:
     """Decides whether a root environment's unit can observe the delta.
 
-    With resolved ``var_reads`` the test is read-anchored: a binding
-    ``B`` of root variable ``v`` is dirty when it lies inside a
-    removed/replaced subtree (its environment vanishes or re-binds), or
-    when it is the addressed node or an ancestor of it *and* the
-    record's chain relative to ``B`` intersects one of ``v``'s read
-    chains.  An edit inside a binding that the unit never reads —
-    Figure 7's department context when only ``$p.pname`` feeds the
-    group — leaves the unit clean, where plain ancestor marking would
-    recompute every group touching that department.
+    The test is read-anchored: a binding ``B`` of root variable ``v`` is
+    dirty when it lies inside a removed/replaced subtree (its
+    environment vanishes or re-binds), or when it is the addressed node
+    or an ancestor of it *and* the record's chain relative to ``B``
+    intersects one of ``v``'s read chains.  An edit inside a binding
+    that the unit never reads — Figure 7's department context when only
+    ``$p.pname`` feeds the group — leaves the unit clean, where plain
+    ancestor marking would recompute every group touching that
+    department.
 
-    ``hot`` holds every binding identity either test can flag — the
+    ``hot`` holds every binding identity the test can flag — the
     removed/replaced subtrees plus each addressed node and its
     ancestors — so an environment none of whose bindings is hot is
-    clean without running the test.  Without resolved reads the test
-    degrades to exactly that conservative ancestor rule.
+    clean without running the test.
     """
 
     __slots__ = ("ids", "records", "var_reads", "hot")
@@ -485,7 +287,7 @@ class _DirtyIndex:
         self,
         prev_source: XmlElement,
         delta: Delta,
-        var_reads: Optional[dict[str, frozenset[_Chain]]],
+        var_reads: dict[str, frozenset[_Chain]],
     ):
         self.var_reads = var_reads
         self.ids: set[int] = set()
@@ -496,8 +298,6 @@ class _DirtyIndex:
             if record.op in ("remove", "replace"):
                 for node in target.iter():
                     self.ids.add(id(node))
-            chain = _record_chain(record)
-            mutate = record.op in ("mutate-attribute", "mutate-text")
             # How many leading chain entries to strip to express the
             # record relative to each ancestor-or-self of the target.
             strip: dict[int, int] = {}
@@ -507,13 +307,11 @@ class _DirtyIndex:
                 strip[id(node)] = depth
                 node = node.parent
                 depth -= 1
-            self.records.append((mutate, chain, strip))
+            self.records.append((record.is_mutation, record.chain, strip))
             self.hot.update(strip)
         self.hot.update(self.ids)
 
     def env_dirty(self, env, gens) -> bool:
-        if self.var_reads is None:
-            return any(id(env[gen.var]) in self.hot for gen in gens)
         for gen in gens:
             binding = env[gen.var]
             ident = id(binding)
@@ -684,12 +482,17 @@ class IncrementalSession:
             if isinstance(plan, TgdPlan)
             else getattr(plan, "tgd_plan", None)
         )
+        self._levels: tuple = ()
         if self._tgd_plan is None:
             self._shape, self._shape_reason = (
                 None, "plan has no tgd execution plan",
             )
         else:
-            self._shape, self._shape_reason = _analyze(self._tgd_plan.tgd)
+            # Naive plans run no planned program, but their sessions
+            # read the same analysis as optimized ones.
+            planned = self._tgd_plan.planned or plan_tgd(self._tgd_plan.tgd)
+            self._levels = planned.levels
+            self._shape, self._shape_reason = _analyze(planned)
         self._memo: Optional[PlanMemo] = (
             PlanMemo()
             if self._tgd_plan is not None and self._tgd_plan.planned is not None
@@ -780,20 +583,19 @@ class IncrementalSession:
                 f"delta ratio {report.delta_ratio:.3f} exceeds "
                 f"threshold {self.threshold:.3f}",
             )
-        if tgd_plan.planned is not None:
-            report.dirty_levels = tuple(
-                index
-                for index, level in enumerate(tgd_plan.planned.levels)
-                if _delta_touches(delta, level.read_paths, level.reads_resolved)
-            )
-            if not report.dirty_levels:
-                # The edit lands where no level reads: the target — and
-                # the cached enumeration, whose chains are level reads —
-                # stay valid; only the maintained tree must catch up.
-                self._apply(delta)
-                report.mode = "unchanged"
-                report.reason = "no level read-set intersects the delta"
-                return self._target, report
+        report.dirty_levels = tuple(
+            index
+            for index, level in enumerate(self._levels)
+            if _delta_touches(delta, level.read_paths, level.reads_resolved)
+        )
+        if not report.dirty_levels:
+            # The edit lands where no level reads: the target — and the
+            # cached enumeration, whose chains are level reads — stay
+            # valid; only the maintained tree must catch up.
+            self._apply(delta)
+            report.mode = "unchanged"
+            report.reason = "no level read-set intersects the delta"
+            return self._target, report
         if shape is None:
             return self._fallback(
                 delta, report, f"unsupported mapping shape: {self._shape_reason}"
@@ -868,10 +670,7 @@ class IncrementalSession:
         signer = _Signer()
         self._sigs = [signer.env_signature(gens, env) for env in self._envs]
         if self._shape.grouped:
-            _, skolem_app = root.skolem
-            self._keys = [
-                engine._group_key(root, skolem_app, env) for env in self._envs
-            ]
+            self._keys = [engine.group_key(root, env) for env in self._envs]
             self._groups = _group_positions(self._keys)
         else:
             self._keys = self._groups = None
@@ -895,10 +694,7 @@ class IncrementalSession:
                 index.invalidate(node)
             if self._memo is not None:
                 self._memo.invalidate(*delta.tag_paths_by_kind())
-        if any(
-            record.op not in ("mutate-attribute", "mutate-text")
-            for record in delta.records
-        ):
+        if not all(record.is_mutation for record in delta.records):
             self._size = self._source.size()
         self._applied = True
 
@@ -944,10 +740,7 @@ class IncrementalSession:
             raise ReproError("previous target does not align with plan output")
 
         # Validation done — from here on the maintained tree advances.
-        structural = any(
-            record.op not in ("mutate-attribute", "mutate-text")
-            for record in delta.records
-        )
+        structural = not all(record.is_mutation for record in delta.records)
         old_by_ids = dict(zip(self._ids, range(len(self._ids))))
         self._apply(delta)
         new_engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
@@ -970,12 +763,11 @@ class IncrementalSession:
         new_keys: Optional[list[tuple]] = None
         new_groups: Optional[dict[tuple, list[int]]] = None
         if shape.grouped:
-            _, skolem_app = root.skolem
             old_keys = self._keys
             new_keys = [
                 old_keys[index]
                 if index is not None and not old_dirty[index]
-                else new_engine._group_key(root, skolem_app, env)
+                else new_engine.group_key(root, env)
                 for index, env in zip(matches, new_envs)
             ]
             new_groups = _group_positions(new_keys)

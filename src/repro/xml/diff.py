@@ -150,6 +150,28 @@ class DeltaRecord:
     position: Optional[int] = None
     nodes: int = 1
 
+    @property
+    def is_mutation(self) -> bool:
+        """Whether the record rewrites one attribute or text slot in
+        place, adding, removing and moving no node."""
+        return self.op in ("mutate-attribute", "mutate-text")
+
+    @property
+    def chain(self) -> tuple[str, ...]:
+        """The index-free label chain the record touches, for read-set
+        intersection: ``("dept", "Proj", "@pid")`` for an attribute
+        mutation, ``("dept", "regEmp", "sal", "value")`` for a text
+        mutation, and the edited subtree's own chain for structural
+        records (prefix semantics cover everything below it)."""
+        base = tuple(tag for tag, _ in self.steps)
+        if self.op == "mutate-attribute":
+            return base + (f"@{self.name}",)
+        if self.op == "mutate-text":
+            return base + ("value",)
+        if self.op == "insert" and self.name:
+            return base + (self.name,)
+        return base
+
 
 @dataclass(frozen=True)
 class Delta:
@@ -177,23 +199,8 @@ class Delta:
         return sum(record.nodes for record in self.records)
 
     def tag_paths(self) -> set[tuple[str, ...]]:
-        """Index-free label chains touched by the delta, for read-set
-        intersection: ``("dept", "Proj", "@pid")`` for an attribute
-        mutation, ``("dept", "regEmp", "sal", "value")`` for a text
-        mutation, and the subtree's own chain for structural edits
-        (prefix semantics cover everything below it)."""
-        out: set[tuple[str, ...]] = set()
-        for record in self.records:
-            base = tuple(tag for tag, _ in record.steps)
-            if record.op == "mutate-attribute":
-                out.add(base + (f"@{record.name}",))
-            elif record.op == "mutate-text":
-                out.add(base + ("value",))
-            elif record.op == "insert" and record.name:
-                out.add(base + (record.name,))
-            else:
-                out.add(base)
-        return out
+        """Every record's :attr:`DeltaRecord.chain`."""
+        return {record.chain for record in self.records}
 
     def tag_paths_by_kind(self) -> tuple[set[tuple[str, ...]], set[tuple[str, ...]]]:
         """:meth:`tag_paths` split into ``(value, structural)`` chains.
@@ -201,21 +208,14 @@ class Delta:
         Value chains come from mutations: they change the atomic value
         at exactly that chain, never the node sets above or below it.
         Structural chains come from insert/remove/replace and carry the
-        prefix semantics of :meth:`tag_paths`.  Cache invalidation can
-        be exact for the former and must be prefix-wide for the latter.
+        prefix semantics of :attr:`DeltaRecord.chain`.  Cache
+        invalidation can be exact for the former and must be
+        prefix-wide for the latter.
         """
         values: set[tuple[str, ...]] = set()
         structure: set[tuple[str, ...]] = set()
         for record in self.records:
-            base = tuple(tag for tag, _ in record.steps)
-            if record.op == "mutate-attribute":
-                values.add(base + (f"@{record.name}",))
-            elif record.op == "mutate-text":
-                values.add(base + ("value",))
-            elif record.op == "insert" and record.name:
-                structure.add(base + (record.name,))
-            else:
-                structure.add(base)
+            (values if record.is_mutation else structure).add(record.chain)
         return values, structure
 
     def ratio(self, base_size: int) -> float:

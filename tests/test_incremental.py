@@ -32,6 +32,7 @@ from repro.xml.serialize import to_xml
 
 FIGURES = {
     "fig3": deptstore.mapping_fig3,
+    "fig4": deptstore.mapping_fig4,
     "fig5": deptstore.mapping_fig5,
     "fig7": deptstore.mapping_fig7,
     "fig9": deptstore.mapping_fig9,
@@ -73,6 +74,31 @@ _EDITS = {
     "pname": _edit_pname,
     "ename": _edit_ename,
 }
+
+
+def _chained_edit(doc, step: int) -> None:
+    """Step ``step`` of the chained edit script: a project renamed, an
+    employee renamed, or a project dropped, in turn."""
+    if step % 3 == 0:
+        _edit_pname(doc, f"step {step}", step)
+    elif step % 3 == 1:
+        _edit_ename(doc, f"step {step}", step)
+    else:
+        _drop_project(doc, step)
+
+
+def _session_reports(figure: str, *, optimize: bool) -> list[dict]:
+    """One session's reports over nine steps of the chained script."""
+    session = IncrementalSession(_plan(figure, optimize=optimize))
+    doc = _instance()
+    session.transform(doc)
+    reports = []
+    for step in range(9):
+        doc = doc.copy()
+        _chained_edit(doc, step)
+        _got, report = session.transform(doc)
+        reports.append(report.to_dict())
+    return reports
 
 
 class TestStatelessTransformDelta:
@@ -293,12 +319,7 @@ class TestIncrementalSession:
         session.transform(doc)
         for step in range(6):
             doc = doc.copy()
-            if step % 3 == 0:
-                _edit_pname(doc, f"step {step}", step)
-            elif step % 3 == 1:
-                _edit_ename(doc, f"step {step}", step)
-            else:
-                _drop_project(doc, step)
+            _chained_edit(doc, step)
             got, _report = session.transform(doc)
             assert to_xml(got) == to_xml(plan.run(doc))
 
@@ -399,6 +420,66 @@ class TestIncrementalSession:
             assert to_xml(got) == to_xml(plan.run(doc))
             if report.reason.startswith("unsupported mapping shape"):
                 assert report.mode == "fallback"
+
+
+_UNCHANGED = ("unchanged", "no level read-set intersects the delta", (), 0, 0, 0)
+_FALLBACK = (
+    "fallback", "delta intersects document-scoped reads of nested levels",
+    (1,), 0, 0, 0,
+)
+
+
+def _binding(dirty, total, reused, recomputed):
+    return ("scoped", "per-binding fragments spliced", dirty,
+            total, reused, recomputed)
+
+
+def _group(dirty, total, reused, recomputed):
+    return ("scoped", "per-group fragments spliced", dirty,
+            total, reused, recomputed)
+
+
+#: Optimized-session reports over :func:`_session_reports`' script:
+#: (mode, reason, dirty levels, total / reused / recomputed units).  A
+#: more conservative read analysis would still produce the same bytes;
+#: these pin how little it recomputes.
+_PINNED_REPORTS = {
+    "fig3": [
+        _UNCHANGED, _binding((0,), 16, 16, 0), _UNCHANGED,
+        _UNCHANGED, _binding((0,), 16, 15, 1), _UNCHANGED,
+        _UNCHANGED, _binding((0,), 16, 15, 1), _UNCHANGED,
+    ],
+    "fig4": [
+        _UNCHANGED, _binding((1,), 4, 3, 1), _UNCHANGED,
+    ] * 3,
+    "fig5": [
+        _binding((1,), 4, 3, 1), _binding((2,), 4, 3, 1),
+        _binding((1,), 4, 3, 1),
+    ] * 3,
+    "fig7": [
+        _group((0,), 9, 8, 1), _FALLBACK, _group((0, 1), 8, 8, 0),
+        _group((0,), 9, 7, 2), _FALLBACK, _group((0, 1), 8, 6, 2),
+        _group((0,), 9, 7, 2), _FALLBACK, _group((0, 1), 8, 7, 1),
+    ],
+}
+
+
+class TestReportParity:
+    @pytest.mark.parametrize("figure", sorted(_PINNED_REPORTS))
+    def test_reports_do_not_depend_on_the_optimize_flag(self, figure):
+        optimized = _session_reports(figure, optimize=True)
+        naive = _session_reports(figure, optimize=False)
+        for step, (fast, slow) in enumerate(zip(optimized, naive)):
+            assert slow == fast, f"step {step}"
+
+    @pytest.mark.parametrize("figure", sorted(_PINNED_REPORTS))
+    def test_optimized_reports_are_pinned(self, figure):
+        got = [
+            (r["mode"], r["reason"], tuple(r["dirty_levels"]),
+             r["total_units"], r["reused_units"], r["recomputed_units"])
+            for r in _session_reports(figure, optimize=True)
+        ]
+        assert got == _PINNED_REPORTS[figure]
 
 
 class TestPlanMemo:

@@ -17,6 +17,7 @@ import pytest
 from repro.core.compile import compile_clip
 from repro.core.tgd import (
     Constant,
+    Membership,
     Proj,
     SchemaRoot,
     SourceGenerator,
@@ -139,6 +140,55 @@ class TestClassification:
                 "label", "depth", "grouped", "order", "reordered",
                 "pre_filters", "generators", "residual",
             }
+
+
+# -- anchored read-sets ------------------------------------------------------
+
+
+class TestAnchoredReads:
+    def test_fig7_group_members_read_relative_to_the_group_binding(self):
+        root, inner = plan_tgd(compile_clip(deptstore.mapping_fig7())).levels
+        assert root.unit_reads == (("p", ("pname", "value")),)
+        # p2 ∈ p enumerates the group's members; p2.@pid reads them.
+        assert inner.unit_reads == (("p", ()), ("p", ("@pid",)))
+
+    def test_fig7_employee_rescan_is_document_scoped(self):
+        root, inner = plan_tgd(compile_clip(deptstore.mapping_fig7())).levels
+        assert root.doc_reads == ()
+        assert inner.doc_reads == (
+            ("dept",),
+            ("dept", "regEmp"),
+            ("dept", "regEmp", "@pid"),
+            ("dept", "regEmp", "ename", "value"),
+        )
+
+    def test_fig5_reads_are_all_unit_relative(self):
+        levels = plan_tgd(compile_clip(deptstore.mapping_fig5())).levels
+        assert [level.doc_reads for level in levels] == [(), (), ()]
+        assert [level.unit_reads for level in levels] == [
+            (),
+            (("d", ("Proj",)), ("d", ("Proj", "pname", "value"))),
+            (("d", ("regEmp",)), ("d", ("regEmp", "ename", "value"))),
+        ]
+
+    def test_membership_pins_a_document_ranging_generator(self):
+        tgd = compile_clip(deptstore.mapping_fig7())
+        root = tgd.roots[0]
+        (sub,) = root.submappings
+        every_project = Proj(Proj(SchemaRoot("source"), "dept"), "Proj")
+        pinned = replace(
+            sub,
+            source_gens=(SourceGenerator("p2", every_project),)
+            + sub.source_gens[1:],
+            where=sub.where + (Membership(Var("p2"), Var("p")),),
+        )
+        tgd = replace(tgd, roots=(replace(root, submappings=(pinned,)),))
+        inner = plan_tgd(tgd).levels[1]
+        # p2 ranges over every project, but p2 ∈ p keeps only the
+        # group's own members: its reads stay unit-relative.
+        assert inner.unit_reads == (("p", ()), ("p", ("@pid",)))
+        assert ("dept", "Proj") not in inner.doc_reads
+        assert ("dept", "Proj") in inner.read_paths
 
 
 # -- selectivity reordering --------------------------------------------------
