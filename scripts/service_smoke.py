@@ -11,13 +11,18 @@ the outside:
     response **byte for byte** against what ``python -m repro run``
     writes for the same inputs;
 3.  round-trip a batch request and compare each document the same way;
-4.  edit the source and ``POST /transform/delta`` against the step-2
+4.  register ``perfbench/mappings/chain_ab.json`` and ``chain_bc.json``,
+    compose them with ``POST /mappings/compose``, and compare
+    ``/transform`` and ``/transform/batch`` on the composed fingerprint
+    byte for byte against ``python -m repro compose chain_ab.json
+    chain_bc.json SOURCE -o OUT``;
+5.  edit the source and ``POST /transform/delta`` against the step-2
     request: the incremental response must be byte-identical to a full
     transform of the edited document;
-5.  send 20 sequential Figure 3 transforms on one keep-alive
+6.  send 20 sequential Figure 3 transforms on one keep-alive
     connection: together they must finish in under 0.4 s (a response
     that waits on the client's delayed ACK costs ~40 ms on its own);
-6.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
+7.  ``GET /health`` and ``GET /metrics`` (expect 200; the metrics text
     must show the plan-cache hit from step 1, the latency histogram
     buckets, and the incremental hit/fallback counters) — through real
     ``curl`` when it's on PATH, urllib otherwise, so the CI leg
@@ -52,6 +57,9 @@ from repro.scenarios import deptstore  # noqa: E402
 from repro.xml.serialize import to_xml  # noqa: E402
 
 FIGURES = {"fig3": deptstore.mapping_fig3, "fig6": deptstore.mapping_fig6}
+#: The composed chain (read only): a copy stage and a filter stage.
+CHAIN = [REPO / "perfbench" / "mappings" / f"{name}.json"
+         for name in ("chain_ab", "chain_bc")]
 
 #: Sequential keep-alive transforms of the small Figure 3 output, and
 #: the ceiling on their total wall time.
@@ -142,6 +150,44 @@ def cli_run(tmp: Path, figure: str, *flags: str) -> bytes:
     return out_path.read_bytes()
 
 
+def cli_compose(tmp: Path) -> bytes:
+    """What ``repro compose`` writes for the chain over the paper's
+    source."""
+    source_path = tmp / "source.xml"
+    out_path = tmp / "chain.out.xml"
+    source_path.write_text(to_xml(deptstore.source_instance()),
+                           encoding="utf-8")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "compose", *map(str, CHAIN),
+         str(source_path), "-o", str(out_path)],
+        check=True, env={"PYTHONPATH": str(SRC)}, cwd=REPO,
+        capture_output=True,
+    )
+    return out_path.read_bytes()
+
+
+def compose_chain(base: str) -> str:
+    """Register both chain stages and compose them; returns the
+    composed fingerprint ("" on failure)."""
+    operands = []
+    for path in CHAIN:
+        status, body = http("POST", f"{base}/mappings", path.read_bytes())
+        check(f"register {path.stem}", status in (200, 201),
+              f"{status} {body[:120]!r}")
+        operands.append(json.loads(body).get("fingerprint", ""))
+    status, body = http(
+        "POST", f"{base}/mappings/compose",
+        json.dumps({"first": operands[0], "second": operands[1]})
+        .encode("utf-8"),
+        content_type="application/json",
+    )
+    doc = json.loads(body)
+    check("compose chain_ab with chain_bc",
+          status == 201 and doc.get("composed") == operands,
+          f"{status} {body[:120]!r}")
+    return doc.get("fingerprint", "")
+
+
 def main() -> int:
     print("service smoke: booting `python -m repro serve --port 0`")
     server = subprocess.Popen(
@@ -204,6 +250,30 @@ def main() -> int:
             )
             doc = json.loads(body) if status == 200 else {}
             check("batch transform == CLI run output",
+                  status == 200
+                  and doc.get("succeeded") == 2
+                  and all(entry["xml"].encode("utf-8") == expected
+                          for entry in doc.get("results", [])),
+                  f"{status} {body[:160]!r}")
+
+            composed_fp = compose_chain(base)
+            expected = cli_compose(Path(tmp))
+            status, body = http(
+                "POST", f"{base}/transform?mapping={composed_fp}", source,
+            )
+            check("composed transform == CLI compose output",
+                  status == 200 and body == expected,
+                  f"{status}, {len(body)} vs {len(expected)} bytes")
+            status, body = http(
+                "POST", f"{base}/transform/batch",
+                json.dumps({
+                    "mapping": composed_fp,
+                    "documents": [source.decode("utf-8")] * 2,
+                }).encode("utf-8"),
+                content_type="application/json",
+            )
+            doc = json.loads(body) if status == 200 else {}
+            check("composed batch transform == CLI compose output",
                   status == 200
                   and doc.get("succeeded") == 2
                   and all(entry["xml"].encode("utf-8") == expected

@@ -44,301 +44,19 @@ from . import (
     xsd,
 )
 from .algebra import compose_fingerprint, compose_tgds
-from .errors import ComposeError
 from .core.compile import compile_clip
 from .core.mapping import ClipMapping
 from .core.tgd import NestedTgd
-from .core.validity import ValidityReport, check
+from .core.validity import check
 from .executor.engine import execute
 from .xml.model import XmlElement
 from .xquery.emit import emit_xquery
 from .xquery.interp import run_query
 from .xquery.serialize import serialize as serialize_xquery
+from .transformer import Transformer
+from .pipeline import ComposedTransformer
 
 __version__ = "1.0.0"
-
-
-class Transformer:
-    """End-to-end convenience wrapper: Clip mapping → tgd → execution.
-
-    Compiles the mapping once; calling the transformer converts source
-    instances to target instances.  ``engine`` selects the direct tgd
-    executor (``"tgd"``, default), the generated-XQuery interpreter
-    (``"xquery"``), or the generated-XSLT interpreter (``"xslt"``,
-    supported for non-grouped, non-distributed mappings) — all engines
-    produce identical instances, which the test suite verifies
-    extensively.
-    """
-
-    def __init__(self, mapping: ClipMapping, *, engine: str = "tgd",
-                 require_valid: bool = True, optimize: bool | None = None,
-                 trace=None):
-        if engine not in ("tgd", "xquery", "xslt"):
-            raise ValueError(
-                f"unknown engine {engine!r}; use 'tgd', 'xquery' or 'xslt'"
-            )
-        self.mapping = mapping
-        self.engine = engine
-        #: Tgd-engine evaluation strategy: ``True`` join-aware compiled
-        #: plans, ``False`` the naive reference path, ``None`` the
-        #: ``CLIP_OPTIMIZE`` environment default (on).
-        self.optimize = optimize
-        #: Optional :class:`repro.runtime.trace.SpanTracer`: every call
-        #: records compile → prepare → execute spans into it (see
-        #: :mod:`repro.runtime.trace`); ``None`` records nothing and
-        #: costs nothing.
-        self._trace = trace
-        if trace:
-            span = trace.begin("compile")
-            self.report = check(mapping)
-            self.tgd = compile_clip(
-                mapping, require_valid=require_valid, report=self.report
-            )
-            trace.end(span, valid=self.report.is_valid)
-            self._seed_trace(trace)
-        else:
-            self.report: ValidityReport = check(mapping)
-            self.tgd: NestedTgd = compile_clip(
-                mapping, require_valid=require_valid, report=self.report
-            )
-        self._plan = None
-        self._query = None
-        self._stylesheet = None
-
-    def _seed_trace(self, trace) -> None:
-        """Namespace the tracer's span ids under this mapping's base
-        fingerprint (first mapping wins when a tracer is shared)."""
-        if not trace.seed:
-            from .runtime.plan import trace_seed
-
-            trace.seed = trace_seed(self.mapping, self.engine)
-        if not trace.engine:
-            trace.engine = self.engine
-
-    @property
-    def plan(self):
-        """The prepared tgd evaluation plan (built lazily, reused across
-        calls)."""
-        if self._plan is None:
-            from .executor import prepare
-
-            self._plan = prepare(self.tgd, optimize=self.optimize)
-        return self._plan
-
-    @property
-    def xquery(self):
-        """The emitted XQuery AST (built lazily)."""
-        if self._query is None:
-            self._query = emit_xquery(self.tgd)
-        return self._query
-
-    @property
-    def xquery_text(self) -> str:
-        """The generated XQuery, as query text."""
-        return serialize_xquery(self.xquery)
-
-    @property
-    def stylesheet(self):
-        """The emitted XSLT stylesheet (built lazily; may raise
-        :class:`repro.xslt.UnsupportedForXslt`)."""
-        if self._stylesheet is None:
-            from .xslt import emit_xslt
-
-            self._stylesheet = emit_xslt(self.tgd)
-        return self._stylesheet
-
-    @property
-    def xslt_text(self) -> str:
-        """The generated XSLT, as stylesheet text."""
-        return self.stylesheet.serialize()
-
-    def __call__(self, source_instance: XmlElement) -> XmlElement:
-        return self.apply(source_instance)
-
-    def apply(self, source_instance: XmlElement, *,
-              trace=None) -> XmlElement:
-        """Transform one source instance.
-
-        ``trace`` overrides the constructor's tracer for this call; a
-        falsy tracer (the default when neither is set) runs the exact
-        untraced path.  Traced calls record a ``prepare`` span (the
-        lazy engine-artifact build; instantaneous once built) and a
-        ``transform`` span containing the engine's execute/plan/eval
-        subtree — traced and untraced runs produce byte-identical
-        outputs, which the differential suite asserts.
-        """
-        if trace is None:
-            trace = self._trace
-        if not trace:
-            if self.engine == "xquery":
-                return run_query(self.xquery, source_instance)
-            if self.engine == "xslt":
-                from .xslt import apply_stylesheet
-
-                return apply_stylesheet(self.stylesheet, source_instance)
-            return self.plan.run(source_instance)
-        self._seed_trace(trace)
-        # The prepare span is always present (stable trace shape across
-        # repeated calls); after the first call it is an instant no-op.
-        span = trace.begin("prepare")
-        if self.engine == "xquery":
-            artifact = self.xquery
-        elif self.engine == "xslt":
-            artifact = self.stylesheet
-        else:
-            artifact = self.plan
-        trace.end(span)
-        span = trace.begin("transform")
-        try:
-            if self.engine == "xquery":
-                result = run_query(artifact, source_instance, trace=trace)
-            elif self.engine == "xslt":
-                from .xslt import apply_stylesheet
-
-                execute = trace.begin("execute")
-                try:
-                    result = apply_stylesheet(artifact, source_instance)
-                except Exception:
-                    execute.attrs["status"] = "error"
-                    trace.end(execute)
-                    raise
-                trace.end(
-                    execute, status="ok",
-                    source_elements=source_instance.size(),
-                    target_elements=result.size(),
-                )
-            else:
-                result = artifact.run(source_instance, trace=trace)
-        except Exception:
-            span.attrs["status"] = "error"
-            trace.end(span)
-            raise
-        trace.end(span, status="ok")
-        return result
-
-    def explain(self, source_instance: XmlElement):
-        """Run the mapping with per-level counters (iterations, filtered
-        tuples, elements built, groups); returns an
-        :class:`repro.executor.ExecutionReport` whose ``result`` equals
-        what calling the transformer would produce."""
-        from .executor import explain as _explain
-
-        return _explain(self.tgd, source_instance)
-
-    def explain_plan(self, source_instance: XmlElement):
-        """Compile and run the mapping through the join-aware planner,
-        returning a :class:`repro.executor.PlanExplain` — the compiled
-        plan (joins, pushed filters, generator order) plus runtime
-        counters, renderable as text or ``clip-plan-explain`` JSON."""
-        from .executor import explain_plan as _explain_plan
-
-        return _explain_plan(self.tgd, source_instance,
-                             optimize=self.optimize)
-
-    def compose(self, other) -> "ComposedTransformer":
-        """Fuse this ``A→B`` transformer with a ``B→C`` mapping (or
-        transformer) into one ``A→C`` transformer.
-
-        When the pair lies in the composable fragment
-        (:func:`repro.algebra.compose_tgds`) the result runs a single
-        fused one-pass plan; otherwise it silently degrades to
-        sequential execution — either way the output is byte-identical
-        to applying the two stages in order, and
-        :attr:`ComposedTransformer.mode` says which path runs.
-        """
-        if not isinstance(other, Transformer):
-            other = Transformer(
-                other, engine=self.engine, optimize=self.optimize
-            )
-        return ComposedTransformer(self, other)
-
-
-class ComposedTransformer:
-    """An ``A→C`` transformer built from an ``A→B`` and a ``B→C`` one.
-
-    Construction attempts algebraic composition
-    (:func:`repro.algebra.compose_tgds`): inside the composable
-    fragment the two tgds fuse into one, whose single-pass plan is
-    byte-identical to chaining the stages (``mode == "inlined"``).
-    Outside the fragment — grouping, aggregates, opaque value flow —
-    the transformer keeps both stages and runs them in sequence
-    (``mode == "sequential"``), recording the machine-readable
-    :attr:`fallback_reason` from the :class:`~repro.errors.ComposeError`.
-    Either mode produces the same bytes, which the test suite asserts
-    across the corpus.
-    """
-
-    def __init__(self, first: Transformer, second: Transformer):
-        if first.engine != second.engine:
-            raise ValueError(
-                f"cannot compose transformers on different engines "
-                f"({first.engine!r} vs {second.engine!r})"
-            )
-        self.first = first
-        self.second = second
-        self.engine = first.engine
-        #: ``"inlined"`` (one fused plan) or ``"sequential"`` (fallback).
-        self.mode = "inlined"
-        #: The :class:`~repro.errors.ComposeError` reason tag when the
-        #: pair fell outside the composable fragment, else ``None``.
-        self.fallback_reason: str | None = None
-        #: The fused ``A→C`` nested tgd (``None`` in sequential mode).
-        self.tgd: NestedTgd | None = None
-        try:
-            self.tgd = compose_tgds(first.tgd, second.tgd)
-        except ComposeError as error:
-            self.mode = "sequential"
-            self.fallback_reason = error.reason
-        self._plan = None
-
-    @property
-    def fingerprint(self) -> str:
-        """The fused cache key: :func:`repro.algebra.compose_fingerprint`
-        over the two stages' structural fingerprints (stable whether or
-        not the pair actually inlined)."""
-        from .runtime.plan import fingerprint as _fingerprint
-
-        return compose_fingerprint(
-            _fingerprint(self.first.mapping, self.engine,
-                         optimize=self.first.optimize),
-            _fingerprint(self.second.mapping, self.engine,
-                         optimize=self.second.optimize),
-        )
-
-    @property
-    def plan(self):
-        """The fused :class:`repro.runtime.CompiledPlan` (inlined mode
-        only), compiled lazily and registered in the default plan cache
-        under the compose fingerprint."""
-        if self.mode != "inlined":
-            raise ComposeError(
-                self.fallback_reason or "sequential",
-                "this composition runs sequentially; it has no fused plan",
-            )
-        if self._plan is None:
-            from .runtime import default_cache, plan_from_tgd
-
-            cache = default_cache()
-            fp = self.fingerprint
-            plan = cache.peek(fp)
-            if plan is None:
-                plan = plan_from_tgd(
-                    self.tgd, self.engine, fp=fp,
-                    optimize=self.second.optimize,
-                )
-                cache.put(plan)
-            self._plan = plan
-        return self._plan
-
-    def __call__(self, source_instance: XmlElement) -> XmlElement:
-        return self.apply(source_instance)
-
-    def apply(self, source_instance: XmlElement) -> XmlElement:
-        """Transform ``A`` documents straight to ``C``: the fused
-        one-pass plan when inlined, the two stages in order when not."""
-        if self.mode == "inlined":
-            return self.plan.run(source_instance)
-        return self.second.apply(self.first.apply(source_instance))
 
 
 __all__ = [

@@ -73,12 +73,19 @@ def _as_tgd(mapping: _MappingLike) -> NestedTgd:
     return compile_clip(mapping)
 
 
-def compose_fingerprint(first_fp: str, second_fp: str) -> str:
-    """The cache fingerprint of a fused two-stage plan: a hash over the
-    stage fingerprints, so the fused key inherits engine/optimize/exec
-    markers (and canonicalization) from its parts."""
-    payload = f"compose\n{first_fp}\n{second_fp}".encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def compose_fingerprint(first_fp: str, *rest_fps: str) -> str:
+    """The cache fingerprint of a fused plan: the stage fingerprints
+    folded left through one hash, so the fused key inherits
+    engine/optimize markers (and canonicalization) from its parts.
+
+    ``compose_fingerprint(a, b, c) == compose_fingerprint(
+    compose_fingerprint(a, b), c)``, and a single stage keys as itself.
+    """
+    fp = first_fp
+    for stage_fp in rest_fps:
+        payload = f"compose\n{fp}\n{stage_fp}".encode("utf-8")
+        fp = hashlib.sha256(payload).hexdigest()
+    return fp
 
 
 # -- indexing the first mapping's builders ---------------------------------

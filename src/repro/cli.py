@@ -191,7 +191,7 @@ def _cmd_run(args) -> int:
                 f"compose: sequential fallback ({composed.fallback_reason})",
                 file=sys.stderr,
             )
-        result = composed(instance)
+        result = composed.apply(instance, trace=tracer)
     elif args.incremental:
         if args.engine != "tgd":
             raise ReproError("--incremental requires the tgd engine")

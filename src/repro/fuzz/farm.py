@@ -388,10 +388,8 @@ class FuzzFarm:
                 "compose inlined where the corpus predicted a sequential"
                 " fallback",
             )
-        fp = compose_fingerprint(
-            self.cache.fingerprint_for(case.mapping, "tgd", optimize=True),
-            self.cache.fingerprint_for(second, "tgd", optimize=True),
-        )
+        # Both stage keys are at the fused plan's engine and optimize.
+        fp = compose_fingerprint(reference.fingerprint, second_plan.fingerprint)
         try:
             fused_plan = plan_from_tgd(fused_tgd, "tgd", fp=fp, optimize=True)
             outcome.rerun = functools.partial(fused_plan.run, case.instance)

@@ -15,17 +15,19 @@ intermediate instance is materialized), while stage pairs outside it
 keep their seam.  Fused and unfused pipelines produce byte-identical
 output — the fused plans are cached under
 :func:`repro.algebra.compose_fingerprint` chain keys in the shared
-:class:`~repro.runtime.PlanCache`.
+:class:`~repro.runtime.PlanCache`.  :class:`ComposedTransformer` (what
+``Transformer.compose`` returns) is the two-stage fused pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
-from . import Transformer
 from .core.mapping import ClipMapping
-from .errors import MappingError, ValidationError
+from .core.tgd import NestedTgd
+from .errors import ComposeError, MappingError, ValidationError
+from .transformer import Transformer
 from .xml.model import XmlElement
 from .xsd.render import render_schema
 from .xsd.validate import validate
@@ -43,33 +45,36 @@ class StageResult:
 class Pipeline:
     """A chain of Clip mappings applied in sequence.
 
-    The stages' schemas must line up: stage *i*'s target schema is
-    stage *i+1*'s source schema (compared structurally, since schema
-    objects may have been built twice from the same definition).
+    Stages are Clip mappings (compiled here for ``engine``) or
+    already-built :class:`~repro.transformer.Transformer` objects on
+    that engine, which keep their compiled tgds and their own
+    ``optimize``.  The stages' schemas must line up: stage *i*'s target
+    schema is stage *i+1*'s source schema (compared structurally, since
+    schema objects may have been built twice from the same definition).
 
     ``fuse=True`` greedily composes adjacent stages' tgds
     (:func:`repro.algebra.compose_tgds`); :attr:`fused_groups` records
     which original stages each fused plan covers (``[[0, 1], [2]]`` —
-    stages 0 and 1 inlined, stage 2 kept its seam).
+    stages 0 and 1 inlined, stage 2 kept its seam), and
+    :attr:`fallback_reasons` why each kept seam did not fuse.
     """
 
-    def __init__(self, mappings: Sequence[ClipMapping], *, engine: str = "tgd",
-                 fuse: bool = False):
-        if not mappings:
+    def __init__(self, stages: Sequence[Union[ClipMapping, Transformer]],
+                 *, engine: str = "tgd", fuse: bool = False):
+        if not stages:
             raise MappingError("a pipeline needs at least one mapping")
         self.engine = engine
-        self.transformers = [Transformer(m, engine=engine) for m in mappings]
-        self.fuse = fuse
-        #: Original stage indices covered by each fused unit (one
-        #: singleton list per stage when ``fuse`` is off or nothing
-        #: composed).
-        self.fused_groups: list[list[int]] = []
-        self._fused_tgds: list = []
-        self._fused_plans = None
-        if fuse:
-            self._plan_fusion()
-        else:
-            self.fused_groups = [[i] for i in range(len(self.transformers))]
+        self.transformers = [
+            stage if isinstance(stage, Transformer)
+            else Transformer(stage, engine=engine)
+            for stage in stages
+        ]
+        for transformer in self.transformers:
+            if transformer.engine != engine:
+                raise ValueError(
+                    f"cannot chain transformers on different engines "
+                    f"({transformer.engine!r} vs {engine!r})"
+                )
         # Render each schema object at most once across the adjacency
         # checks — shared schema objects (stage i's target handed to
         # stage i+1 as its source) used to be rendered per comparison.
@@ -81,15 +86,30 @@ class Pipeline:
                 rendered[key] = render_schema(schema)
             return rendered[key]
 
-        for index in range(len(mappings) - 1):
-            upstream = mappings[index].target
-            downstream = mappings[index + 1].source
+        for index in range(len(stages) - 1):
+            upstream = self.transformers[index].mapping.target
+            downstream = self.transformers[index + 1].mapping.source
             if render_once(upstream) != render_once(downstream):
                 raise MappingError(
                     f"pipeline stage {index} produces schema "
                     f"{upstream.root.name!r} but stage {index + 1} consumes "
                     f"{downstream.root.name!r} (structures differ)"
                 )
+        self.fuse = fuse
+        #: Original stage indices covered by each fused unit (one
+        #: singleton list per stage when ``fuse`` is off or nothing
+        #: composed).
+        self.fused_groups: list[list[int]] = []
+        #: With ``fuse``, one entry per seam (stage *i* → *i+1*):
+        #: ``None`` where the stages fused, else the
+        #: :class:`~repro.errors.ComposeError` reason that kept it.
+        self.fallback_reasons: list[Optional[str]] = []
+        self._fused_tgds: list = []
+        self._fused_plans = None
+        if fuse:
+            self._plan_fusion()
+        else:
+            self.fused_groups = [[i] for i in range(len(self.transformers))]
 
     def __len__(self) -> int:
         return len(self.transformers)
@@ -101,7 +121,6 @@ class Pipeline:
         current fused run when :func:`compose_tgds` accepts the pair,
         otherwise the run closes and the stage starts a new one."""
         from .algebra import compose_tgds
-        from .errors import ComposeError
 
         accumulated = self.transformers[0].tgd
         group = [0]
@@ -109,49 +128,59 @@ class Pipeline:
             stage_tgd = self.transformers[index].tgd
             try:
                 accumulated = compose_tgds(accumulated, stage_tgd)
-            except ComposeError:
+            except ComposeError as error:
+                self.fallback_reasons.append(error.reason)
                 self._fused_tgds.append(accumulated)
                 self.fused_groups.append(group)
                 accumulated = stage_tgd
                 group = [index]
             else:
+                self.fallback_reasons.append(None)
                 group.append(index)
         self._fused_tgds.append(accumulated)
         self.fused_groups.append(group)
 
-    def _group_fingerprint(self, group: Sequence[int]) -> str:
-        """The fused cache key for one group: the stage fingerprints
-        folded left through :func:`compose_fingerprint`."""
-        from .algebra import compose_fingerprint
+    def _stage_fingerprints(self, group: Sequence[int]) -> list[str]:
+        """The structural fingerprints of ``group``'s stages, each at
+        the fused plan's own engine and ``optimize`` (its last
+        stage's) — what :func:`compose_fingerprint` folds into the
+        fused key."""
         from .runtime import fingerprint
 
-        fp = fingerprint(self.transformers[group[0]].mapping, self.engine)
-        for index in group[1:]:
-            fp = compose_fingerprint(
-                fp, fingerprint(self.transformers[index].mapping, self.engine)
-            )
-        return fp
+        optimize = self.transformers[group[-1]].optimize
+        return [
+            fingerprint(self.transformers[index].mapping, self.engine,
+                        optimize=optimize)
+            for index in group
+        ]
 
     @property
     def fused_plans(self):
         """The compiled plans of the fused units (``fuse=True`` only),
-        built lazily and shared through the default plan cache under
-        compose-fingerprint chain keys."""
+        built lazily with each unit's last-stage ``optimize`` and
+        shared through the default plan cache under
+        :func:`repro.algebra.compose_fingerprint` chain keys (a
+        single-stage unit keys as that stage)."""
         if not self.fuse:
             raise MappingError(
                 "this pipeline was built without fuse=True; "
                 "there are no fused plans"
             )
         if self._fused_plans is None:
+            from .algebra import compose_fingerprint
             from .runtime import default_cache, plan_from_tgd
 
             cache = default_cache()
             plans = []
             for tgd, group in zip(self._fused_tgds, self.fused_groups):
-                fp = self._group_fingerprint(group)
+                fp = compose_fingerprint(*self._stage_fingerprints(group))
                 plan = cache.peek(fp)
                 if plan is None:
-                    plan = plan_from_tgd(tgd, self.engine, fp=fp)
+                    last = self.transformers[group[-1]]
+                    plan = plan_from_tgd(
+                        tgd, self.engine, fp=fp, optimize=last.optimize,
+                        target=last.mapping.target,
+                    )
                     cache.put(plan)
                 plans.append(plan)
             self._fused_plans = plans
@@ -194,85 +223,59 @@ class Pipeline:
         output, no intermediate instances for inlined seams — unless
         ``validate_stages`` or ``keep_intermediates`` is set, which
         need every per-stage instance and therefore run the unfused
-        path.
+        path.  Traced fused runs record one ``fused[i]`` span per unit,
+        tagged with the original stage indices it covers.
         """
-        if self.fuse and not validate_stages and not keep_intermediates:
-            return self._run_fused(instance, trace=trace)
+        fused = self.fuse and not validate_stages and not keep_intermediates
+        if fused:
+            units = [
+                (plan.run, f"fused[{index}]",
+                 {"stages": ",".join(map(str, group))})
+                for index, (plan, group) in enumerate(
+                    zip(self.fused_plans, self.fused_groups)
+                )
+            ]
+        else:
+            units = [
+                (transformer.apply, f"stage[{index}]",
+                 {"source": transformer.mapping.source.root.name,
+                  "target": transformer.mapping.target.root.name})
+                for index, transformer in enumerate(self.transformers)
+            ]
         current = instance
         results: list[StageResult] = []
         pipeline_span = None
         if trace:
             self._seed_trace(trace)
-            pipeline_span = trace.begin("pipeline", stages=len(self))
-        for index, transformer in enumerate(self.transformers):
-            stage_span = None
-            if trace:
-                mapping = transformer.mapping
-                stage_span = trace.begin(
-                    f"stage[{index}]",
-                    source=mapping.source.root.name,
-                    target=mapping.target.root.name,
-                )
+            pipeline_span = trace.begin(
+                "pipeline", stages=len(self),
+                **({"fused": len(units)} if fused else {}),
+            )
+        for index, (step, name, attrs) in enumerate(units):
+            span = trace.begin(name, **attrs) if trace else None
             try:
-                current = transformer.apply(current, trace=trace)
-                violations = (
-                    validate(current, transformer.mapping.target)
-                    if validate_stages
-                    else []
-                )
-                if validate_stages and violations:
-                    raise ValidationError(violations)
-            except Exception:
-                if stage_span is not None:
-                    stage_span.attrs["status"] = "error"
-                    trace.end(stage_span)
-                raise
-            if stage_span is not None:
-                attrs = {"status": "ok"}
+                current = step(current, trace=trace)
+                violations = []
                 if validate_stages:
-                    attrs["violations"] = len(violations)
-                trace.end(stage_span, **attrs)
+                    target = self.transformers[index].mapping.target
+                    violations = validate(current, target)
+                    if violations:
+                        raise ValidationError(violations)
+            except Exception:
+                if span is not None:
+                    span.attrs["status"] = "error"
+                    trace.end(span)
+                    trace.end(pipeline_span)
+                raise
+            if span is not None:
+                if validate_stages:
+                    span.attrs["violations"] = len(violations)
+                trace.end(span, status="ok")
             if keep_intermediates:
                 results.append(StageResult(index, current, violations))
         if pipeline_span is not None:
             trace.end(pipeline_span)
-        if keep_intermediates:
-            return results
-        return current
-
-    def _run_fused(self, instance: XmlElement, *, trace=None) -> XmlElement:
-        """Apply the fused plans in order.  Traced runs record one
-        ``fused[i]`` span per unit, tagged with the original stage
-        indices the unit covers."""
-        current = instance
-        pipeline_span = None
-        if trace:
-            self._seed_trace(trace)
-            pipeline_span = trace.begin(
-                "pipeline", stages=len(self), fused=len(self.fused_plans)
-            )
-        for index, (plan, group) in enumerate(
-            zip(self.fused_plans, self.fused_groups)
-        ):
-            unit_span = None
-            if trace:
-                unit_span = trace.begin(
-                    f"fused[{index}]", stages=",".join(map(str, group))
-                )
-            try:
-                current = plan.run(current, trace=trace)
-            except Exception:
-                if unit_span is not None:
-                    unit_span.attrs["status"] = "error"
-                    trace.end(unit_span)
-                if pipeline_span is not None:
-                    trace.end(pipeline_span)
-                raise
-            if unit_span is not None:
-                trace.end(unit_span, status="ok")
-        if pipeline_span is not None:
-            trace.end(pipeline_span)
-        return current
+        return results if keep_intermediates else current
 
     def __call__(self, instance: XmlElement) -> XmlElement:
         return self.run(instance)
@@ -361,12 +364,17 @@ class Pipeline:
             owns_trace = not trace.active
             root_span = trace.begin("pipeline-batch", stages=len(self))
         for index, transformer in enumerate(self.transformers):
-            fp = fingerprint(transformer.mapping, self.engine)
+            optimize = transformer.optimize
+            fp = fingerprint(transformer.mapping, self.engine,
+                             optimize=optimize)
             if fp not in cache:
-                cache.put(plan_from_tgd(transformer.tgd, self.engine, fp=fp))
+                cache.put(plan_from_tgd(
+                    transformer.tgd, self.engine, fp=fp, optimize=optimize,
+                ))
             runner = BatchRunner(
                 transformer.mapping,
                 engine=self.engine,
+                optimize=optimize,
                 workers=workers,
                 cache=cache,
                 validate=validate,
@@ -456,3 +464,61 @@ class Pipeline:
                 f"{len(mapping.build_nodes())} build nodes)"
             )
         return "\n".join(lines)
+
+
+class ComposedTransformer(Pipeline):
+    """An ``A→C`` transformer built from an ``A→B`` and a ``B→C`` one:
+    a two-stage fused :class:`Pipeline`.
+
+    Inside the composable fragment (:func:`repro.algebra.compose_tgds`)
+    the two tgds fuse into one, whose single-pass plan is
+    byte-identical to chaining the stages (``mode == "inlined"``).
+    Outside it — grouping, aggregates, opaque value flow — the seam
+    stays and the stages run in sequence (``mode == "sequential"``),
+    with the :class:`~repro.errors.ComposeError` reason in
+    :attr:`fallback_reason`.  Either mode produces the same bytes,
+    which the test suite asserts across the corpus.
+    """
+
+    def __init__(self, first: Transformer, second: Transformer):
+        super().__init__([first, second], engine=first.engine, fuse=True)
+        self.first, self.second = self.transformers
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """The seam's :class:`~repro.errors.ComposeError` reason tag,
+        ``None`` when the pair fused."""
+        return self.fallback_reasons[0]
+
+    @property
+    def mode(self) -> str:
+        """``"inlined"`` (one fused plan) or ``"sequential"``."""
+        return "inlined" if self.fallback_reason is None else "sequential"
+
+    @property
+    def tgd(self) -> Optional[NestedTgd]:
+        """The fused ``A→C`` nested tgd (``None`` in sequential mode)."""
+        return self._fused_tgds[0] if self.fallback_reason is None else None
+
+    @property
+    def fingerprint(self) -> str:
+        """The fused cache key (stable whether or not the pair fused)."""
+        from .algebra import compose_fingerprint
+
+        return compose_fingerprint(*self._stage_fingerprints([0, 1]))
+
+    @property
+    def plan(self):
+        """The fused :class:`repro.runtime.CompiledPlan`; raises
+        :class:`~repro.errors.ComposeError` in sequential mode."""
+        if self.fallback_reason is not None:
+            raise ComposeError(
+                self.fallback_reason,
+                "this composition runs sequentially; it has no fused plan",
+            )
+        return self.fused_plans[0]
+
+    def apply(self, source_instance: XmlElement, *,
+              trace=None) -> XmlElement:
+        """Transform ``A`` documents straight to ``C`` (see :meth:`run`)."""
+        return self.run(source_instance, trace=trace)

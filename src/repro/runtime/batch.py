@@ -401,7 +401,11 @@ class BatchRunner:
     Parameters
     ----------
     mapping:
-        The Clip mapping to apply.
+        The Clip mapping to apply, or an already-built
+        :class:`CompiledPlan` (a fused composition has no Clip mapping
+        behind it).  A handed plan is used as is: it supplies the
+        engine, ``optimize``, the fingerprint, the trace seed and the
+        target schema, and the runner makes no cache lookup for it.
     engine:
         ``"tgd"`` (default), ``"xquery"`` or ``"xslt"``.
     workers:
@@ -459,7 +463,7 @@ class BatchRunner:
 
     def __init__(
         self,
-        mapping: ClipMapping,
+        mapping: Union[ClipMapping, CompiledPlan],
         *,
         engine: str = "tgd",
         workers: int = 1,
@@ -481,7 +485,15 @@ class BatchRunner:
             raise ValueError(
                 f"workers must be a positive integer, got {workers!r}"
             )
-        self.mapping = mapping
+        self.plan: Optional[CompiledPlan] = None
+        self.mapping: Optional[ClipMapping] = None
+        if isinstance(mapping, CompiledPlan):
+            self.plan = mapping
+            engine, optimize = mapping.engine, mapping.optimize
+            fingerprint = mapping.fingerprint
+        else:
+            self.mapping = mapping
+        self.target = mapping.target
         self.engine = engine
         self.workers = workers
         self.cache = cache if cache is not None else default_cache()
@@ -503,7 +515,9 @@ class BatchRunner:
         self.fingerprint = (
             fingerprint
             if fingerprint is not None
-            else compute_fingerprint(mapping, engine, optimize=self.optimize)
+            else compute_fingerprint(
+                self.mapping, engine, optimize=self.optimize
+            )
         )
 
     # -- execution ---------------------------------------------------------
@@ -535,7 +549,12 @@ class BatchRunner:
             if not tracer.seed:
                 # The optimize-independent base fingerprint: span ids
                 # agree across evaluation strategies by construction.
-                tracer.seed = trace_seed(self.mapping, self.engine)
+                # A handed plan has no mapping to derive it from; its
+                # fingerprint is as stable.
+                tracer.seed = (
+                    self.fingerprint if self.plan is not None
+                    else trace_seed(self.mapping, self.engine)
+                )
             if not tracer.engine:
                 tracer.engine = self.engine
             tracer.meta.setdefault("workers", self.workers)
@@ -583,6 +602,8 @@ class BatchRunner:
         return self.run(documents)
 
     def _retrieve_plan(self):
+        if self.plan is not None:
+            return self.plan
         return self.cache.get_or_compile(
             self.mapping, self.engine, fp=self.fingerprint,
             optimize=self.optimize,
@@ -601,7 +622,7 @@ class BatchRunner:
         metrics.target_elements += result.size()
         if self.validate:
             metrics.validation_violations += len(
-                validate_instance(result, self.mapping.target)
+                validate_instance(result, self.target)
             )
 
     def _run_inline(

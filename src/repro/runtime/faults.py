@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from .. import errors as errors_module
-from ..errors import ExecutionError
+from ..errors import DocumentTimeout, ExecutionError
 from ..xml.model import XmlElement
+from .retry import current_call
 
 #: Ceiling on the traceback text carried by a failure record — enough
 #: for triage, small enough to ship across the pool and into metrics.
@@ -194,7 +195,8 @@ class Fault:
     * ``"raise"`` — raise ``error`` (a :mod:`repro.errors` class name,
       e.g. ``"ExecutionError"`` or ``"TransientError"``);
     * ``"delay"`` — sleep ``seconds`` before evaluating, to trip the
-      per-document timeout;
+      per-document timeout (a delay whose timeout fired stops there, so
+      no abandoned thread runs on past its batch);
     * ``"exit"`` — ``os._exit`` the hosting process, simulating a
       crashed pool worker.
     """
@@ -260,7 +262,11 @@ class FaultInjector:
         if fault.kind == "exit":
             os._exit(17)
         if fault.kind == "delay":
-            time.sleep(fault.seconds)
+            abandoned = getattr(current_call, "abandoned", None)
+            if abandoned is None:
+                time.sleep(fault.seconds)
+            elif abandoned.wait(fault.seconds):
+                raise DocumentTimeout("abandoned after its timeout")
             return
         raise fault.resolve_error()(
             f"{fault.message} (document {index}, attempt {attempt})"

@@ -133,8 +133,9 @@ class CompiledPlan:
 
     Calling the plan transforms a source instance.  The plan carries
     the compiled tgd (so it can be shipped to worker processes, which
-    rebuild only the engine artifact) and the seconds spent compiling
-    (so batch metrics can report compile vs. execute time).
+    rebuild only the engine artifact), the seconds spent compiling
+    (so batch metrics can report compile vs. execute time) and the
+    target schema results validate against.
     """
 
     __slots__ = (
@@ -145,6 +146,7 @@ class CompiledPlan:
         "optimize",
         "tgd_plan",
         "compile_seconds",
+        "target",
         "_runner",
     )
 
@@ -159,6 +161,7 @@ class CompiledPlan:
         compile_seconds: float = 0.0,
         optimize: bool = True,
         tgd_plan: Optional[TgdPlan] = None,
+        target=None,
     ):
         self.engine = engine
         self.fingerprint = fp
@@ -170,6 +173,9 @@ class CompiledPlan:
         #: the compiled level plans and the accumulated plan counters
         #: that batch metrics report.
         self.tgd_plan = tgd_plan
+        #: The target XSD schema (``None`` when built from a bare tgd
+        #: without one).
+        self.target = target
         self._runner = runner
 
     def plan_report(self) -> Optional[dict]:
@@ -255,8 +261,10 @@ def plan_from_tgd(
     fp: str = "",
     optimize: Optional[bool] = None,
     codegen_source: Optional[str] = None,
+    target=None,
 ) -> CompiledPlan:
-    """Rebuild a plan from an already-compiled tgd.
+    """Rebuild a plan from an already-compiled tgd (``target``: the
+    schema its results validate against, when the caller has one).
 
     Worker processes use this: the parent ships them the (picklable)
     tgd — plus, for optimized tgd plans, the cached generated source
@@ -272,6 +280,7 @@ def plan_from_tgd(
         compile_seconds=time.perf_counter() - started,
         optimize=resolved,
         tgd_plan=tgd_plan,
+        target=target,
     )
 
 
@@ -305,4 +314,5 @@ def compile_plan(
         compile_seconds=time.perf_counter() - started,
         optimize=resolved,
         tgd_plan=tgd_plan,
+        target=mapping.target,
     )

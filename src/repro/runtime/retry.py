@@ -146,6 +146,11 @@ class Deadline:
         return call_with_timeout(fn, remaining)
 
 
+#: Per-thread state of the :func:`call_with_timeout` call running on
+#: that thread: ``abandoned`` is set once the caller gave up on it.
+current_call = threading.local()
+
+
 def call_with_timeout(
     fn: Callable[[], Any], timeout: Optional[float]
 ) -> Any:
@@ -155,12 +160,16 @@ def call_with_timeout(
     daemon thread; an overrun raises :class:`DocumentTimeout` in the
     caller (the worker thread is left to finish and be discarded — the
     engines are pure, so an abandoned evaluation has no side effects).
+    ``fn`` may watch ``current_call.abandoned`` (a
+    :class:`threading.Event`) to stop early once that happened.
     """
     if timeout is None:
         return fn()
     outcome: list = []
+    abandoned = threading.Event()
 
     def target() -> None:
+        current_call.abandoned = abandoned
         try:
             outcome.append(("ok", fn()))
         except BaseException as exc:  # noqa: BLE001 — relayed below
@@ -170,6 +179,7 @@ def call_with_timeout(
     thread.start()
     thread.join(timeout)
     if thread.is_alive():
+        abandoned.set()
         raise DocumentTimeout(
             f"document evaluation exceeded the {timeout:g}s budget"
         )

@@ -19,11 +19,14 @@ Endpoints
   mapping registers as a cache hit without a second compile.
 * ``POST /mappings/compose`` — fuse two registered mappings (JSON
   envelope ``{"first": FP_AB, "second": FP_BC}``) into one composed
-  ``A→C`` plan via :func:`repro.algebra.compose_tgds`; the composed
-  entry is addressable by its :func:`repro.algebra.compose_fingerprint`
-  exactly like a registered mapping, and transforms through it are
-  byte-identical to chaining the two originals.  Pairs outside the
-  composable fragment answer 422 with the :class:`ComposeError` reason.
+  ``A→C`` plan via :func:`repro.algebra.compose_tgds`, keyed by
+  :func:`repro.algebra.compose_fingerprint` over the operands' keys at
+  the request's own ``?engine=``/``?optimize=``.  The composed entry is
+  a registry entry like any other: ``/transform`` and
+  ``/transform/batch`` run it on the same runner, byte-identical to
+  chaining the two originals; only ``/transform/delta`` refuses it.
+  Pairs outside the composable fragment answer 422 with the
+  :class:`ComposeError` reason.
 * ``POST /transform?mapping=FP`` — transform one document (raw XML
   body, or a JSON envelope ``{"mapping": …, "document": …}``); the
   response body is the output XML, byte-identical to what the CLI
@@ -72,8 +75,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import errors as errors_module
-from ..algebra import compose_fingerprint, compose_tgds
-from ..core.compile import compile_clip
+from ..algebra import compose, compose_fingerprint
 from ..core.mapping import ClipMapping
 from ..core.tgd import NestedTgd
 from ..errors import (
@@ -189,58 +191,37 @@ class ServiceResponse(NamedTuple):
     headers: Tuple[Tuple[str, str], ...] = ()
 
 
-def _exec_mode(engine: str, optimize: bool) -> str:
-    """The ``exec_mode`` a registry entry reports: ``"codegen"`` when
-    optimized tgd plans run as generated code, ``"interp"`` otherwise."""
-    return "codegen" if engine == "tgd" and optimize else "interp"
-
-
 @dataclass(frozen=True)
 class RegisteredMapping:
-    """One registry entry: a mapping pinned to its execution strategy."""
+    """One registry entry: a mapping pinned to its execution strategy.
 
-    fingerprint: str
-    mapping: ClipMapping
-    engine: str
-    optimize: bool
-
-    def describe(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "engine": self.engine,
-            "optimize": self.optimize,
-            "exec_mode": _exec_mode(self.engine, self.optimize),
-        }
-
-
-@dataclass(frozen=True)
-class RegisteredComposition:
-    """One composed registry entry: an ``A→C`` tgd fused from two
-    registered mappings, pinned to its execution strategy.
-
-    There is no Clip mapping behind it — the composed nested tgd *is*
-    the artifact — so the entry carries the schemas transforms need
-    (the first operand's source, the second's target) and enough to
-    rebuild the plan after a cache eviction.
+    A composed entry (``POST /mappings/compose``) has no Clip mapping
+    behind it — the fused ``A→C`` nested tgd *is* the artifact — so it
+    keeps that tgd, to rebuild its plan after a cache eviction, and the
+    operands' registration fingerprints.
     """
 
     fingerprint: str
-    tgd: NestedTgd
-    source: object  # the first operand's source XSD schema
-    target: object  # the second operand's target XSD schema
+    mapping: Optional[ClipMapping]
     engine: str
     optimize: bool
-    first: str
-    second: str
+    source: object  # the XSD schema requests parse against
+    target: object  # the XSD schema results validate against
+    tgd: Optional[NestedTgd] = None
+    composed: Tuple[str, ...] = ()
 
     def describe(self) -> dict:
-        return {
+        # Optimized tgd plans run as generated code.
+        codegen = self.engine == "tgd" and self.optimize
+        doc = {
             "fingerprint": self.fingerprint,
             "engine": self.engine,
             "optimize": self.optimize,
-            "exec_mode": _exec_mode(self.engine, self.optimize),
-            "composed": [self.first, self.second],
+            "exec_mode": "codegen" if codegen else "interp",
         }
+        if self.composed:
+            doc["composed"] = list(self.composed)
+        return doc
 
 
 def _release(trees) -> None:
@@ -265,15 +246,19 @@ def _flag(value: Optional[str]) -> bool:
     )
 
 
-def _optimize_param(params: dict) -> bool:
-    """The ``?optimize=`` query parameter, resolved like the
-    ``optimize`` keyword everywhere else (absent → ``CLIP_OPTIMIZE``)."""
+def _strategy(params: dict) -> Tuple[str, bool]:
+    """The ``?engine=`` / ``?optimize=`` query parameters; ``optimize``
+    resolves like the keyword everywhere else (absent →
+    ``CLIP_OPTIMIZE``)."""
+    engine = params.get("engine", "tgd")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
     value = params.get("optimize")
     try:
         flag = None if value is None else boolean(value)
     except ValueError:
         raise ValueError(f"optimize must be a boolean, got {value!r}") from None
-    return resolve_setting(flag, OPTIMIZE_ENV, True, parse=boolean)
+    return engine, resolve_setting(flag, OPTIMIZE_ENV, True, parse=boolean)
 
 
 class ClipService:
@@ -505,12 +490,7 @@ class ClipService:
         except UnicodeDecodeError:
             raise ServiceError("mapping document is not valid UTF-8") from None
         clip = load_mapping_text(text)
-        engine = params.get("engine", "tgd")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; use one of {ENGINES}"
-            )
-        optimize = _optimize_param(params)
+        engine, optimize = _strategy(params)
         # The cache's own key function: the canonical fingerprint when
         # the cache canonicalizes (alpha-renamed variants share a plan),
         # the structural one otherwise.
@@ -523,18 +503,13 @@ class ClipService:
         plan = self.cache.get_or_compile(
             clip, engine, fp=fp, optimize=optimize, count_canonical=True,
         )
-        entry = RegisteredMapping(fp, clip, engine, optimize)
-        with self._lock:
-            known = fp in self._registry
-            self._registry[fp] = entry
-        doc = {
-            "format": MAPPING_FORMAT,
-            "version": MAPPING_VERSION,
-            **entry.describe(),
-            "cache": "hit" if was_cached else "miss",
-            "valid": plan.report.is_valid if plan.report is not None else True,
-        }
-        return _json_body(doc, 200 if known else 201)
+        return self._enter(
+            RegisteredMapping(
+                fp, clip, engine, optimize, clip.source, clip.target
+            ),
+            was_cached,
+            plan.report.is_valid if plan.report is not None else True,
+        )
 
     def _compose(self, params: dict, body: bytes) -> ServiceResponse:
         """``POST /mappings/compose``: fuse two registered mappings into
@@ -558,71 +533,62 @@ class ClipService:
                 "compose envelope must be a JSON object with 'first' "
                 "and 'second' keys"
             )
-        first_fp = envelope.get("first")
-        second_fp = envelope.get("second")
-        if not isinstance(first_fp, str) or not first_fp:
-            raise ValueError("compose envelope is missing 'first'")
-        if not isinstance(second_fp, str) or not second_fp:
-            raise ValueError("compose envelope is missing 'second'")
-        first = self._lookup_mapping(first_fp)
-        second = self._lookup_mapping(second_fp)
-        if isinstance(first, RegisteredComposition) or isinstance(
-            second, RegisteredComposition
-        ):
+        operands = []
+        for key in ("first", "second"):
+            fp = envelope.get(key)
+            if not isinstance(fp, str) or not fp:
+                raise ValueError(f"compose envelope is missing {key!r}")
+            operands.append(self._lookup_mapping(fp))
+        first, second = operands
+        if first.composed or second.composed:
             raise ServiceError(
                 "compose operands must be plain registered mappings, "
                 "not compositions"
             )
-        engine = params.get("engine", "tgd")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; use one of {ENGINES}"
-            )
-        optimize = _optimize_param(params)
+        engine, optimize = _strategy(params)
         # Raises ComposeError (422) outside the composable fragment.
-        composed = compose_tgds(
-            compile_clip(first.mapping), compile_clip(second.mapping)
-        )
-        fp = compose_fingerprint(first.fingerprint, second.fingerprint)
-        with self._lock:
-            existing = self._registry.get(fp)
-        # A cache hit only counts when the existing entry pins the same
-        # execution strategy — re-composing with different parameters
-        # recompiles and replaces the plan.
-        was_cached = (
-            self.cache.peek(fp) is not None
-            and existing is not None
-            and (existing.engine, existing.optimize) == (engine, optimize)
+        composed = compose(first.mapping, second.mapping)
+        # The stage keys at this request's own engine and optimize, so
+        # each execution strategy is a distinct fingerprint.
+        fp = compose_fingerprint(*(
+            self.cache.fingerprint_for(operand.mapping, engine,
+                                       optimize=optimize)
+            for operand in operands
+        ))
+        was_cached = self.cache.peek(fp) is not None
+        entry = RegisteredMapping(
+            fp, None, engine, optimize,
+            first.source, second.target, composed,
+            (first.fingerprint, second.fingerprint),
         )
         if not was_cached:
-            plan = plan_from_tgd(composed, engine, fp=fp, optimize=optimize)
-            self.cache.put(plan)
-        entry = RegisteredComposition(
-            fp, composed,
-            first.mapping.source, second.mapping.target,
-            engine, optimize,
-            first.fingerprint, second.fingerprint,
-        )
+            self._composed_plan(entry)
+        return self._enter(entry, was_cached, True)
+
+    def _enter(self, entry: RegisteredMapping, was_cached: bool,
+               valid: bool) -> ServiceResponse:
+        """Put a registration into the registry and answer it: 201 for
+        a new fingerprint, 200 for a re-registration."""
         with self._lock:
-            known = fp in self._registry
-            self._registry[fp] = entry
+            known = entry.fingerprint in self._registry
+            self._registry[entry.fingerprint] = entry
         doc = {
             "format": MAPPING_FORMAT,
             "version": MAPPING_VERSION,
             **entry.describe(),
             "cache": "hit" if was_cached else "miss",
-            "valid": True,
+            "valid": valid,
         }
         return _json_body(doc, 200 if known else 201)
 
-    def _composition_plan(self, entry: RegisteredComposition) -> CompiledPlan:
-        """The composed entry's plan, rebuilt from the stored tgd after
+    def _composed_plan(self, entry: RegisteredMapping) -> CompiledPlan:
+        """A composed entry's plan, rebuilt from the stored tgd after
         an eviction (there is no Clip mapping to recompile from)."""
         plan = self.cache.peek(entry.fingerprint)
         if plan is None:
             plan = plan_from_tgd(
                 entry.tgd, entry.engine, fp=entry.fingerprint,
-                optimize=entry.optimize,
+                optimize=entry.optimize, target=entry.target,
             )
             self.cache.put(plan)
         return plan
@@ -672,30 +638,18 @@ class ClipService:
             budget = requested if budget is None else min(requested, budget)
         return Deadline(budget)
 
-    def _runner(
-        self,
-        entry: RegisteredMapping,
-        *,
-        workers: int = 1,
-        error_policy: str = "collect",
-        max_retries: int = 0,
-        timeout: Optional[float] = None,
-        validate: bool = False,
-        tracer=None,
-    ) -> BatchRunner:
+    def _runner(self, entry: RegisteredMapping, **options) -> BatchRunner:
+        """A runner for one request against ``entry`` (a composed
+        entry hands over its plan); ``options`` are the request's
+        :class:`BatchRunner` knobs."""
         return BatchRunner(
-            entry.mapping,
+            entry.mapping if entry.tgd is None else self._composed_plan(entry),
             engine=entry.engine,
-            workers=workers,
             cache=self.cache,
-            validate=validate,
-            error_policy=error_policy,
-            max_retries=max_retries,
-            timeout=timeout,
             optimize=entry.optimize,
-            trace=tracer,
             fingerprint=entry.fingerprint,
             injector=self.injector,
+            **options,
         )
 
     def _dead_letter(self, letters: Sequence[DeadLetter],
@@ -830,111 +784,52 @@ class ClipService:
         self, params: dict, headers: Mapping[str, str], body: bytes,
         request_id: str,
     ) -> ServiceResponse:
+        """``POST /transform``: one document through a registry entry's
+        plan — a mapping's or a composition's alike — on the runner."""
         deadline = self._deadline(params)
         entry, text = self._transform_payload(params, headers, body)
-        composed = isinstance(entry, RegisteredComposition)
         document, rejected = self._parse_document(
-            text, entry.source if composed else entry.mapping.source,
-            deadline, request_id,
+            text, entry.source, deadline, request_id
         )
         if rejected is not None:
             return rejected
+        tracer = SpanTracer() if _flag(params.get("trace")) else None
+        runner = self._runner(
+            entry, error_policy="collect", timeout=deadline.remaining(),
+            trace=tracer,
+        )
         # Nothing from a request outlives its response (Section VI: one
         # source instance in, one target instance out), so every tree it
         # parses or builds is released once the body is rendered — an
         # intact tree is a cycle only a full collection would free.
         try:
-            if composed:
-                return self._transform_composed(
-                    entry, document, params, deadline, request_id
-                )
-            return self._transform_mapping(
-                entry, document, text, params, deadline, request_id
+            batch = runner.run([document])
+            metrics_doc = batch.metrics.to_dict()
+            self.metrics.count_documents(
+                len(batch.results), len(batch.failures)
             )
+            if batch.failures:
+                paths = self._dead_letter(batch.dead_letters, request_id)
+                failure = batch.failures[0]
+                self._store_request(
+                    request_id, endpoint="transform", entry=entry,
+                    status=status_for_failure(failure),
+                    metrics_doc=metrics_doc,
+                )
+                return self._failure_response(failure, request_id, paths)
+            result = batch.results[0]
+            rendered = to_xml(result)
+            self._store_request(
+                request_id, endpoint="transform", entry=entry, status=200,
+                metrics_doc=metrics_doc, result=result, source_text=text,
+                result_xml=rendered,
+            )
+            result.release()
         finally:
             document.release()
-
-    def _transform_mapping(
-        self,
-        entry: RegisteredMapping,
-        document: XmlElement,
-        text: str,
-        params: dict,
-        deadline: Deadline,
-        request_id: str,
-    ) -> ServiceResponse:
-        """One transform through a registered mapping's plan."""
-        tracer = SpanTracer() if _flag(params.get("trace")) else None
-        runner = self._runner(
-            entry, timeout=deadline.remaining(), tracer=tracer
-        )
-        batch = runner.run([document])
-        metrics_doc = batch.metrics.to_dict()
-        self.metrics.count_documents(len(batch.results), len(batch.failures))
-        if batch.failures:
-            paths = self._dead_letter(batch.dead_letters, request_id)
-            failure = batch.failures[0]
-            self._store_request(
-                request_id, endpoint="transform", entry=entry,
-                status=status_for_failure(failure), metrics_doc=metrics_doc,
-            )
-            return self._failure_response(failure, request_id, paths)
-        result = batch.results[0]
-        rendered = to_xml(result)
-        self._store_request(
-            request_id, endpoint="transform", entry=entry, status=200,
-            metrics_doc=metrics_doc, result=result, source_text=text,
-            result_xml=rendered,
-        )
-        result.release()
         return ServiceResponse(
             200, "application/xml; charset=utf-8",
             rendered.encode("utf-8"),
-            (("X-Clip-Request", request_id),
-             ("X-Clip-Mapping", entry.fingerprint)),
-        )
-
-    def _transform_composed(
-        self,
-        entry: RegisteredComposition,
-        document: XmlElement,
-        params: dict,
-        deadline: Deadline,
-        request_id: str,
-    ) -> ServiceResponse:
-        """One transform through a composed plan (the document parsed
-        against the first operand's source schema): run the fused
-        one-pass plan — byte-identical to chaining the two originals."""
-        tracer = SpanTracer() if _flag(params.get("trace")) else None
-        if tracer is not None:
-            # The composed entry has no Clip mapping to derive the usual
-            # trace seed from; the compose fingerprint is as stable.
-            tracer.seed = entry.fingerprint
-            tracer.engine = entry.engine
-        plan = self._composition_plan(entry)
-        started = time.perf_counter()
-        result = deadline.run(lambda: plan.run(document, trace=tracer))
-        elapsed = time.perf_counter() - started
-        self.metrics.count_documents(1, 0)
-        metrics_doc = BatchMetrics(
-            engine=entry.engine,
-            workers=1,
-            documents=1,
-            execute_seconds=elapsed,
-            wall_seconds=elapsed,
-            source_elements=document.size(),
-            target_elements=result.size(),
-        ).to_dict()
-        if tracer is not None:
-            metrics_doc["trace"] = tracer.to_trace().to_dict()
-        self._store_request(
-            request_id, endpoint="transform", entry=entry, status=200,
-            metrics_doc=metrics_doc, result=result,
-        )
-        rendered = to_xml(result).encode("utf-8")
-        result.release()
-        return ServiceResponse(
-            200, "application/xml; charset=utf-8", rendered,
             (("X-Clip-Request", request_id),
              ("X-Clip-Mapping", entry.fingerprint)),
         )
@@ -983,7 +878,7 @@ class ClipService:
                     f"threshold must be within [0, 1], got {threshold!r}"
                 )
         entry = self._lookup_mapping(base["mapping"])
-        if isinstance(entry, RegisteredComposition):
+        if entry.composed:
             raise ServiceError(
                 "delta transforms are not supported for composed "
                 "mappings; re-transform with POST /transform"
@@ -1058,11 +953,6 @@ class ClipService:
                 "'mapping' key in the envelope"
             )
         entry = self._lookup_mapping(fp)
-        if isinstance(entry, RegisteredComposition):
-            raise ServiceError(
-                "batch transforms are not supported for composed "
-                "mappings; use POST /transform per document"
-            )
         sources = envelope.get("documents")
         if (
             not isinstance(sources, list)
@@ -1098,7 +988,7 @@ class ClipService:
                 else min(per_document, remaining)
             )
         parsed = parse_documents(
-            sources, lambda text: parse_xml(text, schema=entry.mapping.source),
+            sources, lambda text: parse_xml(text, schema=entry.source),
             policy, deadline=deadline,
         )
         tracer = SpanTracer() if _flag(params.get("trace")) else None
@@ -1109,7 +999,7 @@ class ClipService:
             max_retries=max_retries,
             timeout=per_document,
             validate=validate,
-            tracer=tracer,
+            trace=tracer,
         )
         try:
             batch = deadline.run(lambda: runner.run(parsed.documents))

@@ -113,6 +113,22 @@ def _m_bc(*, cv="x", bv="y", threshold=1000) -> ClipMapping:
     return m
 
 
+def _m_bb(threshold=1000) -> ClipMapping:
+    """A ``B→B`` filter: a third stage between :func:`_m_ab` and
+    :func:`_m_bc`."""
+    m = ClipMapping(_SRC_B, _SRC_B)
+    d = m.build("department", "department", var="p")
+    m.build(
+        "department/employee", "department/employee", var="q", parent=d,
+        condition=f"$q.pay.value > {threshold}",
+    )
+    m.value("department/@dn", "department/@dn")
+    m.value("department/employee/@ename", "department/employee/@ename")
+    m.value("department/employee/pay/value",
+            "department/employee/pay/value")
+    return m
+
+
 def _instance():
     return element(
         "S",
@@ -414,3 +430,48 @@ def test_pipeline_fusion_byte_identity():
     assert fused.fused_groups == [[0, 1]]
     instance = _instance()
     assert to_xml(fused.run(instance)) == to_xml(plain.run(instance))
+
+
+def test_pipeline_fused_key_folds_every_stage_fingerprint():
+    from repro.pipeline import Pipeline
+    from repro.runtime.plan import fingerprint
+
+    stages = [_m_ab(), _m_bb(), _m_bc()]
+    fused = Pipeline(stages, fuse=True)
+    assert fused.fused_groups == [[0, 1, 2]]
+    assert fused.fallback_reasons == [None, None]
+    a, b, c = (fingerprint(m, "tgd") for m in stages)
+    [plan] = fused.fused_plans
+    assert plan.fingerprint == compose_fingerprint(a, b, c)
+    assert compose_fingerprint(a, b, c) == compose_fingerprint(
+        compose_fingerprint(a, b), c
+    )
+    assert compose_fingerprint(a) == a
+    instance = _instance()
+    assert to_xml(fused.run(instance)) == to_xml(
+        Pipeline(stages).run(instance)
+    )
+
+
+def test_composed_transformer_is_a_two_stage_fused_pipeline():
+    from repro import Transformer
+    from repro.errors import MappingError
+    from repro.pipeline import Pipeline
+    from repro.runtime.plan import fingerprint
+
+    first = Transformer(_m_ab(), optimize=False)
+    second = Transformer(_m_bc(), optimize=False)
+    composed = first.compose(second)
+    assert isinstance(composed, Pipeline)
+    assert composed.transformers == [first, second]
+    assert composed.fallback_reasons == [None]
+    assert composed.plan.optimize is False
+    assert composed.plan.fingerprint == composed.fingerprint == (
+        compose_fingerprint(
+            fingerprint(first.mapping, "tgd", optimize=False),
+            fingerprint(second.mapping, "tgd", optimize=False),
+        )
+    )
+    # Composition checks adjacency: B→C after B→C does not line up.
+    with pytest.raises(MappingError):
+        second.compose(_m_bc())

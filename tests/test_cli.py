@@ -401,6 +401,34 @@ class TestTraceCli:
         ) == 0
         assert a.read_text() == b.read_text()
 
+    def test_run_compose_trace_json_traces_the_fused_transform(
+        self, tmp_path
+    ):
+        from repro.runtime import Trace
+        from tests.test_algebra import _instance, _m_ab, _m_bc
+
+        first, second = tmp_path / "ab.json", tmp_path / "bc.json"
+        save(_m_ab(), str(first))
+        save(_m_bc(), str(second))
+        source = tmp_path / "a.xml"
+        source.write_text(to_xml(_instance()), encoding="utf-8")
+        traced, plain = tmp_path / "traced.xml", tmp_path / "plain.xml"
+        trace_path = tmp_path / "trace.json"
+        run = ["run", str(first), str(source), "--compose", str(second)]
+        assert main(run + ["-o", str(plain)]) == 0
+        assert main(
+            run + ["-o", str(traced), "--trace-json", str(trace_path)]
+        ) == 0
+        assert traced.read_text() == plain.read_text()
+        trace = Trace.from_dict(json.loads(trace_path.read_text()))
+        pipeline = trace.find("pipeline")
+        assert pipeline is not None and pipeline["attrs"]["fused"] == 1
+        [fused] = pipeline["children"]
+        assert fused["name"] == "fused[0]"
+        assert fused["attrs"]["stages"] == "0,1"
+        names = {span["name"] for span in Trace(spans=[fused]).iter_spans()}
+        assert {"execute", "plan"} <= names
+
     def _batch_with_trace(self, mapping_file, source_file, tmp_path):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.json"

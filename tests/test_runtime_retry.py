@@ -9,6 +9,7 @@ sequence actually slept by the batch runner under a fixed fault seed.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -125,6 +126,21 @@ class TestTimeoutOnFinalAttempt:
 
         with pytest.raises(KeyError):
             call_with_timeout(boom, timeout=5.0)
+
+    def test_an_abandoned_delay_stops_with_its_caller(self):
+        """A scripted delay whose timeout fired stops instead of
+        sleeping on, so no thread outlives the test that started it."""
+        injector = FaultInjector({0: Fault(kind="delay", seconds=30.0)})
+        threads = []
+
+        def slow():
+            threads.append(threading.current_thread())
+            injector.fire(0)
+
+        with pytest.raises(DocumentTimeout):
+            call_with_timeout(slow, timeout=0.02)
+        threads[0].join(5)
+        assert not threads[0].is_alive()
 
 
 class TestDeadline:

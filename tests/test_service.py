@@ -1075,22 +1075,115 @@ class TestCompose:
         assert response.status == 400
         assert b"compositions" in response.body
 
-    def test_batch_through_composition_is_refused(self, service):
+    def _composed(self, service) -> tuple:
+        """Register the chain's two stages and compose them; returns
+        ``(fp_ab, fp_bc, composed fingerprint)``."""
         m_ab, m_bc, _ = self._chain()
         fp_ab = register(service, m_ab)
         fp_bc = register(service, m_bc)
-        composed_fp = json.loads(
-            self._compose(service, fp_ab, fp_bc).body
-        )["fingerprint"]
+        response = self._compose(service, fp_ab, fp_bc)
+        assert response.status == 201, response.body
+        return fp_ab, fp_bc, json.loads(response.body)["fingerprint"]
+
+    def test_compose_parameters_key_distinct_coexisting_plans(self, service):
+        m_ab, m_bc, _ = self._chain()
+        fp_ab = register(service, m_ab)
+        fp_bc = register(service, m_bc)
+        queries = ("?optimize=1", "?optimize=0", "?engine=xquery")
+        fps = []
+        for query in queries:
+            doc = json.loads(self._compose(service, fp_ab, fp_bc, query).body)
+            assert doc["cache"] == "miss", query
+            fps.append(doc["fingerprint"])
+        assert len(set(fps)) == len(queries)
+        for query, fp in zip(queries, fps):
+            again = json.loads(self._compose(service, fp_ab, fp_bc, query).body)
+            assert (again["fingerprint"], again["cache"]) == (fp, "hit")
+        bodies = set()
+        for fp in fps:
+            response = service.dispatch(
+                "POST", f"/transform?mapping={fp}", {},
+                self._source_xml().encode(),
+            )
+            assert response.status == 200, response.body
+            assert dict(response.headers)["X-Clip-Mapping"] == fp
+            bodies.add(response.body)
+        assert len(bodies) == 1
+
+    def test_composed_transform_fails_like_a_plain_one(self, dead_letter_dir):
+        """Composed transforms run through the same runner: injected
+        faults, retries and dead letters behave as for any mapping."""
+        service = make_service(
+            dead_letter_dir=str(dead_letter_dir),
+            injector=FaultInjector({0: Fault(kind="raise")}),
+        )
+        fp_ab, _, composed_fp = self._composed(service)
+        envelopes = []
+        for fp in (fp_ab, composed_fp):
+            response = service.dispatch(
+                "POST", f"/transform?mapping={fp}", {},
+                self._source_xml().encode(),
+            )
+            assert response.status == 500, response.body
+            doc = json.loads(response.body)
+            letters = [
+                path for path in doc.pop("dead_letters")
+                if path.endswith(".xml")
+            ]
+            assert len(letters) == 1 and os.path.exists(letters[0])
+            doc["dead_letters"] = [os.path.basename(letters[0])]
+            del doc["request"]
+            envelopes.append(doc)
+        assert envelopes[0]["error"] == "ExecutionError"
+        assert envelopes[0] == envelopes[1]
+        text = service.dispatch("GET", "/metrics").body.decode()
+        assert "clip_service_dead_letters_total 2" in text
+
+    def test_batch_through_composition_matches_single_transforms(
+        self, service
+    ):
+        _, _, composed_fp = self._composed(service)
+        documents = [
+            self._source_xml(), self._source_xml().replace("1500", "500"),
+        ]
+        expected = []
+        for text in documents:
+            response = service.dispatch(
+                "POST", f"/transform?mapping={composed_fp}", {},
+                text.encode(),
+            )
+            assert response.status == 200, response.body
+            expected.append(response.body.decode())
+        assert expected[0] != expected[1]
         response = service.dispatch(
             "POST", "/transform/batch", {},
             json.dumps({
-                "mapping": composed_fp,
-                "documents": [self._source_xml()],
+                "mapping": composed_fp, "documents": documents,
+            }).encode(),
+        )
+        assert response.status == 200, response.body
+        doc = json.loads(response.body)
+        assert doc["mapping"] == composed_fp
+        assert [entry["xml"] for entry in doc["results"]] == expected
+
+    def test_delta_through_composition_is_refused(self, service):
+        _, _, composed_fp = self._composed(service)
+        base = service.dispatch(
+            "POST", f"/transform?mapping={composed_fp}", {},
+            self._source_xml().encode(),
+        )
+        assert base.status == 200, base.body
+        response = service.dispatch(
+            "POST", "/transform/delta", {},
+            json.dumps({
+                "request": dict(base.headers)["X-Clip-Request"],
+                "document": self._source_xml(),
             }).encode(),
         )
         assert response.status == 400
-        assert b"batch" in response.body
+        doc = json.loads(response.body)
+        assert doc["error"] == "ServiceError"
+        assert "composed" in doc["message"]
 
     def test_composition_appears_in_listing_and_detail(self, service):
         m_ab, m_bc, _ = self._chain()
