@@ -716,12 +716,10 @@ class PlanMemo:
         dead = [
             key
             for key, (chains, _) in self._meta.items()
-            if any(
-                c in value_chains
-                or any(
-                    t[: len(c)] == c or c[: len(t)] == t
-                    for t in structural_chains
-                )
+            if not chains.isdisjoint(value_chains)
+            or structural_chains and any(
+                t[: len(c)] == c or c[: len(t)] == t
+                for t in structural_chains
                 for c in chains
             )
         ]

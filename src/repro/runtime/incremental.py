@@ -20,50 +20,37 @@ Three outcomes, reported in the returned :class:`IncrementalReport`:
     top-level environment, or one per grouping key when the root level
     carries a grouping Skolem; a unit is what the engine's
     :meth:`~repro.executor.engine._Engine.unit` builds, one FLWOR
-    ``return`` clause.  Units whose source bindings lie outside every
-    changed subtree keep their previous target fragment; dirty units
-    re-execute through that same engine method over the edited
-    document.  Fragments are emitted in the new document's enumeration
-    order under the root level's wrapper prefix, materialized exactly
-    as a full run materializes it, so the result is byte-identical to a
-    full recompute.
+    ``return`` clause.  Clean units keep their target fragment where it
+    stands; dirty units re-execute through that same engine method over
+    the edited document, and only their fragments are replaced, at the
+    positions a full run gives them — byte-identical to a full run.
 
 ``fallback``
-    Full recomputation — taken when the delta ratio exceeds the
-    threshold, when the mapping uses a construct the scoped path does
-    not model (multiple root mappings, ``distribute`` generators,
-    writes escaping the per-unit fragment), or when the delta touches a
-    *document-scoped* read of a nested level (a generator re-scanning
-    the whole document per group, as in the Figure 7 employee join,
-    cannot be localized to units).
+    Full recomputation — when the delta ratio exceeds the threshold,
+    the mapping uses a construct the scoped path does not model
+    (multiple roots, ``distribute`` generators, writes escaping the
+    unit's fragment), or the delta touches a *document-scoped* read of
+    a nested level, like the Figure 7 employee re-scan.
 
-Scoped re-execution reads the planner's one read-set analysis
+The reads come from the planner's one read-set analysis
 (:func:`~repro.executor.planner.plan_tgd`), for naive and optimized
-plans alike: each level's reads are anchored either below a root
-generator's binding — the unit's own subtrees, including variables a
-membership pins there, like ``$p2`` in Figure 7 — or document-wide,
-and a delta reaching a document-wide read falls back.  This module
-checks only the target side: a single root, one wrapper chain, and
-writes that stay inside the unit's fragment.
+plans alike: each is anchored below a root generator's binding (the
+unit's own subtrees, membership-pinned variables like Figure 7's
+``$p2`` included) or document-wide.  This module checks only the
+target side: a single root, one wrapper chain, unit-local writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from bisect import bisect_left, insort
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
-from ..errors import ReproError, XmlError
-from ..core.tgd import SchemaRoot, TargetGenerator, TgdMapping, Var
+from ..errors import ExecutionError, ReproError, XmlError
+from ..core.tgd import SchemaRoot, TargetGenerator, TgdMapping, Var, expr_labels, expr_root
 from ..executor.engine import TgdPlan, _Engine
-from ..executor.planner import PlanMemo, PlannedTgd, plan_tgd
-from ..xml.diff import (
-    Delta,
-    apply_delta,
-    apply_delta_in_place,
-    compute_delta,
-    resolve_steps,
-)
+from ..executor.planner import PlanMemo, PlannedTgd, level_reads, plan_tgd, value_read_chains
+from ..xml.diff import Delta, apply_delta, apply_delta_in_place, compute_delta, resolve_steps
 from ..xml.index import index_for
 from ..xml.model import XmlElement
 
@@ -99,19 +86,10 @@ class IncrementalReport:
         return self.mode in ("unchanged", "scoped")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "reason": self.reason,
-            "delta_records": self.delta_records,
-            "changed_nodes": self.changed_nodes,
-            "delta_ratio": round(self.delta_ratio, 6),
-            "threshold": self.threshold,
-            "dirty_levels": list(self.dirty_levels),
-            "grouped": self.grouped,
-            "total_units": self.total_units,
-            "reused_units": self.reused_units,
-            "recomputed_units": self.recomputed_units,
-        }
+        doc = asdict(self)
+        doc["delta_ratio"] = round(self.delta_ratio, 6)
+        doc["dirty_levels"] = list(self.dirty_levels)
+        return doc
 
 
 # -- delta ↔ read-set intersection ------------------------------------------
@@ -160,12 +138,34 @@ class _Shape:
     global_reads: frozenset[_Chain]
     global_resolved: bool
     #: Per root-generator variable: the label chains the unit reads
-    #: *relative to that variable's binding* — its own value reads,
-    #: nested generator populations, and reads of membership-pinned
-    #: variables.  Lets the dirty test ask "can this record reach a
-    #: read of this unit?" instead of marking every unit whose binding
-    #: merely contains the changed node.
+    #: *relative to that variable's binding*, so the dirty test asks
+    #: "can this record reach a read of this unit?".
     var_reads: dict[str, frozenset[_Chain]]
+    #: Absolute chains the root level's enumeration reads (generator
+    #: populations, ``where`` operands), ``None`` when one does not
+    #: resolve: a delta touching none of them leaves the environments.
+    enum_reads: Optional[frozenset[_Chain]]
+
+
+def _enumeration_reads(planned: PlannedTgd, root: TgdMapping):
+    """The root level's enumeration reads (see :attr:`_Shape.enum_reads`),
+    resolved through its generators' chains."""
+    chains = planned.level_for(root).gen_chains
+    if None in chains:
+        return None
+    bases = {gen.var: chain for gen, chain in zip(root.source_gens, chains)}
+    reads = set(chains)
+    # The level's condition operands alone: no grouping attributes and
+    # no assignment values, which shape fragments, not environments.
+    conditions = replace(root, skolem=None, assignments=())
+    for expr, atomic, _member in level_reads(conditions):
+        base = expr_root(expr)
+        chain = () if isinstance(base, SchemaRoot) else bases.get(base.name)
+        if chain is None:
+            return None
+        chain += tuple(expr_labels(expr))
+        reads.update(value_read_chains(chain) if atomic else (chain,))
+    return frozenset(reads)
 
 
 def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
@@ -200,18 +200,11 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
     # target generators and assignment targets may only hang off the
     # quantified fragment element, never the shared prefix or the
     # target root.
-    binding_vars = {suffix[0].var}
-    for gen in suffix[1:]:
-        base = gen.expr.base
-        if not (isinstance(base, Var) and base.name in binding_vars):
-            return None, "root target generator escapes the unit fragment"
-        binding_vars.add(gen.var)
-
-    def check_targets(mapping: TgdMapping, scope: set[str]) -> str:
-        for gen in mapping.target_gens:
+    def escape(mapping: TgdMapping, scope: set[str], gens, level: str) -> str:
+        for gen in gens:
             base = gen.expr.base
             if not (isinstance(base, Var) and base.name in scope):
-                return "nested target generator escapes the unit fragment"
+                return f"{level} target generator escapes the unit fragment"
             scope.add(gen.var)
         for assignment in mapping.assignments:
             expr = assignment.target
@@ -220,22 +213,14 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
             if not (isinstance(expr, Var) and expr.name in scope):
                 return "assignment escapes the unit fragment"
         for sub in mapping.submappings:
-            found = check_targets(sub, set(scope))
+            found = escape(sub, set(scope), sub.target_gens, "nested")
             if found:
                 return found
         return ""
 
-    for assignment in root.assignments:
-        expr = assignment.target
-        while not isinstance(expr, (Var, SchemaRoot)):
-            expr = expr.base
-        if not (isinstance(expr, Var) and expr.name in binding_vars):
-            return None, "assignment escapes the unit fragment"
-    for sub in root.submappings:
-        reason = check_targets(sub, set(binding_vars))
-        if reason:
-            return None, reason
-
+    reason = escape(root, {suffix[0].var}, suffix[1:], "root")
+    if reason:
+        return None, reason
     var_reads: dict[str, set[_Chain]] = {}
     for level in planned.levels:
         for var, chain in level.unit_reads:
@@ -254,6 +239,7 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
                 level.reads_resolved for level in planned.levels
             ),
             var_reads={var: frozenset(c) for var, c in var_reads.items()},
+            enum_reads=_enumeration_reads(planned, root),
         ),
         "",
     )
@@ -265,20 +251,13 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
 class _DirtyIndex:
     """Decides whether a root environment's unit can observe the delta.
 
-    The test is read-anchored: a binding ``B`` of root variable ``v`` is
-    dirty when it lies inside a removed/replaced subtree (its
-    environment vanishes or re-binds), or when it is the addressed node
-    or an ancestor of it *and* the record's chain relative to ``B``
-    intersects one of ``v``'s read chains.  An edit inside a binding
-    that the unit never reads — Figure 7's department context when only
-    ``$p.pname`` feeds the group — leaves the unit clean, where plain
-    ancestor marking would recompute every group touching that
-    department.
-
-    ``hot`` holds every binding identity the test can flag — the
-    removed/replaced subtrees plus each addressed node and its
-    ancestors — so an environment none of whose bindings is hot is
-    clean without running the test.
+    A binding ``B`` of root variable ``v`` is dirty when it lies inside
+    a removed/replaced subtree, or when it is the addressed node or an
+    ancestor of it *and* the record's chain relative to ``B`` meets one
+    of ``v``'s read chains: an edit in a binding the unit never reads —
+    Figure 7's department when only ``$p.pname`` feeds the group —
+    leaves the unit clean.  ``hot`` holds every identity the test can
+    flag (those subtrees, each addressed node and its ancestors).
     """
 
     __slots__ = ("ids", "records", "var_reads", "hot")
@@ -333,65 +312,45 @@ class _DirtyIndex:
         return False
 
 
-class _Signer:
-    """Structural addresses — ``((tag, per-tag index), …)`` chains from
-    the document root — memoized per element.  Equal addresses in the
-    previous and new document identify "the same" element across
-    :func:`apply_delta`'s copy."""
+class _Units:
+    """The root level's units, aligned with the target's fragments.
 
-    __slots__ = ("_memo",)
+    Every unit is a group: ``keys`` holds each root environment's
+    grouping key — its bindings' identities (``ids``) when the root
+    does not group.  ``groups`` maps a key to its member positions and
+    ``firsts`` lists each group's first position, both ascending: a
+    full run emits groups in first-seen order, so a group's fragment
+    index is its first position's rank in ``firsts``.  ``at`` maps the
+    identity of each binding of a ``var_reads`` variable to its
+    positions (another variable's binding is dirty only by vanishing,
+    which re-enumerates the root).
+    """
 
-    def __init__(self):
-        self._memo: dict[int, tuple] = {}
+    __slots__ = ("envs", "ids", "at", "keys", "groups", "firsts")
 
-    def signature(self, element: XmlElement) -> tuple:
-        """The element's address, memoized along with every ancestor's:
-        walk up to the first memoized ancestor (or the root), then build
-        the addresses downward — no recursion, so depth is bounded by
-        memory, not by the recursion limit."""
-        memo = self._memo
-        found = memo.get(id(element))
-        if found is not None:
-            return found
-        pending = []
-        node = element
-        while found is None:
-            parent = node.parent
-            if parent is None:
-                found = memo[id(node)] = ()
-                break
-            pending.append((node, parent))
-            node = parent
-            found = memo.get(id(node))
-        for node, parent in reversed(pending):
-            occurrence = 0
-            tag = node.tag
-            for sibling in parent._children:
-                if sibling is node:
-                    break
-                if sibling.tag == tag:
-                    occurrence += 1
-            found = memo[id(node)] = found + ((tag, occurrence),)
-        return found
+    def __init__(self, shape: _Shape, envs: list[dict]):
+        gens = shape.root.source_gens
+        self.envs = envs
+        self.ids = list(zip(*[[id(env[gen.var]) for env in envs] for gen in gens]))
+        self.at: dict[int, list[int]] = {}
+        for column, gen in enumerate(gens):
+            if gen.var in shape.var_reads:
+                for position, combo in enumerate(self.ids):
+                    self.at.setdefault(combo[column], []).append(position)
 
-    def env_signature(self, gens, env) -> tuple:
-        return tuple(self.signature(env[gen.var]) for gen in gens)
+    def group(self, keys: Optional[list[tuple]] = None) -> None:
+        self.keys = self.ids if keys is None else keys
+        self.groups: dict[tuple, list[int]] = {}
+        for position, key in enumerate(self.keys):
+            self.groups.setdefault(key, []).append(position)
+        self.firsts = [members[0] for members in self.groups.values()]
 
-
-def _binding_ids(gens, envs: list[dict]) -> list[tuple]:
-    """Each root environment's bindings, as a tuple of identities
-    (built column-wise: one flat pass per variable)."""
-    if not gens:
-        return [()] * len(envs)
-    return list(zip(*[[id(env[gen.var]) for env in envs] for gen in gens]))
-
-
-def _group_positions(keys: list[tuple]) -> dict[tuple, list[int]]:
-    """Grouping key → the positions carrying it, in first-seen order."""
-    groups: dict[tuple, list[int]] = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    return groups
+    def dirty(self, index: _DirtyIndex, gens) -> list[int]:
+        """The positions whose unit observes the delta, ascending; only
+        those binding a hot identity are tested."""
+        at = self.at
+        hot = {position for ident in index.hot if ident in at for position in at[ident]}
+        return [p for p in sorted(hot) if index.env_dirty(self.envs[p], gens)]
 
 
 # -- entry points ------------------------------------------------------------
@@ -446,12 +405,9 @@ def transform_delta(
 class IncrementalSession:
     """Stateful delta-scoped execution over a maintained document.
 
-    A one-shot :func:`transform_delta` call copies the previous source
-    and target, enumerates the previous document and builds the plan's
-    document-scoped join tables from scratch.  A long-lived session
-    amortizes all of that across a *chain* of edits — the steady state
-    of a mapping service re-transforming a document its user keeps
-    editing:
+    A long-lived session amortizes across a *chain* of edits what a
+    one-shot :func:`transform_delta` call pays each time (copies, the
+    old side's enumeration, the document-scoped join tables):
 
     * the source tree is **maintained in place**: each delta is applied
       to the session's own copy (:func:`~repro.xml.diff.apply_delta_in_place`),
@@ -463,15 +419,21 @@ class IncrementalSession:
       chains they read, invalidated per delta by chain intersection —
       the Figure 7 employee join table survives every edit that does
       not touch ``dept/regEmp``;
-    * root environments, their structural signatures and grouping keys
-      are carried over as the next call's "old side", and clean target
-      fragments are **moved** from the previous target rather than
-      deep-copied.
+    * the target is **maintained in place** too: a scoped call replaces
+      only the dirty units' fragments and leaves the clean ones where
+      they stand;
+    * root environments, binding identities and grouping keys carry
+      over as the next call's old side — a full run is built unit by
+      unit to derive them — and a delta reaching no root enumeration
+      read reuses them, finding its dirty units by the identities it
+      touches; any other matches clean units by binding identity.
 
-    The returned target is owned by the session: it is recycled as the
-    fragment source of the next :meth:`transform` call, so callers must
-    serialize (or copy) it before calling :meth:`transform` again.
-    Every mode is byte-identical to ``plan.run(new_source)``.
+    The returned target *is* the maintained target: the next
+    :meth:`transform` or :meth:`apply` call mutates it in place, so
+    callers must serialize (or copy) it before calling again.  Every
+    mode is byte-identical to ``plan.run(new_source)``.  A call that
+    raises drops the maintained target, so the next :meth:`transform`
+    starts over with a full run.
     """
 
     def __init__(self, plan, *, threshold: float = DEFAULT_THRESHOLD):
@@ -501,15 +463,10 @@ class IncrementalSession:
         self._source: Optional[XmlElement] = None
         self._size = 0
         self._target: Optional[XmlElement] = None
-        # The old side, derived from the maintained source on demand
-        # (``None`` until the next scoped call needs it).
-        self._envs: Optional[list[dict]] = None
-        self._sigs: list[tuple] = []
-        self._ids: list[tuple] = []
-        # Grouped shapes: key → positions in ``_envs``, in first-seen
-        # key order (the order of the target's group fragments).
-        self._groups: Optional[dict[tuple, list[int]]] = None
-        self._keys: Optional[list[tuple]] = None
+        # The old side, derived from the maintained pair when the next
+        # scoped call needs it: the units and their fragments' parent.
+        self._units: Optional[_Units] = None
+        self._parent: Optional[XmlElement] = None
         self._applied = False
 
     def transform(
@@ -544,13 +501,9 @@ class IncrementalSession:
 
         The delta-driven twin of :meth:`transform`, and the one decision
         ladder behind :func:`transform_delta`: callers that know their
-        edits (editors, changelog consumers) skip the
-        :func:`~repro.xml.diff.compute_delta` tree walk entirely, which
-        is the dominant per-call cost once the delta itself is small.
-        Requires an established session (a prior :meth:`transform`
-        call) and a non-truncated delta; raises :class:`ReproError`
-        otherwise.  Ownership of the returned target is the same as for
-        :meth:`transform`.
+        edits skip the :func:`~repro.xml.diff.compute_delta` tree walk.
+        Requires an established session and a non-truncated delta;
+        raises :class:`ReproError` otherwise.
         """
         if self._source is None or self._target is None:
             raise ReproError(
@@ -560,16 +513,30 @@ class IncrementalSession:
             )
         if delta.truncated:
             raise ReproError("cannot apply a truncated delta")
-        shape, tgd_plan = self._shape, self._tgd_plan
         report = IncrementalReport(
             mode="fallback",
             threshold=self.threshold,
-            grouped=shape is not None and shape.grouped,
+            grouped=self._shape is not None and self._shape.grouped,
             delta_records=len(delta.records),
             changed_nodes=delta.changed_nodes,
             delta_ratio=delta.ratio(self._size),
         )
         self._applied = False
+        try:
+            return self._advance(delta, report)
+        except BaseException:
+            # The maintained pair may be half-advanced: drop the target
+            # so that the next transform() starts over with a full run.
+            self._target = self._units = self._parent = None
+            raise
+
+    # -- internals ------------------------------------------------------
+
+    def _advance(
+        self, delta: Delta, report: IncrementalReport
+    ) -> tuple[XmlElement, IncrementalReport]:
+        """The decision ladder of :meth:`apply`."""
+        shape, tgd_plan = self._shape, self._tgd_plan
         if tgd_plan is None:
             return self._fallback(delta, report, "plan has no tgd execution plan")
         if delta.is_empty:
@@ -617,15 +584,11 @@ class IncrementalSession:
                 delta, report, f"scoped re-execution unavailable: {exc}"
             )
 
-    # -- internals ------------------------------------------------------
-
-    def _adopt(self, source: XmlElement, target: XmlElement) -> None:
-        """Take ``source``/``target`` as the maintained pair; the old
-        side is re-derived from them when next needed."""
-        self._source = source
-        self._size = source.size()
-        self._target = target
-        self._envs = None
+    def _adopt(self, source: XmlElement, target: XmlElement, units=None, parent=None):
+        """Take ``source``/``target`` as the maintained pair; without
+        ``units``, the old side is re-derived when next needed."""
+        self._source, self._size, self._target = source, source.size(), target
+        self._units, self._parent = units, parent
 
     def _fallback(
         self, delta: Delta, report: IncrementalReport, reason: str
@@ -648,32 +611,60 @@ class IncrementalSession:
         report.mode = "fallback"
         report.reason = reason
         base = source if own else source.copy()
-        target = self.plan.run(base)
-        if self._memo is not None and not own:
-            # A new document wholesale: every document-scoped entry is
-            # stale.  (``own`` re-runs over the maintained tree, whose
-            # entries were already invalidated per delta.)
-            self._memo.clear()
-        self._adopt(base, target)
-        return target, report
+        if self._shape is None:
+            self._adopt(base, self.plan.run(base))
+        else:
+            if self._memo is not None and not own:
+                # A new document wholesale: every document-scoped entry
+                # is stale (the maintained tree's are invalidated per delta).
+                self._memo.clear()
+            self._adopt(base, *self._rebuild(base))
+        return self._target, report
+
+    def _rebuild(self, base: XmlElement):
+        """The plan's run over ``base``, built unit by unit through the
+        session's memo — for the single-root shapes the session
+        supports, exactly the engine's own run — with its units and
+        their parent, so the next scoped call needs no refresh."""
+        shape = self._shape
+        engine = self._tgd_plan.engine_for(base, memo=self._memo)
+        try:
+            units = self._units_of(engine)
+            (base_env,) = engine._materialize_targets(shape.prefix, {})
+            self._build(engine, units, units.groups, base_env)
+        except ReproError:
+            raise
+        except Exception as exc:  # the contract of TgdPlan.run
+            raise ExecutionError(f"tgd evaluation failed: {exc}") from exc
+        parent = base_env[shape.prefix[-1].var] if shape.prefix else engine.target_root
+        return engine.target_root, units, parent
+
+    def _units_of(self, engine) -> _Units:
+        """The root's units over the engine's document."""
+        root = self._shape.root
+        units = _Units(self._shape, engine._enumerate(root, {}))
+        units.group(
+            [engine.group_key(root, env) for env in units.envs]
+            if self._shape.grouped
+            else None
+        )
+        return units
 
     def _refresh(self) -> None:
-        """Derive the old side (environments, signatures, grouping keys)
-        from the maintained source."""
-        assert self._shape is not None and self._tgd_plan is not None
-        assert self._source is not None
-        root = self._shape.root
-        gens = root.source_gens
-        engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
-        self._envs = engine._enumerate(root, {})
-        self._ids = _binding_ids(gens, self._envs)
-        signer = _Signer()
-        self._sigs = [signer.env_signature(gens, env) for env in self._envs]
-        if self._shape.grouped:
-            self._keys = [engine.group_key(root, env) for env in self._envs]
-            self._groups = _group_positions(self._keys)
-        else:
-            self._keys = self._groups = None
+        """Derive the old side — the root's units and the fragments'
+        parent — from an adopted pair, checking that the target holds
+        one fragment per unit."""
+        shape = self._shape
+        units = self._units_of(self._tgd_plan.engine_for(self._source, memo=self._memo))
+        parent: Optional[XmlElement] = self._target
+        for gen in shape.prefix:
+            parent = parent.find(gen.expr.label)
+            if parent is None:
+                raise ReproError("previous target lacks the root wrapper chain")
+        tag = shape.suffix[0].expr.label
+        if [child.tag for child in parent.children] != [tag] * len(units.firsts):
+            raise ReproError("previous target does not align with plan output")
+        self._units, self._parent = units, parent
 
     def _apply(self, delta: Delta) -> None:
         """Apply a delta to the maintained tree, dropping exactly the
@@ -684,7 +675,7 @@ class IncrementalSession:
             # A whole-document replacement cannot be applied in place:
             # adopt the new tree, which shares no identity with the old.
             self._source = apply_delta(self._source, delta)
-            self._envs = None
+            self._units = None
             if self._memo is not None:
                 self._memo.clear()
         else:
@@ -701,148 +692,34 @@ class IncrementalSession:
     def _scoped(
         self, delta: Delta, report: IncrementalReport
     ) -> tuple[XmlElement, IncrementalReport]:
-        assert self._shape is not None and self._tgd_plan is not None
-        assert self._source is not None and self._target is not None
         shape = self._shape
-        root = shape.root
-        fragment_tag = shape.suffix[0].expr.label
-        gens = root.source_gens
-        if self._envs is None:
+        if self._units is None:
             self._refresh()
-
+        units = self._units
+        if len(self._parent) != len(units.firsts):
+            raise ReproError("previous target does not align with plan output")
         try:
-            dirty = _DirtyIndex(self._source, delta, shape.var_reads)
+            index = _DirtyIndex(self._source, delta, shape.var_reads)
         except XmlError as exc:
             raise ReproError(f"delta does not resolve: {exc}") from exc
-        old_envs, old_sigs = self._envs, self._sigs
-        hot = dirty.hot
-        old_dirty = [
-            not hot.isdisjoint(ids) and dirty.env_dirty(env, gens)
-            for env, ids in zip(old_envs, self._ids)
-        ]
-
-        prev_parent = self._target
-        for gen in shape.prefix:
-            found = prev_parent.find(gen.expr.label)
-            if found is None:
-                raise ReproError("previous target lacks the root wrapper chain")
-            prev_parent = found
-        fragments = prev_parent.children
-
-        old_groups = self._groups
-        old_fragment_of: dict[tuple, XmlElement] = {}
-        if shape.grouped:
-            assert old_groups is not None and self._keys is not None
-            if [c.tag for c in fragments] != [fragment_tag] * len(old_groups):
-                raise ReproError("previous target does not align with plan output")
-            old_fragment_of = dict(zip(old_groups, fragments))
-        elif [c.tag for c in fragments] != [fragment_tag] * len(old_envs):
-            raise ReproError("previous target does not align with plan output")
-
-        # Validation done — from here on the maintained tree advances.
-        structural = not all(record.is_mutation for record in delta.records)
-        old_by_ids = dict(zip(self._ids, range(len(self._ids))))
-        self._apply(delta)
-        new_engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
-        new_envs = new_engine._enumerate(root, {})
-        new_ids = _binding_ids(gens, new_envs)
-        # The previous index of each environment's binding combination.
-        matches = [old_by_ids.get(ids) for ids in new_ids]
-        # In-place application preserves binding identities, so per-unit
-        # derivations carry over from the previous call: a mutate-only
-        # delta moves no node, keeping structural signatures valid; and
-        # a clean unit's grouping key reads only chains the delta never
-        # touched (``old_dirty`` covers every read of the unit).
-        signer = _Signer()
-        new_sigs = [
-            old_sigs[index]
-            if index is not None and not structural
-            else signer.env_signature(gens, env)
-            for index, env in zip(matches, new_envs)
-        ]
-        new_keys: Optional[list[tuple]] = None
-        new_groups: Optional[dict[tuple, list[int]]] = None
-        if shape.grouped:
-            old_keys = self._keys
-            new_keys = [
-                old_keys[index]
-                if index is not None and not old_dirty[index]
-                else new_engine.group_key(root, env)
-                for index, env in zip(matches, new_envs)
-            ]
-            new_groups = _group_positions(new_keys)
-
-        # The wrapper prefix exists once per run even when no unit is
-        # emitted, exactly as the engine's own mapping runs build it.
-        (base_env,) = new_engine._materialize_targets(shape.prefix, {})
-        out_parent = (
-            base_env[shape.prefix[-1].var]
-            if shape.prefix
-            else new_engine.target_root
+        dirty = units.dirty(index, shape.root.source_gens)
+        stable = shape.enum_reads is not None and not _delta_touches(
+            delta, shape.enum_reads, True
         )
 
-        def take(fragment: XmlElement) -> None:
-            # Move, not copy: the previous target belongs to the session
-            # and is dismantled by this call (see the class docstring).
-            parent = fragment.parent
-            if parent is not None:
-                parent.remove(fragment)
-            out_parent.append(fragment)
-
-        if not shape.grouped:
-            # Signature matching is sound because compute_delta's insert
-            # records always land at per-tag occurrences beyond the
-            # paired ones: an inserted element's address can never
-            # collide with a surviving old element's, and mid-sequence
-            # shifts surface as mutations that mark the shifted
-            # elements dirty.
-            clean: dict[tuple, int] = {
-                sig: index
-                for index, sig in enumerate(old_sigs)
-                if not old_dirty[index]
-            }
-            report.total_units = len(new_envs)
-            for env, sig in zip(new_envs, new_sigs):
-                match = clean.get(sig)
-                if match is not None:
-                    take(fragments[match])
-                    report.reused_units += 1
-                    continue
-                report.recomputed_units += 1
-                new_engine.unit(root, env, base_env)
+        # Validation done — from here on the maintained pair advances.
+        self._apply(delta)
+        engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
+        if stable:
+            drop, put, keys = self._rekey(engine, units, dirty)
         else:
-            assert new_groups is not None and old_groups is not None
-            # A group is reusable when its member set is structurally
-            # identical (same signatures, in order) and no old member's
-            # unit observes the delta: every difference between the
-            # documents is a delta record, so equal-signature clean
-            # members are bytewise-equivalent inputs.
-            dirty_keys = set(compress(old_keys, old_dirty))
-            report.total_units = len(new_groups)
-            for key, positions in new_groups.items():
-                old_members = old_groups.get(key)
-                untouched = (
-                    old_members is not None
-                    and key not in dirty_keys
-                    and [old_sigs[i] for i in old_members]
-                    == [new_sigs[p] for p in positions]
-                )
-                if untouched:
-                    take(old_fragment_of[key])
-                    report.reused_units += 1
-                    continue
-                report.recomputed_units += 1
-                members = [new_envs[p] for p in positions]
-                new_engine.unit(
-                    root, new_engine.group_env(root, members), base_env, key
-                )
+            units, drop, put, keys = self._rematch(engine, units, dirty)
+        self._splice(engine, units, drop, put, keys)
 
-        self._target = new_engine.target_root
-        self._envs = new_envs
-        self._ids = new_ids
-        self._sigs = new_sigs
-        self._keys = new_keys
-        self._groups = new_groups
+        self._units = units
+        report.total_units = len(units.firsts)
+        report.recomputed_units = len(put)
+        report.reused_units = report.total_units - len(put)
         report.mode = "scoped"
         report.reason = (
             "per-group fragments spliced"
@@ -850,3 +727,110 @@ class IncrementalSession:
             else "per-binding fragments spliced"
         )
         return self._target, report
+
+    def _rekey(self, engine, units: _Units, dirty: list[int]):
+        """Over an unchanged root enumeration: re-key the dirty positions
+        and rebuild each group that had or gains one, updating ``units``
+        in place; returns the :meth:`_splice` arguments."""
+        root, grouped = self._shape.root, self._shape.grouped
+        keys, groups, firsts = units.keys, units.groups, units.firsts
+        affected: dict[tuple, None] = {}
+        moved = []
+        for position in dirty:
+            key = keys[position]
+            affected[key] = None
+            if grouped:
+                new_key = engine.group_key(root, units.envs[position])
+                if new_key != key:
+                    affected[new_key] = None
+                    moved.append((position, new_key))
+        drop = sorted(
+            bisect_left(firsts, groups[key][0]) for key in affected if key in groups
+        )
+        for slot in reversed(drop):
+            del firsts[slot]
+        for position, key in moved:
+            members = groups[keys[position]]
+            members.remove(position)
+            if not members:
+                del groups[keys[position]]
+            insort(groups.setdefault(key, []), position)
+            keys[position] = key
+        after = sorted((groups[key][0], key) for key in affected if key in groups)
+        for first, _key in after:
+            insort(firsts, first)
+        put = [bisect_left(firsts, first) for first, _key in after]
+        return drop, put, [key for _first, key in after]
+
+    def _rematch(self, engine, old: _Units, dirty: list[int]):
+        """Re-enumerate the root and keep each group whose members are,
+        by binding identity, the clean members it had; returns the new
+        units and the :meth:`_splice` arguments."""
+        shape = self._shape
+        new = _Units(shape, engine._enumerate(shape.root, {}))
+        keys = None
+        if shape.grouped:
+            # A clean unit's grouping key reads only chains the delta
+            # never touched (its dirty test covers every read of it).
+            known = dict(zip(old.ids, old.keys))
+            for position in dirty:
+                del known[old.ids[position]]
+            keys = [
+                known[combo] if combo in known else engine.group_key(shape.root, env)
+                for combo, env in zip(new.ids, new.envs)
+            ]
+        new.group(keys)
+        dirty_keys = {old.keys[p] for p in dirty}
+        kept, put, fill = [], [], []
+        for slot, (key, members) in enumerate(new.groups.items()):
+            previous = old.groups.get(key)
+            if (
+                previous is not None
+                and key not in dirty_keys
+                and [old.ids[p] for p in previous] == [new.ids[p] for p in members]
+            ):
+                kept.append(bisect_left(old.firsts, previous[0]))
+            else:
+                put.append(slot)
+                fill.append(key)
+        # Surviving units keep their relative order, so the kept
+        # fragments stay in place around the removals and insertions.
+        if any(a >= b for a, b in zip(kept, kept[1:])):
+            raise ReproError("surviving units changed order")
+        drop = sorted(set(range(len(old.firsts))).difference(kept))
+        return new, drop, put, fill
+
+    def _splice(
+        self, engine, units: _Units, drop: list[int], put: list[int], keys
+    ) -> None:
+        """Build the groups of ``keys``, remove the fragments at indices
+        ``drop``, then insert the built ones at final indices ``put``."""
+        shape = self._shape
+        if shape.prefix:
+            # The wrapper chain already stands in the maintained target;
+            # build under a detached stand-in for its innermost element.
+            wrapper = shape.prefix[-1]
+            stand_in = XmlElement(wrapper.expr.label)
+            base_env = {wrapper.var: stand_in}
+        else:
+            stand_in, base_env = engine.target_root, {}
+        self._build(engine, units, keys, base_env)
+        fragments = stand_in.splice(0, len(stand_in))
+        if len(fragments) != len(put):
+            raise ReproError("recomputed units do not align with plan output")
+        parent = self._parent
+        for slot in reversed(drop):
+            for fragment in parent.splice(slot, slot + 1):
+                fragment.release()
+        for slot, fragment in zip(put, fragments):
+            parent.splice(slot, slot, (fragment,))
+
+    def _build(self, engine, units: _Units, keys, base_env: dict) -> None:
+        """Build the groups of ``keys`` under ``base_env``, in order."""
+        root = self._shape.root
+        for key in keys:
+            members = [units.envs[p] for p in units.groups[key]]
+            if self._shape.grouped:
+                engine.unit(root, engine.group_env(root, members), base_env, key)
+            else:
+                engine.unit(root, members[0], base_env)

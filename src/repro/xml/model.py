@@ -124,27 +124,38 @@ class XmlElement:
     def insert(self, index: int, child: "XmlElement") -> "XmlElement":
         """Insert ``child`` at ``index`` among the children (same
         checks as :meth:`append`)."""
-        if not isinstance(child, XmlElement):
-            raise XmlError(f"child must be an XmlElement, got {type(child).__name__}")
-        if self._text is not None:
-            raise XmlError(
-                f"element <{self.tag}> has a text value and cannot have children"
-            )
-        if child.parent is not None:
-            raise XmlError(
-                f"element <{child.tag}> already has a parent <{child.parent.tag}>"
-            )
-        child.parent = self
-        children = self._children
-        if children:
-            children.insert(index, child)
-        else:
-            self._children = [child]
+        self.splice(index, index, (child,))
         return child
 
     def extend(self, children: Iterable["XmlElement"]) -> None:
         for child in children:
             self.append(child)
+
+    def splice(
+        self, start: int, stop: int, children: Iterable["XmlElement"] = ()
+    ) -> list["XmlElement"]:
+        """Replace the children at ``start:stop`` with ``children``
+        (same checks as :meth:`append`) and return the replaced ones,
+        detached: a replacement, removal or insertion by index."""
+        added = list(children)
+        for child in added:
+            if not isinstance(child, XmlElement):
+                raise XmlError(f"child must be an XmlElement, got {type(child).__name__}")
+            if self._text is not None:
+                raise XmlError(f"element <{self.tag}> has a text value and cannot have children")
+            if child.parent is not None:
+                raise XmlError(f"element <{child.tag}> already has a parent <{child.parent.tag}>")
+        current = self._children
+        removed = list(current[start:stop])
+        if current:
+            current[start:stop] = added
+        elif added:
+            self._children = added
+        for child in removed:
+            child.parent = None
+        for child in added:
+            child.parent = self
+        return removed
 
     def remove(self, child: "XmlElement") -> None:
         """Detach a direct child (identity match)."""

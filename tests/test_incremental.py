@@ -15,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compile import compile_clip
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.executor.engine import prepare
 from repro.executor.planner import PlanMemo
 from repro.runtime.incremental import (
     DEFAULT_THRESHOLD,
     IncrementalSession,
-    _Signer,
     transform_delta,
 )
 from repro.scenarios import deptstore
@@ -464,6 +463,12 @@ _PINNED_REPORTS = {
 }
 
 
+def _row(report: dict) -> tuple:
+    return (report["mode"], report["reason"], tuple(report["dirty_levels"]),
+            report["total_units"], report["reused_units"],
+            report["recomputed_units"])
+
+
 class TestReportParity:
     @pytest.mark.parametrize("figure", sorted(_PINNED_REPORTS))
     def test_reports_do_not_depend_on_the_optimize_flag(self, figure):
@@ -475,9 +480,7 @@ class TestReportParity:
     @pytest.mark.parametrize("figure", sorted(_PINNED_REPORTS))
     def test_optimized_reports_are_pinned(self, figure):
         got = [
-            (r["mode"], r["reason"], tuple(r["dirty_levels"]),
-             r["total_units"], r["reused_units"], r["recomputed_units"])
-            for r in _session_reports(figure, optimize=True)
+            _row(r) for r in _session_reports(figure, optimize=True)
         ]
         assert got == _PINNED_REPORTS[figure]
 
@@ -609,63 +612,257 @@ class TestSharedMemo:
             assert memo.get(key) is table
 
 
-def _reference_signature(node) -> tuple:
-    """An element's structural address, straight from its definition:
-    ``(tag, per-tag index among earlier siblings)`` per step below the
-    root."""
-    steps = []
-    for step in node.path_from_root()[1:]:
-        siblings = step.parent.children
-        before = siblings[:[id(s) for s in siblings].index(id(step))]
-        steps.append((step.tag, sum(s.tag == step.tag for s in before)))
-    return tuple(steps)
+# -- edit chains ---------------------------------------------------------------
 
 
-class TestSigner:
-    """``_Signer`` addresses match their definition and survive depth."""
+def _employees(doc):
+    return [e for d in doc.findall("dept") for e in d.findall("regEmp")]
 
-    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
-    def test_root_binding_signatures_match_the_definition(self, figure):
-        plan = _plan(figure)
+
+def _chain_pname(doc, index: int, value: str) -> None:
+    if any(d.findall("Proj") for d in doc.findall("dept")):
+        _edit_pname(doc, value, index)
+
+
+def _chain_ename(doc, index: int, value: str) -> None:
+    if _employees(doc):
+        _edit_ename(doc, value, index)
+
+
+def _chain_insert_employee(doc, index: int, value: str) -> None:
+    """A copy of some employee, renamed, at a random position among its
+    department's employees."""
+    employees = _employees(doc)
+    if not employees:
+        return
+    model = employees[index % len(employees)]
+    dept = model.parent
+    clone = model.copy()
+    field = clone.find("ename")
+    field.clear_text()
+    field.set_text(value)
+    mates = [i for i, child in enumerate(dept.children) if child.tag == "regEmp"]
+    dept.insert(mates[(index // 3) % len(mates)] + (index % 2), clone)
+
+
+def _chain_remove(tag: str):
+    def remove(doc, index: int, _value: str) -> None:
+        found = [n for d in doc.findall("dept") for n in d.findall(tag)]
+        if found:
+            target = found[index % len(found)]
+            target.parent.remove(target)
+    return remove
+
+
+def _chain_insert_dept(doc, index: int, value: str) -> None:
+    depts = doc.findall("dept")
+    if not depts:
+        return
+    clone = depts[index % len(depts)].copy()
+    field = clone.find("dname")
+    field.clear_text()
+    field.set_text(value)
+    doc.insert(index % (len(depts) + 1), clone)
+
+
+def _chain_remove_dept(doc, index: int, _value: str) -> None:
+    depts = doc.findall("dept")
+    if len(depts) > 1:
+        doc.remove(depts[index % len(depts)])
+
+
+def _chain_salary(doc, index: int, _value: str) -> None:
+    """The Figure 3 filter read: a salary crossing 11000 either way."""
+    employees = _employees(doc)
+    if employees:
+        field = employees[index % len(employees)].find("sal")
+        crossed = 5000 if field.text > 11000 else 20000
+        field.clear_text()
+        field.set_text(crossed)
+
+
+def _chain_bulk(doc, _index: int, value: str) -> None:
+    """An edit over the delta-ratio threshold: every name changes."""
+    for offset, employee in enumerate(_employees(doc)):
+        field = employee.find("ename")
+        field.clear_text()
+        field.set_text(f"{value} {offset}")
+    for offset, dept in enumerate(doc.findall("dept")):
+        for proj in dept.findall("Proj"):
+            field = proj.find("pname")
+            field.clear_text()
+            field.set_text(f"{value} {offset}")
+
+
+_CHAIN_EDITS = {
+    "pname": _chain_pname,
+    "ename": _chain_ename,
+    "insert regEmp": _chain_insert_employee,
+    "remove regEmp": _chain_remove("regEmp"),
+    "remove Proj": _chain_remove("Proj"),
+    "insert dept": _chain_insert_dept,
+    "remove dept": _chain_remove_dept,
+    "salary": _chain_salary,
+}
+
+
+class TestSessionEditChains:
+    """Long chains of mixed edits through one session — value edits,
+    insertions and removals at every level, a Figure 3 filter flip and
+    one over-threshold edit mid-chain: every step, whichever mode it
+    takes, is byte-identical to a full run."""
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    @pytest.mark.parametrize("optimize", [True, False])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_CHAIN_EDITS)),
+                st.integers(min_value=0, max_value=60),
+                st.text(alphabet="abcdefgh ", min_size=1, max_size=8),
+            ),
+            min_size=12,
+            max_size=16,
+        ),
+        bulk_at=st.integers(min_value=3, max_value=9),
+    )
+    def test_every_step_matches_a_full_run(
+        self, figure, optimize, steps, bulk_at
+    ):
+        plan = _plan(figure, optimize=optimize)
         session = IncrementalSession(plan)
         doc = _instance()
         session.transform(doc)
-        session._refresh()
-        root = session._shape.root
-        fresh = _Signer()
-        assert session._sigs == [
-            tuple(_reference_signature(env[gen.var])
-                  for gen in root.source_gens)
-            for env in session._envs
-        ]
-        assert session._sigs == [
-            fresh.env_signature(root.source_gens, env)
-            for env in session._envs
-        ]
+        for step, (kind, index, value) in enumerate(steps):
+            doc = doc.copy()
+            if step == bulk_at:
+                kind = "bulk"
+                _chain_bulk(doc, index, value)
+            else:
+                _CHAIN_EDITS[kind](doc, index, value)
+            got, report = session.transform(doc)
+            assert to_xml(got) == to_xml(plan.run(doc)), (
+                f"step {step} ({kind}): {report.mode}, {report.reason}"
+            )
+            if report.delta_ratio > report.threshold:
+                assert report.mode == "fallback"
 
-    def test_every_element_in_any_order(self):
+
+class TestFailedApply:
+    @pytest.mark.parametrize("figure", ["fig3", "fig5", "fig7"])
+    def test_a_raising_call_resets_the_session(self, figure):
+        """A dirty unit that raises leaves nothing half-spliced behind:
+        the next call starts over with a full run."""
+        plan = _plan(figure)
+        session = IncrementalSession(plan)
+        base = _instance()
+        session.transform(base)
+        broken = base.copy()
+        employee = next(
+            e for e in _employees(broken) if e.find("sal").text > 11000
+        )
+        employee.insert(1, element("ename", text="Second Name"))
+        with pytest.raises(ExecutionError):
+            session.transform(broken)
+        edited = base.copy()
+        _edit_ename(edited, "after the failure")
+        got, report = session.transform(edited)
+        assert (report.mode, report.reason) == ("fallback", "no previous state")
+        assert to_xml(got) == to_xml(plan.run(edited))
+
+
+class TestInPlaceTarget:
+    """A scoped call edits the maintained target where it stands."""
+
+    @staticmethod
+    def _fragments(figure, target):
+        # Figure 3 builds its units inside a department wrapper.
+        return list(target.find("department").children
+                    if figure == "fig3" else target.children)
+
+    @pytest.mark.parametrize("figure, edit", [
+        ("fig3", "ename"), ("fig4", "ename"), ("fig5", "ename"),
+        ("fig5", "pname"), ("fig7", "pname"),
+    ])
+    def test_reused_fragments_keep_their_object_and_index(self, figure, edit):
+        plan = _plan(figure)
+        session = IncrementalSession(plan)
         doc = _instance()
-        nodes = list(doc.iter())
-        signer = _Signer()
-        for node in reversed(nodes):  # descendants first: nothing memoized
-            assert signer.signature(node) == _reference_signature(node)
-        again = _Signer()
-        for node in nodes:  # ancestors first: the parent is memoized
-            assert again.signature(node) == _reference_signature(node)
+        target, _ = session.transform(doc)
+        for step in range(3):
+            new = doc.copy()
+            _EDITS[edit](new, f"in place {step}", 4 * step + 1)
+            before = self._fragments(figure, target)
+            got, report = session.apply(compute_delta(doc, new))
+            assert report.mode == "scoped"
+            assert got is target
+            after = self._fragments(figure, got)
+            assert len(after) == report.total_units
+            index_of = {id(fragment): i for i, fragment in enumerate(before)}
+            kept = [
+                (index_of[id(fragment)], i)
+                for i, fragment in enumerate(after)
+                if id(fragment) in index_of
+            ]
+            assert len(kept) == report.reused_units
+            if len(after) == len(before):
+                assert all(old == i for old, i in kept)
+            else:  # a group came or went: the rest keep their order
+                assert kept == sorted(kept)
+            assert to_xml(got) == to_xml(plan.run(new))
+            doc = new
 
-    def test_a_5000_deep_chain_does_not_recurse(self):
-        root = node = element("n")
-        for _ in range(5000):
-            node = node.append(element("n"))
-        signer = _Signer()
+    def test_a_value_edit_skips_the_root_enumeration(self):
+        plan = _plan("fig7")
+        root = plan.tgd.roots[0]
+        levels = plan.program.levels
+        enumerate_root = levels[id(root)]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_root(*args)
+
+        session = IncrementalSession(plan)
+        doc = _instance()
+        session.transform(doc)
+        first = doc.copy()
+        _edit_pname(first, "first rename", 2)
+        session.transform(first)  # derives the old side
+        new = first.copy()
+        _edit_pname(new, "second rename", 5)
+        delta = compute_delta(first, new)
+        levels[id(root)] = counted
         try:
-            signature = signer.signature(node)
-        except RecursionError:
-            # Reported outside the handler: a chained 1000-frame
-            # traceback takes the reporter minutes to render.
-            signature = None
-        assert signature is not None, "signature() recursed per ancestor"
-        assert len(signature) == 5000
-        assert set(signature) == {("n", 0)}
-        assert signer.signature(node.parent) == signature[:-1]
-        assert signer.signature(root) == ()
+            got, report = session.apply(delta)
+        finally:
+            levels[id(root)] = enumerate_root
+        assert report.mode == "scoped"
+        assert report.recomputed_units >= 1
+        assert calls == []
+        assert to_xml(got) == to_xml(plan.run(new))
+
+    def test_an_employee_insert_recomputes_one_unit(self, monkeypatch):
+        from repro.executor.engine import _Engine
+
+        plan = _plan("fig5")
+        root = plan.tgd.roots[0]
+        built = []
+        unit = _Engine.unit
+
+        def counted(self, mapping, *args, **kwargs):
+            if mapping is root:
+                built.append(mapping)
+            return unit(self, mapping, *args, **kwargs)
+
+        session = IncrementalSession(plan)
+        doc = _instance()
+        session.transform(doc)
+        new = doc.copy()
+        _chain_insert_employee(new, 7, "newcomer")
+        monkeypatch.setattr(_Engine, "unit", counted)
+        got, report = session.transform(new)
+        assert len(built) == 1
+        assert _row(report.to_dict()) == _binding((2,), 4, 3, 1)
+        assert to_xml(got) == to_xml(plan.run(new))

@@ -211,6 +211,22 @@ class TestSharedEmptyChildren:
         leaf.append(child)
         assert leaf.children == (child,)
 
+    def test_splice_replaces_removes_and_inserts_by_index(self):
+        parent = element("p")
+        a, b, c = (parent.append(element(tag)) for tag in "abc")
+        x, y = element("x"), element("y")
+        assert parent.splice(1, 2, (x,)) == [b]
+        assert b.parent is None and x.parent is parent
+        assert parent.splice(0, 1) == [a] and a.parent is None
+        assert parent.splice(2, 2, (y,)) == []
+        assert [child.tag for child in parent] == ["x", "c", "y"]
+        with pytest.raises(XmlError, match="already has a parent"):
+            parent.splice(0, 0, (c,))
+        with pytest.raises(XmlError, match="text value"):
+            element("t", text="v").splice(0, 0, (element("z"),))
+        leaf = element("leaf")
+        assert leaf.splice(0, 0, (a,)) == [] and leaf.children == (a,)
+
     def test_pickle_copy_equality_and_canonical_are_unchanged(self):
         tree = _sample()
         parsed = parse_xml(to_xml(tree))
