@@ -18,6 +18,16 @@ the rounds of the per-request mean:
 * ``gc_ms`` — collector time (all generations) inside it;
 * ``gen2_ms`` — full-collection time inside it.
 
+It then runs each kind's registered plan (the service's cached
+compiled plan) over the same documents, one layer at a time with the
+collector paused (its time is the ``gc_ms`` column above), and prints,
+again as the median over the rounds of the per-document mean:
+
+* ``parse_ms`` — ``parse_xml`` of the request body;
+* ``execute_ms`` — the plan's ``run`` over the parsed document;
+* ``serialize_ms`` — ``to_xml`` of the result, which is compared byte
+  for byte with the same naive output as ``dispatch``.
+
 Exit status: 0 when every response matched, 1 otherwise.  Run it from
 the repository root::
 
@@ -40,7 +50,10 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 import inputs  # noqa: E402
+from repro.io import loads  # noqa: E402
 from repro.service import ClipService  # noqa: E402
+from repro.xml.parser import parse_xml  # noqa: E402
+from repro.xml.serialize import to_xml  # noqa: E402
 
 SEED = 1
 #: (kind, mapping documents, geometry) — serve-large's request mix.
@@ -148,6 +161,49 @@ def replay(service: ClipService, fps: dict, requests: list, rounds: int):
     return samples, mismatches
 
 
+def layers(service: ClipService, texts: dict, fps: dict, requests: list,
+           rounds: int):
+    """``rounds`` passes of parse, execute and serialize through each
+    kind's registered plan after one untimed pass; returns
+    ``({kind: {metric: [per-round mean]}}, mismatches)``."""
+    schemas = {kind: loads(texts[names[0]]).source for kind, names, _ in KINDS}
+    plans = {kind: service.cache.peek(fps[kind]) for kind, _, _ in KINDS}
+    metrics = ("parse_ms", "execute_ms", "serialize_ms")
+    samples = {kind: {metric: [] for metric in metrics} for kind, _, _ in KINDS}
+    mismatches = 0
+    for round_no in range(rounds + 1):
+        sums = {kind: [0.0, 0.0, 0.0] for kind in samples}
+        for kind, body, reference in requests:
+            text = body.decode("utf-8")
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                document = parse_xml(text, schema=schemas[kind])
+                t1 = time.perf_counter()
+                result = plans[kind].run(document)
+                t2 = time.perf_counter()
+                rendered = to_xml(result).encode("utf-8")
+                t3 = time.perf_counter()
+            finally:
+                gc.enable()
+            if rendered != reference:
+                mismatches += 1
+                print(f"  [FAIL] {kind} plan run: {len(rendered)} vs "
+                      f"{len(reference)} bytes", file=sys.stderr)
+            result.release()
+            document.release()
+            acc = sums[kind]
+            acc[0] += t1 - t0
+            acc[1] += t2 - t1
+            acc[2] += t3 - t2
+        if round_no == 0:
+            continue  # warm-up
+        for kind, values in sums.items():
+            for metric, value in zip(metrics, values):
+                samples[kind][metric].append(value * 1e3 / DOCS)
+    return samples, mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=5,
@@ -165,6 +221,12 @@ def main(argv=None) -> int:
     gc.freeze()
     fps = register(service, texts)
     samples, mismatches = replay(service, fps, requests, args.rounds)
+    layer_samples, layer_mismatches = layers(
+        service, texts, fps, requests, args.rounds
+    )
+    mismatches += layer_mismatches
+    for kind, metrics in layer_samples.items():
+        samples[kind].update(metrics)
     medians = {
         kind: {metric: round(statistics.median(values), 3)
                for metric, values in metrics.items()}
@@ -177,10 +239,12 @@ def main(argv=None) -> int:
     else:
         print(f"{args.rounds} rounds, seed {SEED}; per-request medians "
               f"of per-round means (ms)")
-        print(f"{'kind':8}{'dispatch_ms':>13}{'gc_ms':>10}{'gen2_ms':>10}")
+        print(f"{'kind':8}{'dispatch_ms':>13}{'gc_ms':>10}{'gen2_ms':>10}"
+              f"{'parse_ms':>11}{'execute_ms':>12}{'serialize_ms':>14}")
         for kind, row in medians.items():
             print(f"{kind:8}{row['dispatch_ms']:>13.2f}{row['gc_ms']:>10.2f}"
-                  f"{row['gen2_ms']:>10.2f}")
+                  f"{row['gen2_ms']:>10.2f}{row['parse_ms']:>11.2f}"
+                  f"{row['execute_ms']:>12.2f}{row['serialize_ms']:>14.2f}")
         print("bytes: all responses match the naive engine"
               if not mismatches else f"bytes: {mismatches} mismatches")
     return 1 if mismatches else 0

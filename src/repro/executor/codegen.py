@@ -3,19 +3,37 @@
 The tgd executor has two paths: the naive engine
 (:mod:`repro.executor.engine`), the paper-faithful reference oracle,
 and this one.  Each :class:`PlannedTgd` (:mod:`repro.executor.planner`)
-is turned into *generated Python source* — one enumeration function
-per tgd level with the generator loops unrolled, path accessors
-pre-resolved against the per-document child index, condition checks
-and membership tests inlined, and hash-join build/probe emitted as
-plain dict code — materialized once with ``compile()``/``exec`` into
-closures that :class:`_OptimizedEngine` dispatches to.
+is turned into *generated Python source*, materialized once with
+``compile()``/``exec`` into a :class:`CodegenProgram`.  Per tgd level
+it holds, as the paper's Section VI compiles a level into one FLWOR
+whose ``return`` clause is the element constructor:
+
+* ``_level_i`` — the enumeration (``for``/``where``): generator loops
+  unrolled, path accessors pre-resolved against the per-document child
+  index, condition checks and membership tests inlined, hash-join
+  build/probe emitted as plain dict code;
+* ``_key_i`` / ``_group_i`` — a grouped level's Skolem key and group
+  environment;
+* ``_run_i`` — the level over one enclosing context: every environment
+  (grouped: every key, groups in first-seen order), the unquantified
+  target prefix once, then one unit per environment or group;
+* ``_unit_i`` — one unit (``return``): the quantified target suffix,
+  the assignments inline, and each submapping's ``_run``.
+
+Everything the planner knows is decided at emission: each target
+generator's kind (new element, Skolem group, wrapper, distribution),
+which variables can hold a group, constant tag and attribute names
+(validated here, once).  The engine the program runs on
+(:class:`~repro.executor.engine._OptimizedEngine`) is only the state
+of one run; the program calls no method of the naive engine.
 
 Contracts:
 
 * **Byte-identity** — the environments a generated level function
-  produces (content *and* order) and the target instances are exactly
-  the naive engine's.  The differential suite and the fuzz farm
-  enforce this against the naive reference.
+  produces (content *and* order), the target instances and the errors
+  raised (type, message, and which comes first) are exactly the naive
+  engine's.  The differential suite and the fuzz farm enforce this
+  against the naive reference.
 * **Deterministic emission** — identical plans produce byte-identical
   source: symbol names and memo-key strings come from emission-order
   counters, never from ``id()`` or hashes of runtime objects.  The
@@ -54,19 +72,18 @@ from ..core.tgd import (
     SchemaRoot,
     TgdComparison,
     TgdExpr,
+    TgdMapping,
     Var,
     expr_labels,
     expr_root,
 )
-from ..errors import ExecutionError
-from ..xml.index import index_for
-from .engine import Env, GroupBinding, TgdMapping, _Engine
+from ..errors import ExecutionError, XmlError
+from ..xml.model import XmlElement, _check_atomic, _check_name
+from .engine import GroupBinding, order_mappings
 from .planner import (
     LevelPlan,
-    PlanCounters,
-    PlanMemo,
     PlannedTgd,
-    PlanStats,
+    split_targets,
     value_read_chains,
 )
 
@@ -91,9 +108,18 @@ _ALIASES = (
     ("_ipins", "E._identity_pins"),
     ("_pm", "E.memo.values"),
     ("_pput", "E.memo.put"),
+    ("_troot", "E.target_root"),
+    ("_wrp", "E._wrappers"),
+    ("_grp", "E._groups"),
 )
 
 _NAME = re.compile(r"\b_\w+")
+
+#: Up to this many children, a single-child value step scans the
+#: element's own children: cheaper than building its index table for
+#: the one read most elements get (a table costs about as much as
+#: scanning 20 children), and than probing a built one.
+_SCAN_WIDTH = 8
 
 _COUNTER_LOCALS = (
     "_c_bind = _c_drop = _c_hit = _c_miss = 0",
@@ -129,6 +155,9 @@ class _Emitter:
         #: ahead of the functions.
         self.header: list[str] = []
         self._chain_names: dict[tuple, str] = {}
+        #: Source variables the function being emitted may find bound
+        #: to a group; every other variable holds one element.
+        self.groups: frozenset = frozenset()
 
     def fresh(self, stem: str) -> str:
         self._n += 1
@@ -184,6 +213,18 @@ def _close_function(em: _Emitter, start: int) -> None:
     em.line("")
 
 
+def _emit_lookup(em: _Emitter, env_var: str, name: str) -> str:
+    """Emit reading variable ``name`` from the environment ``env_var``
+    into a fresh local, with the naive engine's error when unbound."""
+    local = em.fresh("b")
+    msg = f"unbound variable {name!r}"
+    em.line("try:")
+    em.line(f"    {local} = {env_var}[{name!r}]")
+    em.line("except KeyError:")
+    em.line(f"    raise ExecutionError({msg!r}) from None")
+    return local
+
+
 def _emit_items(
     em: _Emitter,
     expr: Union[TgdExpr, Constant],
@@ -197,8 +238,9 @@ def _emit_items(
 
     Mirrors :meth:`_Engine._eval` exactly, with child steps served by
     the document index: ``@attr``/``value`` leaves, GroupBinding roots
-    iterating their members, and the naive engine's own error messages
-    for unbound variables and atomic-value projection.
+    iterating their members (tested only for variables in
+    ``em.groups``), and the naive engine's own error messages for
+    unbound variables and atomic-value projection.
     ``bound`` maps variable names to local variables already holding
     their binding (join build loops, sequence filters)."""
     assert not isinstance(expr, Constant)
@@ -212,17 +254,15 @@ def _emit_items(
     else:
         base = (bound or {}).get(root.name)
         if base is None:
-            base = em.fresh("b")
-            em.line("try:")
-            em.line(f"    {base} = {env_var}[{root.name!r}]")
-            em.line("except KeyError:")
-            msg = f"unbound variable {root.name!r}"
-            em.line(f"    raise ExecutionError({msg!r}) from None")
-        cur = em.fresh("t")
-        em.line(f"if {base}.__class__ is GroupBinding:")
-        em.line(f"    {cur} = {base}.members")
-        em.line("else:")
-        em.line(f"    {cur} = ({base},)")
+            base = _emit_lookup(em, env_var, root.name)
+        if root.name in em.groups:
+            cur = em.fresh("t")
+            em.line(f"if {base}.__class__ is GroupBinding:")
+            em.line(f"    {cur} = {base}.members")
+            em.line("else:")
+            em.line(f"    {cur} = ({base},)")
+        else:
+            single = base
     for label in labels:
         nxt = em.fresh("t")
         if kind == "atoms":
@@ -271,7 +311,7 @@ def _emit_items(
                 em.line(f"for {it} in {cur}:")
                 em.line(f"    {nxt}.extend(_ch({it}, {label!r}))")
         cur, single = nxt, None
-    if single is not None:  # bare schema root
+    if single is not None:  # bare schema root or variable
         cur = em.fresh("t")
         em.line(f"{cur} = [{single}]")
     return cur, kind
@@ -301,12 +341,7 @@ def _emit_atoms(
     shared = isinstance(root, SchemaRoot)
     memo = memo and not shared
     if memo and (bound or {}).get(root.name) is None:
-        prefetched = em.fresh("b")
-        em.line("try:")
-        em.line(f"    {prefetched} = {env_var}[{root.name!r}]")
-        em.line("except KeyError:")
-        msg = f"unbound variable {root.name!r}"
-        em.line(f"    raise ExecutionError({msg!r}) from None")
+        prefetched = _emit_lookup(em, env_var, root.name)
         bound = dict(bound or {})
         bound[root.name] = prefetched
     out = em.fresh("at")
@@ -427,12 +462,7 @@ def _emit_membership(
     tag = em.tag("M")
     coll_bound = dict(bound or {})
     if isinstance(root, Var) and coll_bound.get(root.name) is None:
-        dep = em.fresh("b")
-        em.line("try:")
-        em.line(f"    {dep} = {env_var}[{root.name!r}]")
-        em.line("except KeyError:")
-        msg = f"unbound variable {root.name!r}"
-        em.line(f"    raise ExecutionError({msg!r}) from None")
+        dep = _emit_lookup(em, env_var, root.name)
         coll_bound[root.name] = dep
     if isinstance(root, Var):
         dep = coll_bound[root.name]
@@ -473,7 +503,8 @@ def _emit_level(em: _Emitter, plan: LevelPlan, li: int) -> None:
     breadth-first expansion), sequence memoization, inlined joins and
     filters, ordinal tracking for reordered plans, and a single
     counter flush on exit."""
-    start = _open_function(em, f"_level_{li}(E, env, C)")
+    start = _open_function(em, f"_level_{li}(E, env)")
+    em.line(f"C = E._cs[{li}]")
     for counters in _COUNTER_LOCALS:
         em.line(counters)
     for condition in plan.pre_conditions:
@@ -500,12 +531,13 @@ def _emit_level(em: _Emitter, plan: LevelPlan, li: int) -> None:
         em.line("    _out.sort()")
         em.line("_out = [_s[1] for _s in _out]")
     if plan.residual:  # pragma: no cover - classifier safety net
-        res = em.const("RES", plan.residual)
-        em.line(
-            f"_kept = [_e for _e in _out if all("
-            f"E._condition_holds(_c, _e) for _c in {res})]"
-        )
-        em.line("_c_drop += len(_out) - len(_kept)")
+        em.line("_kept = []")
+        em.line("for _e in _out:")
+        em.push()
+        for condition in plan.residual:
+            _emit_condition(em, condition, "_e", fail=("_c_drop += 1", "continue"))
+        em.line("_kept.append(_e)")
+        em.pop()
         em.line("_out = _kept")
     em.line("if C is not None:")
     em.line("    C.invocations += 1")
@@ -531,12 +563,7 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
     # -- memoized candidate sequence (key also scopes join tables) --
     dep: Optional[str] = None
     if isinstance(root, Var):
-        dep = em.fresh("b")
-        em.line("try:")
-        em.line(f"    {dep} = _cur[{root.name!r}]")
-        em.line("except KeyError:")
-        msg = f"unbound variable {root.name!r}"
-        em.line(f"    raise ExecutionError({msg!r}) from None")
+        dep = _emit_lookup(em, "_cur", root.name)
         sk = f"({em.tag('S')!r}, id({dep}))"
     else:
         sk = repr(em.tag("S"))
@@ -755,17 +782,10 @@ def _emit_key_fn(em: _Emitter, plan: LevelPlan, li: int) -> None:
     _close_function(em, start)
 
 
-def _emit_scalar(
-    em: _Emitter, expr: Union[TgdExpr, Constant], env_var: str
-) -> str:
-    """Emit `_eval_scalar`: distinct atoms, ``None`` for empty, the
-    naive engine's error for more than one.  Returns the value var."""
-    if isinstance(expr, Constant):
-        v = em.fresh("v")
-        em.line(f"{v} = {_lit(expr.value)}")
-        return v
-    atoms = _emit_atoms(em, expr, env_var)
-    v, dd = em.fresh("v"), em.fresh("dd")
+def _emit_dedupe(em: _Emitter, atoms: str, v: str, expr: TgdExpr) -> None:
+    """Emit `_eval_scalar`'s tail over an atom list: ``None`` for no
+    atoms, the one distinct atom, or the naive engine's error."""
+    dd = em.fresh("dd")
     msg_head = f"expression {expr} yields "
     msg_tail = (
         " distinct values where a single value is required "
@@ -781,92 +801,470 @@ def _emit_scalar(
     em.line(f"    {v} = next(iter({dd}))")
     em.line("else:")
     em.line(f"    {v} = None")
+
+
+def _is_leaf(label: str) -> bool:
+    return label == "value" or label.startswith("@")
+
+
+def _emit_scalar(
+    em: _Emitter, expr: Union[TgdExpr, Constant], env_var: str
+) -> str:
+    """Emit `_eval_scalar`: distinct atoms, ``None`` for empty, the
+    naive engine's error for more than one.  Returns the value var.
+
+    A path of at most one child step below an element variable reads
+    its value straight off the element when the step finds exactly one
+    child; any other count takes the general dedupe-and-raise path.
+    The step scans a narrow element's children in place and asks the
+    document index about a wide one."""
+    if isinstance(expr, Constant):
+        v = em.fresh("v")
+        em.line(f"{v} = {_lit(expr.value)}")
+        return v
+    root = expr_root(expr)
+    labels = list(expr_labels(expr))
+    leaf = labels.pop() if labels and _is_leaf(labels[-1]) else None
+    v = em.fresh("v")
+    if (
+        not isinstance(root, Var)
+        or root.name in em.groups
+        or len(labels) > 1
+        or any(_is_leaf(label) for label in labels)
+    ):
+        _emit_dedupe(em, _emit_atoms(em, expr, env_var), v, expr)
+        return v
+    b = _emit_lookup(em, env_var, root.name)
+
+    def read(item: str) -> str:
+        if leaf is not None and leaf.startswith("@"):
+            return f"{item}._attributes.get({leaf[1:]!r})"
+        return f"{item}._text"
+
+    if not labels:
+        em.line(f"{v} = {read(b)}")
+        return v
+    tag = labels[0]
+    n, cs, t, c = em.fresh("n"), em.fresh("cs"), em.fresh("t"), em.fresh("c")
+    em.line(f"{n} = 0")
+    em.line(f"{cs} = {b}._children")
+    em.line(f"if len({cs}) > {_SCAN_WIDTH}:")
+    em.line(f"    {t} = _ch({b}, {tag!r})")
+    em.line(f"    {n} = len({t})")
+    em.line(f"    if {n} == 1:")
+    em.line(f"        {v} = {read(t + '[0]')}")
+    em.line("else:")
+    em.line(f"    for {c} in {cs}:")
+    em.line(f"        if {c}.tag == {tag!r}:")
+    em.line(f"            {v} = {read(c)}")
+    em.line(f"            {n} += 1")
+    em.line(f"if {n} != 1:")
+    em.push()
+    _emit_dedupe(em, _emit_atoms(em, expr, env_var, {root.name: b}), v, expr)
+    em.pop()
     return v
 
 
-def _emit_assign_fn(
-    em: _Emitter, assignment: Assignment, li: int, ai: int
-) -> None:
-    """Emit one assignment: inlined `_eval_term` (constants,
+def _emit_value(em: _Emitter, term) -> str:
+    """Emit `_eval_term` for an assignment's value: constants,
     aggregates with the empty-sequence rule, scalar functions with
-    all-args-first evaluation order) and the pre-resolved target path
-    (wrapper singletons for intermediate labels, ``@attr``/``value``/
-    wrapped-leaf application)."""
-    start = _open_function(em, f"_assign_{li}_{ai}(E, env, tenv)")
-    term = assignment.value
-    if isinstance(term, Constant):
-        v = em.fresh("v")
-        em.line(f"{v} = {_lit(term.value)}")
-    elif isinstance(term, AggregateApp):
+    all-arguments-first evaluation order.  Returns the value var,
+    ``None`` when the target node stays absent."""
+    if isinstance(term, AggregateApp):
         fn = em.const("FN", term.function)
         items, _ = _emit_items(em, term.arg, "env")
         v = em.fresh("v")
         if term.function.name in ("avg", "min", "max"):
-            em.line(f"if not {items}:")
-            em.line("    return")
-        em.line(f"{v} = {fn}.apply({items})")
-        em.line(f"if {v} is None:")
-        em.line("    return")
-    elif isinstance(term, FunctionApp):
+            em.line(f"{v} = {fn}.apply({items}) if {items} else None")
+        else:
+            em.line(f"{v} = {fn}.apply({items})")
+        return v
+    if isinstance(term, FunctionApp):
         fn = em.const("FN", term.function)
         # Evaluate every argument first (a later argument's
         # multiple-values error outranks an earlier None), then skip
         # the assignment if any argument is absent.
         args = [_emit_scalar(em, arg, "env") for arg in term.args]
         v = em.fresh("v")
+        call = f"{fn}.apply([{', '.join(args)}])"
         if args:
             absent = " or ".join(f"{a} is None" for a in args)
-            em.line(f"if {absent}:")
-            em.line("    return")
-        em.line(f"{v} = {fn}.apply([{', '.join(args)}])")
-        em.line(f"if {v} is None:")
-        em.line("    return")
+            em.line(f"{v} = None if {absent} else {call}")
+        else:
+            em.line(f"{v} = {call}")
+        return v
+    return _emit_scalar(em, term, "env")
+
+
+# -- target construction -----------------------------------------------------
+
+
+def _new_child(parent: str, tag: str) -> str:
+    """The expression appending a new ``tag`` element to ``parent``:
+    the fast constructor when the tag is a legal name (checked here,
+    once), else the checked one, which raises the model's error."""
+    try:
+        _check_name(tag, "element tag")
+    except XmlError:
+        return f"{parent}.append(XmlElement({tag!r}))"
+    return f"{parent}._child({tag!r})"
+
+
+def _emit_wrapper(em: _Emitter, parent: str, tag: str) -> str:
+    """Emit `_Engine._wrapper`: the one ``tag`` element per parent."""
+    x, wk = em.fresh("x"), em.fresh("wk")
+    em.line(f"{wk} = (id({parent}), {tag!r})")
+    em.line(f"{x} = _wrp.get({wk})")
+    em.line(f"if {x} is None:")
+    em.line(f"    {x} = _wrp[{wk}] = {_new_child(parent, tag)}")
+    return x
+
+
+def _emit_parent(em: _Emitter, gen, scope: dict[str, str]) -> Optional[str]:
+    """The local holding a target generator's parent element, or
+    ``None`` after emitting the naive engine's error for a generator
+    whose parent cannot resolve (`_resolve_target_parent`)."""
+    if not isinstance(gen.expr, Proj):
+        msg = f"malformed target generator {gen}"
+    elif isinstance(gen.expr.base, SchemaRoot):
+        return "_troot"
+    elif not isinstance(gen.expr.base, Var):
+        msg = f"target generator base {gen.expr.base!r} must be a variable or root"
+    elif gen.expr.base.name in scope:
+        return scope[gen.expr.base.name]
     else:
-        v = _emit_scalar(em, term, "env")
-        em.line(f"if {v} is None:")
-        em.line("    return")
-    # -- target path, resolved at emission time --
+        msg = f"unbound target variable {gen.expr.base.name!r}"
+    em.line(f"raise ExecutionError({msg!r})")
+    return None
+
+
+def _emit_bind(em: _Emitter, gen, parent: str, key: Optional[str]) -> str:
+    """Emit one single-valued target binding: a new element for a
+    quantified generator (the group's, per ``key``, on a grouped
+    level), else the parent's wrapper singleton."""
+    tag = gen.expr.label
+    if not gen.quantified:
+        return _emit_wrapper(em, parent, tag)
+    x = em.fresh("x")
+    if key is None:
+        em.line(f"{x} = {_new_child(parent, tag)}")
+        return x
+    gk = em.fresh("gk")
+    em.line(f"{gk} = (id({parent}), {tag!r}, {key})")
+    em.line(f"{x} = _grp.get({gk})")
+    em.line(f"if {x} is None:")
+    em.line(f"    {x} = _grp[{gk}] = {_new_child(parent, tag)}")
+    return x
+
+
+def _emit_targets(
+    em: _Emitter,
+    gens,
+    scope: dict[str, str],
+    key: Optional[str],
+    body: Callable[[dict[str, str]], None],
+) -> None:
+    """Emit `_materialize_targets`: bind ``gens`` in order, then emit
+    ``body`` once per target environment (``scope`` maps each bound
+    target variable to its local).  Without a ``distribute`` generator
+    there is exactly one environment and the code is straight-line;
+    with one, every generator binds over every environment before the
+    next generator runs, as in the naive engine."""
+    scope = dict(scope)
+    if not any(gen.distribute and not gen.quantified for gen in gens):
+        for gen in gens:
+            parent = _emit_parent(em, gen, scope)
+            if parent is None:
+                return
+            scope[gen.var] = _emit_bind(em, gen, parent, key)
+        body(scope)
+        return
+    rows, names = em.fresh("rows"), []
+    em.line(f"{rows} = [()]")
+
+    def unpack(row: str) -> None:
+        if names:
+            em.line(f"{', '.join(names)}, = {row}")
+
+    for gen in gens:
+        nxt, row = em.fresh("nx"), em.fresh("r")
+        em.line(f"{nxt} = []")
+        em.line(f"for {row} in {rows}:")
+        em.push()
+        unpack(row)
+        parent = _emit_parent(em, gen, scope)
+        if parent is None:
+            em.pop()
+            return
+        if gen.distribute and not gen.quantified:
+            xs, x = em.fresh("xs"), em.fresh("x")
+            em.line(f"{xs} = {parent}.findall({gen.expr.label!r})")
+            em.line(f"if not {xs}:")
+            em.push()
+            # No instance built (yet): a singleton wrapper keeps the
+            # content from being lost.
+            em.line(f"{xs} = [{_emit_wrapper(em, parent, gen.expr.label)}]")
+            em.pop()
+            em.line(f"for {x} in {xs}:")
+            em.line(f"    {nxt}.append(({', '.join(names + [x])},))")
+        else:
+            x = _emit_bind(em, gen, parent, key)
+            em.line(f"{nxt}.append(({', '.join(names + [x])},))")
+        em.pop()
+        em.line(f"{rows} = {nxt}")
+        names.append(x)
+        scope[gen.var] = x
+    row = em.fresh("r")
+    em.line(f"for {row} in {rows}:")
+    em.push()
+    unpack(row)
+    body(scope)
+    em.pop()
+
+
+def _emit_load(
+    em: _Emitter, source: str, available: frozenset, gens, holders=()
+) -> dict[str, str]:
+    """Load from the dict ``source`` the target variables ``gens`` (as
+    parents) and ``holders`` (as assignment targets) read before the
+    generators rebind them; returns their locals.  Only what is read
+    is loaded: an incremental session hands a unit just the wrapper its
+    fragment hangs off."""
+    scope: dict[str, str] = {}
+    bound: set[str] = set()
+
+    def need(name: str) -> None:
+        if name in available and name not in bound and name not in scope:
+            local = em.fresh("tv")
+            em.line(f"{local} = {source}[{name!r}]")
+            scope[name] = local
+
+    for gen in gens:
+        if isinstance(gen.expr, Proj) and isinstance(gen.expr.base, Var):
+            need(gen.expr.base.name)
+        bound.add(gen.var)
+    for name in holders:
+        need(name)
+    return scope
+
+
+def _emit_assignment(
+    em: _Emitter, assignment: Assignment, scope: dict[str, str]
+) -> None:
+    """Emit one assignment inline: its value, then — when there is
+    one — the pre-resolved target path (wrapper singletons for
+    intermediate labels, ``@attr``/``value``/wrapped-leaf writes)
+    with names checked at emission and values checked at run time."""
+    v = _emit_value(em, assignment.value)
     labels: list[str] = []
     expr = assignment.target
     while isinstance(expr, Proj):
         labels.append(expr.label)
         expr = expr.base
     labels.reverse()
+    em.line(f"if {v} is not None:")
+    em.push()
     if not isinstance(expr, Var) or not labels:
         msg = f"malformed assignment target {assignment.target}"
         em.line(f"raise ExecutionError({msg!r})")
-        _close_function(em, start)
-        return
-    h = em.fresh("h")
-    em.line("try:")
-    em.line(f"    {h} = tenv[{expr.name!r}]")
-    em.line("except KeyError:")
-    msg = f"unbound target variable {expr.name!r}"
-    em.line(f"    raise ExecutionError({msg!r}) from None")
-    for tag in labels[:-1]:
-        em.line(f"{h} = E._wrapper({h}, {tag!r})")
-    leaf = labels[-1]
-    if leaf.startswith("@"):
-        em.line(f"{h}.set_attribute({leaf[1:]!r}, {v})")
-    elif leaf == "value":
-        em.line(f"{h}.set_text({v})")
+    elif expr.name not in scope:
+        msg = f"unbound target variable {expr.name!r}"
+        em.line(f"raise ExecutionError({msg!r})")
     else:
-        em.line(f"E._wrapper({h}, {leaf!r}).set_text({v})")
+        h = scope[expr.name]
+        for tag in labels[:-1]:
+            h = _emit_wrapper(em, h, tag)
+        leaf = labels[-1]
+        if leaf.startswith("@"):
+            name = leaf[1:].lstrip("@")
+            try:
+                _check_name(name, "attribute name")
+            except XmlError:
+                em.line(f"{h}.set_attribute({leaf[1:]!r}, {v})")
+            else:
+                what = f"attribute @{name}"
+                em.line(f"if {v}.__class__ not in _ATOMS:")
+                em.line(f"    _check_atomic({v}, {what!r})")
+                em.line(f"{h}._attributes[{name!r}] = {v}")
+        else:
+            if leaf != "value":
+                h = _emit_wrapper(em, h, leaf)
+            em.line(f"if {h}._children:")
+            em.line(
+                f"    raise XmlError('element <' + {h}.tag + "
+                "'> has children and cannot carry a text value')"
+            )
+            em.line(f"if {v}.__class__ not in _ATOMS:")
+            em.line(f"    _check_atomic({v}, 'text of <' + {h}.tag + '>')")
+            em.line(f"{h}._text = {v}")
+    em.pop()
+
+
+# -- per-level functions -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Scope:
+    """What emission knows of a level's environments: the target
+    variables its ``tenv`` binds, and the source variables that may be
+    bound to a group in its enumeration and in its units."""
+
+    targets: frozenset
+    groups: frozenset
+    unit_groups: frozenset
+
+
+def _scopes(planned: PlannedTgd) -> list[_Scope]:
+    """Each level's :class:`_Scope`, in ``planned.levels`` order.  A
+    grouped level rebinds its own variables to groups in its units and
+    everything nested below them."""
+    out: dict[int, _Scope] = {}
+
+    def walk(mapping: TgdMapping, targets: frozenset, groups: frozenset):
+        unit_groups = groups
+        if mapping.skolem is not None:
+            unit_groups |= {gen.var for gen in mapping.source_gens}
+        out[id(mapping)] = _Scope(targets, groups, unit_groups)
+        inner = targets | {gen.var for gen in mapping.target_gens}
+        for sub in mapping.submappings:
+            walk(sub, inner, unit_groups)
+
+    for root in planned.tgd.roots:
+        walk(root, frozenset(), frozenset())
+    return [out[id(plan.mapping)] for plan in planned.levels]
+
+
+def _emit_group_fn(em: _Emitter, plan: LevelPlan, li: int) -> None:
+    """Emit `_Engine.group_env`: the first member's environment with
+    each of the level's variables rebound to its identity-distinct
+    bindings across the members, in order."""
+    start = _open_function(em, f"_group_{li}(members)")
+    em.line("_genv = dict(members[0])")
+    for gen in plan.mapping.source_gens:
+        d, seen, m, b = em.fresh("d"), em.fresh("s"), em.fresh("m"), em.fresh("b")
+        em.line(f"{d} = []")
+        em.line(f"{seen} = set()")
+        em.line(f"for {m} in members:")
+        em.line(f"    {b} = {m}[{gen.var!r}]")
+        em.line(f"    if id({b}) not in {seen}:")
+        em.line(f"        {seen}.add(id({b}))")
+        em.line(f"        {d}.append({b})")
+        em.line(f"_genv[{gen.var!r}] = GroupBinding({d})")
+    em.line("return _genv")
+    _close_function(em, start)
+
+
+def _emit_run_fn(em: _Emitter, plan: LevelPlan, li: int, scope: _Scope) -> None:
+    """Emit `_Engine._run_mapping` / `_run_grouped` for one level: the
+    whole environment list first (then, grouped, every key, groups in
+    first-seen order), the unquantified target prefix once, then one
+    unit per environment or group under each prefix environment."""
+    mapping = plan.mapping
+    prefix, _ = split_targets(mapping.target_gens)
+    grouped = mapping.skolem is not None
+    start = _open_function(em, f"_run_{li}(E, env, tenv)")
+    if grouped:
+        em.line(f"C = E._cs[{li}]")
+        em.line("if C is not None:")
+        em.line("    _g0 = len(_grp)")
+    em.line(f"_envs = _level_{li}(E, env)")
+    if grouped:
+        em.line("_keyed = {}")
+        em.line("for _e in _envs:")
+        em.line(f"    _k = _key_{li}(E, _e)")
+        em.line("    _m = _keyed.get(_k)")
+        em.line("    if _m is None:")
+        em.line("        _keyed[_k] = [_e]")
+        em.line("    else:")
+        em.line("        _m.append(_e)")
+    elif not mapping.source_gens:
+        em.line("_envs = (env,)  # one empty iteration (document scope)")
+    if prefix:
+        em.line("_bases = []")
+
+        def base(bound: dict[str, str]) -> None:
+            fields = ", ".join(f"{gen.var!r}: {bound[gen.var]}" for gen in prefix)
+            em.line(f"_bases.append({{**tenv, {fields}}})")
+
+        _emit_targets(
+            em, prefix, _emit_load(em, "tenv", scope.targets, prefix), None, base
+        )
+    else:
+        em.line("_bases = (tenv,)")
+    if grouped:
+        em.line("for _k, _m in _keyed.items():")
+        em.line(f"    _genv = _group_{li}(_m)")
+        em.line("    for _base in _bases:")
+        em.line(f"        _unit_{li}(E, _genv, _base, _k)")
+        em.line("if C is not None:")
+        em.line("    C.groups += len(_grp) - _g0")
+    else:
+        em.line("for _e in _envs:")
+        em.line("    for _base in _bases:")
+        em.line(f"        _unit_{li}(E, _e, _base)")
+    _close_function(em, start)
+
+
+def _emit_unit_fn(
+    em: _Emitter, plan: LevelPlan, li: int, scope: _Scope, index: dict[int, int]
+) -> None:
+    """Emit `_Engine.unit` for one level — the ``return`` clause of one
+    FLWOR iteration (Section VI): the quantified target suffix under
+    ``base_env``, the assignments inline, and each submapping's run
+    under the unit's target environment."""
+    mapping = plan.mapping
+    prefix, suffix = split_targets(mapping.target_gens)
+    start = _open_function(em, f"_unit_{li}(E, env, base_env, key=None)")
+    holders = [
+        expr_root(a.target).name
+        for a in mapping.assignments
+        if isinstance(expr_root(a.target), Var)
+    ]
+    available = scope.targets | {gen.var for gen in prefix}
+    bound = _emit_load(em, "base_env", available, suffix, holders)
+
+    def body(bound: dict[str, str]) -> None:
+        for assignment in mapping.assignments:
+            _emit_assignment(em, assignment, bound)
+        if mapping.submappings:
+            fields = ", ".join(f"{gen.var!r}: {bound[gen.var]}" for gen in suffix)
+            em.line(f"_tenv = {{**base_env, {fields}}}" if fields else "_tenv = base_env")
+            for sub in mapping.submappings:
+                em.line(f"_run_{index[id(sub)]}(E, env, _tenv)")
+
+    key = "key" if mapping.skolem is not None else None
+    _emit_targets(em, suffix, bound, key, body)
+    if len(em.lines) == start:
+        em.line("return")
+    _close_function(em, start)
+
+
+def _emit_program_run(em: _Emitter, planned: PlannedTgd, index: dict[int, int]):
+    """Emit the full run: every root mapping in evaluation order."""
+    start = _open_function(em, "_program(E)")
+    for mapping in order_mappings(planned.tgd):
+        em.line(f"_run_{index[id(mapping)]}(E, {{}}, {{}})")
+    em.line("return E.target_root")
     _close_function(em, start)
 
 
 def generate(planned: PlannedTgd) -> tuple[str, dict[str, Any]]:
     """Emit the full generated module for a planned tgd.  Returns the
-    source plus the namespace constants (function objects, residual
-    condition tuples) its symbols refer to — both deterministic in the
-    plan alone: same plan, byte-identical source."""
+    source plus the namespace constants (function objects) its symbols
+    refer to — both deterministic in the plan alone: same plan,
+    byte-identical source."""
     em = _Emitter()
-    for li, plan in enumerate(planned.levels):
+    index = {id(plan.mapping): li for li, plan in enumerate(planned.levels)}
+    for li, (plan, scope) in enumerate(zip(planned.levels, _scopes(planned))):
+        em.groups = scope.groups
         _emit_level(em, plan, li)
         if plan.mapping.skolem is not None:
             _emit_key_fn(em, plan, li)
-        for ai, assignment in enumerate(plan.mapping.assignments):
-            _emit_assign_fn(em, assignment, li, ai)
+            _emit_group_fn(em, plan, li)
+        _emit_run_fn(em, plan, li, scope)
+        em.groups = scope.unit_groups
+        _emit_unit_fn(em, plan, li, scope, index)
+    _emit_program_run(em, planned, index)
     lines = ["# clip-codegen v1", "", *em.header]
     if em.header:
         lines += ["", ""]
@@ -881,17 +1279,27 @@ def generate_source(planned: PlannedTgd) -> str:
 @dataclass
 class CodegenProgram:
     """A compiled generated module: the source (picklable, cacheable,
-    shipped to pool workers), its identity, and the materialized
-    closures the engine dispatches to, keyed by the ``id()`` of the
-    plan's own mapping and assignment objects."""
+    shipped to pool workers), its identity, and its entries.
+
+    ``run(E)`` builds the whole target on engine ``E`` and returns its
+    root.  The other entries serve the tgd's first root mapping, whose
+    units an incremental session maintains: ``enumerate(E, env)`` lists
+    its environments, ``key(E, env)`` gives one environment's grouping
+    key and ``group(members)`` one group's environment (both ``None``
+    when the level does not group), and ``unit(E, env, base_env,
+    key=None)`` builds one unit under the prefix environment
+    ``base_env`` — what a full run calls once per environment or group.
+    """
 
     source: str
     source_hash: str
     line_count: int
     compile_seconds: float
-    levels: dict[int, Callable]
-    keys: dict[int, Callable]
-    assigns: dict[int, Callable]
+    run: Callable
+    enumerate: Optional[Callable]
+    key: Optional[Callable]
+    group: Optional[Callable]
+    unit: Optional[Callable]
 
     def describe(self) -> dict:
         """The ``codegen`` section of ``clip-plan-explain`` / batch
@@ -934,95 +1342,23 @@ def build_program(
     namespace: dict[str, Any] = {
         "ExecutionError": ExecutionError,
         "GroupBinding": GroupBinding,
+        "XmlElement": XmlElement,
+        "XmlError": XmlError,
+        "_check_atomic": _check_atomic,
+        "_ATOMS": frozenset((str, int, float, bool)),
     }
     namespace.update(consts)
     exec(code, namespace)  # noqa: S102 - our own generated source
-    levels: dict[int, Callable] = {}
-    keys: dict[int, Callable] = {}
-    assigns: dict[int, Callable] = {}
-    for li, plan in enumerate(planned.levels):
-        mapping = plan.mapping
-        levels[id(mapping)] = namespace[f"_level_{li}"]
-        if mapping.skolem is not None:
-            keys[id(mapping)] = namespace[f"_key_{li}"]
-        for ai, assignment in enumerate(mapping.assignments):
-            assigns[id(assignment)] = namespace[f"_assign_{li}_{ai}"]
+    root = planned.levels[0].mapping if planned.levels else None
+    grouped = root is not None and root.skolem is not None
     return CodegenProgram(
         source=emitted,
         source_hash=hashlib.sha256(emitted.encode("utf-8")).hexdigest(),
         line_count=len(emitted.splitlines()),
         compile_seconds=time.perf_counter() - started,
-        levels=levels,
-        keys=keys,
-        assigns=assigns,
+        run=namespace["_program"],
+        enumerate=namespace.get("_level_0"),
+        key=namespace["_key_0"] if grouped else None,
+        group=namespace["_group_0"] if grouped else None,
+        unit=namespace.get("_unit_0"),
     )
-
-
-# -- the optimized engine ----------------------------------------------------
-
-
-class _OptimizedEngine(_Engine):
-    """The tgd engine running a plan's generated program.
-
-    Source-side enumeration, grouping keys and assignments dispatch to
-    the program's closures; target-side construction (wrappers, groups,
-    distribution) is inherited from the naive engine unchanged, which
-    is what keeps the two paths byte-identical by construction.
-
-    ``memo`` is the :class:`PlanMemo` the generated code routes its
-    document-scoped entries through — a caller-owned one shared across
-    engines over one maintained document, or a fresh private one.
-    ``stats`` receives the per-level counters.
-    """
-
-    def __init__(
-        self,
-        tgd,
-        source_instance,
-        planned: PlannedTgd,
-        program: CodegenProgram,
-        *,
-        ordered=None,
-        stats: Optional[PlanStats] = None,
-        memo: Optional[PlanMemo] = None,
-    ):
-        super().__init__(tgd, source_instance, ordered=ordered)
-        self.planned = planned
-        self.program = program
-        self.index = index_for(source_instance)
-        self.stats = stats
-        self.memo = memo if memo is not None else PlanMemo()
-        # Engine-local memo entries (filtered sequences, tables over
-        # them, per-binding grouping-key atoms), keyed by emission tags.
-        self._sequences: dict = {}
-        self._tables: dict = {}
-        self._atoms: dict = {}
-        # Strong refs to every binding a local key's id() points at:
-        # GroupBindings are engine-created and otherwise collectable
-        # mid-run, and a recycled id would alias a stale entry.
-        self._pins: list = []
-
-    def _counter(self, mapping: TgdMapping) -> Optional[PlanCounters]:
-        if self.stats is None:
-            return None
-        return self.stats.counter_for(mapping)
-
-    def _enumerate(self, mapping: TgdMapping, env: Env) -> list[Env]:
-        return self.program.levels[id(mapping)](
-            self, env, self._counter(mapping)
-        )
-
-    def group_key(self, mapping, env):
-        return self.program.keys[id(mapping)](self, env)
-
-    def _apply_assignment(self, assignment, env, target_env) -> None:
-        self.program.assigns[id(assignment)](self, env, target_env)
-
-    def _run_grouped(self, mapping, envs, target_env):
-        counter = self._counter(mapping)
-        if counter is not None:
-            before = len(self._groups)
-            super()._run_grouped(mapping, envs, target_env)
-            counter.groups += len(self._groups) - before
-            return
-        super()._run_grouped(mapping, envs, target_env)

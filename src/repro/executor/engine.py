@@ -25,7 +25,9 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..errors import ExecutionError
+from ..xml.index import index_for
 from ..xml.model import AtomicValue, XmlElement
+from .planner import PlanMemo, split_targets
 from ..core.tgd import (
     AggregateApp,
     Assignment,
@@ -147,11 +149,9 @@ class TgdPlan:
         the naive path."""
         if self.program is None:
             return _Engine(self.tgd, source_instance, ordered=self.ordered)
-        from .codegen import _OptimizedEngine
-
         return _OptimizedEngine(
             self.tgd, source_instance, self.planned, self.program,
-            ordered=self.ordered, stats=stats, memo=memo,
+            stats=stats, memo=memo,
         )
 
     def run(self, source_instance: XmlElement,
@@ -209,6 +209,29 @@ class TgdPlan:
 
     def __call__(self, source_instance: XmlElement) -> XmlElement:
         return self.run(source_instance)
+
+
+class ReferenceProgram:
+    """The naive engine's entries under the generated program's names
+    (:class:`~repro.executor.codegen.CodegenProgram`): the enumeration,
+    grouping key, group environment and unit of the tgd's first root
+    mapping, so an incremental session drives naive and optimized
+    plans alike."""
+
+    def __init__(self, tgd: NestedTgd):
+        self.root = tgd.roots[0]
+
+    def enumerate(self, engine: "_Engine", env: Env) -> list[Env]:
+        return engine._enumerate(self.root, env)
+
+    def key(self, engine: "_Engine", env: Env) -> tuple:
+        return engine.group_key(self.root, env)
+
+    def group(self, members: list[Env]) -> Env:
+        return _Engine.group_env(self.root, members)
+
+    def unit(self, engine: "_Engine", env: Env, base_env: Env, key=None) -> None:
+        engine.unit(self.root, env, base_env, key)
 
 
 def prepare(
@@ -269,7 +292,7 @@ class _Engine:
         self._identity_pins: list = []
         # Every level's target split, id(mapping) → (prefix, suffix).
         self._splits = {
-            id(level): self._split_targets(level.target_gens)
+            id(level): split_targets(level.target_gens)
             for root in tgd.roots
             for level in root.walk()
         }
@@ -509,19 +532,6 @@ class _Engine:
 
     # -- mapping levels ------------------------------------------------------
 
-    @staticmethod
-    def _split_targets(
-        generators: tuple[TargetGenerator, ...]
-    ) -> tuple[tuple[TargetGenerator, ...], tuple[TargetGenerator, ...]]:
-        """Split at the first quantified generator: the unquantified
-        prefix consists of constant tags that "wrap the FLWOR" — they
-        exist once per enclosing context even when the iteration is
-        empty (Section VI)."""
-        for index, gen in enumerate(generators):
-            if gen.quantified:
-                return generators[:index], generators[index:]
-        return generators, ()
-
     def _run_mapping(self, mapping: TgdMapping, env: Env, target_env: Env) -> None:
         envs = self._enumerate(mapping, env)
         if mapping.skolem is not None:
@@ -599,3 +609,57 @@ class _Engine:
             # several parents only under distribution (Figure 4 variant).
             for base_env in base_envs:
                 self.unit(mapping, group, base_env, key)
+
+
+class _OptimizedEngine:
+    """The state one run of a plan's generated program works on.
+
+    The program does all the work — enumeration, grouping, target
+    construction — and reads this object's tables: the source
+    document and its index, the target under construction with its
+    wrapper and Skolem-group tables, the memo entries, and the
+    per-level counters (``_cs``, ``None`` entries when uncounted).
+
+    ``memo`` is the :class:`~repro.executor.planner.PlanMemo` the
+    generated code routes its document-scoped entries through — a
+    caller-owned one shared across engines over one maintained
+    document, or a fresh private one.  ``stats`` receives the per-level
+    counters.
+    """
+
+    def __init__(
+        self, tgd, source_instance: XmlElement, planned, program, *,
+        stats=None, memo=None,
+    ):
+        if source_instance.tag != tgd.source_root:
+            raise ExecutionError(
+                f"instance root <{source_instance.tag}> does not match the tgd's "
+                f"source root <{tgd.source_root}>"
+            )
+        self.source = source_instance
+        self.target_root = XmlElement(tgd.target_root)
+        self.program = program
+        self.index = index_for(source_instance)
+        self.memo = memo if memo is not None else PlanMemo()
+        self._cs = (
+            stats.counters if stats is not None else (None,) * len(planned.levels)
+        )
+        # Singleton constant tags: (parent identity, tag) → element.
+        self._wrappers: dict = {}
+        # Grouping Skolems: (parent identity, tag, key) → element.
+        self._groups: dict = {}
+        # Engine-local memo entries (filtered sequences, tables over
+        # them, per-binding grouping-key atoms, membership identity
+        # sets), keyed by emission tags.
+        self._sequences: dict = {}
+        self._tables: dict = {}
+        self._atoms: dict = {}
+        self._identity_sets: dict = {}
+        # Strong refs to every binding a local key's id() points at:
+        # GroupBindings are engine-created and otherwise collectable
+        # mid-run, and a recycled id would alias a stale entry.
+        self._pins: list = []
+        self._identity_pins: list = []
+
+    def run(self) -> XmlElement:
+        return self.program.run(self)

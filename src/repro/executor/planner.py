@@ -52,6 +52,7 @@ from ..core.tgd import (
     NestedTgd,
     SchemaRoot,
     SourceCondition,
+    TargetGenerator,
     TgdComparison,
     TgdExpr,
     TgdMapping,
@@ -235,6 +236,20 @@ def _level_label(mapping: TgdMapping) -> str:
     else:
         gens = "⊤"
     return f"∀ {gens}"
+
+
+def split_targets(
+    generators: tuple[TargetGenerator, ...]
+) -> tuple[tuple[TargetGenerator, ...], tuple[TargetGenerator, ...]]:
+    """Split a level's target generators at the first quantified one:
+    the unquantified prefix consists of constant tags that "wrap the
+    FLWOR" — they exist once per enclosing context even when the
+    iteration is empty (Section VI) — and the suffix is what each
+    iteration, one unit, builds."""
+    for index, gen in enumerate(generators):
+        if gen.quantified:
+            return generators[:index], generators[index:]
+    return generators, ()
 
 
 def plan_level(mapping: TgdMapping, depth: int) -> LevelPlan:
@@ -683,13 +698,16 @@ class PlanMemo:
     intact.
     """
 
-    __slots__ = ("values", "_meta")
+    __slots__ = ("values", "_meta", "_chains")
 
     def __init__(self) -> None:
         #: key → value; generated code reads this dict directly.
         self.values: dict = {}
         # key → (chains, pinned binding or None).
         self._meta: dict = {}
+        # Every chain an entry was ever stored under: a value edit on
+        # none of them drops nothing, without a scan.
+        self._chains: set = set()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -700,6 +718,7 @@ class PlanMemo:
     def put(self, key, value, chains, pin=None) -> None:
         self.values[key] = value
         self._meta[key] = (frozenset(chains), pin)
+        self._chains.update(chains)
 
     def invalidate(self, value_chains, structural_chains) -> int:
         """Drop every entry the touched label chains could have
@@ -711,7 +730,9 @@ class PlanMemo:
         complete test.  ``structural_chains`` mark subtree
         replacements: prefix intersection in either direction.
         """
-        if not self._meta or not (value_chains or structural_chains):
+        if not self._meta or not structural_chains and self._chains.isdisjoint(
+            value_chains
+        ):
             return 0
         dead = [
             key
@@ -731,3 +752,4 @@ class PlanMemo:
     def clear(self) -> None:
         self.values.clear()
         self._meta.clear()
+        self._chains.clear()

@@ -18,12 +18,14 @@ Three outcomes, reported in the returned :class:`IncrementalReport`:
 ``scoped``
     The root mapping's iteration is partitioned into *units* — one per
     top-level environment, or one per grouping key when the root level
-    carries a grouping Skolem; a unit is what the engine's
-    :meth:`~repro.executor.engine._Engine.unit` builds, one FLWOR
-    ``return`` clause.  Clean units keep their target fragment where it
-    stands; dirty units re-execute through that same engine method over
-    the edited document, and only their fragments are replaced, at the
-    positions a full run gives them — byte-identical to a full run.
+    carries a grouping Skolem; a unit is what the plan's ``unit`` entry
+    (:class:`~repro.executor.codegen.CodegenProgram`, or the naive
+    engine's :class:`~repro.executor.engine.ReferenceProgram`) builds,
+    one FLWOR ``return`` clause.  Clean units keep their target
+    fragment where it stands; dirty units re-execute through that same
+    entry — the one a full run calls — over the edited document, and
+    only their fragments are replaced, at the positions a full run
+    gives them — byte-identical to a full run.
 
 ``fallback``
     Full recomputation — when the delta ratio exceeds the threshold,
@@ -48,8 +50,15 @@ from typing import Optional
 
 from ..errors import ExecutionError, ReproError, XmlError
 from ..core.tgd import SchemaRoot, TargetGenerator, TgdMapping, Var, expr_labels, expr_root
-from ..executor.engine import TgdPlan, _Engine
-from ..executor.planner import PlanMemo, PlannedTgd, level_reads, plan_tgd, value_read_chains
+from ..executor.engine import ReferenceProgram, TgdPlan
+from ..executor.planner import (
+    PlanMemo,
+    PlannedTgd,
+    level_reads,
+    plan_tgd,
+    split_targets,
+    value_read_chains,
+)
 from ..xml.diff import Delta, apply_delta, apply_delta_in_place, compute_delta, resolve_steps
 from ..xml.index import index_for
 from ..xml.model import XmlElement
@@ -181,7 +190,7 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
                 return None, "distribute target generator"
     if not root.source_gens:
         return None, "root mapping has no source generators"
-    prefix, suffix = _Engine._split_targets(root.target_gens)
+    prefix, suffix = split_targets(root.target_gens)
     if not suffix:
         return None, "root mapping builds no target element"
     # The unquantified prefix must be a single wrapper chain anchored at
@@ -453,8 +462,18 @@ class IncrementalSession:
             # Naive plans run no planned program, but their sessions
             # read the same analysis as optimized ones.
             planned = self._tgd_plan.planned or plan_tgd(self._tgd_plan.tgd)
-            self._levels = planned.levels
+            self._levels = tuple(
+                (frozenset(level.read_paths), level.reads_resolved)
+                for level in planned.levels
+            )
             self._shape, self._shape_reason = _analyze(planned)
+        # The root level's entries: the generated program's, or the
+        # naive engine's under the same names.
+        self._program = None
+        if self._shape is not None:
+            self._program = self._tgd_plan.program or ReferenceProgram(
+                self._tgd_plan.tgd
+            )
         self._memo: Optional[PlanMemo] = (
             PlanMemo()
             if self._tgd_plan is not None and self._tgd_plan.planned is not None
@@ -552,8 +571,8 @@ class IncrementalSession:
             )
         report.dirty_levels = tuple(
             index
-            for index, level in enumerate(self._levels)
-            if _delta_touches(delta, level.read_paths, level.reads_resolved)
+            for index, (reads, resolved) in enumerate(self._levels)
+            if _delta_touches(delta, reads, resolved)
         )
         if not report.dirty_levels:
             # The edit lands where no level reads: the target — and the
@@ -626,25 +645,27 @@ class IncrementalSession:
         session's memo — for the single-root shapes the session
         supports, exactly the engine's own run — with its units and
         their parent, so the next scoped call needs no refresh."""
-        shape = self._shape
         engine = self._tgd_plan.engine_for(base, memo=self._memo)
         try:
             units = self._units_of(engine)
-            (base_env,) = engine._materialize_targets(shape.prefix, {})
-            self._build(engine, units, units.groups, base_env)
+            # The wrapper chain: one element per prefix generator, each
+            # inside the previous one (what `_analyze` admits).
+            parent = engine.target_root
+            for gen in self._shape.prefix:
+                parent = parent.append(XmlElement(gen.expr.label))
+            self._build(engine, units, units.groups, parent)
         except ReproError:
             raise
         except Exception as exc:  # the contract of TgdPlan.run
             raise ExecutionError(f"tgd evaluation failed: {exc}") from exc
-        parent = base_env[shape.prefix[-1].var] if shape.prefix else engine.target_root
         return engine.target_root, units, parent
 
     def _units_of(self, engine) -> _Units:
         """The root's units over the engine's document."""
-        root = self._shape.root
-        units = _Units(self._shape, engine._enumerate(root, {}))
+        program = self._program
+        units = _Units(self._shape, program.enumerate(engine, {}))
         units.group(
-            [engine.group_key(root, env) for env in units.envs]
+            [program.key(engine, env) for env in units.envs]
             if self._shape.grouped
             else None
         )
@@ -732,7 +753,7 @@ class IncrementalSession:
         """Over an unchanged root enumeration: re-key the dirty positions
         and rebuild each group that had or gains one, updating ``units``
         in place; returns the :meth:`_splice` arguments."""
-        root, grouped = self._shape.root, self._shape.grouped
+        grouped = self._shape.grouped
         keys, groups, firsts = units.keys, units.groups, units.firsts
         affected: dict[tuple, None] = {}
         moved = []
@@ -740,10 +761,16 @@ class IncrementalSession:
             key = keys[position]
             affected[key] = None
             if grouped:
-                new_key = engine.group_key(root, units.envs[position])
+                new_key = self._program.key(engine, units.envs[position])
                 if new_key != key:
                     affected[new_key] = None
                     moved.append((position, new_key))
+        if not moved:
+            # No unit changes group: each affected one is rebuilt where
+            # it stands.
+            ranked = sorted((groups[key][0], key) for key in affected)
+            slots = [bisect_left(firsts, first) for first, _key in ranked]
+            return slots, slots, [key for _first, key in ranked]
         drop = sorted(
             bisect_left(firsts, groups[key][0]) for key in affected if key in groups
         )
@@ -766,8 +793,8 @@ class IncrementalSession:
         """Re-enumerate the root and keep each group whose members are,
         by binding identity, the clean members it had; returns the new
         units and the :meth:`_splice` arguments."""
-        shape = self._shape
-        new = _Units(shape, engine._enumerate(shape.root, {}))
+        shape, program = self._shape, self._program
+        new = _Units(shape, program.enumerate(engine, {}))
         keys = None
         if shape.grouped:
             # A clean unit's grouping key reads only chains the delta
@@ -776,7 +803,7 @@ class IncrementalSession:
             for position in dirty:
                 del known[old.ids[position]]
             keys = [
-                known[combo] if combo in known else engine.group_key(shape.root, env)
+                known[combo] if combo in known else program.key(engine, env)
                 for combo, env in zip(new.ids, new.envs)
             ]
         new.group(keys)
@@ -805,32 +832,36 @@ class IncrementalSession:
     ) -> None:
         """Build the groups of ``keys``, remove the fragments at indices
         ``drop``, then insert the built ones at final indices ``put``."""
-        shape = self._shape
-        if shape.prefix:
-            # The wrapper chain already stands in the maintained target;
-            # build under a detached stand-in for its innermost element.
-            wrapper = shape.prefix[-1]
-            stand_in = XmlElement(wrapper.expr.label)
-            base_env = {wrapper.var: stand_in}
-        else:
-            stand_in, base_env = engine.target_root, {}
-        self._build(engine, units, keys, base_env)
+        prefix = self._shape.prefix
+        # The wrapper chain already stands in the maintained target;
+        # build under a detached stand-in for its innermost element.
+        stand_in = (
+            XmlElement(prefix[-1].expr.label) if prefix else engine.target_root
+        )
+        self._build(engine, units, keys, stand_in)
         fragments = stand_in.splice(0, len(stand_in))
         if len(fragments) != len(put):
             raise ReproError("recomputed units do not align with plan output")
         parent = self._parent
+        if drop == put:  # replacements in place
+            for slot, fragment in zip(put, fragments):
+                parent.splice(slot, slot + 1, (fragment,))[0].release()
+            return
         for slot in reversed(drop):
             for fragment in parent.splice(slot, slot + 1):
                 fragment.release()
         for slot, fragment in zip(put, fragments):
             parent.splice(slot, slot, (fragment,))
 
-    def _build(self, engine, units: _Units, keys, base_env: dict) -> None:
-        """Build the groups of ``keys`` under ``base_env``, in order."""
-        root = self._shape.root
+    def _build(self, engine, units: _Units, keys, parent: XmlElement) -> None:
+        """Build the groups of ``keys`` under ``parent`` (the innermost
+        wrapper, or the target root), in order, through the program's
+        unit entry."""
+        prefix, program = self._shape.prefix, self._program
+        base_env = {prefix[-1].var: parent} if prefix else {}
         for key in keys:
             members = [units.envs[p] for p in units.groups[key]]
             if self._shape.grouped:
-                engine.unit(root, engine.group_env(root, members), base_env, key)
+                program.unit(engine, program.group(members), base_env, key)
             else:
-                engine.unit(root, members[0], base_env)
+                program.unit(engine, members[0], base_env)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
@@ -156,7 +157,7 @@ class DeltaRecord:
         place, adding, removing and moving no node."""
         return self.op in ("mutate-attribute", "mutate-text")
 
-    @property
+    @cached_property
     def chain(self) -> tuple[str, ...]:
         """The index-free label chain the record touches, for read-set
         intersection: ``("dept", "Proj", "@pid")`` for an attribute
@@ -393,12 +394,17 @@ def resolve_steps(
     (raises :class:`XmlError` when a step does not resolve)."""
     node = root
     for tag, k in steps:
-        matches = node.findall(tag)
-        if k >= len(matches):
+        seen = 0
+        for child in node._children:
+            if child.tag == tag:
+                if seen == k:
+                    node = child
+                    break
+                seen += 1
+        else:
             raise XmlError(
                 f"delta step {tag}[{k + 1}] does not resolve under <{node.tag}>"
             )
-        node = matches[k]
     return node
 
 

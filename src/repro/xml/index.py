@@ -101,8 +101,12 @@ class DocumentIndex:
         table = self._children.get(id(element))
         if table is None:
             table = {}
-            for child in element.children:
-                table.setdefault(child.tag, []).append(child)
+            for child in element._children:
+                found = table.get(child.tag)
+                if found is None:
+                    table[child.tag] = [child]
+                else:
+                    found.append(child)
             self._children[id(element)] = table
             self._pins.append(element)
             self.stats.child_tables_built += 1
@@ -168,10 +172,12 @@ class DocumentIndex:
         while node is not None:
             key = id(node)
             self._children.pop(key, None)
-            for table_key in [k for k in self._descendants if k[0] == key]:
-                del self._descendants[table_key]
-            for path_key in [k for k in self._paths if k[0] == key]:
-                del self._paths[path_key]
+            if self._descendants:
+                for table_key in [k for k in self._descendants if k[0] == key]:
+                    del self._descendants[table_key]
+            if self._paths:
+                for path_key in [k for k in self._paths if k[0] == key]:
+                    del self._paths[path_key]
             node = node.parent
 
     def _walk(self, path: Path, current: list[Result]) -> list[Result]:

@@ -121,6 +121,28 @@ class XmlElement:
             self._children = [child]
         return child
 
+    def _child(self, tag: str) -> "XmlElement":
+        """Append and return a new empty child whose ``tag`` the caller
+        has already validated (generated plan code checks its constant
+        tags once, when it is emitted); keeps :meth:`append`'s
+        text-value check."""
+        if self._text is not None:
+            raise XmlError(
+                f"element <{self.tag}> has a text value and cannot have children"
+            )
+        child = XmlElement.__new__(XmlElement)
+        child.tag = tag
+        child._attributes = {}
+        child._children = _NO_CHILDREN
+        child._text = None
+        child.parent = self
+        children = self._children
+        if children:
+            children.append(child)
+        else:
+            self._children = [child]
+        return child
+
     def insert(self, index: int, child: "XmlElement") -> "XmlElement":
         """Insert ``child`` at ``index`` among the children (same
         checks as :meth:`append`)."""

@@ -26,12 +26,16 @@ from repro.core.compile import compile_clip
 from repro.errors import ExecutionError
 from repro.executor import explain_plan, prepare
 from repro.executor.codegen import build_program, generate_source
+from repro.executor.engine import _Engine
 from repro.executor.planner import OPTIMIZE_ENV, plan_tgd
 from repro.generation import AXES
 from repro.generation.corpus import generate_corpus
 from repro.runtime import BatchRunner, PlanCache, SpanTracer, compile_plan
+from repro.runtime.incremental import IncrementalSession
 from repro.runtime.plan import canonical_fingerprint, fingerprint, trace_seed
 from repro.scenarios import deptstore
+from repro.xml.diff import compute_delta
+from repro.xml.model import element
 from repro.xml.serialize import to_xml
 
 #: A fixed corpus slice shared by the module: six axes, many shapes.
@@ -251,3 +255,98 @@ def test_explain_plan_gains_codegen_section():
         for lvl in naive_doc["levels"]
         for value in lvl["counters"].values()
     )
+
+
+# -- single- and multi-valued assignment paths -------------------------------
+
+#: Figures whose assignments read ``p.pname.value``, the path the
+#: generated code reads straight off a single ``pname`` child.
+_PNAME_FIGURES = {"fig6": deptstore.mapping_fig6, "fig7": deptstore.mapping_fig7}
+
+
+def _with_pnames(*texts):
+    """The paper's source instance with the first project's ``pname``
+    children replaced by one per text (``None``: a ``pname`` element
+    without a value)."""
+    doc = deptstore.source_instance()
+    proj = doc.find("dept").find("Proj")
+    for old in proj.findall("pname"):
+        proj.remove(old)
+    for text in texts:
+        proj.append(element("pname") if text is None else element("pname", text=text))
+    return doc
+
+
+@pytest.mark.parametrize("figure", sorted(_PNAME_FIGURES))
+def test_two_distinct_values_raise_one_error_on_both_engines(figure):
+    tgd = compile_clip(_PNAME_FIGURES[figure]())
+    messages = []
+    for optimize in (False, True):
+        with pytest.raises(ExecutionError) as info:
+            prepare(tgd, optimize=optimize).run(_with_pnames("Alpha", "Beta"))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "yields 2 distinct values" in messages[0]
+
+
+@pytest.mark.parametrize("figure", sorted(_PNAME_FIGURES))
+@pytest.mark.parametrize(
+    "texts, present",
+    [(("Alpha", "Alpha"), True), ((), False), ((None,), False)],
+    ids=["identical", "missing", "empty"],
+)
+def test_repeated_and_absent_values_match_on_both_engines(figure, texts, present):
+    """Identical values dedupe to one; no value leaves the attribute
+    absent — on both engines, byte for byte."""
+    tgd = compile_clip(_PNAME_FIGURES[figure]())
+    naive, optimized = (
+        prepare(tgd, optimize=optimize).run(_with_pnames(*texts))
+        for optimize in (False, True)
+    )
+    assert to_xml(optimized) == to_xml(naive)
+    name = "pname" if figure == "fig6" else "name"
+    values = [child.attribute(name) for child in naive.children]
+    assert ("Alpha" in values) is present
+    assert (None in values) is not present
+
+
+# -- the optimized path builds its own target --------------------------------
+
+
+def test_optimized_path_never_calls_the_naive_target_side(monkeypatch):
+    """Generated code builds every element, wrapper, group and value:
+    with the naive engine's target-side methods disabled, every figure
+    mapping (the distribute variant of Figure 4 included) and a scoped
+    incremental apply still produce the naive engine's bytes."""
+    instance = deptstore.source_instance()
+    tgds = {
+        scenario.figure: compile_clip(scenario.make_mapping())
+        for scenario in deptstore.FIGURES
+    }
+    expected = {
+        figure: to_xml(prepare(tgd, optimize=False).run(instance))
+        for figure, tgd in tgds.items()
+    }
+    edited = deptstore.source_instance()
+    edited.find("dept").find("Proj").find("pname").set_text("Renamed")
+    expected_edited = {
+        figure: to_xml(prepare(tgds[figure], optimize=False).run(edited))
+        for figure in ("fig5", "fig7")
+    }
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the optimized path called _Engine.{name}")
+        return call
+
+    for name in ("_materialize_targets", "_apply_assignment", "unit",
+                 "_run_mapping", "_run_grouped"):
+        monkeypatch.setattr(_Engine, name, forbidden(name))
+    for figure, tgd in tgds.items():
+        assert to_xml(prepare(tgd, optimize=True).run(instance)) == expected[figure]
+    for figure, reference in expected_edited.items():
+        session = IncrementalSession(prepare(tgds[figure], optimize=True))
+        session.transform(instance)
+        got, report = session.apply(compute_delta(instance, edited))
+        assert report.mode == "scoped"
+        assert to_xml(got) == reference

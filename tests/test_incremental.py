@@ -813,11 +813,9 @@ class TestInPlaceTarget:
             assert to_xml(got) == to_xml(plan.run(new))
             doc = new
 
-    def test_a_value_edit_skips_the_root_enumeration(self):
+    def test_a_value_edit_skips_the_root_enumeration(self, monkeypatch):
         plan = _plan("fig7")
-        root = plan.tgd.roots[0]
-        levels = plan.program.levels
-        enumerate_root = levels[id(root)]
+        enumerate_root = plan.program.enumerate
         calls = []
 
         def counted(*args):
@@ -833,35 +831,28 @@ class TestInPlaceTarget:
         new = first.copy()
         _edit_pname(new, "second rename", 5)
         delta = compute_delta(first, new)
-        levels[id(root)] = counted
-        try:
-            got, report = session.apply(delta)
-        finally:
-            levels[id(root)] = enumerate_root
+        monkeypatch.setattr(plan.program, "enumerate", counted)
+        got, report = session.apply(delta)
         assert report.mode == "scoped"
         assert report.recomputed_units >= 1
         assert calls == []
         assert to_xml(got) == to_xml(plan.run(new))
 
     def test_an_employee_insert_recomputes_one_unit(self, monkeypatch):
-        from repro.executor.engine import _Engine
-
         plan = _plan("fig5")
-        root = plan.tgd.roots[0]
         built = []
-        unit = _Engine.unit
+        unit = plan.program.unit
 
-        def counted(self, mapping, *args, **kwargs):
-            if mapping is root:
-                built.append(mapping)
-            return unit(self, mapping, *args, **kwargs)
+        def counted(*args, **kwargs):
+            built.append(args)
+            return unit(*args, **kwargs)
 
         session = IncrementalSession(plan)
         doc = _instance()
         session.transform(doc)
         new = doc.copy()
         _chain_insert_employee(new, 7, "newcomer")
-        monkeypatch.setattr(_Engine, "unit", counted)
+        monkeypatch.setattr(plan.program, "unit", counted)
         got, report = session.transform(new)
         assert len(built) == 1
         assert _row(report.to_dict()) == _binding((2,), 4, 3, 1)
