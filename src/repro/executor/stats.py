@@ -174,7 +174,10 @@ class PlanExplain:
     """The compiled plan of a mapping plus the runtime counters of one
     evaluation — the payload of the ``clip-plan-explain`` document."""
 
-    result: XmlElement
+    #: The evaluation's result (``None`` from a caller that keeps only
+    #: its element count, such as the service's request history).
+    result: Optional[XmlElement]
+    result_elements: int
     optimize: bool
     #: Static per-level plan descriptions (see ``LevelPlan.describe``).
     levels: list[dict]
@@ -203,7 +206,7 @@ class PlanExplain:
                 for level, counter in zip(self.levels, self.counters)
             ],
             "totals": totals,
-            "result_elements": self.result.size(),
+            "result_elements": self.result_elements,
         }
         if self.codegen is not None:
             doc["codegen"] = self.codegen
@@ -299,6 +302,7 @@ def explain_plan(
     stats = plan.stats or PlanStats(plan_tgd(tgd))
     return PlanExplain(
         result=result,
+        result_elements=result.size(),
         optimize=plan.optimize,
         levels=[level.describe() for level in stats.planned.levels],
         counters=[counter.to_dict() for counter in stats.counters],

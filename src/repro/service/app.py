@@ -673,21 +673,22 @@ class ClipService:
         entry: Optional[RegisteredMapping],
         status: int,
         metrics_doc: Optional[dict],
-        result: Optional[XmlElement] = None,
         source_text: Optional[str] = None,
         result_xml: Optional[str] = None,
     ) -> None:
         """Record a request in the bounded history.  ``result_xml`` is
-        the response body the caller already rendered, kept with
-        ``source_text`` for ``POST /transform/delta``."""
+        the response body the caller already rendered for one result
+        document, kept with ``source_text`` for ``POST /transform/delta``."""
         explain = None
         plan = (metrics_doc or {}).get("plan")
-        if plan is not None and result is not None:
+        if plan is not None and result_xml is not None:
             # Re-shape the runner's plan report into the same
             # clip-plan-explain document the CLI `explain --json` emits
-            # — counters here are this request's deltas.
+            # — counters here are this request's deltas, and the result
+            # size is the one the metrics already counted.
             explain = PlanExplain(
-                result=result,
+                result=None,
+                result_elements=metrics_doc["target_elements"],
                 optimize=plan.get("optimize", False),
                 levels=plan.get("levels", []),
                 counters=plan.get("counters", []),
@@ -821,8 +822,7 @@ class ClipService:
             rendered = to_xml(result)
             self._store_request(
                 request_id, endpoint="transform", entry=entry, status=200,
-                metrics_doc=metrics_doc, result=result, source_text=text,
-                result_xml=rendered,
+                metrics_doc=metrics_doc, source_text=text, result_xml=rendered,
             )
             result.release()
         finally:
@@ -922,7 +922,7 @@ class ClipService:
         rendered = to_xml(result)
         self._store_request(
             request_id, endpoint="transform_delta", entry=entry,
-            status=200, metrics_doc=metrics_doc, result=result,
+            status=200, metrics_doc=metrics_doc,
             source_text=text, result_xml=rendered,
         )
         _release((prev_source, prev_target, new_source, result))

@@ -12,21 +12,22 @@ Two renderings are provided:
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .model import AtomicValue, XmlElement
 
-_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
-
-
-def _escape(text: str) -> str:
-    for raw, escaped in _ESCAPES.items():
-        text = text.replace(raw, escaped)
-    return text
+# Attribute values also escape what attribute-value normalization would
+# turn into spaces on re-parse, text the ``\r`` line-end normalization rewrites.
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;"}
+_TEXT_TABLE = str.maketrans(_TEXT_ESCAPES)
+_ATTRIBUTE_TABLE = str.maketrans({**_TEXT_ESCAPES, "\n": "&#10;", "\t": "&#9;"})
+_TEXT_SPECIAL = re.compile('[&<>"\r]').search
+_ATTRIBUTE_SPECIAL = re.compile('[&<>"\r\n\t]').search
 
 
 def _value_to_text(value: AtomicValue) -> str:
-    if isinstance(value, bool):
+    if value.__class__ is bool:  # bool cannot be subclassed
         return "true" if value else "false"
     return str(value)
 
@@ -35,41 +36,47 @@ def to_xml(root: XmlElement, *, indent: Optional[str] = "  ") -> str:
     """Serialize to XML text.  Pass ``indent=None`` for a compact string.
 
     Walks the tree with an explicit stack (document depth is not bounded
-    by the recursion limit) and reads each element's attribute map and
-    child list in place rather than through the copying accessors.
+    by the recursion limit), reads attribute maps and child lists in
+    place, and escapes a value only when a search finds a character
+    that needs it.
     """
-    step = indent or ""
     lines: list[str] = []
     append = lines.append
-    # Items are elements to open, paired with their depth, or the
-    # closing-tag lines of elements whose children are still pending.
-    stack: list = [(root, 0)]
-    pop = stack.pop
-    push = stack.append
+    step = indent or ""
+    pads = [""]  # the indent of each depth, built once
+    # (children still to write, their depth, their parent's closing tag)
+    stack: list = [(iter((root,)), 0, None)]
     while stack:
-        item = pop()
-        if isinstance(item, str):
-            append(item)
-            continue
-        node, depth = item
-        pad = step * depth
-        tag = node.tag
-        attrs = "".join(
-            [
-                f' {name}="{_escape(_value_to_text(value))}"'
-                for name, value in node._attributes.items()
-            ]
-        )
-        if node._text is not None:
-            append(f"{pad}<{tag}{attrs}>{_escape(_value_to_text(node._text))}</{tag}>")
-        elif node._children:
-            append(f"{pad}<{tag}{attrs}>")
-            push(f"{pad}</{tag}>")
-            depth += 1
-            for child in reversed(node._children):
-                push((child, depth))
+        pending, depth, close = stack[-1]
+        pad = pads[depth]
+        for node in pending:
+            tag = node.tag
+            attrs = ""
+            for name, value in node._attributes.items():
+                if value.__class__ is not str:
+                    value = _value_to_text(value)
+                if _ATTRIBUTE_SPECIAL(value):
+                    value = value.translate(_ATTRIBUTE_TABLE)
+                attrs += f' {name}="{value}"'
+            value = node._text
+            if value is not None:
+                if value.__class__ is not str:
+                    value = _value_to_text(value)
+                if _TEXT_SPECIAL(value):
+                    value = value.translate(_TEXT_TABLE)
+                append(f"{pad}<{tag}{attrs}>{value}</{tag}>")
+            elif node._children:
+                append(f"{pad}<{tag}{attrs}>")
+                if depth + 1 == len(pads):
+                    pads.append(pad + step)
+                stack.append((iter(node._children), depth + 1, f"{pad}</{tag}>"))
+                break
+            else:
+                append(f"{pad}<{tag}{attrs}/>")
         else:
-            append(f"{pad}<{tag}{attrs}/>")
+            stack.pop()
+            if close is not None:
+                append(close)
     return ("\n" if indent is not None else "").join(lines)
 
 

@@ -15,6 +15,7 @@ from repro.core.compile import compile_clip
 from repro.core.expr import parse_condition
 from repro.executor import execute
 from repro.generation import compute_tableaux
+from repro.generation.corpus import generate_corpus
 from repro.scenarios import deptstore
 from repro.xml.model import XmlElement, element
 from repro.xml.parser import parse_xml
@@ -220,11 +221,37 @@ def test_canonical_equality_is_shuffle_invariant(tree, data):
     assert tree.equals_canonically(shuffled)
 
 
+def _typed_values(tree):
+    """Every node's tag, attributes and text with each value's type:
+    ``XmlElement.__eq__`` alone has ``1 == 1.0 == True``."""
+    return [
+        (
+            node.tag,
+            [(name, type(value), value) for name, value in node.attributes.items()],
+            (type(node.text), node.text),
+        )
+        for node in tree.iter()
+    ]
+
+
+def _assert_typed_roundtrip(instance, schema):
+    for indent in ("  ", None):
+        back = parse_xml(to_xml(instance, indent=indent), schema=schema)
+        assert back == instance
+        assert _typed_values(back) == _typed_values(instance)
+
+
 @settings(max_examples=30, deadline=None)
 @given(instance=dept_instances())
 def test_schema_coerced_parse_roundtrip(instance):
-    schema = deptstore.source_schema()
-    assert parse_xml(to_xml(instance), schema=schema) == instance
+    _assert_typed_roundtrip(instance, deptstore.source_schema())
+
+
+def test_schema_coerced_parse_roundtrip_over_corpus():
+    """Every corpus case's source instance keeps each value's type
+    through ``to_xml`` and a parse coerced by its source schema."""
+    for case in generate_corpus(11, 36):
+        _assert_typed_roundtrip(case.instance, case.mapping.source)
 
 
 def test_xsd_roundtrip_for_all_scenario_schemas():

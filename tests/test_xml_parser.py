@@ -8,13 +8,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import SchemaError, XmlParseError
+from repro.errors import SchemaError, XmlError, XmlParseError
 from repro.generation.corpus import generate_corpus
 from repro.scenarios import deptstore
 from repro.scenarios.workload import DeptstoreSpec, make_deptstore_instance
 from repro.xml.model import element
 from repro.xml.parser import parse_xml
 from repro.xml.serialize import to_xml
+from repro.xsd import AtomicType, attr, elem, schema
 
 
 class TestParsing:
@@ -103,6 +104,108 @@ class TestSchemaCoercion:
         assert list(tree.attributes) == ["z", "b", "m"]
         assert tree.text is None
         assert tree.find("c").text == "kept"
+
+
+def _custom_schema(parser):
+    """``<r x=…><t>…</t></r>`` with ``@x`` and ``t``'s text of a custom
+    atomic type parsed by ``parser``."""
+    custom = AtomicType("custom", "xs:string", str, parser)
+    return schema(elem("r", attr("x", custom), elem("t", text=custom)))
+
+
+class TestParseEdgeCases:
+    """What the compiled, cached parse plans must keep exactly."""
+
+    def test_typed_value_error_messages(self):
+        schema_ = deptstore.source_schema()
+        with pytest.raises(SchemaError) as attribute_error:
+            parse_xml('<source><dept><Proj pid="zz"/></dept></source>', schema=schema_)
+        assert str(attribute_error.value) == (
+            "cannot parse 'zz' as int: invalid literal for int() with base 10: 'zz'"
+        )
+        with pytest.raises(SchemaError) as text_error:
+            parse_xml(
+                "<source><dept><regEmp pid='1'><sal>zz</sal></regEmp></dept></source>",
+                schema=schema_,
+            )
+        assert str(text_error.value) == (
+            "cannot parse 'zz' as int: invalid literal for int() with base 10: 'zz'"
+        )
+
+    def test_custom_type_returning_a_non_atomic_is_refused_with_its_label(self):
+        schema_ = _custom_schema(lambda text: [text])
+        with pytest.raises(XmlError, match=r"^attribute @x must be str/int/float/bool, got list$"):
+            parse_xml('<r x="1"/>', schema=schema_)
+        with pytest.raises(XmlError, match=r"^text of <t> must be str/int/float/bool, got list$"):
+            parse_xml("<r><t>1</t></r>", schema=schema_)
+
+    def test_custom_type_result_is_kept(self):
+        schema_ = _custom_schema(lambda text: len(text))
+        tree = parse_xml('<r x="abc"><t>hello</t></r>', schema=schema_)
+        assert tree.attribute("x") == 3
+        assert tree.find("t").text == 5
+
+    def test_whitespace_around_typed_values(self):
+        tree = parse_xml(
+            '<source><dept><Proj pid=" 5 "><pname> P </pname></Proj>'
+            "<regEmp pid='\t7'><sal>\n 900 </sal></regEmp></dept></source>",
+            schema=deptstore.source_schema(),
+        )
+        dept = tree.find("dept")
+        assert dept.find("Proj").attribute("pid") == 5
+        assert dept.find("Proj").find("pname").text == "P"
+        assert dept.find("regEmp").attribute("pid") == 7
+        assert dept.find("regEmp").find("sal").text == 900
+
+    def test_undeclared_subtrees_keep_strings(self):
+        # ``sal`` and ``@pid`` are int-typed where the schema declares
+        # them, never under an undeclared element.
+        tree = parse_xml(
+            "<source><dept><bogus pid='3'><sal>5</sal></bogus>"
+            "<regEmp pid='4'><sal>6</sal><extra pid='8'>9</extra></regEmp>"
+            "</dept></source>",
+            schema=deptstore.source_schema(),
+        )
+        dept = tree.find("dept")
+        assert dept.find("bogus").attribute("pid") == "3"
+        assert dept.find("bogus").find("sal").text == "5"
+        assert dept.find("regEmp").attribute("pid") == 4
+        assert dept.find("regEmp").find("sal").text == 6
+        assert dept.find("regEmp").find("extra").attribute("pid") == "8"
+        assert dept.find("regEmp").find("extra").text == "9"
+
+    def test_one_schema_parses_different_documents(self):
+        schema_ = deptstore.source_schema()
+        first = parse_xml(
+            "<source><dept><dname>A</dname><Proj pid='1'><pname>P</pname></Proj>"
+            "</dept></source>",
+            schema=schema_,
+        )
+        second = parse_xml(
+            '<s:source xmlns:s="urn:s"><s:dept><s:regEmp s:pid="2">'
+            "<s:ename>E</s:ename><s:sal>10</s:sal></s:regEmp></s:dept>"
+            "<dept><bogus>1</bogus></dept></s:source>",
+            schema=schema_,
+        )
+        third = parse_xml("<other><Proj pid='3'/></other>", schema=schema_)
+        assert first.find("dept").find("Proj").attribute("pid") == 1
+        assert first.find("dept").find("dname").text == "A"
+        employee = second.find("dept").find("regEmp")
+        assert (employee.attribute("pid"), employee.find("sal").text) == (2, 10)
+        assert second.children[1].find("bogus").text == "1"
+        # The root takes the schema root's plan whatever its tag.
+        assert third.tag == "other"
+        assert third.find("Proj").attribute("pid") == "3"
+
+    def test_first_error_in_document_order(self):
+        # A later sibling's bad attribute is not reached before an
+        # earlier element's bad descendant.
+        with pytest.raises(SchemaError, match="'bad-text'"):
+            parse_xml(
+                "<source><dept><regEmp pid='1'><sal>bad-text</sal></regEmp>"
+                "<Proj pid='bad-attr'/></dept></source>",
+                schema=deptstore.source_schema(),
+            )
 
 
 def _chain(depth: int) -> str:

@@ -33,6 +33,24 @@ class TestToXml:
         tree = element("p", element("c", text="v"))
         assert to_xml(tree, indent=None) == "<p><c>v</c></p>"
 
+    def test_attribute_whitespace_is_escaped_and_round_trips(self):
+        tree = element("a", x="l1\nl2", y="t\tab", z="c\r\nr")
+        text = to_xml(tree)
+        assert text == '<a x="l1&#10;l2" y="t&#9;ab" z="c&#13;&#10;r"/>'
+        assert parse_xml(text).attributes == {"x": "l1\nl2", "y": "t\tab", "z": "c\r\nr"}
+
+    def test_text_carriage_return_is_escaped_and_round_trips(self):
+        tree = element("a", element("b", text="l1\r\nl2\rl3\tl4\nl5"))
+        text = to_xml(tree, indent=None)
+        assert text == "<a><b>l1&#13;\nl2&#13;l3\tl4\nl5</b></a>"
+        assert parse_xml(text) == tree
+
+    def test_values_without_special_characters_are_unchanged(self):
+        tree = element("e", element("v", text=1.5), element("w", text=False), n=-3, s="plain")
+        assert to_xml(tree, indent=None) == (
+            '<e n="-3" s="plain"><v>1.5</v><w>false</w></e>'
+        )
+
     def test_roundtrip_through_parser(self):
         tree = element(
             "source",
