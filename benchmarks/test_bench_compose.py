@@ -139,12 +139,19 @@ def test_bench_compose_fused(benchmark, geometry_instances, size):
     assert out.findall("rich")
 
 
-def _best_of(run, instance, rounds: int = _TIMING_ROUNDS) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        run(instance)
-        best = min(best, time.perf_counter() - started)
+def _interleaved_best_of(
+    runs, instance, rounds: int = _TIMING_ROUNDS
+) -> list[float]:
+    """Best-of-``rounds`` seconds for each run, timed in interleaved
+    rounds that alternate which run goes first, so a host-speed swing
+    lands on both sides instead of on one."""
+    best = [float("inf")] * len(runs)
+    for round_index in range(rounds):
+        order = range(len(runs))
+        for index in order if round_index % 2 == 0 else reversed(order):
+            started = time.perf_counter()
+            runs[index](instance)
+            best[index] = min(best[index], time.perf_counter() - started)
     return best
 
 
@@ -164,8 +171,9 @@ def test_compose_speedup_floor(geometry_instances, size):
     assert to_xml(fused.run(instance)) == to_xml(sequential(instance)), (
         f"{size}: fused and sequential outputs diverge"
     )
-    sequential_best = _best_of(sequential, instance)
-    fused_best = _best_of(fused.run, instance)
+    sequential_best, fused_best = _interleaved_best_of(
+        [sequential, fused.run], instance
+    )
     speedup = sequential_best / fused_best
     assert speedup >= _SPEEDUP_FLOOR, (
         f"{size}: fused speedup {speedup:.2f}× below the "

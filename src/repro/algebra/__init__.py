@@ -8,8 +8,8 @@ defines on such mappings:
   composition: an ``A→B`` and a ``B→C`` mapping fused into one ``A→C``
   tgd whose one-pass plan is byte-identical to the sequential pipeline;
 * :func:`contains` / :func:`equivalent` — Calì–Torlone containment, a
-  three-valued decision procedure over canonical tgd normal forms, also
-  used to canonicalize plan-cache keys (``CLIP_CACHE_CANONICALIZE``);
+  three-valued decision procedure over canonical tgd normal forms, the
+  same normal forms every plan-cache key hashes;
 * :func:`quasi_inverse` / :func:`predicted_core` — inversion of the
   copy-like fragment, powering the fuzz farm's source → target →
   source′ round-trip oracle.

@@ -75,8 +75,8 @@ def _as_tgd(mapping: _MappingLike) -> NestedTgd:
 
 def compose_fingerprint(first_fp: str, *rest_fps: str) -> str:
     """The cache fingerprint of a fused plan: the stage fingerprints
-    folded left through one hash, so the fused key inherits
-    engine/optimize markers (and canonicalization) from its parts.
+    folded left through one hash, so the fused key inherits the
+    engine/optimize markers and alpha-invariance of its parts.
 
     ``compose_fingerprint(a, b, c) == compose_fingerprint(
     compose_fingerprint(a, b), c)``, and a single stage keys as itself.

@@ -211,7 +211,7 @@ def canonical_render(tgd: NestedTgd) -> str:
     """The canonical printed form: schema roots, then the normalized tgd.
 
     This string — not the raw ``render_tgd`` output — is what
-    canonicalized plan-cache fingerprints hash, so it embeds the source
+    plan-cache fingerprints hash, so it embeds the source
     and target root tags (they are part of the transformation's
     identity but not of the rendered mapping body).
     """

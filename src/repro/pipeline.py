@@ -141,16 +141,16 @@ class Pipeline:
         self.fused_groups.append(group)
 
     def _stage_fingerprints(self, group: Sequence[int]) -> list[str]:
-        """The structural fingerprints of ``group``'s stages, each at
-        the fused plan's own engine and ``optimize`` (its last
-        stage's) — what :func:`compose_fingerprint` folds into the
-        fused key."""
-        from .runtime import fingerprint
+        """The plan-cache keys of ``group``'s stages, each at the fused
+        plan's own engine and ``optimize`` (its last stage's) — what
+        :func:`compose_fingerprint` folds into the fused key.  Keyed
+        from the stages' compiled tgds, so nothing compiles twice."""
+        from .runtime import canonical_fingerprint
 
         optimize = self.transformers[group[-1]].optimize
         return [
-            fingerprint(self.transformers[index].mapping, self.engine,
-                        optimize=optimize)
+            canonical_fingerprint(self.transformers[index].tgd, self.engine,
+                                  optimize=optimize)
             for index in group
         ]
 
@@ -341,8 +341,8 @@ class Pipeline:
             BatchRunner,
             ErrorPolicy,
             StageMetrics,
+            canonical_fingerprint,
             default_cache,
-            fingerprint,
             plan_from_tgd,
         )
 
@@ -365,8 +365,8 @@ class Pipeline:
             root_span = trace.begin("pipeline-batch", stages=len(self))
         for index, transformer in enumerate(self.transformers):
             optimize = transformer.optimize
-            fp = fingerprint(transformer.mapping, self.engine,
-                             optimize=optimize)
+            fp = canonical_fingerprint(transformer.tgd, self.engine,
+                                       optimize=optimize)
             if fp not in cache:
                 cache.put(plan_from_tgd(
                     transformer.tgd, self.engine, fp=fp, optimize=optimize,
@@ -377,6 +377,7 @@ class Pipeline:
                 optimize=optimize,
                 workers=workers,
                 cache=cache,
+                fingerprint=fp,
                 validate=validate,
                 error_policy=policy,
                 max_retries=max_retries,

@@ -6,10 +6,10 @@ instance documents.  This package is the serving-side realization of
 that split:
 
 * :mod:`repro.runtime.plan` — :class:`CompiledPlan` (the once-per-
-  mapping work, reified) and the structural :func:`fingerprint` that
-  identifies it;
+  mapping work, reified), the :func:`canonical_fingerprint` that keys
+  it and the structural :func:`fingerprint` that seeds its traces;
 * :mod:`repro.runtime.cache` — :class:`PlanCache`, an LRU keyed on
-  fingerprints with hit/miss/compile-time accounting;
+  canonical fingerprints with hit/miss/compile-time accounting;
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`, order-preserving
   document fan-out across a process pool (deterministic in-process
   path for ``workers=1``) with per-document fault isolation and

@@ -61,7 +61,6 @@ from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
 from .plan import ENGINES, CompiledPlan, plan_from_tgd
-from .plan import fingerprint as compute_fingerprint
 from .retry import Deadline, RetryPolicy, call_with_timeout
 from .trace import event_payload, shift_payload
 
@@ -452,13 +451,14 @@ class BatchRunner:
         for any worker count.  ``None`` (default) records nothing and
         costs nothing.
     fingerprint:
-        The precomputed plan fingerprint of ``(mapping, engine,
-        optimize)``, for callers (the HTTP service) that
-        construct a runner per request against an already-registered
-        mapping; ``None`` (default) computes it, as before.  Passing a
-        fingerprint that does not match the other arguments corrupts
-        cache keying — only pass values obtained from
-        :func:`repro.runtime.plan.fingerprint` with identical inputs.
+        The precomputed plan-cache key of ``(mapping, engine,
+        optimize)``, for callers (the HTTP service, pipeline stages)
+        that already hold it; ``None`` (default) derives it with
+        :meth:`PlanCache.fingerprint_for`.  Passing a key that does
+        not match the other arguments corrupts cache keying — only
+        pass values obtained from
+        :func:`repro.runtime.plan.canonical_fingerprint` with
+        identical inputs.
     """
 
     def __init__(
@@ -507,15 +507,15 @@ class BatchRunner:
         self.optimize = resolve_setting(
             optimize, OPTIMIZE_ENV, True, parse=boolean
         )
-        # One fingerprint per runner: per-document retrievals are then
-        # pure dictionary hits.  A long-lived caller (the HTTP service)
-        # that already fingerprinted the mapping at registration passes
-        # it in, keeping per-request runner construction free of the
-        # serialize-and-hash cost.
+        # One key per runner: per-document retrievals are then pure
+        # dictionary hits.  A long-lived caller (the HTTP service) that
+        # already keyed the mapping at registration passes it in,
+        # keeping per-request runner construction free of the
+        # compile-and-hash cost.
         self.fingerprint = (
             fingerprint
             if fingerprint is not None
-            else compute_fingerprint(
+            else self.cache.fingerprint_for(
                 self.mapping, engine, optimize=self.optimize
             )
         )

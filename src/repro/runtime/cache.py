@@ -2,18 +2,15 @@
 
 A serving loop retrieves the plan for every document it applies; the
 cache turns all but the first retrieval into a dictionary hit.  Keys
-are the structural fingerprints of :func:`repro.runtime.plan.fingerprint`,
-so the cache sees through object identity — the same mapping document
-loaded twice compiles once — while any structural edit compiles fresh.
-
-With *canonicalization* enabled (``PlanCache(canonicalize=True)`` or
-the ``CLIP_CACHE_CANONICALIZE`` environment flag), keys are the
-semantic fingerprints of :func:`repro.runtime.plan.canonical_fingerprint`
-instead: mappings that differ only by bound-variable renaming or
-``where``-conjunct order — which provably produce byte-identical
-output — share one compiled plan.  The ``canonical_hits`` /
-``canonical_misses`` counters report how often the canonical key paid
-off, separately from the raw hit/miss totals.
+are the semantic fingerprints of
+:func:`repro.runtime.plan.canonical_fingerprint`, so the cache sees
+through object identity — the same mapping document loaded twice
+compiles once — and through alpha-renaming: mappings that differ only
+by bound-variable names or ``where``-conjunct order, which provably
+produce byte-identical output, share one compiled plan.  The
+``canonical_hits`` / ``canonical_misses`` counters report the lookups
+whose key :meth:`PlanCache.get_or_compile` derived itself, separately
+from the raw hit/miss totals.
 
 The cache is thread-safe (one lock around the table and counters) and
 bounded: least-recently-used plans are evicted beyond ``maxsize``.
@@ -26,16 +23,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
+from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
-from ..settings import boolean, resolve_setting
-from .plan import CompiledPlan, canonical_fingerprint, compile_plan, fingerprint
-
-#: Environment flag turning canonical cache keys on by default (off
-#: when unset, preserving the structural-fingerprint behaviour
-#: existing deployments key on).
-CANONICALIZE_ENV = "CLIP_CACHE_CANONICALIZE"
+from ..core.tgd import NestedTgd
+from .plan import CompiledPlan, canonical_fingerprint, compile_plan
 
 
 @dataclass
@@ -46,9 +39,10 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     compile_seconds: float = 0.0
-    #: Lookups resolved through a *canonical* key (only counted when
-    #: the cache canonicalizes): a canonical hit on a structurally new
-    #: mapping is exactly one compile saved by the algebra.
+    #: Lookups whose key :meth:`PlanCache.get_or_compile` derived
+    #: itself (service registration, the fuzz farm); per-document
+    #: retrievals pass their runner's key and are not counted.  A
+    #: canonical hit on an alpha-renamed variant is one compile saved.
     canonical_hits: int = 0
     canonical_misses: int = 0
 
@@ -76,15 +70,10 @@ class CacheStats:
 class PlanCache:
     """An LRU cache of :class:`CompiledPlan` keyed by fingerprint."""
 
-    def __init__(self, maxsize: int = 128, *, canonicalize: Optional[bool] = None):
+    def __init__(self, maxsize: int = 128):
         if maxsize < 1:
             raise ValueError("maxsize must be a positive integer")
         self.maxsize = maxsize
-        #: Whether :meth:`get_or_compile` keys plans by canonical
-        #: (semantic) fingerprints instead of structural ones.
-        self.canonicalize = resolve_setting(
-            canonicalize, CANONICALIZE_ENV, False, parse=boolean
-        )
         self._plans: OrderedDict[str, CompiledPlan] = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
@@ -109,20 +98,18 @@ class PlanCache:
 
     def fingerprint_for(
         self,
-        mapping: ClipMapping,
+        mapping: Union[ClipMapping, NestedTgd],
         engine: str = "tgd",
         *,
         optimize: Optional[bool] = None,
     ) -> str:
-        """The key this cache would use for a mapping: canonical when
-        the cache canonicalizes, structural otherwise."""
-        if self.canonicalize:
-            return canonical_fingerprint(mapping, engine, optimize=optimize)
-        return fingerprint(mapping, engine, optimize=optimize)
+        """The key this cache uses for a mapping (or its compiled tgd):
+        its :func:`~repro.runtime.plan.canonical_fingerprint`."""
+        return canonical_fingerprint(mapping, engine, optimize=optimize)
 
     def put(self, plan: CompiledPlan) -> None:
-        """Seed the cache with an externally compiled plan (e.g. a
-        pipeline reusing its transformers' compiled tgds)."""
+        """Insert a compiled plan under its own fingerprint (a fresh
+        compile, or a pipeline reusing its transformers' tgds)."""
         with self._lock:
             self._stats.compile_seconds += plan.compile_seconds
             self._plans[plan.fingerprint] = plan
@@ -154,13 +141,6 @@ class PlanCache:
             self._stats.hits += 1
             return plan
 
-    def _count_canonical(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self._stats.canonical_hits += 1
-            else:
-                self._stats.canonical_misses += 1
-
     def get_or_compile(
         self,
         mapping: ClipMapping,
@@ -169,52 +149,60 @@ class PlanCache:
         require_valid: bool = True,
         fp: Optional[str] = None,
         optimize: Optional[bool] = None,
-        count_canonical: Optional[bool] = None,
     ) -> CompiledPlan:
         """The plan for ``(mapping, engine, optimize)``, compiling on
         first use.
 
         Callers applying one mapping to many documents should compute
         the key once via :meth:`fingerprint_for` and pass it in: the
-        per-document retrieval is then a pure dictionary hit.  The
-        fingerprint covers the ``optimize`` flag, so optimized and
-        naive plans for the same mapping coexist without collisions.
+        per-document retrieval is then a pure dictionary hit.  The key
+        covers the ``optimize`` flag, so optimized and naive plans for
+        the same mapping coexist without collisions.
 
-        When the cache canonicalizes and no ``fp`` is supplied, the key
-        is the canonical fingerprint: an alpha-renamed variant of an
+        Without ``fp`` the key is derived here, and the lookup counts
+        as a canonical hit or miss: an alpha-renamed variant of an
         already-compiled mapping is served the existing plan (sound —
-        such variants produce byte-identical output) and counted as a
-        canonical hit.  A caller that computed the canonical key itself
-        via :meth:`fingerprint_for` (the service's registration path)
-        passes ``count_canonical=True`` to opt into the same counting;
-        per-document retrievals leave it unset so serving traffic never
-        inflates the compiles-saved metric.
+        such variants produce byte-identical output).
         """
-        if count_canonical is None:
-            canonical_key = fp is None and self.canonicalize
-        else:
-            canonical_key = count_canonical and self.canonicalize
-        if fp is None:
-            fp = self.fingerprint_for(mapping, engine, optimize=optimize)
+        return self.resolve(
+            mapping, engine, require_valid=require_valid, fp=fp,
+            optimize=optimize,
+        )[0]
+
+    def resolve(
+        self,
+        mapping: ClipMapping,
+        engine: str = "tgd",
+        *,
+        require_valid: bool = True,
+        fp: Optional[str] = None,
+        optimize: Optional[bool] = None,
+    ) -> tuple[CompiledPlan, bool]:
+        """:meth:`get_or_compile`, also saying whether the plan was
+        already cached (the service's registration answer)."""
+        derived = fp is None
+        if derived:
+            fp = self.fingerprint_for(
+                compile_clip(mapping, require_valid=require_valid),
+                engine, optimize=optimize,
+            )
         plan = self.lookup(fp)
-        if canonical_key:
-            self._count_canonical(plan is not None)
+        if derived:
+            with self._lock:
+                if plan is not None:
+                    self._stats.canonical_hits += 1
+                else:
+                    self._stats.canonical_misses += 1
         if plan is not None:
-            return plan
+            return plan, True
         # Compile outside the lock: deterministic, so a concurrent
         # duplicate compile is wasted work but not an error.
         plan = compile_plan(
             mapping, engine, require_valid=require_valid, fp=fp,
             optimize=optimize,
         )
-        with self._lock:
-            self._stats.compile_seconds += plan.compile_seconds
-            self._plans[fp] = plan
-            self._plans.move_to_end(fp)
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-                self._stats.evictions += 1
-        return plan
+        self.put(plan)
+        return plan, False
 
 
 #: The process-wide default cache: independent runners and CLI calls

@@ -8,19 +8,20 @@ depends only on ``(mapping, engine)`` happens in :func:`compile_plan`
 (validity check, tgd compilation, engine-artifact emission, evaluation
 ordering), and applying the plan to a document touches none of it.
 
-:func:`fingerprint` gives plans a stable identity: the SHA-256 of the
-mapping's persistent JSON document (schemas as XSD text plus the drawn
-lines, see :mod:`repro.io`) combined with the engine name.  Two
-structurally equal mappings — the same drawing, loaded twice —
-fingerprint identically; any structural edit changes the digest.  The
-plan cache (:mod:`repro.runtime.cache`) keys on exactly this.
+:func:`canonical_fingerprint` is a plan's identity: the SHA-256 of the
+compiled tgd's canonical normal form combined with the engine name, so
+drawings that differ only in variable names or ``where``-conjunct
+order — which compile to the same plan — share one key.  Every
+plan-cache key comes from it.  The structural :func:`fingerprint` (the
+mapping's persistent JSON document, see :mod:`repro.io`) only seeds
+trace span ids (:func:`trace_seed`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
@@ -50,42 +51,38 @@ def fingerprint(
     *,
     optimize: Optional[bool] = None,
 ) -> str:
-    """A stable content fingerprint of ``(mapping, engine, optimize)``.
+    """A structural fingerprint of ``(mapping, engine, optimize)``.
 
-    Structural: computed from the mapping's persistent JSON document,
-    so distinct in-memory objects describing the same drawing share a
-    fingerprint, and any edit (a new value mapping, a changed
-    condition, a different schema) produces a new one.
-
-    The (resolved) ``optimize`` flag participates so that a shared
-    plan cache never serves an optimized plan to a caller that asked
-    for the naive reference path, or vice versa.  The default
-    (optimized) case keeps the historical payload, so fingerprints
-    recorded before the planner existed still match.
+    Computed from the mapping's persistent JSON document, so distinct
+    in-memory objects describing the same drawing share it, and any
+    edit (a new value mapping, a changed condition, a different
+    schema, or a renamed variable) produces a new one.  It seeds trace
+    span ids (:func:`trace_seed`); plan caches key on
+    :func:`canonical_fingerprint`.  The default (optimized) case keeps
+    the historical payload, so recorded seeds still match.
     """
     payload = f"{engine}{_marker(engine, optimize)}\n{_dump_mapping(mapping)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def canonical_fingerprint(
-    mapping: ClipMapping,
+    mapping: Union[ClipMapping, NestedTgd],
     engine: str = "tgd",
     *,
     optimize: Optional[bool] = None,
 ) -> str:
-    """A *semantic* plan fingerprint: alpha-renamed-equivalent mappings
-    share it.
+    """The plan-cache key of ``(mapping, engine, optimize)``:
+    alpha-renamed-equivalent mappings share it.
 
     Hashes the canonical normal form of the compiled tgd
-    (:func:`repro.algebra.canonical_render`) instead of the persistent
-    JSON document, so two drawings that differ only in bound variable
-    names or ``where``-conjunct order key the same cache slot.  The
-    engine / optimize markers participate exactly as in
-    :func:`fingerprint`, plus a ``|canonical`` tag so canonical and
-    structural keys can never collide.
-
-    Used by :class:`repro.runtime.cache.PlanCache` when canonicalization
-    is enabled (``CLIP_CACHE_CANONICALIZE``).
+    (:func:`repro.algebra.canonical_render`), so two drawings that
+    differ only in bound variable names or ``where``-conjunct order key
+    the same cache slot.  A caller already holding the compiled tgd
+    passes it instead of the mapping and skips the compile.  The
+    resolved ``optimize`` flag participates (a shared cache never
+    serves an optimized plan to a caller that asked for the naive
+    path), and a ``|canonical`` tag keeps the key apart from any
+    structural :func:`fingerprint`.
     """
     from ..algebra.normalize import canonical_render
 
@@ -231,9 +228,8 @@ def _engine_runner(
 
     Every closure accepts an optional ``trace`` keyword: the tgd
     engine records execute/plan spans, the XQuery interpreter eval
-    spans; XSLT has no internal instrumentation, so its closure accepts
-    and ignores the tracer (the batch layer's attempt spans still
-    cover it).
+    spans; XSLT has no internal instrumentation, so its closure wraps
+    the whole application in one ``execute`` span.
     """
     if engine == "tgd":
         tgd_plan = prepare(
@@ -250,7 +246,20 @@ def _engine_runner(
         from ..xslt import apply_stylesheet, emit_xslt
 
         sheet = emit_xslt(tgd)
-        return (lambda doc, trace=None: apply_stylesheet(sheet, doc)), None
+
+        def run_xslt(doc: XmlElement, trace=None) -> XmlElement:
+            if not trace:
+                return apply_stylesheet(sheet, doc)
+            # Recorded as failed unless the application returns.
+            with trace.span("execute", status="error") as span:
+                result = apply_stylesheet(sheet, doc)
+                span.attrs.update(
+                    status="ok", source_elements=doc.size(),
+                    target_elements=result.size(),
+                )
+            return result
+
+        return run_xslt, None
     raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
 
 
@@ -298,15 +307,16 @@ def compile_plan(
     check, tgd compilation, engine-artifact emission, and (for the tgd
     engine, unless ``optimize`` resolves off) the join-aware level
     plans of :mod:`repro.executor.planner` with their generated
-    program.  ``fp`` lets callers that already computed the
-    fingerprint (the cache) skip recomputing it.
+    program.  ``fp`` lets callers that already computed the key (the
+    cache) skip recomputing it; the default is the
+    :func:`canonical_fingerprint` of the tgd compiled here.
     """
     resolved = resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean)
-    if fp is None:
-        fp = fingerprint(mapping, engine, optimize=resolved)
     started = time.perf_counter()
     report = check(mapping)
     tgd = compile_clip(mapping, require_valid=require_valid, report=report)
+    if fp is None:
+        fp = canonical_fingerprint(tgd, engine, optimize=resolved)
     runner, tgd_plan = _engine_runner(tgd, engine, resolved)
     return CompiledPlan(
         engine, fp, tgd, runner,

@@ -13,10 +13,10 @@ Endpoints
   (optionally ``?engine=``/``?optimize=``); compiles it
   once into the shared :class:`~repro.runtime.cache.PlanCache` and
   returns the fingerprint that transform requests address it by.
-  Re-registering is idempotent and a visible plan-cache hit.  With a
-  canonicalizing cache (``CLIP_CACHE_CANONICALIZE``) the fingerprint is
-  the *canonical* one — an alpha-renamed variant of a registered
-  mapping registers as a cache hit without a second compile.
+  Re-registering is idempotent and a visible plan-cache hit.  The
+  fingerprint is the plan cache's canonical key — an alpha-renamed
+  variant of a registered mapping registers as a cache hit without a
+  second compile.
 * ``POST /mappings/compose`` — fuse two registered mappings (JSON
   envelope ``{"first": FP_AB, "second": FP_BC}``) into one composed
   ``A→C`` plan via :func:`repro.algebra.compose_tgds`, keyed by
@@ -491,21 +491,15 @@ class ClipService:
             raise ServiceError("mapping document is not valid UTF-8") from None
         clip = load_mapping_text(text)
         engine, optimize = _strategy(params)
-        # The cache's own key function: the canonical fingerprint when
-        # the cache canonicalizes (alpha-renamed variants share a plan),
-        # the structural one otherwise.
-        fp = self.cache.fingerprint_for(clip, engine, optimize=optimize)
-        was_cached = self.cache.peek(fp) is not None
-        # The one compile (on a miss): the lookup inside get_or_compile
-        # counts the hit or miss that GET /metrics then reports, and —
-        # since the key above is the cache's own (possibly canonical)
-        # one — the canonical hit/miss as well.
-        plan = self.cache.get_or_compile(
-            clip, engine, fp=fp, optimize=optimize, count_canonical=True,
-        )
+        # The cache derives the canonical key (alpha-renamed variants
+        # share a plan) and compiles at most once; its lookup counts
+        # the hit or miss, canonical included, that GET /metrics
+        # reports.
+        plan, was_cached = self.cache.resolve(clip, engine, optimize=optimize)
         return self._enter(
             RegisteredMapping(
-                fp, clip, engine, optimize, clip.source, clip.target
+                plan.fingerprint, clip, engine, optimize, clip.source,
+                clip.target,
             ),
             was_cached,
             plan.report.is_valid if plan.report is not None else True,
@@ -548,8 +542,9 @@ class ClipService:
         engine, optimize = _strategy(params)
         # Raises ComposeError (422) outside the composable fragment.
         composed = compose(first.mapping, second.mapping)
-        # The stage keys at this request's own engine and optimize, so
-        # each execution strategy is a distinct fingerprint.
+        # The operands' canonical keys at this request's own engine
+        # and optimize, so each execution strategy is a distinct
+        # fingerprint.
         fp = compose_fingerprint(*(
             self.cache.fingerprint_for(operand.mapping, engine,
                                        optimize=optimize)

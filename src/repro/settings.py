@@ -1,8 +1,8 @@
 """One resolution rule for every configuration knob.
 
-Every setting — the ``CLIP_SERVICE_*`` service knobs, ``CLIP_OPTIMIZE``
-and ``CLIP_CACHE_CANONICALIZE`` — resolves **flag > environment >
-default** through :func:`resolve_setting`.  Boolean variables share
+Every setting — the ``CLIP_SERVICE_*`` service knobs and
+``CLIP_OPTIMIZE`` — resolves **flag > environment > default** through
+:func:`resolve_setting`.  Boolean variables share
 one parser, :func:`boolean`, so they accept the same spellings and
 reject the same typos.  This module imports nothing from the package,
 so the executor and the runtime use it without pulling in the HTTP

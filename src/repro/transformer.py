@@ -14,7 +14,6 @@ from .core.tgd import NestedTgd
 from .core.validity import ValidityReport, check
 from .xml.model import XmlElement
 from .xquery.emit import emit_xquery
-from .xquery.interp import run_query
 from .xquery.serialize import serialize as serialize_xquery
 
 
@@ -72,12 +71,15 @@ class Transformer:
 
     @property
     def plan(self):
-        """The prepared tgd evaluation plan (built lazily, reused across
-        calls)."""
+        """The :class:`repro.runtime.CompiledPlan` every call runs, on
+        this transformer's engine (built lazily, reused across calls)."""
         if self._plan is None:
-            from .executor import prepare
+            from .runtime.plan import plan_from_tgd
 
-            self._plan = prepare(self.tgd, optimize=self.optimize)
+            self._plan = plan_from_tgd(
+                self.tgd, self.engine, optimize=self.optimize,
+                target=self.mapping.target,
+            )
         return self._plan
 
     @property
@@ -125,45 +127,16 @@ class Transformer:
         if trace is None:
             trace = self._trace
         if not trace:
-            if self.engine == "xquery":
-                return run_query(self.xquery, source_instance)
-            if self.engine == "xslt":
-                from .xslt import apply_stylesheet
-
-                return apply_stylesheet(self.stylesheet, source_instance)
             return self.plan.run(source_instance)
         self._seed_trace(trace)
         # The prepare span is always present (stable trace shape across
         # repeated calls); after the first call it is an instant no-op.
         span = trace.begin("prepare")
-        if self.engine == "xquery":
-            artifact = self.xquery
-        elif self.engine == "xslt":
-            artifact = self.stylesheet
-        else:
-            artifact = self.plan
+        plan = self.plan
         trace.end(span)
         span = trace.begin("transform")
         try:
-            if self.engine == "xquery":
-                result = run_query(artifact, source_instance, trace=trace)
-            elif self.engine == "xslt":
-                from .xslt import apply_stylesheet
-
-                execute = trace.begin("execute")
-                try:
-                    result = apply_stylesheet(artifact, source_instance)
-                except Exception:
-                    execute.attrs["status"] = "error"
-                    trace.end(execute)
-                    raise
-                trace.end(
-                    execute, status="ok",
-                    source_elements=source_instance.size(),
-                    target_elements=result.size(),
-                )
-            else:
-                result = artifact.run(source_instance, trace=trace)
+            result = plan.run(source_instance, trace=trace)
         except Exception:
             span.attrs["status"] = "error"
             trace.end(span)

@@ -14,7 +14,7 @@ Three suites over :mod:`repro.algebra`:
   along where-conjunct chains, and antisymmetry up to equivalence
   (mutual containment of alpha-renamed mappings proves ``equivalent``).
   The canonical normal form backing it is pinned byte-for-byte as a
-  regression anchor for canonicalized plan-cache keys.
+  regression anchor for plan-cache keys.
 
 * **Inversion** — for the copy-like fragment,
   ``quasi_inverse(m)(m(source))`` must match the independently derived
@@ -318,7 +318,7 @@ def test_canonical_render_pinned():
     """The canonical normal form is a cache-key contract: variables
     alpha-renamed to ``c0, c1, …`` in traversal order, where-conjuncts
     sorted, everything else in document order.  Pinned byte-for-byte —
-    changing this changes every canonicalized plan-cache key."""
+    changing this changes every plan-cache key."""
     rendered = canonical_render(
         compile_clip(_m_ab(emp_cond="$e.sal.value > 1000"))
     )
@@ -391,14 +391,14 @@ def test_transformer_compose_inlined_byte_identity():
     assert composed.mode == "inlined"
     instance = _instance()
     assert to_xml(composed(instance)) == to_xml(second(first(instance)))
-    from repro.runtime.plan import fingerprint as structural_fingerprint
+    from repro.runtime.plan import canonical_fingerprint
 
     assert composed.fingerprint == compose_fingerprint(
-        structural_fingerprint(
+        canonical_fingerprint(
             composed.first.mapping, composed.engine,
             optimize=composed.first.optimize,
         ),
-        structural_fingerprint(
+        canonical_fingerprint(
             composed.second.mapping, composed.engine,
             optimize=composed.second.optimize,
         ),
@@ -434,13 +434,13 @@ def test_pipeline_fusion_byte_identity():
 
 def test_pipeline_fused_key_folds_every_stage_fingerprint():
     from repro.pipeline import Pipeline
-    from repro.runtime.plan import fingerprint
+    from repro.runtime.plan import canonical_fingerprint
 
     stages = [_m_ab(), _m_bb(), _m_bc()]
     fused = Pipeline(stages, fuse=True)
     assert fused.fused_groups == [[0, 1, 2]]
     assert fused.fallback_reasons == [None, None]
-    a, b, c = (fingerprint(m, "tgd") for m in stages)
+    a, b, c = (canonical_fingerprint(m, "tgd") for m in stages)
     [plan] = fused.fused_plans
     assert plan.fingerprint == compose_fingerprint(a, b, c)
     assert compose_fingerprint(a, b, c) == compose_fingerprint(
@@ -457,7 +457,7 @@ def test_composed_transformer_is_a_two_stage_fused_pipeline():
     from repro import Transformer
     from repro.errors import MappingError
     from repro.pipeline import Pipeline
-    from repro.runtime.plan import fingerprint
+    from repro.runtime.plan import canonical_fingerprint
 
     first = Transformer(_m_ab(), optimize=False)
     second = Transformer(_m_bc(), optimize=False)
@@ -468,8 +468,8 @@ def test_composed_transformer_is_a_two_stage_fused_pipeline():
     assert composed.plan.optimize is False
     assert composed.plan.fingerprint == composed.fingerprint == (
         compose_fingerprint(
-            fingerprint(first.mapping, "tgd", optimize=False),
-            fingerprint(second.mapping, "tgd", optimize=False),
+            canonical_fingerprint(first.mapping, "tgd", optimize=False),
+            canonical_fingerprint(second.mapping, "tgd", optimize=False),
         )
     )
     # Composition checks adjacency: B→C after B→C does not line up.

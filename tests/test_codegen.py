@@ -191,9 +191,10 @@ def test_exec_mode_is_derived_from_what_runs():
 
 
 def test_default_fingerprints_are_unchanged():
-    """Fingerprints key plan caches and service registrations: the
-    values recorded before the execution backends were consolidated
-    must still come out."""
+    """Structural fingerprints seed trace span ids and canonical ones
+    key plan caches and service registrations: the values recorded
+    before the execution backends were consolidated must still come
+    out."""
     mapping = deptstore.mapping_fig6()
     assert fingerprint(mapping, "tgd") == (
         "f78e821809163aac5e78d72307327df6d35992bafacadb1953f2f0ef53eb3adc"

@@ -14,6 +14,7 @@ from repro import Transformer
 from repro.runtime import (
     BatchRunner,
     PlanCache,
+    canonical_fingerprint,
     compile_plan,
     default_cache,
     fingerprint,
@@ -84,7 +85,7 @@ class TestPlanCache:
         refresh the entry's LRU position."""
         cache = PlanCache(maxsize=2)
         mapping = deptstore.mapping_fig4()
-        fp = fingerprint(mapping)
+        fp = canonical_fingerprint(mapping)
         assert cache.peek(fp) is None  # a miss that is not counted
         plan = cache.get_or_compile(mapping)
         stats_before = cache.stats
@@ -133,7 +134,7 @@ class TestPlanCache:
         cache = PlanCache()
         mapping = deptstore.mapping_fig4()
         transformer = Transformer(mapping)
-        fp = fingerprint(mapping, "tgd")
+        fp = canonical_fingerprint(transformer.tgd, "tgd")
         cache.put(plan_from_tgd(transformer.tgd, "tgd", fp=fp))
         assert fp in cache
         plan = cache.get_or_compile(mapping)
@@ -145,7 +146,7 @@ class TestPlanCache:
     def test_default_cache_shared_by_get_plan(self):
         mapping = deptstore.mapping_fig4()
         assert get_plan(mapping) is get_plan(mapping)
-        assert fingerprint(mapping) in default_cache()
+        assert canonical_fingerprint(mapping) in default_cache()
 
     def test_compiled_plan_matches_transformer(self):
         mapping = deptstore.mapping_fig7()
@@ -255,8 +256,6 @@ class TestCanonicalizedKeys:
         return clip
 
     def test_structural_fingerprints_differ_canonical_agree(self):
-        from repro.runtime import canonical_fingerprint
-
         original = deptstore.mapping_fig3()
         renamed = self._fig3_renamed()
         assert fingerprint(original) != fingerprint(renamed)
@@ -264,20 +263,23 @@ class TestCanonicalizedKeys:
             renamed
         )
 
-    def test_fingerprint_for_follows_the_canonicalize_flag(self):
-        plain = PlanCache()
-        canonical = PlanCache(canonicalize=True)
+    def test_fingerprint_for_is_the_canonical_key(self):
+        """One recipe: the cache's key for a mapping and for its
+        compiled tgd is :func:`canonical_fingerprint`, whatever the
+        variable names."""
+        cache = PlanCache()
         original = deptstore.mapping_fig3()
-        renamed = self._fig3_renamed()
-        assert plain.fingerprint_for(original) != plain.fingerprint_for(
-            renamed
-        )
-        assert canonical.fingerprint_for(
-            original
-        ) == canonical.fingerprint_for(renamed)
+        key = canonical_fingerprint(original, "tgd", optimize=False)
+        assert cache.fingerprint_for(original, optimize=False) == key
+        assert cache.fingerprint_for(
+            self._fig3_renamed(), optimize=False
+        ) == key
+        assert cache.fingerprint_for(
+            Transformer(original).tgd, optimize=False
+        ) == key
 
     def test_renamed_variant_compiles_once_and_counts_canonical_hit(self):
-        cache = PlanCache(canonicalize=True)
+        cache = PlanCache()
         first = cache.get_or_compile(deptstore.mapping_fig3())
         second = cache.get_or_compile(self._fig3_renamed())
         assert first is second, "alpha-renamed variant recompiled"
@@ -293,38 +295,32 @@ class TestCanonicalizedKeys:
         from repro.xml.serialize import to_xml
 
         instance = deptstore.source_instance()
-        shared = PlanCache(canonicalize=True)
+        shared = PlanCache()
         shared.get_or_compile(deptstore.mapping_fig3())
         via_shared = shared.get_or_compile(self._fig3_renamed())(instance)
-        own = PlanCache().get_or_compile(self._fig3_renamed())(instance)
+        own = compile_plan(self._fig3_renamed())(instance)
         assert to_xml(via_shared) == to_xml(own)
 
-    def test_structural_cache_keeps_variants_apart(self):
-        cache = PlanCache()
-        first = cache.get_or_compile(deptstore.mapping_fig3())
-        second = cache.get_or_compile(self._fig3_renamed())
-        assert first is not second
-        stats = cache.stats
-        assert stats.misses == 2
-        assert stats.canonical_hits == stats.canonical_misses == 0
-
     def test_explicit_fp_skips_canonical_counting_by_default(self):
-        cache = PlanCache(canonicalize=True)
+        """Per-document retrievals pass their runner's key: they count
+        as plain hits/misses, never as canonical ones."""
+        cache = PlanCache()
         mapping = deptstore.mapping_fig3()
         fp = cache.fingerprint_for(mapping)
         cache.get_or_compile(mapping, fp=fp)
         cache.get_or_compile(mapping, fp=fp)
         stats = cache.stats
+        assert (stats.misses, stats.hits) == (1, 1)
         assert stats.canonical_hits == stats.canonical_misses == 0
-        # ...and opts in when the caller says the key is canonical.
-        cache.get_or_compile(mapping, fp=fp, count_canonical=True)
+        # ...while a derived key counts.
+        plan, was_cached = cache.resolve(self._fig3_renamed())
+        assert was_cached and plan.fingerprint == fp
         assert cache.stats.canonical_hits == 1
 
     def test_where_conjunct_order_is_canonicalized(self):
         """The normal form sorts where-conjuncts: mappings differing
         only in filter-condition order share a canonical key."""
         from repro.core.mapping import ClipMapping
-        from repro.runtime import canonical_fingerprint
         from repro.xsd.dsl import attr, elem, schema
         from repro.xsd.types import INT, STRING
 
@@ -345,21 +341,116 @@ class TestCanonicalizedKeys:
         other = make("$r.@b > 2 and $r.@a > 1")
         assert canonical_fingerprint(one) == canonical_fingerprint(other)
 
-    def test_environment_flag_resolution(self, monkeypatch):
-        from repro.runtime.cache import CANONICALIZE_ENV
 
-        def resolve_canonicalize(flag=None):
-            return PlanCache(canonicalize=flag).canonicalize
+class TestOneKeyRecipe:
+    """Every plan-cache key comes from ``canonical_fingerprint``."""
 
-        monkeypatch.delenv(CANONICALIZE_ENV, raising=False)
-        assert resolve_canonicalize() is False
-        assert resolve_canonicalize(True) is True
-        monkeypatch.setenv(CANONICALIZE_ENV, "1")
-        assert resolve_canonicalize() is True
-        assert resolve_canonicalize(False) is False
-        assert PlanCache(canonicalize=None).canonicalize is True
-        monkeypatch.setenv(CANONICALIZE_ENV, "off")
-        assert resolve_canonicalize() is False
-        monkeypatch.setenv(CANONICALIZE_ENV, "sideways")
-        with pytest.raises(ValueError, match=CANONICALIZE_ENV):
-            resolve_canonicalize()
+    def test_renamed_variant_compiles_nothing_new_on_any_surface(self):
+        """After the service registers Figure 3 on the shared default
+        cache, an alpha-renamed Figure 3 served through a plain
+        ``BatchRunner`` and through a ``Pipeline.run_batch`` stage
+        reuses that plan, and serializes as the variant's own
+        compile."""
+        import json
+
+        from repro.io import dumps
+        from repro.pipeline import Pipeline
+        from repro.service import ClipService, ServiceConfig
+        from repro.xml.serialize import to_xml
+
+        cache = default_cache()
+        service = ClipService(ServiceConfig.resolve(environ={}), cache=cache)
+        response = service.dispatch(
+            "POST", "/mappings", {}, dumps(deptstore.mapping_fig3()).encode()
+        )
+        assert response.status in (200, 201), response.body
+        registered = json.loads(response.body)["fingerprint"]
+        variant = TestCanonicalizedKeys._fig3_renamed()
+        docs = _docs(3)
+        before = cache.stats
+        runner = BatchRunner(variant)
+        assert runner.fingerprint == registered
+        via_runner = runner.run(docs)
+        via_stage = Pipeline([variant]).run_batch(docs)
+        after = cache.stats
+        assert after.misses == before.misses, "a surface recompiled"
+        assert after.compile_seconds == before.compile_seconds
+        own = compile_plan(variant)
+        expected = [to_xml(own(doc)) for doc in docs]
+        assert [to_xml(doc) for doc in via_runner.results] == expected
+        assert [to_xml(doc) for doc in via_stage.results] == expected
+
+    def test_no_module_calls_the_structural_fingerprint(self):
+        """Only ``runtime/plan.py`` (for trace seeds) calls the
+        structural ``fingerprint``; no module reads the retired
+        canonicalize flag."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            text = path.read_text(encoding="utf-8")
+            if "CLIP_CACHE_CANONICALIZE" in text:
+                offenders.append(f"{relative} reads CLIP_CACHE_CANONICALIZE")
+            if relative == "runtime/plan.py":
+                continue
+            tree = ast.parse(text)
+            # Local names the structural fingerprint is imported under.
+            aliases = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] in ("plan", "runtime")
+                for alias in node.names
+                if alias.name == "fingerprint"
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in aliases:
+                    offenders.append(f"{relative}:{node.lineno}")
+                elif (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "fingerprint"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("plan", "runtime")
+                ):
+                    offenders.append(f"{relative}:{node.lineno}")
+        assert offenders == []
+
+    def test_surfaces_key_without_the_structural_fingerprint(
+        self, monkeypatch
+    ):
+        """With the structural fingerprint disabled, untraced compile,
+        cache, runner, pipeline and composition paths still key and
+        run every plan."""
+        from repro.pipeline import Pipeline
+        from repro.runtime import plan as plan_module
+        from repro.scenarios import publications
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a plan key used the structural fingerprint")
+
+        monkeypatch.setattr(plan_module, "fingerprint", forbidden)
+        mapping = deptstore.mapping_fig3()
+        docs = _docs(2)
+        cache = PlanCache()
+        compile_plan(mapping)
+        cache.get_or_compile(mapping)
+        BatchRunner(mapping, cache=cache).run(docs)
+        Pipeline([mapping]).run_batch(docs, cache=cache)
+        fused = Pipeline([mapping], fuse=True)
+        assert fused.fused_plans[0].fingerprint == cache.fingerprint_for(
+            mapping
+        )
+        fused.run(docs[0])
+        composed = Transformer(publications.normalize_mapping()).compose(
+            publications.publish_mapping()
+        )
+        assert composed.fingerprint
+        composed(publications.feed_instance())

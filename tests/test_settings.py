@@ -1,8 +1,8 @@
 """One resolver for every setting: :func:`repro.settings.resolve_setting`.
 
-Boolean variables share one parser, so ``CLIP_OPTIMIZE`` and
-``CLIP_CACHE_CANONICALIZE`` accept the same spellings and reject the
-same typos with a ``ValueError`` that names the variable.
+Boolean variables share one parser, so every boolean variable
+(``CLIP_OPTIMIZE`` among them) accepts the same spellings and rejects
+the same typos with a ``ValueError`` that names the variable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.core.compile import compile_clip
 from repro.executor import prepare
 from repro.executor.planner import OPTIMIZE_ENV
 from repro.runtime import BatchRunner, PlanCache, fingerprint
-from repro.runtime.cache import CANONICALIZE_ENV
 from repro.scenarios import deptstore
 from repro.service.config import resolve_setting as service_resolve_setting
 from repro.settings import boolean, resolve_setting
@@ -77,12 +76,3 @@ def test_unrecognized_optimize_value_raises_naming_the_variable(monkeypatch):
         BatchRunner(mapping, cache=PlanCache())
     # An explicit flag never consults the environment.
     assert prepare(compile_clip(mapping), optimize=True).optimize is True
-
-
-def test_unrecognized_canonicalize_value_raises_naming_the_variable(
-    monkeypatch,
-):
-    monkeypatch.setenv(CANONICALIZE_ENV, "sideways")
-    with pytest.raises(ValueError, match="CLIP_CACHE_CANONICALIZE"):
-        PlanCache()
-    assert PlanCache(canonicalize=False).canonicalize is False

@@ -125,6 +125,31 @@ class TestStructure:
         _check_structure(tracer.to_trace())
 
 
+    def test_xslt_batch_attempts_record_an_execute_span(self):
+        """XSLT has no internal instrumentation: its plan wraps each
+        application in one ``execute`` span, in batch attempts exactly
+        as under a traced Transformer."""
+        instance = deptstore.source_instance()
+        tracer = SpanTracer()
+        batch = BatchRunner(
+            deptstore.mapping_fig6(), engine="xslt", cache=PlanCache(),
+            trace=tracer,
+        ).run([instance])
+        spans = {span["path"]: span for span in tracer.to_trace().iter_spans()}
+        execute = spans["batch/doc[0]/attempt[0]/execute"]
+        assert execute["attrs"] == {
+            "status": "ok",
+            "source_elements": instance.size(),
+            "target_elements": batch.results[0].size(),
+        }
+        direct = {
+            span["path"]: span
+            for span in _traced_run("fig6", "xslt", instance)
+            .to_trace().iter_spans()
+        }
+        assert direct["transform/execute"]["attrs"] == execute["attrs"]
+
+
 class TestRepeatability:
     @pytest.mark.parametrize("engine", ("tgd", "xquery", "xslt"))
     @settings(
