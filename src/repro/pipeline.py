@@ -149,9 +149,9 @@ class Pipeline:
 
         optimize = self.transformers[group[-1]].optimize
         return [
-            canonical_fingerprint(self.transformers[index].tgd, self.engine,
-                                  optimize=optimize)
-            for index in group
+            canonical_fingerprint(stage.mapping, self.engine,
+                                  optimize=optimize, tgd=stage.tgd)
+            for stage in (self.transformers[index] for index in group)
         ]
 
     @property
@@ -365,11 +365,12 @@ class Pipeline:
             root_span = trace.begin("pipeline-batch", stages=len(self))
         for index, transformer in enumerate(self.transformers):
             optimize = transformer.optimize
-            fp = canonical_fingerprint(transformer.tgd, self.engine,
-                                       optimize=optimize)
+            fp = canonical_fingerprint(transformer.mapping, self.engine,
+                                       optimize=optimize, tgd=transformer.tgd)
             if fp not in cache:
                 cache.put(plan_from_tgd(
                     transformer.tgd, self.engine, fp=fp, optimize=optimize,
+                    target=transformer.mapping.target,
                 ))
             runner = BatchRunner(
                 transformer.mapping,

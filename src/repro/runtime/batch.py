@@ -454,7 +454,7 @@ class BatchRunner:
         The precomputed plan-cache key of ``(mapping, engine,
         optimize)``, for callers (the HTTP service, pipeline stages)
         that already hold it; ``None`` (default) derives it with
-        :meth:`PlanCache.fingerprint_for`.  Passing a key that does
+        :meth:`PlanCache.fingerprint_for` on first use.  Passing a key that does
         not match the other arguments corrupts cache keying — only
         pass values obtained from
         :func:`repro.runtime.plan.canonical_fingerprint` with
@@ -512,13 +512,18 @@ class BatchRunner:
         # already keyed the mapping at registration passes it in,
         # keeping per-request runner construction free of the
         # compile-and-hash cost.
-        self.fingerprint = (
-            fingerprint
-            if fingerprint is not None
-            else self.cache.fingerprint_for(
-                self.mapping, engine, optimize=self.optimize
+        self._fingerprint = fingerprint
+
+    @property
+    def fingerprint(self) -> str:
+        """The plan-cache key of this runner's retrievals: the one
+        passed in, or the canonical key derived on first use — so an
+        invalid mapping raises from the first retrieval, not here."""
+        if self._fingerprint is None:
+            self._fingerprint = self.cache.fingerprint_for(
+                self.mapping, self.engine, optimize=self.optimize
             )
-        )
+        return self._fingerprint
 
     # -- execution ---------------------------------------------------------
 

@@ -5,9 +5,10 @@ cache turns all but the first retrieval into a dictionary hit.  Keys
 are the semantic fingerprints of
 :func:`repro.runtime.plan.canonical_fingerprint`, so the cache sees
 through object identity — the same mapping document loaded twice
-compiles once — and through alpha-renaming: mappings that differ only
-by bound-variable names or ``where``-conjunct order, which provably
-produce byte-identical output, share one compiled plan.  The
+compiles once — and through alpha-renaming: mappings over the same
+schemas that differ only by bound-variable names or ``where``-conjunct
+order, which provably produce byte-identical output, share one
+compiled plan.  The
 ``canonical_hits`` / ``canonical_misses`` counters report the lookups
 whose key :meth:`PlanCache.get_or_compile` derived itself, separately
 from the raw hit/miss totals.
@@ -21,14 +22,16 @@ evictions, and the seconds spent compiling on misses.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
 from ..core.tgd import NestedTgd
-from .plan import CompiledPlan, canonical_fingerprint, compile_plan
+from ..core.validity import check
+from .plan import CompiledPlan, canonical_fingerprint, compile_plan, plan_from_tgd
 
 
 @dataclass
@@ -98,14 +101,16 @@ class PlanCache:
 
     def fingerprint_for(
         self,
-        mapping: Union[ClipMapping, NestedTgd],
+        mapping: ClipMapping,
         engine: str = "tgd",
         *,
         optimize: Optional[bool] = None,
+        tgd: Optional[NestedTgd] = None,
     ) -> str:
-        """The key this cache uses for a mapping (or its compiled tgd):
-        its :func:`~repro.runtime.plan.canonical_fingerprint`."""
-        return canonical_fingerprint(mapping, engine, optimize=optimize)
+        """The key this cache uses for a mapping (``tgd``: its compiled
+        tgd, when the caller holds it): its
+        :func:`~repro.runtime.plan.canonical_fingerprint`."""
+        return canonical_fingerprint(mapping, engine, optimize=optimize, tgd=tgd)
 
     def put(self, plan: CompiledPlan) -> None:
         """Insert a compiled plan under its own fingerprint (a fresh
@@ -180,14 +185,17 @@ class PlanCache:
     ) -> tuple[CompiledPlan, bool]:
         """:meth:`get_or_compile`, also saying whether the plan was
         already cached (the service's registration answer)."""
-        derived = fp is None
-        if derived:
-            fp = self.fingerprint_for(
-                compile_clip(mapping, require_valid=require_valid),
-                engine, optimize=optimize,
+        started = time.perf_counter()
+        tgd = None
+        if fp is None:
+            # Key from the one compile a miss needs anyway.
+            report = check(mapping)
+            tgd = compile_clip(
+                mapping, require_valid=require_valid, report=report
             )
+            fp = self.fingerprint_for(mapping, engine, optimize=optimize, tgd=tgd)
         plan = self.lookup(fp)
-        if derived:
+        if tgd is not None:
             with self._lock:
                 if plan is not None:
                     self._stats.canonical_hits += 1
@@ -197,13 +205,19 @@ class PlanCache:
             return plan, True
         # Compile outside the lock: deterministic, so a concurrent
         # duplicate compile is wasted work but not an error.
-        plan = compile_plan(
-            mapping, engine, require_valid=require_valid, fp=fp,
-            optimize=optimize,
-        )
+        if tgd is None:
+            plan = compile_plan(
+                mapping, engine, require_valid=require_valid, fp=fp,
+                optimize=optimize,
+            )
+        else:
+            plan = plan_from_tgd(
+                tgd, engine, fp=fp, optimize=optimize,
+                target=mapping.target, report=report,
+            )
+            plan.compile_seconds = time.perf_counter() - started
         self.put(plan)
         return plan, False
-
 
 #: The process-wide default cache: independent runners and CLI calls
 #: within one process share compiled plans.

@@ -9,10 +9,10 @@ depends only on ``(mapping, engine)`` happens in :func:`compile_plan`
 ordering), and applying the plan to a document touches none of it.
 
 :func:`canonical_fingerprint` is a plan's identity: the SHA-256 of the
-compiled tgd's canonical normal form combined with the engine name, so
-drawings that differ only in variable names or ``where``-conjunct
-order — which compile to the same plan — share one key.  Every
-plan-cache key comes from it.  The structural :func:`fingerprint` (the
+compiled tgd's canonical normal form, the two schemas and the engine
+name, so drawings over the same schemas that differ only in variable
+names or ``where``-conjunct order — which compile to the same plan —
+share one key.  Every plan-cache key comes from it.  The structural :func:`fingerprint` (the
 mapping's persistent JSON document, see :mod:`repro.io`) only seeds
 trace span ids (:func:`trace_seed`).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
@@ -32,6 +32,7 @@ from ..executor.planner import OPTIMIZE_ENV
 from ..io import dumps as _dump_mapping
 from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
+from ..xsd.parser import to_xsd
 
 #: The engines a plan can target, in cross-check order.
 ENGINES = ("tgd", "xquery", "xslt")
@@ -66,10 +67,11 @@ def fingerprint(
 
 
 def canonical_fingerprint(
-    mapping: Union[ClipMapping, NestedTgd],
+    mapping: ClipMapping,
     engine: str = "tgd",
     *,
     optimize: Optional[bool] = None,
+    tgd: Optional[NestedTgd] = None,
 ) -> str:
     """The plan-cache key of ``(mapping, engine, optimize)``:
     alpha-renamed-equivalent mappings share it.
@@ -77,18 +79,26 @@ def canonical_fingerprint(
     Hashes the canonical normal form of the compiled tgd
     (:func:`repro.algebra.canonical_render`), so two drawings that
     differ only in bound variable names or ``where``-conjunct order key
-    the same cache slot.  A caller already holding the compiled tgd
-    passes it instead of the mapping and skips the compile.  The
-    resolved ``optimize`` flag participates (a shared cache never
-    serves an optimized plan to a caller that asked for the naive
-    path), and a ``|canonical`` tag keeps the key apart from any
-    structural :func:`fingerprint`.
+    the same cache slot.  The source and target schemas (their XSD
+    text) participate too: instances are parsed and typed against them,
+    so mappings whose drawings agree over different schemas never share
+    a key.  A caller already holding the compiled tgd passes it as
+    ``tgd`` and skips the compile (which raises
+    :class:`~repro.errors.InvalidMappingError` on an invalid mapping:
+    it has no plan to key).  The resolved ``optimize`` flag participates
+    (a shared cache never serves an optimized plan to a caller that
+    asked for the naive path), and a ``|canonical`` tag keeps the key
+    apart from any structural :func:`fingerprint`.
     """
     from ..algebra.normalize import canonical_render
 
     marker = _marker(engine, optimize)
-    tgd = mapping if isinstance(mapping, NestedTgd) else compile_clip(mapping)
-    payload = f"{engine}{marker}|canonical\n{canonical_render(tgd)}"
+    if tgd is None:
+        tgd = compile_clip(mapping)
+    payload = (
+        f"{engine}{marker}|canonical\n{to_xsd(mapping.source)}\n"
+        f"{to_xsd(mapping.target)}\n{canonical_render(tgd)}"
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -271,9 +281,11 @@ def plan_from_tgd(
     optimize: Optional[bool] = None,
     codegen_source: Optional[str] = None,
     target=None,
+    report: Optional[ValidityReport] = None,
 ) -> CompiledPlan:
     """Rebuild a plan from an already-compiled tgd (``target``: the
-    schema its results validate against, when the caller has one).
+    schema its results validate against, and ``report``: its validity
+    report, when the caller has them).
 
     Worker processes use this: the parent ships them the (picklable)
     tgd — plus, for optimized tgd plans, the cached generated source
@@ -286,6 +298,7 @@ def plan_from_tgd(
     runner, tgd_plan = _engine_runner(tgd, engine, resolved, codegen_source)
     return CompiledPlan(
         engine, fp, tgd, runner,
+        report=report,
         compile_seconds=time.perf_counter() - started,
         optimize=resolved,
         tgd_plan=tgd_plan,
@@ -311,18 +324,14 @@ def compile_plan(
     cache) skip recomputing it; the default is the
     :func:`canonical_fingerprint` of the tgd compiled here.
     """
-    resolved = resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean)
     started = time.perf_counter()
     report = check(mapping)
     tgd = compile_clip(mapping, require_valid=require_valid, report=report)
     if fp is None:
-        fp = canonical_fingerprint(tgd, engine, optimize=resolved)
-    runner, tgd_plan = _engine_runner(tgd, engine, resolved)
-    return CompiledPlan(
-        engine, fp, tgd, runner,
+        fp = canonical_fingerprint(mapping, engine, optimize=optimize, tgd=tgd)
+    plan = plan_from_tgd(
+        tgd, engine, fp=fp, optimize=optimize, target=mapping.target,
         report=report,
-        compile_seconds=time.perf_counter() - started,
-        optimize=resolved,
-        tgd_plan=tgd_plan,
-        target=mapping.target,
     )
+    plan.compile_seconds = time.perf_counter() - started
+    return plan

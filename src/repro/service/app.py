@@ -76,6 +76,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .. import errors as errors_module
 from ..algebra import compose, compose_fingerprint
+from ..core.compile import compile_clip
 from ..core.mapping import ClipMapping
 from ..core.tgd import NestedTgd
 from ..errors import (
@@ -540,15 +541,16 @@ class ClipService:
                 "not compositions"
             )
         engine, optimize = _strategy(params)
+        tgds = [compile_clip(operand.mapping) for operand in operands]
         # Raises ComposeError (422) outside the composable fragment.
-        composed = compose(first.mapping, second.mapping)
+        composed = compose(*tgds)
         # The operands' canonical keys at this request's own engine
         # and optimize, so each execution strategy is a distinct
         # fingerprint.
         fp = compose_fingerprint(*(
             self.cache.fingerprint_for(operand.mapping, engine,
-                                       optimize=optimize)
-            for operand in operands
+                                       optimize=optimize, tgd=tgd)
+            for operand, tgd in zip(operands, tgds)
         ))
         was_cached = self.cache.peek(fp) is not None
         entry = RegisteredMapping(

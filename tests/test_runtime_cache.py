@@ -134,7 +134,7 @@ class TestPlanCache:
         cache = PlanCache()
         mapping = deptstore.mapping_fig4()
         transformer = Transformer(mapping)
-        fp = canonical_fingerprint(transformer.tgd, "tgd")
+        fp = canonical_fingerprint(mapping, "tgd", tgd=transformer.tgd)
         cache.put(plan_from_tgd(transformer.tgd, "tgd", fp=fp))
         assert fp in cache
         plan = cache.get_or_compile(mapping)
@@ -239,6 +239,22 @@ class TestBatchRunner:
         with pytest.raises(ValueError):
             BatchRunner(deptstore.mapping_fig4(), engine="sparql")
 
+    def test_invalid_mapping_raises_from_run_not_construction(self):
+        """A keyless runner derives its key on first retrieval, so an
+        invalid mapping builds a runner, runs an empty batch, and raises
+        :class:`InvalidMappingError` from its first document."""
+        from repro.core.mapping import ClipMapping
+        from repro.errors import InvalidMappingError
+
+        clip = ClipMapping(
+            deptstore.source_schema(), deptstore.target_schema_departments()
+        )
+        clip.build("dept", "department", var="d", condition="$zz.x = 1")
+        runner = BatchRunner(clip, cache=PlanCache())
+        assert list(runner.run([])) == []
+        with pytest.raises(InvalidMappingError):
+            runner.run(_docs(1))
+
 
 class TestCanonicalizedKeys:
     """Canonical cache keys: alpha-renamed mappings share one plan."""
@@ -275,7 +291,7 @@ class TestCanonicalizedKeys:
             self._fig3_renamed(), optimize=False
         ) == key
         assert cache.fingerprint_for(
-            Transformer(original).tgd, optimize=False
+            original, optimize=False, tgd=Transformer(original).tgd
         ) == key
 
     def test_renamed_variant_compiles_once_and_counts_canonical_hit(self):
@@ -316,6 +332,57 @@ class TestCanonicalizedKeys:
         plan, was_cached = cache.resolve(self._fig3_renamed())
         assert was_cached and plan.fingerprint == fp
         assert cache.stats.canonical_hits == 1
+
+    def test_derived_key_compiles_the_mapping_once(self, monkeypatch):
+        """A miss with a derived key keys and builds the plan from one
+        Clip compile; a canonical hit costs that one compile only."""
+        from repro.core import compile as compile_module
+
+        calls = []
+        original = compile_module._Compiler.compile
+        monkeypatch.setattr(
+            compile_module._Compiler, "compile",
+            lambda self: calls.append(1) or original(self),
+        )
+        cache = PlanCache()
+        plan, was_cached = cache.resolve(deptstore.mapping_fig3())
+        assert not was_cached and len(calls) == 1
+        assert plan.report.is_valid
+        assert plan.fingerprint == canonical_fingerprint(
+            deptstore.mapping_fig3(), tgd=plan.tgd
+        )
+        calls.clear()
+        assert cache.resolve(self._fig3_renamed()) == (plan, True)
+        assert len(calls) == 1
+
+    def test_schemas_participate_in_the_key(self):
+        """Equal drawings over different schemas parse and type their
+        instances differently: they never share a key."""
+        from repro.core.mapping import ClipMapping
+        from repro.xsd.dsl import attr, elem, schema
+        from repro.xsd.types import INT, STRING
+
+        def over(sal_type, extra=()):
+            clip = ClipMapping(
+                schema(elem("source", elem(
+                    "dept", "[1..*]",
+                    elem("regEmp", "[0..*]", elem("ename", text=STRING),
+                         elem("sal", text=sal_type)),
+                    *extra,
+                ))),
+                deptstore.target_schema_fig3(),
+            )
+            clip.build("dept/regEmp", "department/employee", var="r",
+                       condition="$r.sal.value > 11000")
+            clip.value("dept/regEmp/ename/value", "department/employee/@name")
+            return clip
+
+        keys = {
+            canonical_fingerprint(over(INT)),
+            canonical_fingerprint(over(STRING)),
+            canonical_fingerprint(over(INT, [attr("code", INT)])),
+        }
+        assert len(keys) == 3
 
     def test_where_conjunct_order_is_canonicalized(self):
         """The normal form sorts where-conjuncts: mappings differing

@@ -931,6 +931,38 @@ class TestCanonicalizedCache:
         assert response.body == reference.body
 
 
+    def test_same_drawing_over_other_schemas_registers_apart(
+        self, service, source_xml
+    ):
+        """Figure 3 drawn over a source whose ``sal`` is a string is a
+        different mapping: it gets its own fingerprint, and registering
+        it leaves Figure 3's ``/transform`` bytes alone."""
+        from repro.xsd.dsl import elem, schema
+        from repro.xsd.types import STRING
+
+        fp = register(service, deptstore.mapping_fig3())
+        before = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, source_xml.encode()
+        )
+        variant = ClipMapping(
+            schema(elem("source", elem(
+                "dept", "[1..*]",
+                elem("regEmp", "[0..*]", elem("ename", text=STRING),
+                     elem("sal", text=STRING)),
+            ))),
+            deptstore.target_schema_fig3(),
+        )
+        variant.build("dept/regEmp", "department/employee", var="r",
+                      condition="$r.sal.value > 11000")
+        variant.value("dept/regEmp/ename/value", "department/employee/@name")
+        assert register(service, variant) != fp
+        after = service.dispatch(
+            "POST", f"/transform?mapping={fp}", {}, source_xml.encode()
+        )
+        assert before.status == after.status == 200
+        assert after.body == before.body
+
+
 class TestCompose:
     """``POST /mappings/compose``: the algebra's composition as a
     service surface."""
