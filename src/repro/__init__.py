@@ -31,30 +31,27 @@ Quickstart::
 
 from __future__ import annotations
 
-from . import (
-    algebra,
-    core,
-    errors,
-    executor,
-    generation,
-    runtime,
-    scenarios,
-    xml,
-    xquery,
-    xsd,
-)
-from .algebra import compose_fingerprint, compose_tgds
-from .core.compile import compile_clip
-from .core.mapping import ClipMapping
-from .core.tgd import NestedTgd
-from .core.validity import check
-from .executor.engine import execute
-from .xml.model import XmlElement
-from .xquery.emit import emit_xquery
-from .xquery.interp import run_query
-from .xquery.serialize import serialize as serialize_xquery
-from .transformer import Transformer
-from .pipeline import ComposedTransformer
+from ._lazy import lazy_exports
+
+# Every name loads on first use: ``from repro import Transformer``
+# imports the tgd and XQuery layers, a ``batch`` run never does.
+__getattr__ = lazy_exports(__name__, {
+    ".": ("algebra", "core", "errors", "executor", "generation", "runtime",
+          "scenarios", "xml", "xquery", "xsd"),
+    ".algebra": ("compose_fingerprint", "compose_tgds"),
+    ".core.compile": ("compile_clip",),
+    ".core.mapping": ("ClipMapping",),
+    ".core.tgd": ("NestedTgd",),
+    ".core.validity": ("check",),
+    ".executor.engine": ("execute",),
+    ".xml.model": ("XmlElement",),
+    ".xquery.emit": ("emit_xquery",),
+    ".xquery.interp": ("run_query",),
+    # ``serialize_xquery`` is the transformer's name for
+    # ``repro.xquery.serialize.serialize``.
+    ".transformer": ("Transformer", "serialize_xquery"),
+    ".pipeline": ("ComposedTransformer",),
+})
 
 __version__ = "1.0.0"
 

@@ -19,11 +19,15 @@ Operations outside their decidable/symbolic fragments fail *loudly*
 or answer ``None`` — never silently wrong.
 """
 
-from ..errors import AlgebraError, ComposeError, InverseError
-from .compose import compose, compose_fingerprint, compose_tgds
-from .containment import contains, equivalent, in_decidable_fragment
-from .inverse import core_tgd, predicted_core, quasi_inverse
-from .normalize import canonical_render, canonical_tgd
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "..errors": ("AlgebraError", "ComposeError", "InverseError"),
+    ".compose": ("compose", "compose_fingerprint", "compose_tgds"),
+    ".containment": ("contains", "equivalent", "in_decidable_fragment"),
+    ".inverse": ("core_tgd", "predicted_core", "quasi_inverse"),
+    ".normalize": ("canonical_render", "canonical_tgd"),
+})
 
 __all__ = [
     "AlgebraError",

@@ -65,12 +65,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import Transformer
-from .core.render import render_mapping
 from .core.validity import check
 from .errors import ReproError
 from .io import load as load_mapping
-from .lineage import impact_of_source, impact_of_target, lineage, render_lineage
 from .xml.parser import parse_xml
 from .xml.serialize import to_ascii, to_xml
 
@@ -81,6 +78,9 @@ def _read(path: str) -> str:
 
 
 def _cmd_show(args) -> int:
+    from .core.render import render_mapping
+    from .transformer import Transformer
+
     clip = load_mapping(args.mapping)
     print(render_mapping(clip))
     report = check(clip)
@@ -102,12 +102,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_xquery(args) -> int:
+    from .transformer import Transformer
+
     transformer = Transformer(load_mapping(args.mapping))
     print(transformer.xquery_text)
     return 0
 
 
 def _cmd_xslt(args) -> int:
+    from .transformer import Transformer
+
     transformer = Transformer(load_mapping(args.mapping))
     print(transformer.xslt_text)
     return 0
@@ -169,6 +173,8 @@ def _run_incremental(args, clip, transformer, instance):
 
 
 def _cmd_run(args) -> int:
+    from .transformer import Transformer
+
     clip = load_mapping(args.mapping)
     instance = parse_xml(_read(args.source), schema=clip.source)
     optimize = False if args.no_optimize else None
@@ -213,6 +219,7 @@ def _cmd_compose(args) -> int:
     """``repro compose``: fuse two mapping documents, show the composed
     tgd, optionally transform an instance (with sequential cross-check)."""
     from .core.tgd import render_tgd
+    from .transformer import Transformer
 
     first = load_mapping(args.first)
     second = load_mapping(args.second)
@@ -355,6 +362,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .transformer import Transformer
+
     clip = load_mapping(args.mapping)
     instance = parse_xml(_read(args.source), schema=clip.source)
     optimize = False if args.no_optimize else None
@@ -402,6 +411,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_lineage(args) -> int:
+    from .lineage import impact_of_source, impact_of_target, lineage, render_lineage
+    from .transformer import Transformer
+
     transformer = Transformer(load_mapping(args.mapping), require_valid=False)
     if args.source_path:
         entries = impact_of_source(transformer.tgd, args.source_path)

@@ -1,21 +1,15 @@
 """Direct tgd execution: the naive reference engine, and join-aware
 plan compilation into generated code; instrumented explain modes."""
 
-from .engine import GroupBinding, TgdPlan, execute, prepare
-from .planner import (
-    OPTIMIZE_ENV,
-    PlanCounters,
-    PlannedTgd,
-    PlanStats,
-    plan_tgd,
-)
-from .stats import (
-    ExecutionReport,
-    LevelStats,
-    PlanExplain,
-    explain,
-    explain_plan,
-)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".engine": ("GroupBinding", "TgdPlan", "execute", "prepare"),
+    ".planner": ("OPTIMIZE_ENV", "PlanCounters", "PlannedTgd", "PlanStats",
+                 "plan_tgd"),
+    ".stats": ("ExecutionReport", "LevelStats", "PlanExplain", "explain",
+               "explain_plan"),
+})
 
 __all__ = [
     "execute",

@@ -53,52 +53,27 @@ Quickstart::
 
 from __future__ import annotations
 
-from .batch import BatchResult, BatchRunner, ParsedDocuments, parse_documents
-from .cache import CacheStats, PlanCache, default_cache, get_plan
-from .faults import (
-    DeadLetter,
-    DocumentFailure,
-    ErrorPolicy,
-    Fault,
-    FaultInjector,
-    write_dead_letters,
-)
-from .incremental import (
-    DEFAULT_THRESHOLD,
-    IncrementalReport,
-    IncrementalSession,
-    transform_delta,
-)
-from .metrics import (
-    METRICS_FORMAT,
-    METRICS_VERSION,
-    PARSEABLE_VERSIONS,
-    BatchMetrics,
-    StageMetrics,
-)
-from .plan import (
-    ENGINES,
-    CompiledPlan,
-    canonical_fingerprint,
-    compile_plan,
-    eligible_engines,
-    fingerprint,
-    plan_from_tgd,
-    trace_seed,
-)
-from .retry import Deadline, RetryPolicy, call_with_timeout, is_transient
-from .trace import (
-    PARSEABLE_TRACE_VERSIONS,
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    NullTracer,
-    Span,
-    SpanTracer,
-    Trace,
-    combine_seeds,
-    span_id,
-)
-from .traceview import render_tree, to_chrome_trace
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".batch": ("BatchResult", "BatchRunner", "ParsedDocuments",
+               "parse_documents"),
+    ".cache": ("CacheStats", "PlanCache", "default_cache", "get_plan"),
+    ".faults": ("DeadLetter", "DocumentFailure", "ErrorPolicy", "Fault",
+                "FaultInjector", "write_dead_letters"),
+    ".incremental": ("DEFAULT_THRESHOLD", "IncrementalReport",
+                     "IncrementalSession", "transform_delta"),
+    ".metrics": ("METRICS_FORMAT", "METRICS_VERSION", "PARSEABLE_VERSIONS",
+                 "BatchMetrics", "StageMetrics"),
+    ".plan": ("ENGINES", "CompiledPlan", "canonical_fingerprint",
+              "compile_plan", "eligible_engines", "fingerprint",
+              "plan_from_tgd", "trace_seed"),
+    ".retry": ("Deadline", "RetryPolicy", "call_with_timeout", "is_transient"),
+    ".trace": ("PARSEABLE_TRACE_VERSIONS", "TRACE_FORMAT", "TRACE_VERSION",
+               "NullTracer", "Span", "SpanTracer", "Trace", "combine_seeds",
+               "span_id"),
+    ".traceview": ("render_tree", "to_chrome_trace"),
+})
 
 __all__ = [
     "ENGINES",

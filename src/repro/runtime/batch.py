@@ -56,7 +56,6 @@ from ..errors import (
 from ..executor.planner import OPTIMIZE_ENV
 from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
-from ..xsd.validate import validate as validate_instance
 from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
@@ -454,7 +453,8 @@ class BatchRunner:
         The precomputed plan-cache key of ``(mapping, engine,
         optimize)``, for callers (the HTTP service, pipeline stages)
         that already hold it; ``None`` (default) derives it with
-        :meth:`PlanCache.fingerprint_for` on first use.  Passing a key that does
+        :meth:`PlanCache.derive` on the first retrieval, from the
+        compile that builds the plan on a miss.  Passing a key that does
         not match the other arguments corrupts cache keying — only
         pass values obtained from
         :func:`repro.runtime.plan.canonical_fingerprint` with
@@ -609,6 +609,14 @@ class BatchRunner:
     def _retrieve_plan(self):
         if self.plan is not None:
             return self.plan
+        if self._fingerprint is None:
+            # The first retrieval keys the runner, and a miss builds the
+            # plan from that one compile.
+            plan = self.cache.derive(
+                self.mapping, self.engine, optimize=self.optimize
+            )[0]
+            self._fingerprint = plan.fingerprint
+            return plan
         return self.cache.get_or_compile(
             self.mapping, self.engine, fp=self.fingerprint,
             optimize=self.optimize,
@@ -626,6 +634,8 @@ class BatchRunner:
         metrics.source_elements += doc.size()
         metrics.target_elements += result.size()
         if self.validate:
+            from ..xsd.validate import validate as validate_instance
+
             metrics.validation_violations += len(
                 validate_instance(result, self.target)
             )
@@ -777,8 +787,14 @@ class BatchRunner:
                     pending.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = make_executor()
-        finally:
+        except BaseException:
             executor.shutdown(wait=False, cancel_futures=True)
+            raise
+        # Every future has settled and the workers are idle: join them
+        # now.  Left to the interpreter's exit hook, the join races the
+        # manager thread closing its wakeup pipe (a spurious "Bad file
+        # descriptor" traceback on stderr).
+        executor.shutdown(wait=True)
 
     def _settle(
         self,

@@ -43,9 +43,10 @@ class CacheStats:
     evictions: int = 0
     compile_seconds: float = 0.0
     #: Lookups whose key :meth:`PlanCache.get_or_compile` derived
-    #: itself (service registration, the fuzz farm); per-document
-    #: retrievals pass their runner's key and are not counted.  A
-    #: canonical hit on an alpha-renamed variant is one compile saved.
+    #: itself (service registration, the fuzz farm); a batch runner's
+    #: retrievals (:meth:`PlanCache.derive`, then its key) are not
+    #: counted.  A canonical hit on an alpha-renamed variant is one
+    #: compile saved.
     canonical_hits: int = 0
     canonical_misses: int = 0
 
@@ -185,37 +186,56 @@ class PlanCache:
     ) -> tuple[CompiledPlan, bool]:
         """:meth:`get_or_compile`, also saying whether the plan was
         already cached (the service's registration answer)."""
-        started = time.perf_counter()
-        tgd = None
         if fp is None:
-            # Key from the one compile a miss needs anyway.
-            report = check(mapping)
-            tgd = compile_clip(
-                mapping, require_valid=require_valid, report=report
+            plan, cached = self.derive(
+                mapping, engine, require_valid=require_valid, optimize=optimize
             )
-            fp = self.fingerprint_for(mapping, engine, optimize=optimize, tgd=tgd)
-        plan = self.lookup(fp)
-        if tgd is not None:
             with self._lock:
-                if plan is not None:
+                if cached:
                     self._stats.canonical_hits += 1
                 else:
                     self._stats.canonical_misses += 1
+            return plan, cached
+        plan = self.lookup(fp)
         if plan is not None:
             return plan, True
         # Compile outside the lock: deterministic, so a concurrent
         # duplicate compile is wasted work but not an error.
-        if tgd is None:
-            plan = compile_plan(
-                mapping, engine, require_valid=require_valid, fp=fp,
-                optimize=optimize,
-            )
-        else:
-            plan = plan_from_tgd(
-                tgd, engine, fp=fp, optimize=optimize,
-                target=mapping.target, report=report,
-            )
-            plan.compile_seconds = time.perf_counter() - started
+        plan = compile_plan(
+            mapping, engine, require_valid=require_valid, fp=fp,
+            optimize=optimize,
+        )
+        self.put(plan)
+        return plan, False
+
+    def derive(
+        self,
+        mapping: ClipMapping,
+        engine: str = "tgd",
+        *,
+        require_valid: bool = True,
+        optimize: Optional[bool] = None,
+    ) -> tuple[CompiledPlan, bool]:
+        """Key the mapping and, on a miss, build its plan from the same
+        Clip compile; returns the plan and whether it was cached.
+
+        The lookup counts as a plain hit or miss: a
+        :class:`~repro.runtime.batch.BatchRunner` keys itself here on
+        its first retrieval, and only :meth:`resolve` counts the lookup
+        as canonical.
+        """
+        started = time.perf_counter()
+        report = check(mapping)
+        tgd = compile_clip(mapping, require_valid=require_valid, report=report)
+        fp = self.fingerprint_for(mapping, engine, optimize=optimize, tgd=tgd)
+        plan = self.lookup(fp)
+        if plan is not None:
+            return plan, True
+        plan = plan_from_tgd(
+            tgd, engine, fp=fp, optimize=optimize,
+            target=mapping.target, report=report,
+        )
+        plan.compile_seconds = time.perf_counter() - started
         self.put(plan)
         return plan, False
 

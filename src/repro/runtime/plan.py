@@ -29,10 +29,8 @@ from ..core.tgd import NestedTgd
 from ..core.validity import ValidityReport, check
 from ..executor.engine import TgdPlan, prepare
 from ..executor.planner import OPTIMIZE_ENV
-from ..io import dumps as _dump_mapping
 from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
-from ..xsd.parser import to_xsd
 
 #: The engines a plan can target, in cross-check order.
 ENGINES = ("tgd", "xquery", "xslt")
@@ -62,6 +60,8 @@ def fingerprint(
     :func:`canonical_fingerprint`.  The default (optimized) case keeps
     the historical payload, so recorded seeds still match.
     """
+    from ..io import dumps as _dump_mapping
+
     payload = f"{engine}{_marker(engine, optimize)}\n{_dump_mapping(mapping)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -90,7 +90,10 @@ def canonical_fingerprint(
     asked for the naive path), and a ``|canonical`` tag keeps the key
     apart from any structural :func:`fingerprint`.
     """
+    # Keys are derived in the parent only: a pool worker, which
+    # rebuilds its plan from a shipped tgd, never imports these.
     from ..algebra.normalize import canonical_render
+    from ..xsd.parser import to_xsd
 
     marker = _marker(engine, optimize)
     if tgd is None:

@@ -1,19 +1,15 @@
 """XML instance substrate: ordered trees, paths, parsing and rendering."""
 
-from .index import DocumentIndex, IndexStats, index_for
-from .model import AtomicValue, XmlElement, element
-from .parser import parse_xml
-from .paths import (
-    AttributeStep,
-    ChildStep,
-    Path,
-    TextStep,
-    atomize,
-    evaluate,
-    evaluate_one,
-    parse_path,
-)
-from .serialize import to_ascii, to_xml
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".index": ("DocumentIndex", "IndexStats", "index_for"),
+    ".model": ("AtomicValue", "XmlElement", "element"),
+    ".parser": ("parse_xml",),
+    ".paths": ("AttributeStep", "ChildStep", "Path", "TextStep", "atomize",
+               "evaluate", "evaluate_one", "parse_path"),
+    ".serialize": ("to_ascii", "to_xml"),
+})
 
 __all__ = [
     "AtomicValue",

@@ -309,16 +309,20 @@ class XmlElement:
 
     # -- copies and comparison -----------------------------------------
 
-    def __getstate__(self):
-        """Pickle state without the document index: it is a cache over
-        this tree, rebuilt on demand wherever the tree is unpickled."""
-        return None, {
-            "tag": self.tag,
-            "_attributes": self._attributes,
-            "_children": self._children,
-            "_text": self._text,
-            "parent": self.parent,
-        }
+    def __reduce__(self):
+        """Pickle as one flat pre-order list, four entries per node
+        (tag, attributes, text, child count): no recursion, so any
+        depth pickles, and no document index (a cache, rebuilt on
+        demand).  The restored subtree has no parent, like a
+        :meth:`copy`."""
+        nodes = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            children = node._children
+            nodes += (node.tag, node._attributes, node._text, len(children))
+            stack.extend(reversed(children))
+        return _unflatten, (nodes,)
 
     def copy(self) -> "XmlElement":
         """Deep copy of this subtree (the copy has no parent).
@@ -472,3 +476,28 @@ def element(
     <Proj pid=2> …1 children… </Proj>
     """
     return XmlElement(tag, attributes=attributes, children=children, text=text)
+
+
+def _unflatten(nodes: list) -> XmlElement:
+    """Rebuild the tree :meth:`XmlElement.__reduce__` flattened."""
+    new = XmlElement.__new__
+    root = None
+    filling: list = []  # (element, child count) still taking children
+    for tag, attributes, text, count in zip(*[iter(nodes)] * 4):
+        node = new(XmlElement)
+        node.tag = tag
+        node._attributes = attributes
+        node._text = text
+        node._children = [] if count else _NO_CHILDREN
+        if filling:
+            parent, expected = filling[-1]
+            node.parent = parent
+            parent._children.append(node)
+            if len(parent._children) == expected:
+                filling.pop()
+        else:
+            node.parent = None
+            root = node
+        if count:
+            filling.append((node, count))
+    return root

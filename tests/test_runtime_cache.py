@@ -355,6 +355,30 @@ class TestCanonicalizedKeys:
         assert cache.resolve(self._fig3_renamed()) == (plan, True)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keyless_runner_compiles_the_mapping_once(self, monkeypatch, workers):
+        """A runner without ``fingerprint=`` keys itself and builds the
+        plan from one Clip compile; its lookups stay plain hits and
+        misses, never canonical ones."""
+        from repro.core import compile as compile_module
+
+        calls = []
+        original = compile_module._Compiler.compile
+        monkeypatch.setattr(
+            compile_module._Compiler, "compile",
+            lambda self: calls.append(1) or original(self),
+        )
+        cache = PlanCache()
+        runner = BatchRunner(deptstore.mapping_fig3(), workers=workers, cache=cache)
+        assert len(runner.run(_docs(3))) == 3
+        assert len(calls) == 1
+        assert runner.fingerprint == canonical_fingerprint(
+            deptstore.mapping_fig3(), tgd=cache.peek(runner.fingerprint).tgd
+        )
+        stats = cache.stats
+        assert (stats.misses, stats.hits) == (1, 2)
+        assert stats.canonical_hits == stats.canonical_misses == 0
+
     def test_schemas_participate_in_the_key(self):
         """Equal drawings over different schemas parse and type their
         instances differently: they never share a key."""
