@@ -17,6 +17,10 @@ output — the fused plans are cached under
 :func:`repro.algebra.compose_fingerprint` chain keys in the shared
 :class:`~repro.runtime.PlanCache`.  :class:`ComposedTransformer` (what
 ``Transformer.compose`` returns) is the two-stage fused pipeline.
+
+Fused or not, a pipeline is one :class:`~repro.runtime.CompiledPlan`
+(:meth:`Pipeline.plan`); a batch of documents runs through it as
+``BatchRunner(pipeline.plan(), …)``, each document through every stage.
 """
 
 from __future__ import annotations
@@ -104,12 +108,14 @@ class Pipeline:
         #: ``None`` where the stages fused, else the
         #: :class:`~repro.errors.ComposeError` reason that kept it.
         self.fallback_reasons: list[Optional[str]] = []
-        self._fused_tgds: list = []
-        self._fused_plans = None
+        #: Each step's tgd: a fused group's composition, or a stage's.
+        self._step_tgds: list = []
+        self._plan = None
         if fuse:
             self._plan_fusion()
         else:
             self.fused_groups = [[i] for i in range(len(self.transformers))]
+            self._step_tgds = [t.tgd for t in self.transformers]
 
     def __len__(self) -> int:
         return len(self.transformers)
@@ -130,14 +136,14 @@ class Pipeline:
                 accumulated = compose_tgds(accumulated, stage_tgd)
             except ComposeError as error:
                 self.fallback_reasons.append(error.reason)
-                self._fused_tgds.append(accumulated)
+                self._step_tgds.append(accumulated)
                 self.fused_groups.append(group)
                 accumulated = stage_tgd
                 group = [index]
             else:
                 self.fallback_reasons.append(None)
                 group.append(index)
-        self._fused_tgds.append(accumulated)
+        self._step_tgds.append(accumulated)
         self.fused_groups.append(group)
 
     def _stage_fingerprints(self, group: Sequence[int]) -> list[str]:
@@ -154,37 +160,60 @@ class Pipeline:
             for stage in (self.transformers[index] for index in group)
         ]
 
+    def plan(self):
+        """The whole chain as one :class:`repro.runtime.CompiledPlan`
+        (built once): its steps are the fused groups (``fuse=True``) or
+        the stages, each with its last stage's ``optimize`` and shared
+        through the default plan cache under its
+        :func:`repro.algebra.compose_fingerprint` key (a single stage
+        keys as itself).  The chain's key folds every step's stage
+        keys.  Hand it to :class:`repro.runtime.BatchRunner` to run a
+        batch: a failure's ``stage`` names the step that raised, and a
+        traced run records ``fused[i]``/``stage[i]`` step spans."""
+        return self._chain()
+
+    def _chain(self):
+        """:meth:`plan`, under a name that
+        :attr:`ComposedTransformer.plan` does not shadow."""
+        if self._plan is None:
+            from .algebra import compose_fingerprint
+            from .runtime import default_cache
+            from .runtime.plan import chain_plans
+
+            cache = default_cache()
+            steps, keys = [], []
+            for index, (tgd, group) in enumerate(
+                zip(self._step_tgds, self.fused_groups)
+            ):
+                stage_keys = self._stage_fingerprints(group)
+                keys.extend(stage_keys)
+                last = self.transformers[group[-1]]
+                plan = cache.plan_for_tgd(
+                    tgd, self.engine, fp=compose_fingerprint(*stage_keys),
+                    optimize=last.optimize, target=last.mapping.target,
+                )
+                if self.fuse:
+                    label = (f"fused[{index}]",
+                             {"stages": ",".join(map(str, group))})
+                else:
+                    mapping = last.mapping
+                    label = (f"stage[{index}]",
+                             {"source": mapping.source.root.name,
+                              "target": mapping.target.root.name})
+                steps.append((plan, *label))
+            self._plan = chain_plans(steps, fp=compose_fingerprint(*keys))
+        return self._plan
+
     @property
     def fused_plans(self):
-        """The compiled plans of the fused units (``fuse=True`` only),
-        built lazily with each unit's last-stage ``optimize`` and
-        shared through the default plan cache under
-        :func:`repro.algebra.compose_fingerprint` chain keys (a
-        single-stage unit keys as that stage)."""
+        """The compiled plans of the fused units (``fuse=True`` only):
+        the steps of :meth:`plan`."""
         if not self.fuse:
             raise MappingError(
                 "this pipeline was built without fuse=True; "
                 "there are no fused plans"
             )
-        if self._fused_plans is None:
-            from .algebra import compose_fingerprint
-            from .runtime import default_cache, plan_from_tgd
-
-            cache = default_cache()
-            plans = []
-            for tgd, group in zip(self._fused_tgds, self.fused_groups):
-                fp = compose_fingerprint(*self._stage_fingerprints(group))
-                plan = cache.peek(fp)
-                if plan is None:
-                    last = self.transformers[group[-1]]
-                    plan = plan_from_tgd(
-                        tgd, self.engine, fp=fp, optimize=last.optimize,
-                        target=last.mapping.target,
-                    )
-                    cache.put(plan)
-                plans.append(plan)
-            self._fused_plans = plans
-        return self._fused_plans
+        return [step for step, _, _ in self._chain().steps]
 
     def _seed_trace(self, trace) -> None:
         """Namespace a shared tracer under the whole chain: the
@@ -211,61 +240,62 @@ class Pipeline:
         """Apply all stages.  Returns the final instance, or — with
         ``keep_intermediates=True`` — the list of :class:`StageResult`.
 
-        ``validate_stages=True`` validates each stage's output against
-        its target schema and raises :class:`ValidationError` on the
-        first violation.
+        The chain runs as its :meth:`plan` — with ``fuse=True``, no
+        intermediate instance for inlined seams — unless
+        ``validate_stages`` or ``keep_intermediates`` is set, which
+        need every per-stage instance and therefore apply the stages'
+        transformers one by one.  ``validate_stages=True`` validates
+        each stage's output against its target schema and raises
+        :class:`ValidationError` on the first violation.
 
         ``trace`` (a :class:`repro.runtime.trace.SpanTracer`) records a
-        ``pipeline`` span with one ``stage[i]`` child per mapping, each
-        containing that transformer's prepare/transform subtree.
-
-        With ``fuse=True`` the fused plans run instead — byte-identical
-        output, no intermediate instances for inlined seams — unless
-        ``validate_stages`` or ``keep_intermediates`` is set, which
-        need every per-stage instance and therefore run the unfused
-        path.  Traced fused runs record one ``fused[i]`` span per unit,
-        tagged with the original stage indices it covers.
+        ``pipeline`` span with one child per step: ``fused[i]`` per
+        fused unit, tagged with the original stage indices it covers,
+        or ``stage[i]`` per mapping.
         """
-        fused = self.fuse and not validate_stages and not keep_intermediates
-        if fused:
-            units = [
-                (plan.run, f"fused[{index}]",
-                 {"stages": ",".join(map(str, group))})
-                for index, (plan, group) in enumerate(
-                    zip(self.fused_plans, self.fused_groups)
-                )
-            ]
-        else:
-            units = [
-                (transformer.apply, f"stage[{index}]",
-                 {"source": transformer.mapping.source.root.name,
-                  "target": transformer.mapping.target.root.name})
-                for index, transformer in enumerate(self.transformers)
-            ]
-        current = instance
-        results: list[StageResult] = []
+        per_stage = validate_stages or keep_intermediates
+        if not trace and not per_stage:
+            return self._chain().run(instance)
         pipeline_span = None
         if trace:
             self._seed_trace(trace)
+            fused = self.fuse and not per_stage
             pipeline_span = trace.begin(
                 "pipeline", stages=len(self),
-                **({"fused": len(units)} if fused else {}),
+                **({"fused": len(self.fused_groups)} if fused else {}),
             )
-        for index, (step, name, attrs) in enumerate(units):
-            span = trace.begin(name, **attrs) if trace else None
+        try:
+            if not per_stage:
+                return self._chain().run(instance, trace=trace)
+            return self._run_stages(
+                instance, validate_stages, keep_intermediates, trace
+            )
+        finally:
+            if pipeline_span is not None:
+                trace.end(pipeline_span)
+
+    def _run_stages(self, instance, validate_stages, keep_intermediates,
+                    trace):
+        """Apply every stage's transformer in turn, keeping (and
+        validating) each intermediate instance."""
+        current = instance
+        results: list[StageResult] = []
+        for index, transformer in enumerate(self.transformers):
+            mapping = transformer.mapping
+            span = trace.begin(
+                f"stage[{index}]", source=mapping.source.root.name,
+                target=mapping.target.root.name,
+            ) if trace else None
             try:
-                current = step(current, trace=trace)
+                current = transformer.apply(current, trace=trace)
                 violations = []
                 if validate_stages:
-                    target = self.transformers[index].mapping.target
-                    violations = validate(current, target)
+                    violations = validate(current, mapping.target)
                     if violations:
                         raise ValidationError(violations)
             except Exception:
                 if span is not None:
-                    span.attrs["status"] = "error"
-                    trace.end(span)
-                    trace.end(pipeline_span)
+                    trace.end(span, status="error")
                 raise
             if span is not None:
                 if validate_stages:
@@ -273,186 +303,10 @@ class Pipeline:
                 trace.end(span, status="ok")
             if keep_intermediates:
                 results.append(StageResult(index, current, violations))
-        if pipeline_span is not None:
-            trace.end(pipeline_span)
         return results if keep_intermediates else current
 
     def __call__(self, instance: XmlElement) -> XmlElement:
         return self.run(instance)
-
-    def run_batch(
-        self,
-        documents,
-        *,
-        workers: int = 1,
-        validate: bool = False,
-        cache=None,
-        error_policy="fail_fast",
-        max_retries: int = 0,
-        backoff: float = 0.05,
-        timeout=None,
-        retry=None,
-        injectors=None,
-        trace=None,
-    ):
-        """Stream a batch of documents through all stages.
-
-        Stage-major execution: every document passes stage 0, then the
-        intermediate instances pass stage 1, and so on — each stage's
-        compiled plan is retrieved once per document application from
-        the plan cache, which this method seeds with the transformers'
-        already-compiled tgds (no stage compiles twice).  ``workers``
-        fans each stage's documents across a process pool
-        (:class:`repro.runtime.BatchRunner`); results keep input order.
-
-        Failures propagate at stage granularity: a document that fails
-        stage *k* (after ``max_retries`` re-attempts of transient
-        errors, each bounded by ``timeout`` seconds) is *not* fed to
-        stage *k+1*.  Under ``error_policy="fail_fast"`` the first
-        terminal failure raises :class:`repro.errors.DocumentFailureError`
-        with the stage recorded on the failure; under ``"skip"`` /
-        ``"collect"`` the surviving documents keep flowing, and
-        ``"collect"`` additionally dead-letters the instance the
-        failing stage consumed.  Failure records and
-        ``success_indices`` on the returned result are expressed in
-        *original input* indices.
-
-        ``injectors`` (tests only) maps a stage index to a
-        :class:`repro.runtime.FaultInjector` fired on that stage's
-        local document indices.
-
-        Returns a :class:`repro.runtime.BatchResult` whose metrics
-        carry a per-stage breakdown (documents, execute seconds,
-        validation violations, failures/retries/timeouts/dead-letter).
-        Unlike :meth:`run`, ``validate=True`` counts violations into
-        the metrics instead of raising, so one bad document does not
-        abort the batch.
-
-        ``trace`` records a ``pipeline-batch`` span with one
-        ``stage[i]`` child per mapping, each containing that stage's
-        full ``batch`` subtree (doc/attempt spans, worker merging —
-        see :class:`repro.runtime.BatchRunner`); the finished trace
-        document is embedded in the metrics' ``trace`` key.
-        """
-        from .errors import DocumentFailureError
-        from .runtime import (
-            BatchMetrics,
-            BatchResult,
-            BatchRunner,
-            ErrorPolicy,
-            StageMetrics,
-            canonical_fingerprint,
-            default_cache,
-            plan_from_tgd,
-        )
-
-        cache = cache if cache is not None else default_cache()
-        policy = ErrorPolicy.coerce(error_policy)
-        current = list(documents)
-        # Original input index of each document still flowing.
-        alive = list(range(len(current)))
-        metrics = BatchMetrics(
-            engine=self.engine, workers=workers, error_policy=policy.value
-        )
-        metrics.source_elements = sum(doc.size() for doc in current)
-        failures = []
-        dead_letters = []
-        root_span = None
-        owns_trace = False
-        if trace:
-            self._seed_trace(trace)
-            owns_trace = not trace.active
-            root_span = trace.begin("pipeline-batch", stages=len(self))
-        for index, transformer in enumerate(self.transformers):
-            optimize = transformer.optimize
-            fp = canonical_fingerprint(transformer.mapping, self.engine,
-                                       optimize=optimize, tgd=transformer.tgd)
-            if fp not in cache:
-                cache.put(plan_from_tgd(
-                    transformer.tgd, self.engine, fp=fp, optimize=optimize,
-                    target=transformer.mapping.target,
-                ))
-            runner = BatchRunner(
-                transformer.mapping,
-                engine=self.engine,
-                optimize=optimize,
-                workers=workers,
-                cache=cache,
-                fingerprint=fp,
-                validate=validate,
-                error_policy=policy,
-                max_retries=max_retries,
-                backoff=backoff,
-                timeout=timeout,
-                retry=retry,
-                injector=injectors.get(index) if injectors else None,
-                trace=trace,
-            )
-            stage_span = None
-            if trace:
-                mapping = transformer.mapping
-                stage_span = trace.begin(
-                    f"stage[{index}]",
-                    source=mapping.source.root.name,
-                    target=mapping.target.root.name,
-                )
-            try:
-                batch = runner.run(current)
-            except DocumentFailureError as error:
-                # Under fail_fast no earlier stage dropped a document,
-                # so the stage-local index is already the input index.
-                error.failure.stage = index
-                raise
-            if stage_span is not None:
-                trace.end(stage_span)
-            batch.reindex(alive)
-            for failure in batch.failures:
-                failure.stage = index
-            failures.extend(batch.failures)
-            dead_letters.extend(batch.dead_letters)
-            mapping = transformer.mapping
-            metrics.stages.append(
-                StageMetrics(
-                    index=index,
-                    source_root=mapping.source.root.name,
-                    target_root=mapping.target.root.name,
-                    documents=len(current),
-                    execute_seconds=batch.metrics.execute_seconds,
-                    violations=batch.metrics.validation_violations,
-                    failures=batch.metrics.failures,
-                    retries=batch.metrics.retries,
-                    timeouts=batch.metrics.timeouts,
-                    dead_letter=batch.metrics.dead_letter,
-                )
-            )
-            metrics.cache_hits += batch.metrics.cache_hits
-            metrics.cache_misses += batch.metrics.cache_misses
-            metrics.compile_seconds += batch.metrics.compile_seconds
-            metrics.execute_seconds += batch.metrics.execute_seconds
-            metrics.validation_violations += batch.metrics.validation_violations
-            metrics.wall_seconds += batch.metrics.wall_seconds
-            metrics.failures += batch.metrics.failures
-            metrics.retries += batch.metrics.retries
-            metrics.timeouts += batch.metrics.timeouts
-            metrics.dead_letter += batch.metrics.dead_letter
-            metrics.pool_rebuilds += batch.metrics.pool_rebuilds
-            alive = batch.success_indices
-            current = batch.results
-        metrics.documents = len(current)
-        metrics.target_elements = sum(doc.size() for doc in current)
-        if root_span is not None:
-            trace.end(root_span)
-            if owns_trace:
-                metrics.trace = trace.to_trace().to_dict()
-        failures.sort(key=lambda failure: (failure.index, failure.stage))
-        dead_letters.sort(key=lambda letter: letter.failure.index)
-        return BatchResult(
-            current,
-            metrics,
-            failures=failures,
-            dead_letters=dead_letters,
-            success_indices=alive,
-        )
 
     def describe(self) -> str:
         """One line per stage: source root → target root."""
@@ -500,7 +354,7 @@ class ComposedTransformer(Pipeline):
     @property
     def tgd(self) -> Optional[NestedTgd]:
         """The fused ``A→C`` nested tgd (``None`` in sequential mode)."""
-        return self._fused_tgds[0] if self.fallback_reason is None else None
+        return self._step_tgds[0] if self.fallback_reason is None else None
 
     @property
     def fingerprint(self) -> str:

@@ -64,7 +64,7 @@ __getattr__ = lazy_exports(__name__, {
     ".incremental": ("DEFAULT_THRESHOLD", "IncrementalReport",
                      "IncrementalSession", "transform_delta"),
     ".metrics": ("METRICS_FORMAT", "METRICS_VERSION", "PARSEABLE_VERSIONS",
-                 "BatchMetrics", "StageMetrics"),
+                 "BatchMetrics"),
     ".plan": ("ENGINES", "CompiledPlan", "canonical_fingerprint",
               "compile_plan", "eligible_engines", "fingerprint",
               "plan_from_tgd", "trace_seed"),
@@ -101,7 +101,6 @@ __all__ = [
     "RetryPolicy",
     "Span",
     "SpanTracer",
-    "StageMetrics",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Trace",

@@ -24,14 +24,17 @@ The runtime's contract, in order of importance:
   ``--metrics-json``.
 
 ``workers=1`` runs in-process (no pickling, no pool, streaming over
-any iterator).  ``workers>1`` ships the *compiled tgd* to each worker
-once (pool initializer) — workers re-emit only their engine artifact —
-and the parent reassembles results in input order.  The ``fork`` start
-method is preferred where available; when only ``spawn`` exists the
-runner checks eagerly that a child interpreter could import ``repro``
-(``PYTHONPATH=src`` or an installed package) and raises
-:class:`repro.errors.WorkerSetupError` naming the fix instead of
-letting the pool die with an opaque traceback.
+any iterator).  ``workers>1`` ships the plan's description — per step,
+the *compiled tgd* and its generated source — to each worker once
+(pool initializer); workers re-emit only their engine artifacts, and
+the parent reassembles results in input order.  A pipeline is one plan
+(:meth:`repro.pipeline.Pipeline.plan`), so a worker runs every stage
+of its document.  The ``fork`` start method is preferred where
+available; when only ``spawn`` exists the runner checks eagerly that a
+child interpreter could import ``repro`` (``PYTHONPATH=src`` or an
+installed package) and raises :class:`repro.errors.WorkerSetupError`
+naming the fix instead of letting the pool die with an opaque
+traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from ..xml.model import XmlElement
 from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
-from .plan import ENGINES, CompiledPlan, plan_from_tgd
+from .plan import ENGINES, CompiledPlan, plan_from_description
 from .retry import Deadline, RetryPolicy, call_with_timeout
 from .trace import event_payload, shift_payload
 
@@ -145,27 +148,21 @@ _WORKER_TRACE: bool = False
 
 
 def _init_worker(
-    tgd_bytes: bytes,
-    engine: str,
+    plan_bytes: bytes,
     injector_bytes: bytes,
     timeout: Optional[float],
-    optimize: bool = True,
     trace: bool = False,
-    codegen_source: Optional[str] = None,
 ) -> None:
-    """Pool initializer: rebuild the engine plan once per worker.
+    """Pool initializer: rebuild the plan once per worker from its
+    pickled :meth:`~repro.runtime.plan.CompiledPlan.description`.
 
-    For optimized tgd plans the parent ships the generated *source* (a
-    plain string, which pickles; code objects don't) and each worker
-    re-materializes its closures with one ``compile()``/``exec`` —
-    the deterministic-emission contract lets the worker verify the
-    cached source against its own plan.
+    For optimized tgd steps the description carries the generated
+    *source* and each worker re-materializes its closures with one
+    ``compile()``/``exec`` — the deterministic-emission contract lets
+    the worker verify the cached source against its own plan.
     """
     global _WORKER_PLAN, _WORKER_INJECTOR, _WORKER_TIMEOUT, _WORKER_TRACE
-    _WORKER_PLAN = plan_from_tgd(
-        pickle.loads(tgd_bytes), engine, optimize=optimize,
-        codegen_source=codegen_source,
-    )
+    _WORKER_PLAN = plan_from_description(pickle.loads(plan_bytes))
     _WORKER_INJECTOR = pickle.loads(injector_bytes) if injector_bytes else None
     _WORKER_TIMEOUT = timeout
     _WORKER_TRACE = trace
@@ -400,10 +397,11 @@ class BatchRunner:
     ----------
     mapping:
         The Clip mapping to apply, or an already-built
-        :class:`CompiledPlan` (a fused composition has no Clip mapping
-        behind it).  A handed plan is used as is: it supplies the
-        engine, ``optimize``, the fingerprint, the trace seed and the
-        target schema, and the runner makes no cache lookup for it.
+        :class:`CompiledPlan` (a fused composition or a whole pipeline,
+        which have no Clip mapping behind them).  A handed plan is used
+        as is: it supplies the engine, ``optimize``, the fingerprint,
+        the trace seed and the target schema, and the runner makes no
+        cache lookup for it.
     engine:
         ``"tgd"`` (default), ``"xquery"`` or ``"xslt"``.
     workers:
@@ -451,8 +449,8 @@ class BatchRunner:
         costs nothing.
     fingerprint:
         The precomputed plan-cache key of ``(mapping, engine,
-        optimize)``, for callers (the HTTP service, pipeline stages)
-        that already hold it; ``None`` (default) derives it with
+        optimize)``, for callers (the HTTP service) that already hold
+        it; ``None`` (default) derives it with
         :meth:`PlanCache.derive` on the first retrieval, from the
         compile that builds the plan on a miss.  Passing a key that does
         not match the other arguments corrupts cache keying — only
@@ -708,15 +706,11 @@ class BatchRunner:
             # the parent reports the static plan shape only.
             report.pop("counters", None)
             metrics.plan = report
-        payload = pickle.dumps(plan.tgd)
+        # One payload per pool, not per task.
+        payload = pickle.dumps(plan.description())
         injector_bytes = (
             pickle.dumps(self.injector) if self.injector is not None else b""
         )
-        # Generated closures don't pickle (code objects); ship the
-        # generated source string and let each worker re-exec it.
-        codegen_source = None
-        if plan.tgd_plan is not None and plan.tgd_plan.program is not None:
-            codegen_source = plan.tgd_plan.program.source
         ctx = _pool_context()
         _require_importable_for_spawn(ctx)
 
@@ -725,9 +719,8 @@ class BatchRunner:
                 max_workers=self.workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(payload, self.engine, injector_bytes,
-                          self.retry.timeout, self.optimize,
-                          span_log is not None, codegen_source),
+                initargs=(payload, injector_bytes, self.retry.timeout,
+                          span_log is not None),
             )
 
         # Retrieval accounting matches the inline path: one cache

@@ -114,8 +114,7 @@ class PlanCache:
         return canonical_fingerprint(mapping, engine, optimize=optimize, tgd=tgd)
 
     def put(self, plan: CompiledPlan) -> None:
-        """Insert a compiled plan under its own fingerprint (a fresh
-        compile, or a pipeline reusing its transformers' tgds)."""
+        """Insert a compiled plan under its own fingerprint."""
         with self._lock:
             self._stats.compile_seconds += plan.compile_seconds
             self._plans[plan.fingerprint] = plan
@@ -134,6 +133,27 @@ class PlanCache:
         """
         with self._lock:
             return self._plans.get(fp)
+
+    def plan_for_tgd(
+        self,
+        tgd: NestedTgd,
+        engine: str,
+        *,
+        fp: str,
+        optimize: Optional[bool],
+        target,
+    ) -> CompiledPlan:
+        """The plan cached under ``fp``, else one built from the
+        compiled ``tgd`` and cached — for plans with no Clip mapping to
+        recompile from (fused compositions, pipeline steps).  Like
+        :meth:`peek`, the lookup counts as neither a hit nor a miss."""
+        plan = self.peek(fp)
+        if plan is None:
+            plan = plan_from_tgd(
+                tgd, engine, fp=fp, optimize=optimize, target=target
+            )
+            self.put(plan)
+        return plan
 
     def lookup(self, fp: str) -> Optional[CompiledPlan]:
         """The cached plan for a fingerprint, or ``None`` (counts as a

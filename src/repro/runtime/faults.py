@@ -26,7 +26,7 @@ import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .. import errors as errors_module
 from ..errors import DocumentTimeout, ExecutionError
@@ -93,8 +93,10 @@ class DocumentFailure:
         exc: BaseException,
         *,
         attempts: int = 1,
-        stage: int = 0,
     ) -> "DocumentFailure":
+        """The record of ``exc``; its ``stage`` is the pipeline step
+        that raised it (:func:`~repro.runtime.plan.chain_plans` tags
+        the exception), else 0."""
         from .retry import is_transient
 
         text = "".join(
@@ -105,7 +107,7 @@ class DocumentFailure:
             error=type(exc).__name__,
             message=str(exc),
             attempts=attempts,
-            stage=stage,
+            stage=getattr(exc, "stage", 0),
             transient=is_transient(exc),
             timed_out=isinstance(exc, errors_module.DocumentTimeout),
             traceback=text[-TRACEBACK_LIMIT:],
@@ -135,9 +137,11 @@ class DocumentFailure:
 class DeadLetter:
     """A failed input document paired with its failure record.
 
-    ``document`` is the instance the failing stage consumed — or, for
-    an input that never parsed (CLI ``--error-policy skip|collect``),
-    its raw text.
+    ``document`` is the input the runner consumed — for a pipeline
+    plan, the document fed to its first stage whichever stage failed
+    (``failure.stage`` names that one), so every dead letter replays
+    through the same plan — or, for an input that never parsed (CLI
+    ``--error-policy skip|collect``), its raw text.
     """
 
     failure: DocumentFailure
@@ -149,10 +153,10 @@ def write_dead_letters(
 ) -> list[str]:
     """Persist a run's dead letters for replay.
 
-    Writes each failed input as ``dead-letter-<index>.xml`` (stage-0
-    failures hold the original source document; a document that failed
-    pipeline stage *k* holds the instance stage *k* consumed) plus a
-    ``failures.json`` manifest of the failure records.  Returns the
+    Writes each failed input as ``dead-letter-<index>.xml`` — the
+    source document the run consumed, also when a pipeline failed at a
+    later stage — plus a ``failures.json`` manifest of the failure
+    records (whose ``stage`` names the failing stage).  Returns the
     written paths.
     """
     from ..xml.serialize import to_xml
@@ -232,10 +236,6 @@ class FaultInjector:
     supplied by the parent — so the same script produces the same
     faults whichever worker draws the document and however runs
     interleave.
-
-    ``wrap(plan)`` adapts the injector to plain per-document callables
-    (index = invocation order), which is deterministic for in-process,
-    single-threaded use.
     """
 
     def __init__(self, faults: Mapping[int, Union[Fault, str]]):
@@ -248,11 +248,6 @@ class FaultInjector:
 
     def __repr__(self) -> str:
         return f"FaultInjector({sorted(self.faults)})"
-
-    @property
-    def indices(self) -> frozenset:
-        """The document indices with scripted faults."""
-        return frozenset(self.faults)
 
     def fire(self, index: int, attempt: int = 0) -> None:
         """Apply the scripted fault for ``(index, attempt)``, if any."""
@@ -271,28 +266,3 @@ class FaultInjector:
         raise fault.resolve_error()(
             f"{fault.message} (document {index}, attempt {attempt})"
         )
-
-    def wrap(
-        self, plan: Callable[[XmlElement], XmlElement]
-    ) -> "InjectedPlan":
-        """A plan whose Nth call fires the fault scripted for index N."""
-        return InjectedPlan(plan, self)
-
-
-class InjectedPlan:
-    """A plan wrapped by a :class:`FaultInjector` (call-order indexed)."""
-
-    def __init__(
-        self,
-        plan: Callable[[XmlElement], XmlElement],
-        injector: FaultInjector,
-    ):
-        self.plan = plan
-        self.injector = injector
-        self.calls = 0
-
-    def __call__(self, document: XmlElement) -> XmlElement:
-        index = self.calls
-        self.calls += 1
-        self.injector.fire(index, 0)
-        return self.plan(document)

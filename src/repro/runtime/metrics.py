@@ -1,11 +1,10 @@
-"""Machine-readable run metrics for batch and pipeline execution.
+"""Machine-readable run metrics for batch execution.
 
 Every batch run produces one :class:`BatchMetrics` report: document
 counts, plan-cache hits/misses, compile vs. execute vs. wall seconds,
-element counts, validation-violation counts, fault accounting and (for
-pipelines) a per-stage breakdown.  ``to_dict()`` yields a stable,
-version-tagged document — the contract the CLI's ``--metrics-json``
-writes and CI consumes::
+element counts, validation-violation counts and fault accounting.
+``to_dict()`` yields a stable, version-tagged document — the contract
+the CLI's ``--metrics-json`` writes and CI consumes::
 
     {
       "format": "clip-batch-metrics",
@@ -26,21 +25,19 @@ writes and CI consumes::
                   "wall_seconds": 0.0330},
       "source_elements": 12000,
       "target_elements": 4200,
-      "validation_violations": 0,
-      "stages": [ {"index": 0, "source_root": "source",
-                   "target_root": "target", "documents": 100,
-                   "execute_seconds": 0.0310, "violations": 0,
-                   "failures": 0, "retries": 0, "timeouts": 0,
-                   "dead_letter": 0}, … ]
+      "validation_violations": 0
     }
 
-``stages`` is present only for pipeline runs.  ``documents`` counts
-*successful* documents; ``documents + failures`` is the input size.
+``documents`` counts *successful* documents; ``documents + failures``
+is the input size.  A pipeline batch is one plan's batch and reports
+the same fields.
 
 Version history: version 1 lacked ``error_policy`` and the fault
 counters (``failures``/``retries``/``timeouts``/``dead_letter``/
-``pool_rebuilds``, per run and per stage).  :func:`BatchMetrics.from_dict`
-parses both versions — absent fault counters read as zero.
+``pool_rebuilds``).  :func:`BatchMetrics.from_dict` parses both
+versions — absent fault counters read as zero.  Documents of either
+version written before pipelines ran as one plan may carry a
+per-stage ``stages`` list; it parses and is ignored.
 
 Version 2 documents may additionally carry an optional ``plan`` key —
 the compiled tgd plan's description and per-level runtime counters
@@ -63,7 +60,7 @@ Documents without it parse unchanged; the version stays 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 METRICS_FORMAT = "clip-batch-metrics"
@@ -74,53 +71,8 @@ PARSEABLE_VERSIONS = (1, 2)
 
 
 @dataclass
-class StageMetrics:
-    """Counters for one pipeline stage across a batch."""
-
-    index: int
-    source_root: str
-    target_root: str
-    documents: int = 0
-    execute_seconds: float = 0.0
-    violations: int = 0
-    failures: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    dead_letter: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "source_root": self.source_root,
-            "target_root": self.target_root,
-            "documents": self.documents,
-            "execute_seconds": self.execute_seconds,
-            "violations": self.violations,
-            "failures": self.failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "dead_letter": self.dead_letter,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "StageMetrics":
-        return cls(
-            index=doc["index"],
-            source_root=doc["source_root"],
-            target_root=doc["target_root"],
-            documents=doc.get("documents", 0),
-            execute_seconds=doc.get("execute_seconds", 0.0),
-            violations=doc.get("violations", 0),
-            failures=doc.get("failures", 0),
-            retries=doc.get("retries", 0),
-            timeouts=doc.get("timeouts", 0),
-            dead_letter=doc.get("dead_letter", 0),
-        )
-
-
-@dataclass
 class BatchMetrics:
-    """The aggregate report of one batch (or pipeline-batch) run."""
+    """The aggregate report of one batch run."""
 
     engine: str
     workers: int
@@ -140,7 +92,6 @@ class BatchMetrics:
     source_elements: int = 0
     target_elements: int = 0
     validation_violations: int = 0
-    stages: list[StageMetrics] = field(default_factory=list)
     #: Optional compiled-plan report: ``{"optimize": bool, "levels":
     #: [...], "counters": [...]}`` (tgd engine; counters for inline
     #: runs only — pool workers keep their counters process-local).
@@ -182,8 +133,6 @@ class BatchMetrics:
             "target_elements": self.target_elements,
             "validation_violations": self.validation_violations,
         }
-        if self.stages:
-            doc["stages"] = [stage.to_dict() for stage in self.stages]
         if self.plan is not None:
             doc["plan"] = self.plan
         if self.trace is not None:
@@ -232,10 +181,6 @@ class BatchMetrics:
             source_elements=doc.get("source_elements", 0),
             target_elements=doc.get("target_elements", 0),
             validation_violations=doc.get("validation_violations", 0),
-            stages=[
-                StageMetrics.from_dict(stage)
-                for stage in doc.get("stages", [])
-            ],
             plan=doc.get("plan"),
             trace=doc.get("trace"),
             incremental=doc.get("incremental"),

@@ -145,7 +145,9 @@ class CompiledPlan:
     the compiled tgd (so it can be shipped to worker processes, which
     rebuild only the engine artifact), the seconds spent compiling
     (so batch metrics can report compile vs. execute time) and the
-    target schema results validate against.
+    target schema results validate against.  A chain of plans
+    (:func:`chain_plans`, a whole pipeline) is a plan too: it has no
+    single tgd, and carries its ``steps`` instead.
     """
 
     __slots__ = (
@@ -157,6 +159,7 @@ class CompiledPlan:
         "tgd_plan",
         "compile_seconds",
         "target",
+        "steps",
         "_runner",
     )
 
@@ -164,7 +167,7 @@ class CompiledPlan:
         self,
         engine: str,
         fp: str,
-        tgd: NestedTgd,
+        tgd: Optional[NestedTgd],
         runner: Callable[[XmlElement], XmlElement],
         *,
         report: Optional[ValidityReport] = None,
@@ -172,6 +175,7 @@ class CompiledPlan:
         optimize: bool = True,
         tgd_plan: Optional[TgdPlan] = None,
         target=None,
+        steps: Optional[tuple] = None,
     ):
         self.engine = engine
         self.fingerprint = fp
@@ -186,13 +190,16 @@ class CompiledPlan:
         #: The target XSD schema (``None`` when built from a bare tgd
         #: without one).
         self.target = target
+        #: A chain's ``(plan, span name, span attrs)`` steps, in order;
+        #: ``None`` for a plan of one compiled tgd.
+        self.steps = steps
         self._runner = runner
 
     def plan_report(self) -> Optional[dict]:
         """The compiled-plan description plus accumulated counters, or
         ``None`` when the engine has no planner (xquery/xslt)."""
         if self.tgd_plan is None or self.tgd_plan.planned is None:
-            if self.engine == "tgd":
+            if self.engine == "tgd" and self.steps is None:
                 return {"optimize": False, "exec_mode": "interp"}
             return None
         stats = self.tgd_plan.stats
@@ -203,6 +210,21 @@ class CompiledPlan:
             "counters": [c.to_dict() for c in stats.counters] if stats else [],
             "codegen": self.tgd_plan.program.describe(),
         }
+
+    def description(self) -> tuple:
+        """What a pool worker rebuilds this plan from
+        (:func:`plan_from_description`): per step, the tgd, engine,
+        ``optimize``, generated source (source pickles; code objects
+        don't) and the step's span name and attrs.  A plan that is not
+        a chain describes itself as one step with no span name."""
+        described = []
+        for plan, name, attrs in self.steps or ((self, None, None),):
+            program = plan.tgd_plan.program if plan.tgd_plan else None
+            source = program.source if program is not None else None
+            described.append(
+                (plan.tgd, plan.engine, plan.optimize, source, name, attrs)
+            )
+        return tuple(described)
 
     def __call__(self, source_instance: XmlElement) -> XmlElement:
         return self._runner(source_instance)
@@ -290,10 +312,10 @@ def plan_from_tgd(
     schema its results validate against, and ``report``: its validity
     report, when the caller has them).
 
-    Worker processes use this: the parent ships them the (picklable)
-    tgd — plus, for optimized tgd plans, the cached generated source
-    string (source pickles; code objects don't) — and each worker
-    re-emits only its engine artifact.  The Clip compilation and
+    Worker processes use this, through :func:`plan_from_description`:
+    the parent ships them each step's (picklable) tgd — plus, for
+    optimized tgd plans, the cached generated source string — and each
+    worker re-emits only its engine artifact.  The Clip compilation and
     validity check never run twice anywhere.
     """
     resolved = resolve_setting(optimize, OPTIMIZE_ENV, True, parse=boolean)
@@ -307,6 +329,50 @@ def plan_from_tgd(
         tgd_plan=tgd_plan,
         target=target,
     )
+
+
+def chain_plans(steps, *, fp: str = "") -> CompiledPlan:
+    """One plan applying ``steps`` — ``(plan, span name, span attrs)``
+    triples — to each document in order: a pipeline's stages or fused
+    groups, under the chain's key ``fp``.
+
+    When step *k* raises, the exception carries ``stage = k``, which
+    :class:`~repro.runtime.faults.DocumentFailure` reports.  A traced
+    run records one span per step around that step's engine spans.
+    """
+    steps = tuple(steps)
+
+    def run(doc: XmlElement, trace=None) -> XmlElement:
+        for index, (plan, name, attrs) in enumerate(steps):
+            span = trace.begin(name, **attrs) if trace else None
+            try:
+                doc = plan.run(doc, trace=trace)
+            except Exception as exc:
+                setattr(exc, "stage", index)
+                if span is not None:
+                    trace.end(span, status="error")
+                raise
+            if span is not None:
+                trace.end(span, status="ok")
+        return doc
+
+    last = steps[-1][0]
+    return CompiledPlan(
+        last.engine, fp, None, run, optimize=last.optimize,
+        target=last.target, steps=steps,
+    )
+
+
+def plan_from_description(description: tuple) -> CompiledPlan:
+    """Rebuild a plan from :meth:`CompiledPlan.description`: each step
+    through :func:`plan_from_tgd`, chained unless it is a lone plan."""
+    steps = [
+        (plan_from_tgd(tgd, engine, optimize=optimize,
+                       codegen_source=source), name, attrs)
+        for tgd, engine, optimize, source, name, attrs in description
+    ]
+    plan, name, _ = steps[0]
+    return plan if name is None else chain_plans(steps)
 
 
 def compile_plan(

@@ -113,7 +113,6 @@ from ..runtime import (
     SpanTracer,
     is_transient,
     parse_documents,
-    plan_from_tgd,
     transform_delta,
     write_dead_letters,
 )
@@ -581,14 +580,10 @@ class ClipService:
     def _composed_plan(self, entry: RegisteredMapping) -> CompiledPlan:
         """A composed entry's plan, rebuilt from the stored tgd after
         an eviction (there is no Clip mapping to recompile from)."""
-        plan = self.cache.peek(entry.fingerprint)
-        if plan is None:
-            plan = plan_from_tgd(
-                entry.tgd, entry.engine, fp=entry.fingerprint,
-                optimize=entry.optimize, target=entry.target,
-            )
-            self.cache.put(plan)
-        return plan
+        return self.cache.plan_for_tgd(
+            entry.tgd, entry.engine, fp=entry.fingerprint,
+            optimize=entry.optimize, target=entry.target,
+        )
 
     def _list_mappings(self) -> ServiceResponse:
         with self._lock:

@@ -43,6 +43,12 @@ NOT_FOR_BATCH = (
 #: and never derives a plan key.
 NOT_FOR_WORKERS = NOT_FOR_BATCH + ("repro.io", "repro.xsd.parser")
 
+#: A worker running a pipeline's plan rebuilds its steps from their
+#: tgds: it needs neither the pipeline nor the composition algebra.
+NOT_FOR_PIPELINE_WORKERS = NOT_FOR_WORKERS + (
+    "repro.pipeline", "repro.transformer", "repro.algebra",
+)
+
 #: Exported names that are meant to be modules; every other exported
 #: name is a function, class or constant.
 MODULE_EXPORTS = {
@@ -108,10 +114,10 @@ def test_batch_imports_only_the_tgd_engine(batch_inputs):
     assert sorted(modules.intersection(NOT_FOR_BATCH)) == []
 
 
-def test_spawn_worker_imports_only_the_tgd_engine(batch_inputs, tmp_path):
-    """A ``spawn`` worker starts from a fresh interpreter: what it
-    imports is its own, not inherited from the parent."""
-    mapping, docs, _ = batch_inputs
+@pytest.fixture
+def module_probe(tmp_path):
+    """An injector that writes, per document, the modules its worker
+    has loaded to ``<probe>.<index>``; returns ``<probe>``."""
     (tmp_path / "module_probe.py").write_text(
         "import sys\n"
         "class ModuleProbe:\n"
@@ -122,7 +128,20 @@ def test_spawn_worker_imports_only_the_tgd_engine(batch_inputs, tmp_path):
         "            handle.write('\\n'.join(sorted(sys.modules)))\n",
         encoding="utf-8",
     )
-    probe = str(tmp_path / "modules")
+    return str(tmp_path / "modules")
+
+
+def _probed_modules(probe: str, index: int) -> set:
+    with open(f"{probe}.{index}", encoding="utf-8") as handle:
+        return set(handle.read().split("\n"))
+
+
+def test_spawn_worker_imports_only_the_tgd_engine(
+    batch_inputs, module_probe, tmp_path
+):
+    """A ``spawn`` worker starts from a fresh interpreter: what it
+    imports is its own, not inherited from the parent."""
+    mapping, docs, _ = batch_inputs
     report = _python(
         "import json, multiprocessing\n"
         "from module_probe import ModuleProbe\n"
@@ -134,16 +153,42 @@ def test_spawn_worker_imports_only_the_tgd_engine(batch_inputs, tmp_path):
         "docs = [parse_xml(open(p).read(), schema=clip.source)"
         f" for p in {docs!r}]\n"
         "result = BatchRunner(clip, workers=2, cache=PlanCache(),"
-        f" injector=ModuleProbe({probe!r})).run(docs)\n"
+        f" injector=ModuleProbe({module_probe!r})).run(docs)\n"
         "print(json.dumps({'documents': len(result)}))\n",
         str(tmp_path),
     )
     assert report["documents"] == len(docs)
     for index in range(len(docs)):
-        with open(f"{probe}.{index}", encoding="utf-8") as handle:
-            modules = set(handle.read().split("\n"))
+        modules = _probed_modules(module_probe, index)
         assert "repro.runtime.batch" in modules
         assert sorted(modules.intersection(NOT_FOR_WORKERS)) == []
+
+
+def test_spawn_worker_of_a_pipeline_plan_imports_no_pipeline(
+    module_probe, tmp_path
+):
+    """A pipeline's plan crosses the pool as one description of tgds:
+    its ``spawn`` worker rebuilds every step without the pipeline,
+    transformer or algebra modules."""
+    report = _python(
+        "import json, multiprocessing\n"
+        "from module_probe import ModuleProbe\n"
+        "from repro.pipeline import Pipeline\n"
+        "from repro.runtime import BatchRunner, PlanCache, batch\n"
+        "from repro.scenarios import publications as pub\n"
+        "batch._pool_context = lambda: multiprocessing.get_context('spawn')\n"
+        "pipeline = Pipeline([pub.normalize_mapping(), pub.publish_mapping()])\n"
+        "feeds = [pub.feed_instance() for _ in range(3)]\n"
+        "result = BatchRunner(pipeline.plan(), workers=2, cache=PlanCache(),"
+        f" injector=ModuleProbe({module_probe!r})).run(feeds)\n"
+        "print(json.dumps({'documents': len(result)}))\n",
+        str(tmp_path),
+    )
+    assert report["documents"] == 3
+    for index in range(3):
+        modules = _probed_modules(module_probe, index)
+        assert "repro.runtime.batch" in modules
+        assert sorted(modules.intersection(NOT_FOR_PIPELINE_WORKERS)) == []
 
 
 _DESCRIBE = """

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.validity import check
 from repro.errors import MappingError, ValidationError
 from repro.pipeline import Pipeline
+from repro.runtime import BatchRunner, PlanCache, SpanTracer, Trace
 from repro.scenarios import deptstore, publications as pub
 from repro.xml import element
+from repro.xml.serialize import to_xml
 from repro.xsd.validate import validate
 
 
@@ -162,41 +166,107 @@ class TestPipeline:
         )(pub.feed_instance())
 
 
+#: The pool width of the pipeline-batch tests; CI's pool-path legs set
+#: it to 2 and 4, the default run stays in-process.
+_WORKERS = int(os.environ.get("CLIP_TEST_WORKERS", "1"))
+
+
+def _feeds(count):
+    return [pub.feed_instance() for _ in range(count)]
+
+
 class TestPipelineBatch:
-    def _feeds(self, count):
-        return [pub.feed_instance() for _ in range(count)]
+    """A pipeline batch is ``BatchRunner(pipeline.plan(), …)``."""
+
+    @pytest.fixture(params=[False, True], ids=["unfused", "fused"])
+    def either(self, request):
+        return Pipeline([pub.normalize_mapping(), pub.publish_mapping()],
+                        fuse=request.param)
 
     def test_batch_matches_sequential_runs(self, pipeline):
-        from repro.runtime import PlanCache
-
-        feeds = self._feeds(4)
-        batch = pipeline.run_batch(feeds, cache=PlanCache())
+        feeds = _feeds(4)
+        batch = BatchRunner(
+            pipeline.plan(), cache=PlanCache(), workers=_WORKERS
+        ).run(feeds)
         assert batch.results == [pipeline(feed) for feed in feeds]
 
-    def test_batch_metrics_per_stage(self, pipeline):
-        from repro.runtime import PlanCache
-
-        feeds = self._feeds(3)
-        batch = pipeline.run_batch(feeds, cache=PlanCache(), validate=True)
+    def test_batch_metrics_count_the_chain(self, pipeline):
+        feeds = _feeds(3)
+        batch = BatchRunner(
+            pipeline.plan(), cache=PlanCache(), validate=True,
+            workers=_WORKERS,
+        ).run(feeds)
         metrics = batch.metrics
         assert metrics.documents == 3
         assert metrics.validation_violations == 0
-        assert [s.index for s in metrics.stages] == [0, 1]
-        assert [(s.source_root, s.target_root) for s in metrics.stages] == [
-            ("feed", "catalog"), ("catalog", "report"),
-        ]
-        assert all(s.documents == 3 for s in metrics.stages)
+        assert metrics.source_elements == sum(f.size() for f in feeds)
+        assert metrics.target_elements == sum(r.size() for r in batch)
         doc = metrics.to_dict()
-        assert len(doc["stages"]) == 2
-        # The pipeline seeds the cache from its compiled transformers:
-        # every document application is a hit, nothing compiles twice.
+        assert "stages" not in doc
+        # The runner was handed the plan: no cache retrieval, and
+        # nothing compiled.
         assert doc["plan_cache"]["misses"] == 0
-        assert doc["plan_cache"]["hits"] == 6
+        assert doc["plan_cache"]["hits"] == 0
 
     def test_batch_with_workers_matches(self, pipeline):
-        from repro.runtime import PlanCache
-
-        feeds = self._feeds(4)
-        sequential = pipeline.run_batch(feeds, cache=PlanCache())
-        parallel = pipeline.run_batch(feeds, workers=2, cache=PlanCache())
+        feeds = _feeds(4)
+        sequential = BatchRunner(pipeline.plan(), cache=PlanCache()).run(feeds)
+        parallel = BatchRunner(
+            pipeline.plan(), workers=max(2, _WORKERS), cache=PlanCache()
+        ).run(feeds)
         assert sequential.results == parallel.results
+
+    def test_batch_is_byte_identical_to_run(self, either):
+        feeds = _feeds(4)
+        batch = BatchRunner(either.plan(), workers=_WORKERS).run(feeds)
+        assert [to_xml(result) for result in batch] == [
+            to_xml(either.run(feed)) for feed in feeds
+        ]
+
+    def test_batch_trace_is_worker_count_independent(self, either):
+        feeds = _feeds(3)
+        canonical = []
+        for workers in (1, 2):
+            batch = BatchRunner(
+                either.plan(), workers=workers, trace=SpanTracer()
+            ).run(feeds)
+            trace = Trace.from_dict(batch.metrics.trace)
+            canonical.append(trace.canonical_json())
+        assert canonical[0] == canonical[1]
+        [root] = trace.spans
+        assert root["name"] == "batch"
+        assert [doc["name"] for doc in root["children"]] == [
+            "doc[0]", "doc[1]", "doc[2]"
+        ]
+        [attempt] = root["children"][0]["children"]
+        assert attempt["name"] == "attempt[0]"
+        step = "fused" if either.fuse else "stage"
+        assert [span["name"] for span in attempt["children"]] == [
+            f"{step}[0]", f"{step}[1]"
+        ]
+
+    def test_pool_submits_one_task_per_document(self, either, monkeypatch):
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.runtime import batch as batch_module
+
+        initargs, submitted = [], []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                initargs.append(kwargs["initargs"])
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, task, *args, **kwargs):
+                submitted.append(task[0])
+                return super().submit(fn, task, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", Counting)
+        feeds = _feeds(5)
+        batch = BatchRunner(either.plan(), workers=2).run(feeds)
+        assert len(batch) == 5
+        assert sorted(submitted) == list(range(5))
+        # One pool, one pickled plan description holding both steps.
+        [(payload, *_)] = initargs
+        assert len(pickle.loads(payload)) == 2

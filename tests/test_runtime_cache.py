@@ -439,8 +439,8 @@ class TestOneKeyRecipe:
     def test_renamed_variant_compiles_nothing_new_on_any_surface(self):
         """After the service registers Figure 3 on the shared default
         cache, an alpha-renamed Figure 3 served through a plain
-        ``BatchRunner`` and through a ``Pipeline.run_batch`` stage
-        reuses that plan, and serializes as the variant's own
+        ``BatchRunner`` and through a one-stage pipeline's plan reuses
+        that plan, and serializes as the variant's own
         compile."""
         import json
 
@@ -462,7 +462,7 @@ class TestOneKeyRecipe:
         runner = BatchRunner(variant)
         assert runner.fingerprint == registered
         via_runner = runner.run(docs)
-        via_stage = Pipeline([variant]).run_batch(docs)
+        via_stage = BatchRunner(Pipeline([variant]).plan()).run(docs)
         after = cache.stats
         assert after.misses == before.misses, "a surface recompiled"
         assert after.compile_seconds == before.compile_seconds
@@ -534,7 +534,7 @@ class TestOneKeyRecipe:
         compile_plan(mapping)
         cache.get_or_compile(mapping)
         BatchRunner(mapping, cache=cache).run(docs)
-        Pipeline([mapping]).run_batch(docs, cache=cache)
+        BatchRunner(Pipeline([mapping]).plan(), cache=cache).run(docs)
         fused = Pipeline([mapping], fuse=True)
         assert fused.fused_plans[0].fingerprint == cache.fingerprint_for(
             mapping

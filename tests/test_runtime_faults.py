@@ -414,18 +414,6 @@ def test_fork_path_ignores_guard():
 # -- fault injector harness ---------------------------------------------------
 
 
-def test_injector_wrap_fires_by_call_order(mapping):
-    from repro.runtime import compile_plan
-
-    plan = compile_plan(mapping)
-    injected = FaultInjector({1: Fault()}).wrap(plan)
-    docs = _docs(3)
-    injected(docs[0])
-    with pytest.raises(ExecutionError):
-        injected(docs[1])
-    injected(docs[2])
-
-
 def test_injector_validates_fault_kind():
     with pytest.raises(ValueError):
         Fault(kind="meltdown")
@@ -482,7 +470,8 @@ def test_metrics_v1_documents_still_parse():
     assert metrics.documents == 100
     assert metrics.failures == 0
     assert metrics.error_policy == "fail_fast"
-    assert metrics.stages[0].failures == 0
+    # The per-stage breakdown is gone; a document carrying it parses.
+    assert "stages" not in metrics.to_dict()
     with pytest.raises(ValueError):
         BatchMetrics.from_dict({"format": "clip-batch-metrics", "version": 99,
                                 "engine": "tgd", "workers": 1})
@@ -510,16 +499,37 @@ def feeds():
     return [publications.feed_instance() for _ in range(4)]
 
 
-def test_pipeline_stage_failure_dead_letters_stage_input(
+def _with_step_one_double(plan, fail_on=()):
+    """``plan`` with step 1 replaced by an in-process test double that
+    records every document it receives and raises on the calls
+    numbered in ``fail_on``; returns the plan and the call log."""
+    from repro.runtime import CompiledPlan
+    from repro.runtime.plan import chain_plans
+
+    first, (second, name, attrs) = plan.steps
+    calls = []
+
+    def run(doc, trace=None):
+        calls.append(doc)
+        if len(calls) - 1 in fail_on:
+            raise ExecutionError("injected step-1 fault")
+        return second.run(doc, trace=trace)
+
+    double = CompiledPlan(second.engine, second.fingerprint, second.tgd,
+                          run, target=second.target)
+    return chain_plans([first, (double, name, attrs)],
+                       fp=plan.fingerprint), calls
+
+
+def test_pipeline_stage_failure_dead_letters_the_input(
     publications_pipeline, feeds
 ):
-    clean = publications_pipeline.run_batch(feeds, cache=PlanCache())
-    batch = publications_pipeline.run_batch(
-        feeds,
-        cache=PlanCache(),
-        error_policy="collect",
-        injectors={1: FaultInjector({1: Fault()})},
-    )
+    plan = publications_pipeline.plan()
+    clean = BatchRunner(plan, cache=PlanCache()).run(feeds)
+    doubled, _ = _with_step_one_double(plan, fail_on={1})
+    batch = BatchRunner(
+        doubled, cache=PlanCache(), error_policy="collect"
+    ).run(feeds)
     assert batch.success_indices == [0, 2, 3]
     assert [to_xml(result) for result in batch.results] == [
         to_xml(clean.results[index]) for index in (0, 2, 3)
@@ -527,40 +537,51 @@ def test_pipeline_stage_failure_dead_letters_stage_input(
     [failure] = batch.failures
     assert failure.index == 1
     assert failure.stage == 1
-    # The dead letter holds what the failing stage consumed — the
-    # stage-0 output, not the original feed.
+    # The dead letter holds the input the runner consumed — the
+    # original feed, which replays through the same pipeline.
     [letter] = batch.dead_letters
-    assert letter.document.tag == "catalog"
-    stage_metrics = batch.metrics.stages
-    assert stage_metrics[0].failures == 0
-    assert stage_metrics[1].failures == 1
+    assert letter.document.tag == "feed"
+    assert to_xml(plan.run(letter.document)) == to_xml(clean.results[1])
     assert batch.metrics.failures == 1
+    assert batch.metrics.dead_letter == 1
     assert batch.metrics.documents == 3
 
 
 def test_pipeline_failed_document_not_fed_downstream(
     publications_pipeline, feeds
 ):
-    batch = publications_pipeline.run_batch(
-        feeds,
+    plan = publications_pipeline.plan()
+    batch = BatchRunner(
+        plan,
         cache=PlanCache(),
         error_policy="skip",
-        injectors={0: FaultInjector({0: Fault()})},
-    )
-    # Stage 1 saw only the three stage-0 survivors.
-    assert batch.metrics.stages[0].documents == 4
-    assert batch.metrics.stages[1].documents == 3
+        injector=FaultInjector({0: Fault()}),
+        workers=_ENV_WORKERS,
+    ).run(feeds)
     assert batch.success_indices == [1, 2, 3]
+    assert [failure.stage for failure in batch.failures] == [0]
+    # Step 1 sees only the three documents that passed step 0.
+    doubled, calls = _with_step_one_double(plan)
+    BatchRunner(
+        doubled, error_policy="skip", injector=FaultInjector({0: Fault()})
+    ).run(feeds)
+    assert len(calls) == 3
 
 
 def test_pipeline_fail_fast_reports_stage(publications_pipeline, feeds):
+    doubled, _ = _with_step_one_double(
+        publications_pipeline.plan(), fail_on={2}
+    )
     with pytest.raises(DocumentFailureError) as excinfo:
-        publications_pipeline.run_batch(
-            feeds,
-            cache=PlanCache(),
-            injectors={1: FaultInjector({2: Fault()})},
-        )
+        BatchRunner(doubled, cache=PlanCache()).run(feeds)
     assert excinfo.value.failure.stage == 1
+    assert excinfo.value.failure.index == 2
+    with pytest.raises(DocumentFailureError) as excinfo:
+        BatchRunner(
+            publications_pipeline.plan(), cache=PlanCache(),
+            injector=FaultInjector({2: Fault()}), workers=_ENV_WORKERS,
+        ).run(feeds)
+    assert excinfo.value.failure.stage == 0
     assert excinfo.value.failure.index == 2
 
 
