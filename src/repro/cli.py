@@ -264,6 +264,7 @@ def _cmd_batch(args) -> int:
         parse_documents,
         write_dead_letters,
     )
+    from .runtime.retry import check_budget
 
     if args.workers < 1:
         print(
@@ -277,11 +278,10 @@ def _cmd_batch(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print(
-            f"error: --timeout must be positive, got {args.timeout}",
-            file=sys.stderr,
-        )
+    try:
+        check_budget(args.timeout, "--timeout")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     error_policy = args.error_policy
     if args.dead_letter_dir and error_policy != "collect":

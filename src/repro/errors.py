@@ -92,9 +92,9 @@ class TransientError(ReproError):
 class DocumentTimeout(TransientError):
     """A single document's evaluation exceeded its wall-clock budget.
 
-    Raised by the per-document timeout of the batch runtime
-    (``BatchRunner(timeout=…)``); classified transient, so a retry
-    policy may re-attempt the document.
+    Raised by :func:`repro.runtime.retry.check_deadline` once a batch
+    document's timeout or a request's deadline has passed; classified
+    transient, so a retry policy may re-attempt the document.
     """
 
 

@@ -45,6 +45,8 @@ Contracts:
   ints and flush them into :class:`~repro.executor.planner.PlanCounters`
   on exit, so ``plan``/``level[i]`` trace spans and ``explain``
   counters are exact while the hot loops never touch a counter object.
+* **Deadlines** — ``_run_i`` checks the deadline once per unit and
+  ``_level_i`` once per binding of its outermost generator.
 * **Shared memo** — entries that depend only on the document (and on
   element bindings of it) go through the engine's
   :class:`~repro.executor.planner.PlanMemo`, tagged with label chains
@@ -78,6 +80,7 @@ from ..core.tgd import (
     expr_root,
 )
 from ..errors import ExecutionError, XmlError
+from ..runtime.retry import check_deadline
 from ..xml.model import XmlElement, _check_atomic, _check_name
 from .engine import GroupBinding, order_mappings
 from .planner import (
@@ -680,6 +683,8 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
         else:
             em.line(f"for {it2} in {seq}:")
         em.push()
+    if k == 0:
+        em.line("_check_deadline()")
     em.line(f"_cur[{gen.var!r}] = {it2}")
     em.line("_c_bind += 1")
     for condition in slot.env_filters:
@@ -1193,6 +1198,7 @@ def _emit_run_fn(em: _Emitter, plan: LevelPlan, li: int, scope: _Scope) -> None:
         em.line("_bases = (tenv,)")
     if grouped:
         em.line("for _k, _m in _keyed.items():")
+        em.line("    _check_deadline()")
         em.line(f"    _genv = _group_{li}(_m)")
         em.line("    for _base in _bases:")
         em.line(f"        _unit_{li}(E, _genv, _base, _k)")
@@ -1200,6 +1206,7 @@ def _emit_run_fn(em: _Emitter, plan: LevelPlan, li: int, scope: _Scope) -> None:
         em.line("    C.groups += len(_grp) - _g0")
     else:
         em.line("for _e in _envs:")
+        em.line("    _check_deadline()")
         em.line("    for _base in _bases:")
         em.line(f"        _unit_{li}(E, _e, _base)")
     _close_function(em, start)
@@ -1345,6 +1352,7 @@ def build_program(
         "XmlElement": XmlElement,
         "XmlError": XmlError,
         "_check_atomic": _check_atomic,
+        "_check_deadline": check_deadline,
         "_ATOMS": frozenset((str, int, float, bool)),
     }
     namespace.update(consts)

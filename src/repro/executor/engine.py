@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..errors import ExecutionError
+from ..runtime.retry import check_deadline
 from ..xml.index import index_for
 from ..xml.model import AtomicValue, XmlElement
 from .planner import PlanMemo, split_targets
@@ -349,6 +350,7 @@ class _Engine:
         return atoms
 
     def _condition_holds(self, condition, env: Env) -> bool:
+        check_deadline()
         if isinstance(condition, Membership):
             members = self._eval(condition.member, env)
             identities = self._collection_identities(condition, env)
@@ -388,6 +390,7 @@ class _Engine:
         for gen in mapping.source_gens:
             expanded: list[Env] = []
             for current in envs:
+                check_deadline()
                 for item in self._eval(gen.expr, current):
                     if not isinstance(item, XmlElement):
                         raise ExecutionError(
@@ -543,6 +546,7 @@ class _Engine:
             self._splits[id(mapping)][0], target_env
         )
         for iteration_env in envs:
+            check_deadline()
             for base_env in base_envs:
                 self.unit(mapping, iteration_env, base_env)
 
@@ -604,6 +608,7 @@ class _Engine:
             self._splits[id(mapping)][0], target_env
         )
         for key, members in grouped.items():
+            check_deadline()
             group = self.group_env(mapping, members)
             # One group element per distinct key *per parent context* —
             # several parents only under distribution (Figure 4 variant).

@@ -19,8 +19,9 @@ that split:
   records, dead-letter persistence, and the deterministic
   :class:`FaultInjector` test harness;
 * :mod:`repro.runtime.retry` — :class:`RetryPolicy` (deterministic
-  exponential backoff, per-document timeout) and transient-vs-
-  permanent error triage;
+  exponential backoff, per-document timeout), the cooperative
+  :class:`Deadline` / :func:`check_deadline` every time budget runs
+  on, and transient-vs-permanent error triage;
 * :mod:`repro.runtime.metrics` — :class:`BatchMetrics`, the machine-
   readable per-run report (``--metrics-json``), format version 2;
 * :mod:`repro.runtime.incremental` — :func:`transform_delta`, delta-
@@ -68,7 +69,7 @@ __getattr__ = lazy_exports(__name__, {
     ".plan": ("ENGINES", "CompiledPlan", "canonical_fingerprint",
               "compile_plan", "eligible_engines", "fingerprint",
               "plan_from_tgd", "trace_seed"),
-    ".retry": ("Deadline", "RetryPolicy", "call_with_timeout", "is_transient"),
+    ".retry": ("Deadline", "RetryPolicy", "check_deadline", "is_transient"),
     ".trace": ("PARSEABLE_TRACE_VERSIONS", "TRACE_FORMAT", "TRACE_VERSION",
                "NullTracer", "Span", "SpanTracer", "Trace", "combine_seeds",
                "span_id"),
@@ -104,8 +105,8 @@ __all__ = [
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "Trace",
-    "call_with_timeout",
     "canonical_fingerprint",
+    "check_deadline",
     "combine_seeds",
     "compile_plan",
     "default_cache",

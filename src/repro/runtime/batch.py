@@ -63,7 +63,7 @@ from .cache import PlanCache, default_cache
 from .faults import DeadLetter, DocumentFailure, ErrorPolicy, FaultInjector
 from .metrics import BatchMetrics
 from .plan import ENGINES, CompiledPlan, plan_from_description
-from .retry import Deadline, RetryPolicy, call_with_timeout
+from .retry import Deadline, RetryPolicy, active_deadline, check_deadline
 from .trace import event_payload, shift_payload
 
 #: A worker task: (document index, attempt number, document).
@@ -92,14 +92,13 @@ def _attempt(
     uniformly) and, on failure, the raised exception — which only the
     in-process caller can use, to chain it under ``fail_fast``.
 
-    ``traced`` builds an ``attempt[k]`` span around the evaluation (an
-    ``error`` span on failure, carrying the failure triage) and appends
-    its serialized payload to the record; the parent grafts it under
-    the right ``doc[i]`` span, so worker counts never change the
-    canonical tree.  When a per-document ``timeout`` is set the
-    engine-internal spans are skipped: an abandoned timeout thread
-    keeps running and could race the scratch tracer; the attempt span
-    itself (status, timing, timed-out triage) is still recorded.
+    The evaluation runs under ``with Deadline(timeout)``, nested in any
+    enclosing deadline, so an overrun raises ``DocumentTimeout`` from
+    the engine's own checks.  ``traced`` builds an ``attempt[k]`` span
+    around the evaluation and its engine spans (an ``error`` span on
+    failure, carrying the failure triage) and appends its serialized
+    payload to the record; the parent grafts it under the right
+    ``doc[i]`` span, so worker counts never change the canonical tree.
     """
     scratch = span = None
     if traced:
@@ -107,16 +106,12 @@ def _attempt(
 
         scratch = SpanTracer()
         span = scratch.begin(f"attempt[{attempt}]")
-    engine_trace = scratch if timeout is None else None
-
-    def call() -> XmlElement:
-        if injector is not None:
-            injector.fire(index, attempt)
-        return plan.run(doc, trace=engine_trace)
-
     started = time.perf_counter()
     try:
-        result = call_with_timeout(call, timeout)
+        with Deadline(timeout):
+            if injector is not None:
+                injector.fire(index, attempt)
+            result = plan.run(doc, trace=scratch)
     except Exception as exc:
         failure = DocumentFailure.from_exception(
             index, exc, attempts=attempt + 1
@@ -285,7 +280,6 @@ def parse_documents(
     error_policy: Union[ErrorPolicy, str],
     *,
     read: Optional[Callable[[Any], str]] = None,
-    deadline: Optional[Deadline] = None,
 ) -> ParsedDocuments:
     """Parse every input with per-document isolation.
 
@@ -295,7 +289,7 @@ def parse_documents(
     :class:`DocumentFailure` at its input position instead of aborting
     the batch, and ``collect`` dead-letters its raw text (empty when
     it could not be read); under ``fail_fast`` the error propagates.
-    A parse run under ``deadline`` that overruns it raises
+    A parse that overruns the enclosing :class:`Deadline` raises
     :class:`~repro.errors.DocumentTimeout` under every policy: the
     request is out of time, not the document at fault.
 
@@ -308,10 +302,7 @@ def parse_documents(
         text = ""
         try:
             text = source if read is None else read(source)
-            document = (
-                parse(text) if deadline is None
-                else deadline.run(lambda: parse(text))
-            )
+            document = parse(text)
         except (OSError, ReproError) as exc:
             if policy is ErrorPolicy.FAIL_FAST or isinstance(
                 exc, DocumentTimeout
@@ -659,6 +650,7 @@ class BatchRunner:
                 counters_before = stats.snapshot() if stats else None
             attempt = 0
             while True:
+                check_deadline()  # a passed enclosing deadline ends the run
                 record, cause = _attempt(
                     plan, doc, index, attempt, self.injector,
                     self.retry.timeout, span_log is not None,
@@ -713,13 +705,20 @@ class BatchRunner:
         )
         ctx = _pool_context()
         _require_importable_for_spawn(ctx)
+        # A worker's attempt gets no more than the enclosing deadline has
+        # left, and the parent stops waiting when that deadline passes.
+        enclosing = active_deadline()
+        timeout = self.retry.timeout
+        if enclosing is not None:
+            left = max(enclosing.remaining(), 1e-6)
+            timeout = left if timeout is None else min(timeout, left)
 
         def make_executor() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(payload, injector_bytes, self.retry.timeout,
+                initargs=(payload, injector_bytes, timeout,
                           span_log is not None),
             )
 
@@ -746,8 +745,12 @@ class BatchRunner:
                     crashed = True
                 if pending and not crashed:
                     done, _ = wait(
-                        set(pending), return_when=FIRST_COMPLETED
+                        set(pending),
+                        timeout=None if enclosing is None
+                        else enclosing.remaining(),
+                        return_when=FIRST_COMPLETED,
                     )
+                    check_deadline()
                     for future in done:
                         index, attempt = pending.pop(future)
                         error = future.exception()

@@ -29,13 +29,17 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .. import errors as errors_module
-from ..errors import DocumentTimeout, ExecutionError
+from ..errors import ExecutionError
 from ..xml.model import XmlElement
-from .retry import current_call
+from .retry import check_deadline
 
 #: Ceiling on the traceback text carried by a failure record — enough
 #: for triage, small enough to ship across the pool and into metrics.
 TRACEBACK_LIMIT = 2000
+
+#: A scripted delay sleeps in slices of this many seconds, checking the
+#: deadline between them.
+DELAY_SLICE = 0.01
 
 
 class ErrorPolicy(enum.Enum):
@@ -199,8 +203,8 @@ class Fault:
     * ``"raise"`` — raise ``error`` (a :mod:`repro.errors` class name,
       e.g. ``"ExecutionError"`` or ``"TransientError"``);
     * ``"delay"`` — sleep ``seconds`` before evaluating, to trip the
-      per-document timeout (a delay whose timeout fired stops there, so
-      no abandoned thread runs on past its batch);
+      per-document timeout (it checks the deadline every
+      :data:`DELAY_SLICE` seconds, so it stops once that passes);
     * ``"exit"`` — ``os._exit`` the hosting process, simulating a
       crashed pool worker.
     """
@@ -257,11 +261,10 @@ class FaultInjector:
         if fault.kind == "exit":
             os._exit(17)
         if fault.kind == "delay":
-            abandoned = getattr(current_call, "abandoned", None)
-            if abandoned is None:
-                time.sleep(fault.seconds)
-            elif abandoned.wait(fault.seconds):
-                raise DocumentTimeout("abandoned after its timeout")
+            ends = time.monotonic() + fault.seconds
+            while (left := ends - time.monotonic()) > 0:
+                check_deadline()
+                time.sleep(min(left, DELAY_SLICE))
             return
         raise fault.resolve_error()(
             f"{fault.message} (document {index}, attempt {attempt})"

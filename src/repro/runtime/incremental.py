@@ -48,7 +48,7 @@ from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
-from ..errors import ExecutionError, ReproError, XmlError
+from ..errors import DocumentTimeout, ExecutionError, ReproError, XmlError
 from ..core.tgd import SchemaRoot, TargetGenerator, TgdMapping, Var, expr_labels, expr_root
 from ..executor.engine import ReferenceProgram, TgdPlan
 from ..executor.planner import (
@@ -62,6 +62,7 @@ from ..executor.planner import (
 from ..xml.diff import Delta, apply_delta, apply_delta_in_place, compute_delta, resolve_steps
 from ..xml.index import index_for
 from ..xml.model import XmlElement
+from .retry import check_deadline
 
 #: Above this changed-nodes / source-size ratio the scoped path cannot
 #: win and :func:`transform_delta` recomputes from scratch.
@@ -598,6 +599,8 @@ class IncrementalSession:
             )
         try:
             return self._scoped(delta, report)
+        except DocumentTimeout:
+            raise
         except ReproError as exc:
             return self._fallback(
                 delta, report, f"scoped re-execution unavailable: {exc}"
@@ -758,6 +761,7 @@ class IncrementalSession:
         affected: dict[tuple, None] = {}
         moved = []
         for position in dirty:
+            check_deadline()
             key = keys[position]
             affected[key] = None
             if grouped:
@@ -860,6 +864,7 @@ class IncrementalSession:
         prefix, program = self._shape.prefix, self._program
         base_env = {prefix[-1].var: parent} if prefix else {}
         for key in keys:
+            check_deadline()
             members = [units.envs[p] for p in units.groups[key]]
             if self._shape.grouped:
                 program.unit(engine, program.group(members), base_env, key)

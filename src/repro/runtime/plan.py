@@ -31,6 +31,7 @@ from ..executor.engine import TgdPlan, prepare
 from ..executor.planner import OPTIMIZE_ENV
 from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
+from .retry import check_deadline
 
 #: The engines a plan can target, in cross-check order.
 ENGINES = ("tgd", "xquery", "xslt")
@@ -336,7 +337,8 @@ def chain_plans(steps, *, fp: str = "") -> CompiledPlan:
     triples — to each document in order: a pipeline's stages or fused
     groups, under the chain's key ``fp``.
 
-    When step *k* raises, the exception carries ``stage = k``, which
+    When step *k* raises — a deadline that passes before or during it
+    included — the exception carries ``stage = k``, which
     :class:`~repro.runtime.faults.DocumentFailure` reports.  A traced
     run records one span per step around that step's engine spans.
     """
@@ -346,6 +348,7 @@ def chain_plans(steps, *, fp: str = "") -> CompiledPlan:
         for index, (plan, name, attrs) in enumerate(steps):
             span = trace.begin(name, **attrs) if trace else None
             try:
+                check_deadline()
                 doc = plan.run(doc, trace=trace)
             except Exception as exc:
                 setattr(exc, "stage", index)

@@ -1,4 +1,4 @@
-"""Retry policy for per-document execution: backoff, timeout, triage.
+"""Retry policy, deadlines and error triage for per-document execution.
 
 A batch over real traffic sees three kinds of per-document failure:
 
@@ -14,15 +14,26 @@ A batch over real traffic sees three kinds of per-document failure:
 :class:`RetryPolicy` bundles the knobs: attempt budget, a
 *deterministic* exponential backoff schedule (no jitter — reruns of a
 batch must behave identically), and the per-document wall-clock
-timeout that :func:`call_with_timeout` enforces.
+timeout.
+
+Every time budget (a document's timeout, a request's deadline) is a
+:class:`Deadline`, enforced cooperatively: the loops the package owns
+— the parse walk, the engines' units and FLWOR tuples, incremental
+unit builds, chained steps, injected delays — call
+:func:`check_deadline`, which raises
+:class:`~repro.errors.DocumentTimeout` once the tightest deadline
+entered has passed (one context-variable read when none is set).  Code the package
+does not own is not interruptible: ``ElementTree.fromstring`` runs to
+its end (``max_body`` bounds it) and the next check notices.
 """
 
 from __future__ import annotations
 
-import threading
-import time
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from time import monotonic
+from typing import Optional
 
 from ..errors import DocumentTimeout, TransientError
 
@@ -38,6 +49,14 @@ def is_transient(error: BaseException) -> bool:
     return isinstance(error, TRANSIENT_TYPES)
 
 
+def check_budget(seconds: Optional[float], name: str) -> Optional[float]:
+    """``seconds`` if it is ``None`` or a positive finite number of
+    seconds; ``ValueError`` otherwise (NaN and infinity included)."""
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
+    return seconds
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How failing documents are re-attempted.
@@ -51,9 +70,10 @@ class RetryPolicy:
         by ``backoff_factor`` up to ``max_backoff``.  The schedule is
         deterministic — no jitter — so a rerun sleeps identically.
     timeout:
-        Per-document wall-clock budget in seconds (``None`` = none);
-        an overrun raises :class:`repro.errors.DocumentTimeout`, which
-        is transient and therefore retryable.
+        Per-document wall-clock budget in seconds (``None`` = none), a
+        :class:`Deadline` around each attempt; an overrun raises
+        :class:`repro.errors.DocumentTimeout`, which is transient and
+        therefore retryable.
     retry_permanent:
         Also retry permanent errors.  Off by default: the engines are
         pure functions, so a deterministic failure cannot heal.
@@ -71,8 +91,7 @@ class RetryPolicy:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
             )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        check_budget(self.timeout, "timeout")
 
     def delay(self, retry_number: int) -> float:
         """Seconds to wait before retry ``retry_number`` (1-based)."""
@@ -94,96 +113,50 @@ class RetryPolicy:
 class Deadline:
     """A wall-clock budget that starts ticking when constructed.
 
-    The serving layer hands each request one deadline; every stage of
-    handling (body parse, plan retrieval, evaluation) then runs under
-    whatever is *left* of the budget rather than a fresh one, so a slow
-    early stage cannot grant later stages more time than the request
-    has.  ``budget=None`` is unbounded — every method degrades to a
-    no-op wrapper.
-
-    Overruns surface as :class:`repro.errors.DocumentTimeout`, the same
-    transient-classified error the per-document batch timeout raises,
-    so the existing retry/error-policy triage applies unchanged.
+    ``with deadline:`` makes it the budget :func:`check_deadline`
+    enforces inside, unless an enclosing deadline ends sooner: nesting
+    can shorten what is left, never extend it.  The service runs each
+    request under one; a batch attempt runs under its timeout nested
+    inside.  ``budget=None`` is unbounded.  Overruns raise the
+    transient :class:`repro.errors.DocumentTimeout`.
     """
 
-    __slots__ = ("budget", "_started")
+    __slots__ = ("budget", "_expires", "_token")
 
     def __init__(self, budget: Optional[float]):
-        if budget is not None and budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget!r}")
-        self.budget = budget
-        self._started = time.monotonic()
+        self.budget = check_budget(budget, "budget")
+        self._expires = monotonic() + (math.inf if budget is None else budget)
 
-    def elapsed(self) -> float:
-        """Seconds since the deadline started."""
-        return time.monotonic() - self._started
+    def remaining(self) -> float:
+        """Seconds left: never negative, infinite when unbounded."""
+        return max(0.0, self._expires - monotonic())
 
-    def remaining(self) -> Optional[float]:
-        """Seconds left (never negative), or ``None`` when unbounded."""
-        if self.budget is None:
-            return None
-        return max(0.0, self.budget - self.elapsed())
+    def __enter__(self) -> "Deadline":
+        active = _ACTIVE.get()
+        if active is None or self._expires < active._expires:
+            active = None if self.budget is None else self
+        self._token = _ACTIVE.set(active)
+        return self
 
-    def expired(self) -> bool:
-        """Whether the budget has run out (never, when unbounded)."""
-        return self.budget is not None and self.elapsed() >= self.budget
-
-    def run(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn()`` under the *remaining* budget.
-
-        Raises :class:`DocumentTimeout` immediately when the budget is
-        already spent, and via :func:`call_with_timeout` when ``fn``
-        overruns what is left.
-        """
-        remaining = self.remaining()
-        if remaining is None:
-            return fn()
-        if remaining <= 0:
-            raise DocumentTimeout(
-                f"deadline exceeded before evaluation started "
-                f"({self.budget:g}s budget)"
-            )
-        return call_with_timeout(fn, remaining)
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)
 
 
-#: Per-thread state of the :func:`call_with_timeout` call running on
-#: that thread: ``abandoned`` is set once the caller gave up on it.
-current_call = threading.local()
+#: The deadline in force: the tightest bounded one entered, if any.
+_ACTIVE: ContextVar[Optional[Deadline]] = ContextVar(
+    "repro_deadline", default=None
+)
 
 
-def call_with_timeout(
-    fn: Callable[[], Any], timeout: Optional[float]
-) -> Any:
-    """Run ``fn()`` under a wall-clock budget.
+#: The deadline :func:`check_deadline` enforces here, if any.
+active_deadline = _ACTIVE.get
 
-    With no budget this is a plain call.  With one, the call runs in a
-    daemon thread; an overrun raises :class:`DocumentTimeout` in the
-    caller (the worker thread is left to finish and be discarded — the
-    engines are pure, so an abandoned evaluation has no side effects).
-    ``fn`` may watch ``current_call.abandoned`` (a
-    :class:`threading.Event`) to stop early once that happened.
-    """
-    if timeout is None:
-        return fn()
-    outcome: list = []
-    abandoned = threading.Event()
 
-    def target() -> None:
-        current_call.abandoned = abandoned
-        try:
-            outcome.append(("ok", fn()))
-        except BaseException as exc:  # noqa: BLE001 — relayed below
-            outcome.append(("err", exc))
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        abandoned.set()
+def check_deadline() -> None:
+    """Raise :class:`~repro.errors.DocumentTimeout` once the deadline in
+    force has passed; a no-op (one context-variable read) under none."""
+    deadline = active_deadline()
+    if deadline is not None and monotonic() >= deadline._expires:
         raise DocumentTimeout(
-            f"document evaluation exceeded the {timeout:g}s budget"
+            f"evaluation exceeded its {deadline.budget:g}s deadline"
         )
-    kind, value = outcome[0]
-    if kind == "err":
-        raise value
-    return value

@@ -53,9 +53,10 @@ Endpoints
   (:mod:`repro.service.metrics`).
 
 Production-safety contract (the heimdex worker idioms): every request
-runs under a :class:`~repro.runtime.retry.Deadline` whose overrun is
-the same transient :class:`~repro.errors.DocumentTimeout` the batch
-timeout raises (returned as a structured 504); malformed documents and
+runs its whole handler under a cooperative
+:class:`~repro.runtime.retry.Deadline` whose overrun is the same
+transient :class:`~repro.errors.DocumentTimeout` the batch timeout
+raises (returned as a structured 504); malformed documents and
 per-document failures shed into the existing error-policy/dead-letter
 machinery instead of crashing the server; the in-flight ceiling sheds
 excess load with 503; errors map onto structured JSON envelopes from
@@ -111,6 +112,7 @@ from ..runtime import (
     ErrorPolicy,
     PlanCache,
     SpanTracer,
+    check_deadline,
     is_transient,
     parse_documents,
     transform_delta,
@@ -118,6 +120,7 @@ from ..runtime import (
 )
 from ..xml.diff import compute_delta
 from ..runtime.plan import ENGINES
+from ..runtime.retry import check_budget
 from ..settings import boolean, resolve_setting
 from ..xml.model import XmlElement
 from ..xml.parser import parse_xml
@@ -618,15 +621,11 @@ class ClipService:
 
     def _deadline(self, params: dict) -> Deadline:
         """The request's deadline: the configured budget, shortenable —
-        never extendable — by a ``?deadline=SECONDS`` parameter."""
+        never extendable — by a finite ``?deadline=SECONDS`` parameter."""
         budget = self.config.deadline
         raw = params.get("deadline")
         if raw is not None:
-            requested = float(raw)
-            if requested <= 0:
-                raise ValueError(
-                    f"deadline must be positive, got {requested!r}"
-                )
+            requested = check_budget(float(raw), "deadline")
             budget = requested if budget is None else min(requested, budget)
         return Deadline(budget)
 
@@ -745,25 +744,25 @@ class ClipService:
     def _with_request_id(
         self, handler, params: dict, headers: Mapping[str, str], body: bytes
     ) -> ServiceResponse:
-        """Run a transform handler under a fresh request id: its
-        :mod:`repro.errors` and bad-input failures become error
-        envelopes that carry the id."""
+        """Run a transform handler under a fresh request id and its
+        deadline: its :mod:`repro.errors` and bad-input failures (an
+        overrun's included) become error envelopes that carry the id."""
         request_id = self._next_request_id()
         try:
-            return handler(params, headers, body, request_id)
+            with self._deadline(params):
+                return handler(params, headers, body, request_id)
         except (ReproError, ValueError) as exc:
             return self._error_response(exc, error_status(exc), request_id)
 
     def _parse_document(
-        self, text: str, schema, deadline: Deadline, request_id: str
+        self, text: str, schema, request_id: str
     ) -> Tuple[Optional[XmlElement], Optional[ServiceResponse]]:
         """Parse a single-document request's body with the batch
         runtime's isolation: ``(document, None)``, or — for malformed
         input, shed into the dead-letter machinery as raw text —
         ``(None, failure response)``."""
         parsed = parse_documents(
-            [text], lambda text: parse_xml(text, schema=schema),
-            ErrorPolicy.COLLECT, deadline=deadline,
+            [text], lambda text: parse_xml(text, schema=schema), ErrorPolicy.COLLECT
         )
         if parsed.documents:
             return parsed.documents[0], None
@@ -779,18 +778,14 @@ class ClipService:
     ) -> ServiceResponse:
         """``POST /transform``: one document through a registry entry's
         plan — a mapping's or a composition's alike — on the runner."""
-        deadline = self._deadline(params)
         entry, text = self._transform_payload(params, headers, body)
         document, rejected = self._parse_document(
-            text, entry.source, deadline, request_id
+            text, entry.source, request_id
         )
         if rejected is not None:
             return rejected
         tracer = SpanTracer() if _flag(params.get("trace")) else None
-        runner = self._runner(
-            entry, error_policy="collect", timeout=deadline.remaining(),
-            trace=tracer,
-        )
+        runner = self._runner(entry, error_policy="collect", trace=tracer)
         # Nothing from a request outlives its response (Section VI: one
         # source instance in, one target instance out), so every tree it
         # parses or builds is released once the body is rendered — an
@@ -832,7 +827,6 @@ class ClipService:
     ) -> ServiceResponse:
         """``POST /transform/delta``: incremental re-transform of an
         edited document, keyed on a past request's source/target pair."""
-        deadline = self._deadline(params)
         envelope = json.loads(body.decode("utf-8"))
         if not isinstance(envelope, dict):
             raise ValueError(
@@ -876,12 +870,10 @@ class ClipService:
                 "mappings; re-transform with POST /transform"
             )
         started = time.perf_counter()
-        prev_source = deadline.run(
-            lambda: parse_xml(base["source_xml"], schema=entry.mapping.source)
-        )
+        prev_source = parse_xml(base["source_xml"], schema=entry.mapping.source)
         prev_target = parse_xml(base["result_xml"], schema=entry.mapping.target)
         new_source, rejected = self._parse_document(
-            text, entry.mapping.source, deadline, request_id
+            text, entry.mapping.source, request_id
         )
         if rejected is not None:
             _release((prev_source, prev_target))
@@ -892,11 +884,9 @@ class ClipService:
         )
         delta = compute_delta(prev_source, new_source)
         kwargs = {} if threshold is None else {"threshold": threshold}
-        result, report = deadline.run(
-            lambda: transform_delta(
-                plan, prev_source, prev_target, delta,
-                new_source=new_source, **kwargs,
-            )
+        result, report = transform_delta(
+            plan, prev_source, prev_target, delta,
+            new_source=new_source, **kwargs,
         )
         elapsed = time.perf_counter() - started
         self.metrics.count_incremental(fallback=not report.incremental)
@@ -931,7 +921,6 @@ class ClipService:
         self, params: dict, headers: Mapping[str, str], body: bytes,
         request_id: str,
     ) -> ServiceResponse:
-        deadline = self._deadline(params)
         envelope = json.loads(body.decode("utf-8"))
         if not isinstance(envelope, dict):
             raise ValueError(
@@ -968,20 +957,9 @@ class ClipService:
         validate = bool(envelope.get("validate", False))
         per_document = envelope.get("timeout")
         if per_document is not None:
-            per_document = float(per_document)
-            if per_document <= 0:
-                raise ValueError(
-                    f"timeout must be positive, got {per_document!r}"
-                )
-        remaining = deadline.remaining()
-        if remaining is not None:
-            per_document = (
-                remaining if per_document is None
-                else min(per_document, remaining)
-            )
+            per_document = check_budget(float(per_document), "timeout")
         parsed = parse_documents(
-            sources, lambda text: parse_xml(text, schema=entry.source),
-            policy, deadline=deadline,
+            sources, lambda text: parse_xml(text, schema=entry.source), policy
         )
         tracer = SpanTracer() if _flag(params.get("trace")) else None
         runner = self._runner(
@@ -994,7 +972,10 @@ class ClipService:
             trace=tracer,
         )
         try:
-            batch = deadline.run(lambda: runner.run(parsed.documents))
+            batch = runner.run(parsed.documents)
+            # A batch whose last document ran out the request's time
+            # answers 504, like one stopped before its next document.
+            check_deadline()
         except DocumentFailureError as exc:
             # fail_fast: the first terminal failure aborts the request
             # (every document parsed, so runner indices are positions).

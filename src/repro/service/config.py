@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from ..runtime.retry import check_budget
 from ..settings import resolve_setting
 
 #: Default TCP port ("clip" on a phone keypad, truncated to a free range).
@@ -62,11 +63,12 @@ DEFAULT_HISTORY = 256
 def _parse_deadline(value: Union[str, float, None]) -> Optional[float]:
     """Normalize a deadline: positive seconds, or ``None`` (unbounded)
     for zero/negative — "no deadline" has to be expressible through an
-    environment variable, and ``CLIP_SERVICE_DEADLINE=0`` is it."""
+    environment variable, and ``CLIP_SERVICE_DEADLINE=0`` is it.  NaN
+    and infinity are a ``ValueError``."""
     if value is None:
         return None
     seconds = float(value)
-    return seconds if seconds > 0 else None
+    return None if seconds <= 0 else check_budget(seconds, "deadline")
 
 
 @dataclass(frozen=True)

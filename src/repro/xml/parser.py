@@ -12,7 +12,8 @@ children's plans by tag, its text and attribute coercions (``String``
 is the identity; a built-in type's result needs no atomic check).  Two
 attributes of one element that strip to the same local name (``a:x``
 and ``b:x``) are an :class:`~repro.errors.XmlParseError`.  The walk's
-explicit stack bounds depth by memory, not by the recursion limit.
+explicit stack bounds depth by memory, not by the recursion limit, and
+checks the deadline at each descent (``ElementTree`` itself cannot stop).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import xml.etree.ElementTree as _ET
 from typing import Optional
 
 from ..errors import XmlParseError
+from ..runtime.retry import check_deadline
 from .model import _NO_CHILDREN, XmlElement, _check_atomic, _check_name
 
 
@@ -88,6 +90,7 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
                 # Mixed-content text is dropped.  Descend now and resume
                 # this parent's children afterwards, so elements are
                 # read (and errors raised) in document order.
+                check_deadline()
                 out._children = []
                 stack.append((iter(node), out, children or untyped))
                 break

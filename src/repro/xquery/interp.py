@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..errors import XQueryError, XQueryTypeError
+from ..runtime.retry import check_deadline
 from ..xml.index import DocumentIndex, index_for
 from ..xml.model import AtomicValue, XmlElement
 from .ast import (
@@ -376,6 +377,7 @@ class _Interpreter:
             if isinstance(clause, ForClause):
                 expanded: list[Env] = []
                 for current in tuples:
+                    check_deadline()
                     for item in self.eval(clause.expr, current):
                         child = dict(current)
                         child[clause.var] = [item]
@@ -385,15 +387,17 @@ class _Interpreter:
                 for current in tuples:
                     current[clause.var] = self.eval(clause.expr, current)
             elif isinstance(clause, WhereClause):
-                tuples = [
-                    current
-                    for current in tuples
-                    if self._ebv(self.eval(clause.expr, current))
-                ]
+                kept = []
+                for current in tuples:
+                    check_deadline()
+                    if self._ebv(self.eval(clause.expr, current)):
+                        kept.append(current)
+                tuples = kept
             else:
                 raise XQueryError(f"unsupported clause {clause!r}")
         out: Sequence_ = []
         for current in tuples:
+            check_deadline()
             out.extend(self.eval(expr.return_expr, current))
         return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Union
 
 from ..errors import XQueryError, XQueryTypeError
+from ..runtime.retry import check_deadline
 from ..xml.model import AtomicValue, XmlElement
 from .stylesheet import (
     Arith,
@@ -225,6 +226,7 @@ class _Interpreter:
         env: dict,
         output: XmlElement,
     ) -> None:
+        check_deadline()
         local_env = env
         for node in nodes:
             if isinstance(node, LiteralElement):

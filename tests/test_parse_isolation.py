@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import re
-import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +34,7 @@ from repro.runtime import (
     Fault,
     FaultInjector,
     PlanCache,
+    check_deadline,
     parse_documents,
 )
 from repro.scenarios import deptstore
@@ -192,11 +192,11 @@ def test_every_surface_isolates_the_same_failures(
 @pytest.mark.parametrize("policy", ["skip", "collect"])
 def test_a_parse_past_the_deadline_aborts_under_every_policy(policy):
     def slow_parse(text):
-        time.sleep(1.0)
+        while True:
+            check_deadline()
 
-    with pytest.raises(DocumentTimeout):
-        parse_documents(["<dept/>"], slow_parse, policy,
-                        deadline=Deadline(0.05))
+    with pytest.raises(DocumentTimeout), Deadline(0.05):
+        parse_documents(["<dept/>"], slow_parse, policy)
 
 
 def test_unreadable_input_is_dead_lettered_as_empty_text(mapping, tmp_path):

@@ -34,8 +34,9 @@ from repro.runtime import (
     Fault,
     FaultInjector,
     PlanCache,
+    Deadline,
     RetryPolicy,
-    call_with_timeout,
+    check_deadline,
     is_transient,
     write_dead_letters,
 )
@@ -323,13 +324,14 @@ def test_retry_policy_validation():
         RetryPolicy(timeout=0.0)
 
 
-def test_call_with_timeout_passthrough_and_overrun():
-    assert call_with_timeout(lambda: 42, None) == 42
-    assert call_with_timeout(lambda: 42, 5.0) == 42
-    with pytest.raises(DocumentTimeout):
-        import time
-
-        call_with_timeout(lambda: time.sleep(1.0), 0.05)
+def test_deadline_passthrough_and_overrun():
+    with Deadline(None):
+        check_deadline()
+    with Deadline(5.0):
+        check_deadline()
+    with pytest.raises(DocumentTimeout), Deadline(0.05):
+        while True:
+            check_deadline()
 
 
 def test_transient_classification():

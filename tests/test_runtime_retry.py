@@ -9,7 +9,6 @@ sequence actually slept by the batch runner under a fixed fault seed.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from repro.runtime import (
     FaultInjector,
     PlanCache,
     RetryPolicy,
-    call_with_timeout,
+    check_deadline,
     is_transient,
 )
 from repro.scenarios import deptstore
@@ -113,45 +112,25 @@ class TestTimeoutOnFinalAttempt:
         assert batch.metrics.failures == 0
         assert len(batch.results) == len(documents)
 
-    def test_call_with_timeout_raises_document_timeout(self):
-        with pytest.raises(DocumentTimeout):
-            call_with_timeout(lambda: time.sleep(1.0), timeout=0.02)
-        assert is_transient(DocumentTimeout("over budget"))
-
-    def test_call_with_timeout_relays_result_and_error(self):
-        assert call_with_timeout(lambda: 42, timeout=5.0) == 42
-
-        def boom():
-            raise KeyError("inner")
-
-        with pytest.raises(KeyError):
-            call_with_timeout(boom, timeout=5.0)
-
     def test_an_abandoned_delay_stops_with_its_caller(self):
-        """A scripted delay whose timeout fired stops instead of
-        sleeping on, so no thread outlives the test that started it."""
+        """A scripted delay stops at its deadline instead of sleeping
+        on: the check between its sleep slices raises."""
         injector = FaultInjector({0: Fault(kind="delay", seconds=30.0)})
-        threads = []
-
-        def slow():
-            threads.append(threading.current_thread())
+        started = time.monotonic()
+        with pytest.raises(DocumentTimeout), Deadline(0.02):
             injector.fire(0)
-
-        with pytest.raises(DocumentTimeout):
-            call_with_timeout(slow, timeout=0.02)
-        threads[0].join(5)
-        assert not threads[0].is_alive()
+        assert time.monotonic() - started < 5.0
 
 
 class TestDeadline:
-    """The whole-request budget the HTTP service wraps around parse +
-    evaluate, built on the same timeout triage as the batch runner."""
+    """The budget every timeout runs on: the HTTP service wraps it
+    around a whole request, the batch runner around each attempt."""
 
     def test_unbounded_deadline_never_expires(self):
         deadline = Deadline(None)
-        assert deadline.remaining() is None
-        assert not deadline.expired()
-        assert deadline.run(lambda: 42) == 42
+        assert deadline.remaining() == float("inf")
+        with deadline:
+            check_deadline()
 
     def test_remaining_shrinks_and_floors_at_zero(self):
         deadline = Deadline(30.0)
@@ -162,19 +141,20 @@ class TestDeadline:
         spent = Deadline(1e-9)
         time.sleep(0.01)
         assert spent.remaining() == 0.0
-        assert spent.expired()
 
     def test_run_raises_document_timeout_on_overrun(self):
-        with pytest.raises(DocumentTimeout) as excinfo:
-            Deadline(0.02).run(lambda: time.sleep(1.0))
+        with pytest.raises(DocumentTimeout) as excinfo, Deadline(0.02):
+            while True:
+                check_deadline()
         assert is_transient(excinfo.value)
 
     def test_run_on_a_spent_deadline_raises_before_calling(self):
         deadline = Deadline(1e-9)
         time.sleep(0.01)
         calls = []
-        with pytest.raises(DocumentTimeout, match="before evaluation"):
-            deadline.run(lambda: calls.append(1))
+        with pytest.raises(DocumentTimeout, match="deadline"), deadline:
+            check_deadline()
+            calls.append(1)
         assert calls == []
 
     def test_nonpositive_budget_is_rejected(self):
@@ -184,13 +164,11 @@ class TestDeadline:
             Deadline(-1.0)
 
     def test_run_relays_result_and_error(self):
-        assert Deadline(5.0).run(lambda: "ok") == "ok"
+        with Deadline(5.0):
+            assert check_deadline() is None
 
-        def boom():
+        with pytest.raises(KeyError), Deadline(5.0):
             raise KeyError("inner")
-
-        with pytest.raises(KeyError):
-            Deadline(5.0).run(boom)
 
 
 class TestBackoffDeterminism:
