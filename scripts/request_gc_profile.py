@@ -18,15 +18,23 @@ the rounds of the per-request mean:
 * ``gc_ms`` — collector time (all generations) inside it;
 * ``gen2_ms`` — full-collection time inside it.
 
-It then runs each kind's registered plan (the service's cached
-compiled plan) over the same documents, one layer at a time with the
-collector paused (its time is the ``gc_ms`` column above), and prints,
-again as the median over the rounds of the per-document mean:
+Right after each ``dispatch`` it runs the same document through the
+kind's registered plan (the service's cached compiled plan) one layer
+at a time with the collector paused (its time is the ``gc_ms`` column
+above), so a drift in host speed hits both alike, and prints, again as
+the median over the rounds of the per-document mean:
 
 * ``parse_ms`` — ``parse_xml`` of the request body;
 * ``execute_ms`` — the plan's ``run`` over the parsed document;
 * ``serialize_ms`` — ``to_xml`` of the result, which is compared byte
-  for byte with the same naive output as ``dispatch``.
+  for byte with the same naive output as ``dispatch``;
+* ``other_ms`` — ``dispatch_ms`` minus the three layers: what a
+  request costs beyond its layers (routing, the runner, accounting,
+  history, the collector).
+
+``dispatch`` pauses the collector while a request is in flight, so
+``gc_ms`` counts only a pass that starts between the request's resume
+and the call's return.
 
 Exit status: 0 when every response matched, 1 otherwise.  Run it from
 the repository root::
@@ -124,83 +132,69 @@ def register(service: ClipService, texts: dict) -> dict:
     return fps
 
 
-def replay(service: ClipService, fps: dict, requests: list, rounds: int):
-    """``rounds`` passes over ``requests`` after one untimed pass;
-    returns ``({kind: {metric: [per-round mean]}}, mismatches)``."""
+METRICS = ("dispatch_ms", "gc_ms", "gen2_ms",
+           "parse_ms", "execute_ms", "serialize_ms")
+
+
+def measure(service: ClipService, texts: dict, fps: dict, requests: list,
+            rounds: int):
+    """``rounds`` passes over ``requests`` after one untimed pass; each
+    request is dispatched, then run again one layer at a time, so host
+    speed drift hits both alike.  Returns ``({kind: {metric: [per-round
+    mean]}}, mismatches)``."""
+    schemas = {kind: loads(texts[names[0]]).source for kind, names, _ in KINDS}
+    plans = {kind: service.cache.peek(fps[kind]) for kind, _, _ in KINDS}
     clock = CollectorClock()
     gc.callbacks.append(clock)
-    samples = {kind: {"dispatch_ms": [], "gc_ms": [], "gen2_ms": []}
-               for kind, _, _ in KINDS}
+    samples = {kind: {metric: [] for metric in METRICS} for kind, _, _ in KINDS}
     mismatches = 0
+
+    def check(ok: bool, what: str, got: int, want: int) -> None:
+        nonlocal mismatches
+        if not ok:
+            mismatches += 1
+            print(f"  [FAIL] {what}: {got} vs {want} bytes", file=sys.stderr)
+
     try:
         for round_no in range(rounds + 1):
-            sums = {kind: [0.0, 0.0, 0.0] for kind in samples}
+            sums = {kind: [0.0] * len(METRICS) for kind in samples}
             for kind, body, reference in requests:
                 path = f"/transform?mapping={fps[kind]}"
                 gc_before, gen2_before = clock.total, clock.gen2
                 started = time.perf_counter()
                 response = service.dispatch("POST", path, {}, body)
                 elapsed = time.perf_counter() - started
-                if response.status != 200 or response.body != reference:
-                    mismatches += 1
-                    print(f"  [FAIL] {kind} {path}: status {response.status}, "
-                          f"{len(response.body)} vs {len(reference)} bytes",
-                          file=sys.stderr)
-                acc = sums[kind]
-                acc[0] += elapsed
-                acc[1] += clock.total - gc_before
-                acc[2] += clock.gen2 - gen2_before
+                check(response.status == 200 and response.body == reference,
+                      f"{kind} {path} ({response.status})",
+                      len(response.body), len(reference))
+                gc_time = clock.total - gc_before
+                gen2_time = clock.gen2 - gen2_before
+                gc.disable()  # its time is gc_ms above
+                try:
+                    t0 = time.perf_counter()
+                    document = parse_xml(body.decode("utf-8"),
+                                         schema=schemas[kind])
+                    t1 = time.perf_counter()
+                    result = plans[kind].run(document)
+                    t2 = time.perf_counter()
+                    rendered = to_xml(result).encode("utf-8")
+                    t3 = time.perf_counter()
+                finally:
+                    gc.enable()
+                check(rendered == reference, f"{kind} plan run",
+                      len(rendered), len(reference))
+                result.release()
+                document.release()
+                for i, value in enumerate((elapsed, gc_time, gen2_time,
+                                           t1 - t0, t2 - t1, t3 - t2)):
+                    sums[kind][i] += value
             if round_no == 0:
                 continue  # warm-up
-            for kind, (dispatch, total, gen2) in sums.items():
-                samples[kind]["dispatch_ms"].append(dispatch * 1e3 / DOCS)
-                samples[kind]["gc_ms"].append(total * 1e3 / DOCS)
-                samples[kind]["gen2_ms"].append(gen2 * 1e3 / DOCS)
+            for kind, values in sums.items():
+                for metric, value in zip(METRICS, values):
+                    samples[kind][metric].append(value * 1e3 / DOCS)
     finally:
         gc.callbacks.remove(clock)
-    return samples, mismatches
-
-
-def layers(service: ClipService, texts: dict, fps: dict, requests: list,
-           rounds: int):
-    """``rounds`` passes of parse, execute and serialize through each
-    kind's registered plan after one untimed pass; returns
-    ``({kind: {metric: [per-round mean]}}, mismatches)``."""
-    schemas = {kind: loads(texts[names[0]]).source for kind, names, _ in KINDS}
-    plans = {kind: service.cache.peek(fps[kind]) for kind, _, _ in KINDS}
-    metrics = ("parse_ms", "execute_ms", "serialize_ms")
-    samples = {kind: {metric: [] for metric in metrics} for kind, _, _ in KINDS}
-    mismatches = 0
-    for round_no in range(rounds + 1):
-        sums = {kind: [0.0, 0.0, 0.0] for kind in samples}
-        for kind, body, reference in requests:
-            text = body.decode("utf-8")
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                document = parse_xml(text, schema=schemas[kind])
-                t1 = time.perf_counter()
-                result = plans[kind].run(document)
-                t2 = time.perf_counter()
-                rendered = to_xml(result).encode("utf-8")
-                t3 = time.perf_counter()
-            finally:
-                gc.enable()
-            if rendered != reference:
-                mismatches += 1
-                print(f"  [FAIL] {kind} plan run: {len(rendered)} vs "
-                      f"{len(reference)} bytes", file=sys.stderr)
-            result.release()
-            document.release()
-            acc = sums[kind]
-            acc[0] += t1 - t0
-            acc[1] += t2 - t1
-            acc[2] += t3 - t2
-        if round_no == 0:
-            continue  # warm-up
-        for kind, values in sums.items():
-            for metric, value in zip(metrics, values):
-                samples[kind][metric].append(value * 1e3 / DOCS)
     return samples, mismatches
 
 
@@ -220,18 +214,15 @@ def main(argv=None) -> int:
     gc.collect()
     gc.freeze()
     fps = register(service, texts)
-    samples, mismatches = replay(service, fps, requests, args.rounds)
-    layer_samples, layer_mismatches = layers(
-        service, texts, fps, requests, args.rounds
-    )
-    mismatches += layer_mismatches
-    for kind, metrics in layer_samples.items():
-        samples[kind].update(metrics)
+    samples, mismatches = measure(service, texts, fps, requests, args.rounds)
     medians = {
         kind: {metric: round(statistics.median(values), 3)
                for metric, values in metrics.items()}
         for kind, metrics in samples.items()
     }
+    for row in medians.values():
+        row["other_ms"] = round(row["dispatch_ms"] - row["parse_ms"]
+                                - row["execute_ms"] - row["serialize_ms"], 3)
     if args.json:
         print(json.dumps({"rounds": args.rounds, "seed": SEED,
                           "mismatches": mismatches, "kinds": medians},
@@ -240,11 +231,13 @@ def main(argv=None) -> int:
         print(f"{args.rounds} rounds, seed {SEED}; per-request medians "
               f"of per-round means (ms)")
         print(f"{'kind':8}{'dispatch_ms':>13}{'gc_ms':>10}{'gen2_ms':>10}"
-              f"{'parse_ms':>11}{'execute_ms':>12}{'serialize_ms':>14}")
+              f"{'parse_ms':>11}{'execute_ms':>12}{'serialize_ms':>14}"
+              f"{'other_ms':>10}")
         for kind, row in medians.items():
             print(f"{kind:8}{row['dispatch_ms']:>13.2f}{row['gc_ms']:>10.2f}"
                   f"{row['gen2_ms']:>10.2f}{row['parse_ms']:>11.2f}"
-                  f"{row['execute_ms']:>12.2f}{row['serialize_ms']:>14.2f}")
+                  f"{row['execute_ms']:>12.2f}{row['serialize_ms']:>14.2f}"
+                  f"{row['other_ms']:>10.2f}")
         print("bytes: all responses match the naive engine"
               if not mismatches else f"bytes: {mismatches} mismatches")
     return 1 if mismatches else 0

@@ -80,7 +80,7 @@ from ..core.tgd import (
     expr_root,
 )
 from ..errors import ExecutionError, XmlError
-from ..runtime.retry import check_deadline
+from ..runtime.retry import active_deadline, check_deadline
 from ..xml.model import XmlElement, _check_atomic, _check_name
 from .engine import GroupBinding, order_mappings
 from .planner import (
@@ -101,6 +101,7 @@ _OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 #: Local aliases a generated function opens with — each emitted only
 #: when the function body uses it (see :func:`_close_function`).
 _ALIASES = (
+    ("_dl", "_active_deadline()"),
     ("_sr", "E.source"),
     ("_ch", "E.index.children"),
     ("_seqs", "E._sequences"),
@@ -214,6 +215,14 @@ def _close_function(em: _Emitter, start: int) -> None:
     ]
     em.pop()
     em.line("")
+
+
+def _emit_deadline_poll(em: _Emitter, pad: str = "") -> None:
+    """Poll the deadline aliased as ``_dl`` (see
+    :class:`~repro.runtime.retry.Deadline`): no call under none."""
+    for text in ("if _dl is not None:", "    _dl.polls -= 1",
+                 "    if _dl.polls < 0:", "        _check_deadline()"):
+        em.line(pad + text)
 
 
 def _emit_lookup(em: _Emitter, env_var: str, name: str) -> str:
@@ -684,7 +693,7 @@ def _emit_slot(em: _Emitter, plan: LevelPlan, li: int, k: int) -> None:
             em.line(f"for {it2} in {seq}:")
         em.push()
     if k == 0:
-        em.line("_check_deadline()")
+        _emit_deadline_poll(em)
     em.line(f"_cur[{gen.var!r}] = {it2}")
     em.line("_c_bind += 1")
     for condition in slot.env_filters:
@@ -1198,7 +1207,7 @@ def _emit_run_fn(em: _Emitter, plan: LevelPlan, li: int, scope: _Scope) -> None:
         em.line("_bases = (tenv,)")
     if grouped:
         em.line("for _k, _m in _keyed.items():")
-        em.line("    _check_deadline()")
+        _emit_deadline_poll(em, "    ")
         em.line(f"    _genv = _group_{li}(_m)")
         em.line("    for _base in _bases:")
         em.line(f"        _unit_{li}(E, _genv, _base, _k)")
@@ -1206,7 +1215,7 @@ def _emit_run_fn(em: _Emitter, plan: LevelPlan, li: int, scope: _Scope) -> None:
         em.line("    C.groups += len(_grp) - _g0")
     else:
         em.line("for _e in _envs:")
-        em.line("    _check_deadline()")
+        _emit_deadline_poll(em, "    ")
         em.line("    for _base in _bases:")
         em.line(f"        _unit_{li}(E, _e, _base)")
     _close_function(em, start)
@@ -1352,6 +1361,7 @@ def build_program(
         "XmlElement": XmlElement,
         "XmlError": XmlError,
         "_check_atomic": _check_atomic,
+        "_active_deadline": active_deadline,
         "_check_deadline": check_deadline,
         "_ATOMS": frozenset((str, int, float, bool)),
     }

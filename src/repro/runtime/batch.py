@@ -39,6 +39,7 @@ traceback.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -154,9 +155,12 @@ def _init_worker(
     For optimized tgd steps the description carries the generated
     *source* and each worker re-materializes its closures with one
     ``compile()``/``exec`` — the deterministic-emission contract lets
-    the worker verify the cached source against its own plan.
+    the worker verify the cached source against its own plan.  A worker
+    forked inside a service request inherits its paused collector;
+    result trees are cycles until pickled, so it collects again.
     """
     global _WORKER_PLAN, _WORKER_INJECTOR, _WORKER_TIMEOUT, _WORKER_TRACE
+    gc.enable()
     _WORKER_PLAN = plan_from_description(pickle.loads(plan_bytes))
     _WORKER_INJECTOR = pickle.loads(injector_bytes) if injector_bytes else None
     _WORKER_TIMEOUT = timeout
@@ -838,7 +842,9 @@ class BatchRunner:
                 payload["attrs"]["retried"] = True
             delay = self.retry.delay(attempt + 1)
             if delay:
-                time.sleep(delay)
+                enclosing = active_deadline()  # the backoff obeys it too
+                time.sleep(delay if enclosing is None else min(delay, enclosing.remaining()))
+                check_deadline()
             return True
         if payload is not None:
             payload["attrs"]["terminal"] = True

@@ -119,12 +119,17 @@ class Deadline:
     request under one; a batch attempt runs under its timeout nested
     inside.  ``budget=None`` is unbounded.  Overruns raise the
     transient :class:`repro.errors.DocumentTimeout`.
+
+    The hottest loops (parse walk, generated engine) read
+    :func:`active_deadline` once, then *poll* it: ``polls -= 1``, and
+    :func:`check_deadline` (which resets ``polls``) once it is below 0.
     """
 
-    __slots__ = ("budget", "_expires", "_token")
+    __slots__ = ("budget", "polls", "_expires", "_token")
 
     def __init__(self, budget: Optional[float]):
         self.budget = check_budget(budget, "budget")
+        self.polls = 0
         self._expires = monotonic() + (math.inf if budget is None else budget)
 
     def remaining(self) -> float:
@@ -151,12 +156,17 @@ _ACTIVE: ContextVar[Optional[Deadline]] = ContextVar(
 #: The deadline :func:`check_deadline` enforces here, if any.
 active_deadline = _ACTIVE.get
 
+#: A polling loop reads the clock on one poll in this many.
+POLL_STRIDE = 16
+
 
 def check_deadline() -> None:
     """Raise :class:`~repro.errors.DocumentTimeout` once the deadline in
     force has passed; a no-op (one context-variable read) under none."""
     deadline = active_deadline()
-    if deadline is not None and monotonic() >= deadline._expires:
-        raise DocumentTimeout(
-            f"evaluation exceeded its {deadline.budget:g}s deadline"
-        )
+    if deadline is not None:
+        deadline.polls = POLL_STRIDE - 1
+        if monotonic() >= deadline._expires:
+            raise DocumentTimeout(
+                f"evaluation exceeded its {deadline.budget:g}s deadline"
+            )

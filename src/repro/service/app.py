@@ -66,6 +66,7 @@ parsing path.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
@@ -235,6 +236,28 @@ def _release(trees) -> None:
             tree.release()
 
 
+#: ``dispatch`` calls in flight process-wide, and whether the first of
+#: them found the cyclic collector on.
+_in_flight = 0
+_collector_was_on = False
+_in_flight_lock = threading.Lock()
+
+
+def _pause_collector(step: int) -> None:
+    """Count a request in (``+1``) or out (``-1``).  The first one in
+    pauses the cyclic collector: a request leaves nothing only it could
+    free (its trees are released), so passes over live request trees
+    find nothing.  The last one out resumes it, unless it was off."""
+    global _in_flight, _collector_was_on
+    with _in_flight_lock:
+        if not _in_flight:
+            _collector_was_on = gc.isenabled()
+            gc.disable()
+        _in_flight += step
+        if not _in_flight and _collector_was_on:
+            gc.enable()
+
+
 def _json_body(doc: dict, status: int = 200,
                headers: Tuple[Tuple[str, str], ...] = ()) -> ServiceResponse:
     payload = (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -315,7 +338,9 @@ class ClipService:
         with ``.get`` (the HTTP layer passes the request's header
         object).  Errors — the service's own and the full
         :mod:`repro.errors` hierarchy — come back as structured JSON
-        envelopes with the status of :func:`error_status`.
+        envelopes with the status of :func:`error_status`.  The cyclic
+        collector is paused while any call is in flight and restored to
+        its prior state when the last one returns.
         """
         headers = headers if headers is not None else {}
         started = time.perf_counter()
@@ -328,6 +353,7 @@ class ClipService:
         endpoint = self._endpoint_label(route)
         depth = self.metrics.begin_request()
         status = 500
+        _pause_collector(+1)
         try:
             response = self._route(
                 method, route, params, headers, body, endpoint, depth
@@ -342,6 +368,7 @@ class ClipService:
             status = error_status(exc)
             return self._error_response(exc, status)
         finally:
+            _pause_collector(-1)
             self.metrics.end_request(
                 endpoint, status, time.perf_counter() - started
             )

@@ -22,7 +22,7 @@ import xml.etree.ElementTree as _ET
 from typing import Optional
 
 from ..errors import XmlParseError
-from ..runtime.retry import check_deadline
+from ..runtime.retry import active_deadline, check_deadline
 from .model import _NO_CHILDREN, XmlElement, _check_atomic, _check_name
 
 
@@ -57,6 +57,7 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
         typed = _plan(schema.root)  # the root's, whatever its tag
         plan = typed if typed[0] == plan[0] else _decl_plan(schema.root, plan[0], typed[1])
     new = XmlElement.__new__
+    deadline = active_deadline()  # polled per descent
     holder = new(XmlElement)  # the root is made like every element, as its child
     holder._children = []
     # (children still to read, their parent, the parent's child plans)
@@ -90,7 +91,10 @@ def parse_xml(text: str, schema: Optional[object] = None) -> XmlElement:
                 # Mixed-content text is dropped.  Descend now and resume
                 # this parent's children afterwards, so elements are
                 # read (and errors raised) in document order.
-                check_deadline()
+                if deadline is not None:
+                    deadline.polls -= 1
+                    if deadline.polls < 0:
+                        check_deadline()
                 out._children = []
                 stack.append((iter(node), out, children or untyped))
                 break

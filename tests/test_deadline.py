@@ -14,7 +14,8 @@ owns.  No thread is started to time anything.  This module pins:
 * a Cartesian product stops near its deadline on both tgd paths;
 * the failure's ``stage`` of a chained plan that overruns in step 1;
 * non-finite budgets as bad input on every surface;
-* ``/transform/delta`` running wholly under its deadline.
+* ``/transform/delta`` running wholly under its deadline;
+* retry backoff cut short by the deadline.
 
 Worker counts honor ``CLIP_TEST_WORKERS`` (CI re-runs this module at 2
 and 4 workers).
@@ -419,3 +420,25 @@ def test_delta_overrun_in_compute_delta_is_a_504(monkeypatch):
     assert doc["transient"] is True
     assert time.monotonic() - started < 1.0
 
+
+
+# -- retry backoff obeys the deadline ------------------------------------------
+
+
+def test_retry_backoff_stops_at_the_deadline():
+    """Backoff before retries 1-3 is 0.05 + 0.1 + 0.2 s: a sleep past a
+    0.2 s deadline would answer after 0.35 s."""
+    service = _service(injector=FaultInjector(
+        {0: Fault(kind="raise", error="TransientError")}
+    ))
+    fp = _register(service, deptstore.mapping_fig3())
+    body = {"mapping": fp, "max_retries": 6,
+            "documents": [to_xml(deptstore.source_instance())]}
+    started = time.monotonic()
+    response = service.dispatch(
+        "POST", "/transform/batch?deadline=0.2", {}, json.dumps(body).encode()
+    )
+    elapsed = time.monotonic() - started
+    assert response.status == 504, response.body
+    assert json.loads(response.body)["error"] == "DocumentTimeout"
+    assert elapsed < 0.3
