@@ -15,11 +15,17 @@ API:
   (:meth:`IncrementalSession.transform` when the delta is truncated);
 * ``serialize_ms`` — :func:`to_xml` of the returned target.
 
+A second pair of sessions takes the same step the way the benchmark's
+edit-stream operation does, and times it the same way: ``step_ms`` is
+one :meth:`IncrementalSession.transform` plus :func:`to_xml` through
+both sessions, so it is the per-operation latency that perfbench
+reports, split above into its layers.
+
 Every output is compared byte for byte with the naive
 (``optimize=False``) engine's.  Like the benchmark, it collects and
 freezes the heap once before the first timed step.  For each ring
-position it prints the median over the rounds of each phase, and the
-mode each session took.
+position it prints the median over the rounds of each phase and of
+``step_ms``, and the mode each session took.
 
 Exit status: 0 when every output matched, 1 otherwise.  Run it from
 the repository root::
@@ -72,16 +78,18 @@ def build_ring():
 
 def replay(texts: dict, docs: list, expected: dict, rounds: int):
     """One untimed pass round the ring, then ``rounds`` timed ones;
-    returns ``({name: [{phase: [ms per round], "modes": set}]}, mismatches)``
-    indexed by ring position."""
-    sessions = {}
+    returns ``({name: [{phase: [ms per round], "modes": set}]},
+    [step ms per round], mismatches)``, both indexed by ring position."""
+    sessions, steppers = {}, {}
     for name in MAPPINGS:
         plan = prepare(compile_clip(loads(texts[name])), optimize=True)
-        sessions[name] = IncrementalSession(plan)
-        sessions[name].transform(docs[0])
+        for pool in (sessions, steppers):
+            pool[name] = IncrementalSession(plan)
+            pool[name].transform(docs[0])
     samples = {name: [{phase: [] for phase in PHASES} | {"modes": set()}
                       for _ in docs]
                for name in MAPPINGS}
+    steps = [[] for _ in docs]
     mismatches = 0
     gc.collect()
     gc.freeze()
@@ -113,9 +121,20 @@ def replay(texts: dict, docs: list, expected: dict, rounds: int):
                     row["apply_ms"].append((applied - diffed) * 1e3)
                     row["serialize_ms"].append((done - applied) * 1e3)
                     row["modes"].add(report.mode)
+                started = time.perf_counter()
+                outs = [to_xml(steppers[name].transform(doc)[0])
+                        for name in MAPPINGS]
+                elapsed = time.perf_counter() - started
+                for name, out in zip(MAPPINGS, outs):
+                    if out.encode("utf-8") != expected[name][position]:
+                        mismatches += 1
+                        print(f"  [FAIL] {name} step at position {position}",
+                              file=sys.stderr)
+                if round_no:
+                    steps[position].append(elapsed * 1e3)
     finally:
         gc.unfreeze()
-    return samples, mismatches
+    return samples, steps, mismatches
 
 
 def main(argv=None) -> int:
@@ -129,7 +148,8 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
 
     texts, docs, expected = build_ring()
-    samples, mismatches = replay(texts, docs, expected, args.rounds)
+    samples, steps, mismatches = replay(texts, docs, expected, args.rounds)
+    step_ms = [round(statistics.median(row), 3) for row in steps]
     medians = {
         name: [
             {phase: round(statistics.median(row[phase]), 3) for phase in PHASES}
@@ -140,18 +160,19 @@ def main(argv=None) -> int:
     }
     if args.json:
         print(json.dumps({"rounds": args.rounds, "seed": SEED,
-                          "mismatches": mismatches, "positions": medians},
+                          "mismatches": mismatches, "positions": medians,
+                          "step_ms": step_ms},
                          indent=2, sort_keys=True))
     else:
         print(f"{args.rounds} rounds, seed {SEED}; per-step medians (ms)")
         header = "".join(f"{name + ' ' + phase.split('_')[0]:>16}"
                          for name in MAPPINGS for phase in PHASES)
-        print(f"{'pos':>4}{header}  modes")
+        print(f"{'pos':>4}{header}{'step_ms':>10}  modes")
         for position in range(len(docs)):
             cells = "".join(f"{medians[name][position][phase]:>16.3f}"
                             for name in MAPPINGS for phase in PHASES)
             modes = " ".join(medians[name][position]["mode"] for name in MAPPINGS)
-            print(f"{position:>4}{cells}  {modes}")
+            print(f"{position:>4}{cells}{step_ms[position]:>10.3f}  {modes}")
         print("bytes: all outputs match the naive engine"
               if not mismatches else f"bytes: {mismatches} mismatches")
     return 1 if mismatches else 0

@@ -40,13 +40,10 @@ traceback.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.mapping import ClipMapping
@@ -323,6 +320,8 @@ def parse_documents(
 
 
 def _pool_context():
+    import multiprocessing  # loaded on the pool path only (see _run_pool)
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -692,6 +691,11 @@ class BatchRunner:
         dead_letters: list[DeadLetter],
         span_log: Optional[dict] = None,
     ) -> None:
+        # Imported here, not at module top: an in-process batch and a
+        # service start never load the pool's modules.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         docs = list(documents)
         if not docs:
             return

@@ -607,9 +607,11 @@ class IncrementalSession:
             )
 
     def _adopt(self, source: XmlElement, target: XmlElement, units=None, parent=None):
-        """Take ``source``/``target`` as the maintained pair; without
+        """Take ``source``/``target`` as the maintained pair (keeping the
+        size :meth:`_apply` recorded for the maintained tree); without
         ``units``, the old side is re-derived when next needed."""
-        self._source, self._size, self._target = source, source.size(), target
+        self._size = self._size if source is self._source else source.size()
+        self._source, self._target = source, target
         self._units, self._parent = units, parent
 
     def _fallback(

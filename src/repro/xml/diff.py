@@ -27,6 +27,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from ..errors import XmlError
+from ..runtime.retry import active_deadline, check_deadline
 from .model import AtomicValue, XmlElement
 
 
@@ -225,17 +226,38 @@ class Delta:
 
 
 class _DeltaBuilder:
-    """Record collector; path strings are derived from steps only when
-    a record is actually pushed — the equal-subtree fast path of the
-    delta walk touches every node and must not pay for formatting."""
+    """Record collector; steps and path strings are built only when a
+    record is actually pushed — the walk over equal subtrees touches
+    every node and must pay for neither."""
 
-    __slots__ = ("records", "limit", "truncated", "root_tag")
+    __slots__ = ("records", "limit", "truncated", "root_tag", "indices")
 
     def __init__(self, limit: int, root_tag: str):
         self.records: list[DeltaRecord] = []
         self.limit = limit
         self.truncated = False
         self.root_tag = root_tag
+        # id(left parent) → {id(child): per-tag index}, filled on demand
+        # so records under one wide parent do not rescan its children.
+        self.indices: dict[int, dict[int, int]] = {}
+
+    def steps_of(self, entry) -> tuple[tuple[str, int], ...]:
+        """The ``(tag, per-tag index)`` steps from the left root to a
+        stack entry's left element, following the entries' links."""
+        steps = []
+        while entry[2] is not None:
+            child, _, entry = entry
+            parent = entry[0]
+            indices = self.indices.get(id(parent))
+            if indices is None:
+                indices = self.indices[id(parent)] = {}
+                seen: dict[str, int] = {}
+                for sibling in parent._children:
+                    indices[id(sibling)] = k = seen.get(sibling.tag, 0)
+                    seen[sibling.tag] = k + 1
+            steps.append((child.tag, indices[id(child)]))
+        steps.reverse()
+        return tuple(steps)
 
     def path_of(self, steps, suffix: str = "") -> str:
         return (
@@ -269,39 +291,43 @@ def compute_delta(
     alignment cannot express a child-sequence change (an interleaving
     change beyond trailing per-tag removals and insertions), the whole
     parent becomes one coarse ``replace`` record rather than a wrong
-    fine-grained one.
+    fine-grained one.  Equal subtrees cost one visit per element, and
+    the walk obeys the :class:`~repro.runtime.retry.Deadline` in force.
     """
     builder = _DeltaBuilder(max_records, left.tag)
+    deadline = active_deadline()  # polled per pair
     # Depth-first over an explicit stack, children pushed in reverse:
     # records come out in left-document order, and deep documents
-    # never reach the recursion limit.
-    stack = [(left, right, ())]
+    # never reach the recursion limit.  An entry ``(left, right, parent
+    # entry)`` is also the link its steps come from.
+    stack = [(left, right, None)]
     while stack and not builder.truncated:
-        left, right, steps = stack.pop()
-        _delta_node(left, right, steps, builder, stack)
+        if deadline is not None:
+            deadline.polls -= 1
+            if deadline.polls < 0:
+                check_deadline()
+        _delta_node(stack.pop(), builder, stack)
     return Delta(tuple(builder.records), truncated=builder.truncated)
 
 
-def _delta_node(
-    left: XmlElement,
-    right: XmlElement,
-    steps: tuple[tuple[str, int], ...],
-    builder: _DeltaBuilder,
-    stack: list,
-) -> None:
-    """Push the records of one aligned element pair, and its child
-    pairs still to compare onto ``stack`` (last child first)."""
+def _delta_node(entry, builder: _DeltaBuilder, stack: list) -> None:
+    """Push the records of one aligned element pair (a stack entry),
+    and its child pairs still to compare onto ``stack`` (last child
+    first).  Equal childless child pairs are settled here, unpushed."""
+    left, right, _ = entry
     if left.tag != right.tag:
-        builder.push_subtree(left, right, steps)
+        builder.push_subtree(left, right, builder.steps_of(entry))
         return
     # A text value on one side versus children on the other cannot be
     # expressed as mutations — replace the subtree wholesale.
     if (left._text is not None and right._children) or (
         right._text is not None and left._children
     ):
-        builder.push_subtree(left, right, steps)
+        builder.push_subtree(left, right, builder.steps_of(entry))
         return
+    steps = None
     if left._attributes != right._attributes:
+        steps = builder.steps_of(entry)
         for name in dict.fromkeys((*left._attributes, *right._attributes)):
             lv = left._attributes.get(name)
             rv = right._attributes.get(name)
@@ -312,35 +338,31 @@ def _delta_node(
                 )):
                     return
     if left._text != right._text:
+        steps = steps or builder.steps_of(entry)
         if not builder.push(DeltaRecord(
             "mutate-text", builder.path_of(steps, "/text()"), steps,
             value=right._text,
         )):
             return
     lseq, rseq = left._children, right._children
-    if not lseq and not rseq:
-        return
-    same_skeleton = len(lseq) == len(rseq)
-    if same_skeleton:
+    if len(lseq) == len(rseq):
+        pending = []
         for lc, rc in zip(lseq, rseq):
-            if lc.tag is not rc.tag and lc.tag != rc.tag:
-                same_skeleton = False
+            if lc.tag != rc.tag:
                 break
-    if same_skeleton:
-        pairs = []
-        occurrence: dict[str, int] = {}
-        for lc, rc in zip(lseq, rseq):
-            k = occurrence.get(lc.tag, 0)
-            occurrence[lc.tag] = k + 1
-            pairs.append((lc, rc, steps + ((lc.tag, k),)))
-        pairs.reverse()
-        stack.extend(pairs)
-        return
+            if (lc._children or rc._children or lc._text != rc._text
+                    or lc._attributes != rc._attributes):
+                pending.append((lc, rc, entry))
+        else:
+            pending.reverse()
+            stack.extend(pending)
+            return
     # Structural change: pair the first min(L, R) occurrences per tag
     # (the diff's alignment); left extras are removals, right extras
     # insertions.  That is only faithful when the paired skeletons
     # interleave identically on both sides — otherwise the positional
     # model cannot represent the move, and the parent is replaced.
+    steps = steps or builder.steps_of(entry)
     lcount = Counter(c.tag for c in lseq)
     rcount = Counter(c.tag for c in rseq)
     pair_count = {
@@ -371,8 +393,7 @@ def _delta_node(
             )):
                 return
     stack.extend(reversed([
-        (lc, rc, steps + ((lc.tag, lk),))
-        for (lc, lk, _), (rc, _, _) in zip(lpaired, rpaired)
+        (lc, rc, entry) for (lc, _, _), (rc, _, _) in zip(lpaired, rpaired)
     ]))
 
 

@@ -169,6 +169,16 @@ class TestCheckSites:
         assert report.mode == "fallback"
         assert to_xml(again) == to_xml(plan.run(new))
 
+    def test_compute_delta(self):
+        old = make_deptstore_instance(DeptstoreSpec(
+            departments=80, projects_per_dept=40, employees_per_dept=60,
+        ))
+        assert old.size() > 20000
+        new = old.copy()
+        with pytest.raises(DocumentTimeout) as excinfo, _spent():
+            compute_delta(old, new)
+        assert _checked_in(excinfo.value) == ("diff.py", "compute_delta")
+
 
 # -- (b) no thread on any timed path ----------------------------------------
 

@@ -114,6 +114,24 @@ def test_batch_imports_only_the_tgd_engine(batch_inputs):
     assert sorted(modules.intersection(NOT_FOR_BATCH)) == []
 
 
+def test_in_process_batch_loads_no_pool_modules(batch_inputs):
+    """``--workers 1`` runs in-process: the pool's modules stay unloaded."""
+    mapping, docs, out = batch_inputs
+    argv = ["batch", mapping, *docs, "--workers", "1", "--output-dir", str(out)]
+    report = _python(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(json.dumps({'status': status, 'modules': sorted(sys.modules)}))\n"
+    )
+    assert report["status"] == 0
+    assert len(list(out.iterdir())) == len(docs)
+    modules = set(report["modules"])
+    assert "repro.runtime.batch" in modules
+    assert sorted(modules.intersection(
+        ("multiprocessing", "concurrent.futures.process"))) == []
+
+
 @pytest.fixture
 def module_probe(tmp_path):
     """An injector that writes, per document, the modules its worker

@@ -410,6 +410,35 @@ class TestIncrementalSession:
         got, report = session.transform(after)
         assert to_xml(got) == to_xml(plan.run(after))
 
+    @pytest.mark.parametrize("structural", [True, False])
+    def test_a_fallback_sizes_the_maintained_tree_at_most_once(
+        self, structural, monkeypatch
+    ):
+        """Structural deltas re-size the tree once, in the apply;
+        mutations cannot change the size, so nothing re-sizes it."""
+        from repro.xml.model import XmlElement
+
+        plan = _plan("fig7")
+        session = IncrementalSession(plan, threshold=0.0)
+        doc = _instance()
+        session.transform(doc)
+        edited = doc.copy()
+        if structural:
+            _drop_project(edited)
+        else:
+            _edit_pname(edited, "Renamed")
+        delta = compute_delta(doc, edited)
+        sized = []
+        real = XmlElement.size
+        monkeypatch.setattr(
+            XmlElement, "size", lambda node: sized.append(node) or real(node)
+        )
+        got, report = session.apply(delta)
+        assert report.mode == "fallback"
+        assert to_xml(got) == to_xml(plan.run(edited))
+        assert len(sized) == (1 if structural else 0)
+        assert session._size == real(edited)
+
     def test_unsupported_shapes_degrade_to_stateless_full_runs(self):
         plan = _plan("fig9")  # aggregate mapping: no scoped support
         session = IncrementalSession(plan)

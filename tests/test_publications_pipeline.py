@@ -246,10 +246,9 @@ class TestPipelineBatch:
         ]
 
     def test_pool_submits_one_task_per_document(self, either, monkeypatch):
+        import concurrent.futures
         import pickle
         from concurrent.futures import ProcessPoolExecutor
-
-        from repro.runtime import batch as batch_module
 
         initargs, submitted = [], []
 
@@ -262,7 +261,8 @@ class TestPipelineBatch:
                 submitted.append(task[0])
                 return super().submit(fn, task, *args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", Counting)
+        # The pool path imports its executor class when it runs.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         feeds = _feeds(5)
         batch = BatchRunner(either.plan(), workers=2).run(feeds)
         assert len(batch) == 5
