@@ -25,7 +25,10 @@ Every output is compared byte for byte with the naive
 (``optimize=False``) engine's.  Like the benchmark, it collects and
 freezes the heap once before the first timed step.  For each ring
 position it prints the median over the rounds of each phase and of
-``step_ms``, and the mode each session took.
+``step_ms``, the mode each session took, how many of the session's
+units it rebuilt out of how many (``recomputed_units``/``total_units``;
+0/0 when it recomputed everything) and the delta's record count
+(``delta_records``).
 
 Exit status: 0 when every output matched, 1 otherwise.  Run it from
 the repository root::
@@ -86,7 +89,8 @@ def replay(texts: dict, docs: list, expected: dict, rounds: int):
         for pool in (sessions, steppers):
             pool[name] = IncrementalSession(plan)
             pool[name].transform(docs[0])
-    samples = {name: [{phase: [] for phase in PHASES} | {"modes": set()}
+    samples = {name: [{phase: [] for phase in PHASES}
+                      | {"modes": set(), "units": set(), "records": set()}
                       for _ in docs]
                for name in MAPPINGS}
     steps = [[] for _ in docs]
@@ -121,6 +125,9 @@ def replay(texts: dict, docs: list, expected: dict, rounds: int):
                     row["apply_ms"].append((applied - diffed) * 1e3)
                     row["serialize_ms"].append((done - applied) * 1e3)
                     row["modes"].add(report.mode)
+                    row["units"].add((report.recomputed_units,
+                                      report.total_units))
+                    row["records"].add(len(delta.records))
                 started = time.perf_counter()
                 outs = [to_xml(steppers[name].transform(doc)[0])
                         for name in MAPPINGS]
@@ -150,10 +157,14 @@ def main(argv=None) -> int:
     texts, docs, expected = build_ring()
     samples, steps, mismatches = replay(texts, docs, expected, args.rounds)
     step_ms = [round(statistics.median(row), 3) for row in steps]
+    # Units and records are the same every round; max() reads them.
     medians = {
         name: [
             {phase: round(statistics.median(row[phase]), 3) for phase in PHASES}
-            | {"mode": "/".join(sorted(row["modes"]))}
+            | {"mode": "/".join(sorted(row["modes"])),
+               "recomputed_units": max(row["units"])[0],
+               "total_units": max(row["units"])[1],
+               "delta_records": max(row["records"])}
             for row in rows
         ]
         for name, rows in samples.items()
@@ -167,12 +178,17 @@ def main(argv=None) -> int:
         print(f"{args.rounds} rounds, seed {SEED}; per-step medians (ms)")
         header = "".join(f"{name + ' ' + phase.split('_')[0]:>16}"
                          for name in MAPPINGS for phase in PHASES)
-        print(f"{'pos':>4}{header}{'step_ms':>10}  modes")
+        scopes = "".join(f"{name + ' units':>12}{'recs':>5}" for name in MAPPINGS)
+        print(f"{'pos':>4}{header}{'step_ms':>10}{scopes}  modes")
         for position in range(len(docs)):
             cells = "".join(f"{medians[name][position][phase]:>16.3f}"
                             for name in MAPPINGS for phase in PHASES)
-            modes = " ".join(medians[name][position]["mode"] for name in MAPPINGS)
-            print(f"{position:>4}{cells}{step_ms[position]:>10.3f}  {modes}")
+            rows = [medians[name][position] for name in MAPPINGS]
+            units = "".join(
+                f"{row['recomputed_units']:>7}/{row['total_units']:<4}"
+                f"{row['delta_records']:>5}" for row in rows)
+            modes = " ".join(row["mode"] for row in rows)
+            print(f"{position:>4}{cells}{step_ms[position]:>10.3f}{units}  {modes}")
         print("bytes: all outputs match the naive engine"
               if not mismatches else f"bytes: {mismatches} mismatches")
     return 1 if mismatches else 0

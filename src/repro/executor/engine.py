@@ -22,7 +22,7 @@ tgd is one of the reproduction's main correctness arguments.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..errors import ExecutionError
 from ..runtime.retry import check_deadline
@@ -384,23 +384,43 @@ class _Engine:
                 self._identity_pins.append(dep)
         return found
 
-    def _enumerate_raw(self, mapping: TgdMapping, env: Env) -> list[Env]:
-        """All variable bindings produced by the generators (before C1)."""
-        envs = [dict(env)]
-        for gen in mapping.source_gens:
-            expanded: list[Env] = []
-            for current in envs:
+    def _enumerate_raw(self, mapping: TgdMapping, env: Env) -> Iterator[Env]:
+        """Every variable binding the generators produce (before C1),
+        one at a time in generator order: the product is walked
+        depth-first, never materialized."""
+        gens = mapping.source_gens
+        if not gens:
+            yield dict(env)
+            return
+        # envs[k] binds the first k generators; iters[k] walks the
+        # items of generator k under it.
+        check_deadline()
+        envs, iters = [dict(env)], [self._items(gens[0], env)]
+        while iters:
+            item = next(iters[-1], None)
+            if item is None:
+                envs.pop()
+                iters.pop()
+                continue
+            gen = gens[len(iters) - 1]
+            child = dict(envs[-1])
+            child[gen.var] = item
+            if len(iters) == len(gens):
+                yield child
+            else:
                 check_deadline()
-                for item in self._eval(gen.expr, current):
-                    if not isinstance(item, XmlElement):
-                        raise ExecutionError(
-                            f"generator {gen} iterates atomic value {item!r}"
-                        )
-                    child = dict(current)
-                    child[gen.var] = item
-                    expanded.append(child)
-            envs = expanded
-        return envs
+                envs.append(child)
+                iters.append(self._items(gens[len(iters)], child))
+
+    def _items(self, gen, env: Env) -> Iterator[XmlElement]:
+        """The elements generator ``gen`` ranges over under ``env``."""
+        items = self._eval(gen.expr, env)
+        for item in items:
+            if not isinstance(item, XmlElement):
+                raise ExecutionError(
+                    f"generator {gen} iterates atomic value {item!r}"
+                )
+        return iter(items)
 
     def _enumerate(self, mapping: TgdMapping, env: Env) -> list[Env]:
         """All variable bindings satisfying the generators and C1."""

@@ -194,6 +194,14 @@ class LevelPlan:
     #: whose member is unit-scoped (a containment test of that member).
     unit_reads: tuple[tuple[str, tuple[str, ...]], ...] = ()
     doc_reads: tuple[tuple[str, ...], ...] = ()
+    #: How the edited bindings behind ``doc_reads`` select units: the
+    #: level's document-scoped generators (:class:`DocGen`), each with
+    #: the planned joins that tie its bindings to a unit-anchored
+    #: variable.  ``None`` when some document read does not hang below
+    #: a binding of the level's own generators, or a generator has no
+    #: join on itself or on a generator it ranges below: an edit there
+    #: may reach any unit.
+    doc_gens: Optional[tuple["DocGen", ...]] = ()
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -527,6 +535,89 @@ def _collect_level_reads(
     return reads, resolved, unit, doc
 
 
+class DocLink(NamedTuple):
+    """A planned equality or membership join between a document-scoped
+    generator's binding and a unit-anchored variable: ``labels`` lead
+    from the binding to its operand (the hash key, or the membership
+    collection), and ``anchor`` says where the other operand's nodes
+    live inside a unit."""
+
+    labels: _Chain
+    anchor: _Anchor
+    membership: bool
+
+
+class DocGen(NamedTuple):
+    """A document-scoped generator of a nested level (Figure 7's ``d2``
+    and ``r``): the absolute chain of its bindings, the level's
+    document-scoped generator its expression ranges below (``None``
+    when rooted elsewhere), the value reads the level makes relative to
+    a binding (populations of generators below it excluded: their
+    bindings stand for themselves), and its joins to a unit."""
+
+    var: str
+    chain: _Chain
+    parent: Optional[str]
+    reads: frozenset[_Chain]
+    links: tuple[DocLink, ...]
+
+
+def _doc_gens(
+    plan: LevelPlan, scope: dict[str, _Bound]
+) -> Optional[tuple[DocGen, ...]]:
+    """The :attr:`LevelPlan.doc_gens` of a level, once
+    :func:`_collect_level_reads` has bound its variables in ``scope``."""
+    chains: dict[str, _Chain] = {}
+    for gen in plan.mapping.source_gens:
+        bound = scope[gen.var]
+        if bound.anchor is None:
+            if bound.chains is None or len(bound.chains) != 1:
+                return None
+            chains[gen.var] = next(iter(bound.chains))
+    reads: dict[str, set[_Chain]] = {var: set() for var in chains}
+    # The document reads of _collect_level_reads, each of which must
+    # hang below a binding of one of the level's own generators.
+    for expr, atomic, member in level_reads(plan.mapping):
+        if _anchor(expr, scope) is not None or (
+            member is not None and _anchor(member, scope) is not None
+        ):
+            continue
+        root = expr_root(expr)
+        if not (isinstance(root, Var) and root.name in chains):
+            return None
+        labels = tuple(expr_labels(expr))
+        reads[root.name].update(value_read_chains(labels) if atomic else {labels})
+    links: dict[str, list[DocLink]] = {var: [] for var in chains}
+    joins = [(j.build_key, j.probe_key, False) for slot in plan.slots for j in slot.eq_joins]
+    joins += [(j.collection, j.member, True) for slot in plan.slots for j in slot.mem_joins]
+    # Either operand of an equality may be the document side; a
+    # membership's collection is (a unit-scoped collection pins the
+    # member, which is then no document-scoped generator).
+    sides = [(e, o, m) for key, probe, m in joins
+             for e, o in ((key, probe), (probe, key))[: 1 if m else 2]]
+    for own, other, membership in sides:
+        if isinstance(own, Constant) or isinstance(other, Constant):
+            continue
+        root, anchor = expr_root(own), _anchor(other, scope)
+        if isinstance(root, Var) and root.name in chains and anchor is not None:
+            links[root.name].append(
+                DocLink(tuple(expr_labels(own)), anchor, membership))
+    gens = []
+    for gen in plan.mapping.source_gens:
+        if gen.var in chains:
+            root = expr_root(gen.expr)
+            parent = root.name if isinstance(root, Var) and root.name in chains else None
+            gens.append(DocGen(gen.var, chains[gen.var], parent,
+                               frozenset(reads[gen.var]), tuple(links[gen.var])))
+    by_var = {gen.var: gen for gen in gens}
+
+    def linked(gen: DocGen) -> bool:
+        parent = by_var.get(gen.parent) if gen.parent else None
+        return bool(gen.links) or (parent is not None and linked(parent))
+
+    return tuple(gens) if all(linked(gen) for gen in gens) else None
+
+
 @dataclass(frozen=True)
 class PlannedTgd:
     """Every level of a nested tgd, compiled."""
@@ -572,8 +663,9 @@ def plan_tgd(tgd: NestedTgd) -> PlannedTgd:
         )
         own = frozenset(gen.var for gen in mapping.source_gens)
         grouped -= own
+        plan = plan_level(mapping, depth)
         levels.append(replace(
-            plan_level(mapping, depth),
+            plan,
             read_paths=tuple(sorted(reads)),
             reads_resolved=resolved,
             gen_chains=tuple(
@@ -581,6 +673,7 @@ def plan_tgd(tgd: NestedTgd) -> PlannedTgd:
             ),
             unit_reads=tuple(sorted(unit)),
             doc_reads=tuple(sorted(doc)),
+            doc_gens=_doc_gens(plan, scope),
         ))
         # A grouped level rebinds its own variables to GroupBindings
         # for everything nested below it.

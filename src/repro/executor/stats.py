@@ -143,12 +143,12 @@ class _InstrumentedEngine(_Engine):
 
     def _enumerate(self, mapping, env):
         stats = self._stats[id(mapping)]
-        raw = self._enumerate_raw(mapping, env)
-        envs = [
-            e for e in raw
-            if all(self._condition_holds(c, e) for c in mapping.where)
-        ]
-        stats.filtered_out += len(raw) - len(envs)
+        envs, raw = [], 0
+        for e in self._enumerate_raw(mapping, env):
+            raw += 1
+            if all(self._condition_holds(c, e) for c in mapping.where):
+                envs.append(e)
+        stats.filtered_out += raw - len(envs)
         # A level without generators runs once (document scope).
         stats.iterations += len(envs) if mapping.source_gens else 1
         return envs

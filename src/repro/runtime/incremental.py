@@ -32,14 +32,16 @@ Three outcomes, reported in the returned :class:`IncrementalReport`:
     the mapping uses a construct the scoped path does not model
     (multiple roots, ``distribute`` generators, writes escaping the
     unit's fragment), or the delta touches a *document-scoped* read of
-    a nested level, like the Figure 7 employee re-scan.
+    a nested level that no planned join ties to the unit.  The Figure 7
+    employee re-scan is tied (``p2 ∈ d2.Proj``, ``p2.@pid = r.@pid``):
+    an edit there dirties only the units those joins pair with the
+    edited bindings (:mod:`repro.runtime.joinscope`).
 
 The reads come from the planner's one read-set analysis
 (:func:`~repro.executor.planner.plan_tgd`), for naive and optimized
 plans alike: each is anchored below a root generator's binding (the
-unit's own subtrees, membership-pinned variables like Figure 7's
-``$p2`` included) or document-wide.  This module checks only the
-target side: a single root, one wrapper chain, unit-local writes.
+unit's own subtrees, membership-pinned variables like ``$p2``
+included) or document-wide.  This module checks only the target side.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from ..executor.planner import (
 from ..xml.diff import Delta, apply_delta, apply_delta_in_place, compute_delta, resolve_steps
 from ..xml.index import index_for
 from ..xml.model import XmlElement
+from .joinscope import JoinScope, touches
 from .retry import check_deadline
 
 #: Above this changed-nodes / source-size ratio the scoped path cannot
@@ -106,27 +109,10 @@ class IncrementalReport:
 
 
 def _delta_touches(delta: Delta, reads, resolved: bool) -> bool:
-    """Whether any delta record can influence one of the read chains.
-
-    Mutations change a single attribute/text slot, so only the exact
-    chain observes them (a bare prefix of the chain is a node-set read
-    — binding existence and identity — which interior mutations leave
-    intact).  Structural records change the whole subtree at their
-    chain, so any read *at or below* it may observe the edit; reads
-    strictly above are node-set or value reads whose own population is
-    untouched (their dependence on the subtree's contents is recorded
-    as separate, deeper chains).
-    """
-    if not resolved:
-        return True
-    for record in delta.records:
-        chain = record.chain
-        if record.is_mutation:
-            if chain in reads:
-                return True
-        elif any(read[: len(chain)] == chain for read in reads):
-            return True
-    return False
+    """Whether any delta record can influence one of the read chains."""
+    return not resolved or any(
+        touches(record.chain, record.is_mutation, reads) for record in delta.records
+    )
 
 
 # -- supported-shape analysis -----------------------------------------------
@@ -143,9 +129,10 @@ class _Shape:
     prefix: tuple[TargetGenerator, ...]
     suffix: tuple[TargetGenerator, ...]
     grouped: bool
-    #: Absolute chains read by nested levels *outside* their unit scope
-    #: (document-wide re-scans); a delta touching these falls back.
-    global_reads: frozenset[_Chain]
+    #: Per level re-scanning the document outside its unit: its
+    #: ``doc_reads``, and the ``doc_gens`` a delta touching them selects
+    #: units by (``None``: the delta falls back).
+    doc_levels: tuple[tuple[frozenset[_Chain], Optional[tuple]], ...]
     global_resolved: bool
     #: Per root-generator variable: the label chains the unit reads
     #: *relative to that variable's binding*, so the dirty test asks
@@ -241,8 +228,9 @@ def _analyze(planned: PlannedTgd) -> tuple[Optional[_Shape], str]:
             prefix=tuple(prefix),
             suffix=suffix,
             grouped=root.skolem is not None,
-            global_reads=frozenset(
-                chain for level in planned.levels for chain in level.doc_reads
+            doc_levels=tuple(
+                (frozenset(level.doc_reads), level.doc_gens)
+                for level in planned.levels if level.doc_reads
             ),
             # A level with an unresolved read may read anywhere.
             global_resolved=all(
@@ -587,7 +575,10 @@ class IncrementalSession:
             return self._fallback(
                 delta, report, f"unsupported mapping shape: {self._shape_reason}"
             )
-        if _delta_touches(delta, shape.global_reads, shape.global_resolved):
+        if not shape.global_resolved or any(
+            gens is None and _delta_touches(delta, reads, True)
+            for reads, gens in shape.doc_levels
+        ):
             return self._fallback(
                 delta,
                 report,
@@ -696,6 +687,12 @@ class IncrementalSession:
         """Apply a delta to the maintained tree, dropping exactly the
         caches it could have invalidated."""
         assert self._source is not None
+        for record in delta.records:  # the new size, without a tree walk
+            if record.op == "replace" and record.subtree is not None:
+                old = resolve_steps(self._source, record.steps)
+                self._size += record.subtree.size() - old.size()
+            elif not record.is_mutation:
+                self._size += -record.nodes if record.op == "remove" else record.nodes
         first = delta.records[0] if delta.records else None
         if first is not None and first.op == "replace" and not first.steps:
             # A whole-document replacement cannot be applied in place:
@@ -711,8 +708,6 @@ class IncrementalSession:
                 index.invalidate(node)
             if self._memo is not None:
                 self._memo.invalidate(*delta.tag_paths_by_kind())
-        if not all(record.is_mutation for record in delta.records):
-            self._size = self._source.size()
         self._applied = True
 
     def _scoped(
@@ -726,15 +721,20 @@ class IncrementalSession:
             raise ReproError("previous target does not align with plan output")
         try:
             index = _DirtyIndex(self._source, delta, shape.var_reads)
+            joins = JoinScope(shape.doc_levels, delta, self._source)
         except XmlError as exc:
             raise ReproError(f"delta does not resolve: {exc}") from exc
         dirty = units.dirty(index, shape.root.source_gens)
+        joined = joins.positions(units)
         stable = shape.enum_reads is not None and not _delta_touches(
             delta, shape.enum_reads, True
         )
 
         # Validation done — from here on the maintained pair advances.
         self._apply(delta)
+        if joins.touched:
+            # A mutated key joins its new partners too.
+            dirty = sorted(joined.union(dirty, joins.positions(units)))
         engine = self._tgd_plan.engine_for(self._source, memo=self._memo)
         if stable:
             drop, put, keys = self._rekey(engine, units, dirty)

@@ -13,9 +13,14 @@ order).  The result is a :class:`DiffResult`: a plain list of
 :class:`Delta` of canonical changed paths and subtree
 insert/remove/mutate records precise enough to reconstruct the right
 instance from the left one (:func:`apply_delta`, byte-identical under
-:func:`repro.xml.serialize.to_xml`).  The incremental execution layer
-(:mod:`repro.runtime.incremental`) intersects these records against
-compiled-plan read-sets to decide which tgd levels must re-run.
+:func:`repro.xml.serialize.to_xml`).  Where a parent's child count
+changed, the children are first aligned by their longest in-order
+deep-equal prefix and suffix: a run of children inserted into or
+removed from the middle of a list costs one record per child, not a
+cascade of mutations down every later sibling.  The incremental
+execution layer (:mod:`repro.runtime.incremental`) intersects these
+records against compiled-plan read-sets to decide which tgd levels
+must re-run.
 """
 
 from __future__ import annotations
@@ -287,9 +292,15 @@ def compute_delta(
 
     Guarantees ``apply_delta(left, compute_delta(left, right))`` is
     byte-identical to ``right`` under :func:`repro.xml.serialize.to_xml`
-    whenever the delta is not truncated.  Where the positional per-tag
-    alignment cannot express a child-sequence change (an interleaving
-    change beyond trailing per-tag removals and insertions), the whole
+    whenever the delta is not truncated.  Children pair positionally
+    while a parent keeps its child count.  When the count changed, the
+    longest prefix and suffix of children that are deep-equal in order
+    are trimmed first; if they cover the shorter side, every child
+    between them is one ``insert`` (``position`` absolute in ``right``)
+    or one ``remove`` record.  Otherwise the first ``min(L, R)``
+    occurrences of each tag pair up, extras become removals and
+    insertions, and where that per-tag alignment cannot express the
+    change (the paired children interleave differently) the whole
     parent becomes one coarse ``replace`` record rather than a wrong
     fine-grained one.  Equal subtrees cost one visit per element, and
     the walk obeys the :class:`~repro.runtime.retry.Deadline` in force.
@@ -357,6 +368,8 @@ def _delta_node(entry, builder: _DeltaBuilder, stack: list) -> None:
             pending.reverse()
             stack.extend(pending)
             return
+    elif _splice_records(entry, steps, builder):
+        return
     # Structural change: pair the first min(L, R) occurrences per tag
     # (the diff's alignment); left extras are removals, right extras
     # insertions.  That is only faithful when the paired skeletons
@@ -375,26 +388,82 @@ def _delta_node(entry, builder: _DeltaBuilder, stack: list) -> None:
     if [c.tag for c, _, _ in lpaired] != [c.tag for c, _, _ in rpaired]:
         builder.push_subtree(left, right, steps)
         return
-    for child, k, _ in lann:
-        if k >= pair_count[child.tag]:
-            child_steps = steps + ((child.tag, k),)
-            if not builder.push(DeltaRecord(
-                "remove", builder.path_of(child_steps), child_steps,
-                nodes=child.size(),
-            )):
-                return
-    for child, k, absolute in rann:
-        if k >= pair_count[child.tag]:
-            if not builder.push(DeltaRecord(
-                "insert",
-                builder.path_of(steps, f"/{child.tag}[{k + 1}]"),
-                steps, name=child.tag, subtree=child.copy(),
-                position=absolute, nodes=child.size(),
-            )):
-                return
+    if not _push_moves(
+        builder, steps,
+        [item for item in lann if item[1] >= pair_count[item[0].tag]],
+        [item for item in rann if item[1] >= pair_count[item[0].tag]],
+    ):
+        return
     stack.extend(reversed([
         (lc, rc, entry) for (lc, _, _), (rc, _, _) in zip(lpaired, rpaired)
     ]))
+
+
+def _splice_records(entry, steps, builder: _DeltaBuilder) -> bool:
+    """For a parent whose child count changed: when the children are
+    one run inserted into or removed from otherwise equal children —
+    the longest in-order deep-equal prefix and suffix cover the shorter
+    side — push one ``insert`` or ``remove`` record per child of that
+    run and return ``True``; otherwise push nothing."""
+    left, right, _ = entry
+    lseq, rseq = left._children, right._children
+    short = min(len(lseq), len(rseq))
+    deadline = active_deadline()
+    head = 0
+    while head < short and _same(lseq[head], rseq[head], deadline):
+        head += 1
+    tail = 0
+    while tail < short - head and _same(lseq[-1 - tail], rseq[-1 - tail], deadline):
+        tail += 1
+    if head + tail < short:
+        return False
+    # The shorter side's run is empty.
+    _push_moves(
+        builder, steps or builder.steps_of(entry),
+        _annotate(lseq)[head:len(lseq) - tail],
+        _annotate(rseq)[head:len(rseq) - tail],
+    )
+    return True
+
+
+def _push_moves(builder: _DeltaBuilder, steps, removed, inserted) -> bool:
+    """Push one ``remove`` record per annotated left child of
+    ``removed`` and one ``insert`` per annotated right child of
+    ``inserted`` (see :func:`_annotate`); ``False`` once truncated."""
+    for child, k, _ in removed:
+        child_steps = steps + ((child.tag, k),)
+        if not builder.push(DeltaRecord(
+            "remove", builder.path_of(child_steps), child_steps,
+            nodes=child.size(),
+        )):
+            return False
+    for child, k, absolute in inserted:
+        if not builder.push(DeltaRecord(
+            "insert", builder.path_of(steps, f"/{child.tag}[{k + 1}]"),
+            steps, name=child.tag, subtree=child.copy(), position=absolute,
+            nodes=child.size(),
+        )):
+            return False
+    return True
+
+
+def _same(left: XmlElement, right: XmlElement, deadline) -> bool:
+    """Whether two subtrees are equal with their children in order
+    (unlike :meth:`XmlElement.equals_canonically`), over an explicit
+    stack that polls ``deadline``."""
+    stack = [(left, right)]
+    while stack:
+        if deadline is not None:
+            deadline.polls -= 1
+            if deadline.polls < 0:
+                check_deadline()
+        left, right = stack.pop()
+        if (left.tag != right.tag or left._text != right._text
+                or left._attributes != right._attributes
+                or len(left._children) != len(right._children)):
+            return False
+        stack.extend(zip(left._children, right._children))
+    return True
 
 
 def _annotate(children) -> list[tuple[XmlElement, int, int]]:

@@ -7,8 +7,10 @@ plus the ``truncated`` flag.  The pairs are the first 60 ``delta``-axis
 corpus cases of seed 20260809, each diffed against its edit script's
 result in both directions, and scripted pairs for every structural
 branch of the walk: a tag change, text against children, interleaved
-siblings, trailing inserts and removals, a whole-document replace and
-truncation at ``max_records`` 1, 2 and 3.  Any change to the records,
+siblings, trailing inserts and removals, a mid-list insertion and
+removal and a ``Proj`` inserted among ``regEmp`` siblings (each one
+record per moved child), a whole-document replace and truncation at
+``max_records`` 1, 2 and 3.  Any change to the records,
 their order or their counts shows up here.
 
 To regenerate after an *intentional* change to the delta format::
@@ -70,6 +72,19 @@ def _scripted_pairs():
         dept.remove(dept.findall("regEmp")[-1])
         dept.remove(dept.findall("Proj")[-1])
 
+    def mid_insert(root):
+        dept = root.findall("dept")[0]
+        dept.insert(4, element("regEmp", element("ename", text="New Hire"),
+                               element("sal", text=10000), pid=2))
+
+    def mid_remove(root):
+        dept = root.findall("dept")[0]
+        dept.remove(dept.findall("regEmp")[1])
+
+    def cross_tag_insert(root):
+        dept = root.findall("dept")[0]
+        dept.insert(5, element("Proj", element("pname", text="Extra"), pid=9))
+
     def scattered(root):
         for dept in root.findall("dept"):
             dept.find("dname").set_attribute("code", "x")
@@ -85,6 +100,9 @@ def _scripted_pairs():
         ("interleaved-siblings", base(), edited(interleave), 10000),
         ("trailing-insert", base(), edited(trailing_insert), 10000),
         ("trailing-remove", base(), edited(trailing_remove), 10000),
+        ("mid-list-insert", base(), edited(mid_insert), 10000),
+        ("mid-list-remove", base(), edited(mid_remove), 10000),
+        ("cross-tag-insert", base(), edited(cross_tag_insert), 10000),
         ("whole-document", element("a", element("x", text=1)),
          element("b", element("y", text=2)), 10000),
         ("attribute-add-and-drop", element("r", element("x", k=1, j=2)),

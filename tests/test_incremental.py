@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compile import compile_clip
+from repro.core.tgd import render_tgd
+from repro.core.tgd_parser import parse_tgd
 from repro.errors import ExecutionError, ReproError
 from repro.executor.engine import prepare
 from repro.executor.planner import PlanMemo
@@ -414,8 +416,9 @@ class TestIncrementalSession:
     def test_a_fallback_sizes_the_maintained_tree_at_most_once(
         self, structural, monkeypatch
     ):
-        """Structural deltas re-size the tree once, in the apply;
-        mutations cannot change the size, so nothing re-sizes it."""
+        """The apply keeps the maintained tree's size by arithmetic
+        over the records: neither a removal nor a mutation walks a
+        tree to size it."""
         from repro.xml.model import XmlElement
 
         plan = _plan("fig7")
@@ -436,8 +439,23 @@ class TestIncrementalSession:
         got, report = session.apply(delta)
         assert report.mode == "fallback"
         assert to_xml(got) == to_xml(plan.run(edited))
-        assert len(sized) == (1 if structural else 0)
+        assert sized == []
         assert session._size == real(edited)
+
+    def test_a_replace_resizes_by_the_subtrees_it_swaps(self):
+        plan = _plan("fig7")
+        session = IncrementalSession(plan, threshold=0.0)
+        doc = _instance()
+        session.transform(doc)
+        edited = doc.copy()
+        pname = edited.findall("dept")[0].findall("Proj")[0].find("pname")
+        pname.clear_text()
+        pname.append(element("first", text="Sales"))  # text becomes children
+        delta = compute_delta(doc, edited)
+        assert [record.op for record in delta.records] == ["replace"]
+        got, _report = session.apply(delta)
+        assert to_xml(got) == to_xml(plan.run(edited))
+        assert session._size == edited.size()
 
     def test_unsupported_shapes_degrade_to_stateless_full_runs(self):
         plan = _plan("fig9")  # aggregate mapping: no scoped support
@@ -485,9 +503,9 @@ _PINNED_REPORTS = {
         _binding((1,), 4, 3, 1),
     ] * 3,
     "fig7": [
-        _group((0,), 9, 8, 1), _FALLBACK, _group((0, 1), 8, 8, 0),
-        _group((0,), 9, 7, 2), _FALLBACK, _group((0, 1), 8, 6, 2),
-        _group((0,), 9, 7, 2), _FALLBACK, _group((0, 1), 8, 7, 1),
+        _group((0,), 9, 8, 1), _group((1,), 9, 8, 1), _group((0, 1), 8, 8, 0),
+        _group((0,), 9, 7, 2), _group((1,), 9, 8, 1), _group((0, 1), 8, 8, 0),
+        _group((0,), 9, 7, 2), _group((1,), 9, 8, 1), _group((0, 1), 8, 8, 0),
     ],
 }
 
@@ -886,3 +904,89 @@ class TestInPlaceTarget:
         assert len(built) == 1
         assert _row(report.to_dict()) == _binding((2,), 4, 3, 1)
         assert to_xml(got) == to_xml(plan.run(new))
+
+
+class TestJoinScopedEdits:
+    """Figure 7's nested level re-scans every department's employees
+    (``d2 ∈ source.dept, r ∈ d2.regEmp``) but joins them to the unit's
+    project (``p2 ∈ d2.Proj``, ``p2.@pid = r.@pid``): an employee edit
+    rebuilds only the groups of the projects it joins."""
+
+    @staticmethod
+    def _edit(doc, kind: str) -> set:
+        """Edit the second department's employees mid-list; returns the
+        project ids the edited employee joins, before and after."""
+        dept = doc.findall("dept")[1]
+        projects, employees = dept.findall("Proj"), dept.findall("regEmp")
+        if kind == "insert":
+            pid = projects[1].attribute("pid")
+            dept.insert(len(projects) + 2, element(
+                "regEmp", element("ename", text="New Hire"),
+                element("sal", text=10000), pid=pid))
+            return {pid}
+        old = employees[2].attribute("pid")
+        if kind == "remove":
+            dept.remove(employees[2])
+            return {old}
+        new = next(p.attribute("pid") for p in projects
+                   if p.attribute("pid") != old)
+        employees[2].set_attribute("pid", new)
+        return {old, new}
+
+    @pytest.mark.parametrize("kind", ["insert", "remove", "retarget"])
+    def test_an_employee_edit_rebuilds_only_the_groups_it_joins(self, kind):
+        reports = []
+        for optimize in (True, False):
+            plan = _plan("fig7", optimize=optimize)
+            session = IncrementalSession(plan)
+            doc = _instance()
+            session.transform(doc)
+            edited = doc.copy()
+            pids = self._edit(edited, kind)
+            delta = compute_delta(doc, edited)
+            assert len(delta.records) == 1  # no cascade down the siblings
+            got, report = session.apply(delta)
+            assert to_xml(got) == to_xml(plan.run(edited))
+            reports.append(report.to_dict())
+        joined = {p.find("pname").text for p in edited.findall("dept")[1].findall("Proj")
+                  if p.attribute("pid") in pids}
+        assert report.mode == "scoped"
+        assert report.recomputed_units == len(joined) == (2 if kind == "retarget" else 1)
+        assert report.total_units > 2
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_a_key_join_alone_selects_units_by_key(self, optimize):
+        text = render_tgd(compile_clip(deptstore.mapping_fig7()))
+        keyed = text.replace(
+            "d2 ∈ source.dept, r ∈ d2.regEmp | p2.@pid = r.@pid, p2 ∈ d2.Proj",
+            "r ∈ source.dept.regEmp | p2.@pid = r.@pid",
+        )
+        assert keyed != text
+        plan = prepare(parse_tgd(keyed), optimize=optimize)
+        session = IncrementalSession(plan)
+        doc = _instance()
+        session.transform(doc)
+        edited = doc.copy()
+        pids = self._edit(edited, "insert")
+        got, report = session.transform(edited)
+        assert to_xml(got) == to_xml(plan.run(edited))
+        joined = {p.find("pname").text for d in edited.findall("dept")
+                  for p in d.findall("Proj") if p.attribute("pid") in pids}
+        assert report.mode == "scoped"
+        assert 1 < report.recomputed_units == len(joined) < report.total_units
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_a_rescan_with_no_join_to_the_unit_still_falls_back(self, optimize):
+        text = render_tgd(compile_clip(deptstore.mapping_fig7()))
+        unjoined = text.replace(" | p2.@pid = r.@pid, p2 ∈ d2.Proj", "")
+        assert unjoined != text
+        plan = prepare(parse_tgd(unjoined), optimize=optimize)
+        session = IncrementalSession(plan)
+        doc = _instance()
+        session.transform(doc)
+        edited = doc.copy()
+        self._edit(edited, "insert")
+        got, report = session.transform(edited)
+        assert (report.mode, report.reason) == _FALLBACK[:2]
+        assert to_xml(got) == to_xml(plan.run(edited))

@@ -28,6 +28,7 @@ from repro.core.tgd import (
 from repro.executor import explain_plan, prepare
 from repro.executor.planner import (
     OPTIMIZE_ENV,
+    DocLink,
     PlanCounters,
     plan_level,
     plan_tgd,
@@ -161,6 +162,15 @@ class TestAnchoredReads:
             ("dept", "regEmp", "@pid"),
             ("dept", "regEmp", "ename", "value"),
         )
+
+    def test_fig7_employee_rescan_joins_the_unit(self):
+        _root, inner = plan_tgd(compile_clip(deptstore.mapping_fig7())).levels
+        d2, r = inner.doc_gens
+        assert (d2.var, d2.chain, d2.parent, d2.reads) == ("d2", ("dept",), None, set())
+        assert d2.links == (DocLink(("Proj",), ("p", ()), True),)
+        assert (r.var, r.chain, r.parent) == ("r", ("dept", "regEmp"), "d2")
+        assert r.reads == {("@pid",), ("ename", "value")}
+        assert r.links == (DocLink(("@pid",), ("p", ("@pid",)), False),)
 
     def test_fig5_reads_are_all_unit_relative(self):
         levels = plan_tgd(compile_clip(deptstore.mapping_fig5())).levels
